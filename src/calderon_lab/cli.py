@@ -106,7 +106,6 @@ class ExperimentConfig:
     field_resolution: int = 256
     seed: int = 0x5EED
     out: str | None = None
-    workers: int = 1
 
     def validate(self) -> None:
         def bad(fieldname, reason):
@@ -155,7 +154,6 @@ _KEY_MAP = {
     "field.resolution": ("field_resolution", int),
     "seed": ("seed", int),
     "out": ("out", str),
-    "workers": ("workers", int),
 }
 
 
@@ -249,7 +247,7 @@ def write_report(record: ReportRecord, out_dir) -> None:
     for name, (t, vals) in record.series.items():
         order = np.argsort(t)
         tt, vv = np.asarray(t)[order], np.asarray(vals)[order]
-        keep = np.concatenate(([True], np.diff(tt) > 0))
+        keep = np.diff(tt, prepend=-np.inf) > 0
         pairs = [(repr(float(a)), repr(float(b)))
                  for a, b in zip(tt[keep], vv[keep])]
         lines_csv = ["t,value"] + [f"{a},{b}" for a, b in pairs]
@@ -371,7 +369,7 @@ def _scenario_equivalence_sweep(cfg: ExperimentConfig, rec: ReportRecord):
 def _scenario_envelope(cfg: ExperimentConfig, rec: ReportRecord):
     space, phi = _space_and_profile(cfg)
     tg = make_log_grid(1e-6 * cfg.T, cfg.T, 48)
-    upper, _ = envelope_bounds(space, phi, cfg.k, cfg.n, tg)
+    upper = envelope_bounds(space, phi, cfg.k, cfg.n, tg)
     rec.series["envelope"] = (tg.points, upper.values)
     _check(rec.assertions, "nondecreasing",
            bool(np.all(np.diff(upper.values) >= -1e-10 * upper.values[:-1])),

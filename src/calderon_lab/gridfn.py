@@ -59,12 +59,6 @@ class LogGrid:
         """Same endpoints, `factor` times as many intervals."""
         return make_log_grid(self.t_min, self.t_max, (self.count - 1) * factor + 1)
 
-    def extended_down(self, new_t_min: float) -> "LogGrid":
-        """Same point density per decade, left endpoint pushed to new_t_min."""
-        per_decade = (self.count - 1) / math.log10(self.t_max / self.t_min)
-        n = int(round(per_decade * math.log10(self.t_max / new_t_min))) + 1
-        return make_log_grid(new_t_min, self.t_max, max(n, 2))
-
 
 def make_log_grid(t_min: float, t_max: float, count: int) -> LogGrid:
     """Geometric grid with exact endpoints and constant point ratio."""

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import sympy as sp
 
 from .errors import DerivativeUnstable, DomainError, NonConvergent
 from .gridfn import (
@@ -81,15 +80,6 @@ class SlowlyVaryingSpec:
         """The same factors with every exponent multiplied by q."""
         return SlowlyVaryingSpec(
             factors=tuple((k, e * q) for k, e in self.factors), scale=self.scale)
-
-    def sympy_expr(self, var):
-        expr = sp.Integer(1)
-        for kind, expo in self.factors:
-            inner = sp.log(sp.E * self.scale / var)
-            for _ in range(_KIND_LEVEL[kind] - 1):
-                inner = sp.log(sp.E * inner)
-            expr *= inner ** expo
-        return expr
 
     def is_trivial(self) -> bool:
         return all(e == 0 for _, e in self.factors)
@@ -432,27 +422,51 @@ class DerivativeConditionReport:
     lower_ok: bool
 
 
+def _power_derivative_fns(kernel: KernelSpec, k: int):
+    """Callables z -> Phi^(i)(z), i = 0..k, in closed form.
+
+    With a = alpha - n, l1 = log(e*scale/z) and l2 = log(e*l1), so that
+    l1' = -1/z and l2' = -1/(z l1), the head z^a l1^p1 l2^p2 has i-th
+    derivative z^(a-i) * sum of c l1^(p1-j1) l2^(p2-j2); one more
+    derivative sends each term c at (j1, j2) to (a-i) c at (j1, j2),
+    -(p1-j1) c at (j1+1, j2) and -(p2-j2) c at (j1+1, j2+1).  The tail
+    cap exp(-rate (z - z1)) has i-th derivative cap (-rate)^i exp(...).
+    """
+    v = kernel.variant
+    a = v.alpha - kernel.n
+    p1 = sum(e for kind, e in v.sv.factors if kind == "log")
+    p2 = sum(e for kind, e in v.sv.factors if kind == "loglog")
+    cap = kernel.profile(v.z1)
+    levels = [{(0, 0): 1.0}]
+    for i in range(k):
+        nxt = {}
+        for (j1, j2), c in levels[-1].items():
+            for key, d in (((j1, j2), (a - i) * c),
+                           ((j1 + 1, j2), -(p1 - j1) * c),
+                           ((j1 + 1, j2 + 1), -(p2 - j2) * c)):
+                if d != 0.0:
+                    nxt[key] = nxt.get(key, 0.0) + d
+        levels.append(nxt)
+
+    def fn(zz, i):
+        zz = np.asarray(zz, dtype=float)
+        zh = np.minimum(zz, v.z1)
+        l1 = _iterated_log(zh, 1, v.sv.scale)
+        l2 = np.log(math.e * l1) if p2 else 1.0
+        logs = sum(c * l1 ** (p1 - j1) * l2 ** (p2 - j2)
+                   for (j1, j2), c in levels[i].items())
+        tail = np.exp(-v.tail_rate * (np.maximum(zz, v.z1) - v.z1))
+        return np.where(zz <= v.z1, zh ** (a - i) * logs,
+                        cap * (-v.tail_rate) ** i * tail)
+
+    return [lambda zz, i=i: fn(zz, i) for i in range(k + 1)]
+
+
 def _phi_derivative_fns(kernel: KernelSpec, k: int):
-    """Callables z -> Phi^(i)(z), i = 0..k: symbolic for the power
+    """Callables z -> Phi^(i)(z), i = 0..k: closed form for the power
     variants (exact), Richardson differences for the Bessel family."""
     if isinstance(kernel.variant, PowerSlowlyVarying):
-        v = kernel.variant
-        z = sp.symbols("z", positive=True)
-        head = z ** (v.alpha - kernel.n) * v.sv.sympy_expr(z)
-        cap = head.subs(z, v.z1)
-        tail = cap * sp.exp(-v.tail_rate * (z - v.z1))
-        fns = []
-        for i in range(k + 1):
-            h_l = sp.lambdify(z, sp.diff(head, z, i), "numpy")
-            t_l = sp.lambdify(z, sp.diff(tail, z, i), "numpy")
-            def fn(zz, h_l=h_l, t_l=t_l):
-                zz = np.asarray(zz, dtype=float)
-                out = np.where(zz <= v.z1,
-                               np.asarray(h_l(np.minimum(zz, v.z1)), dtype=float),
-                               np.asarray(t_l(np.maximum(zz, v.z1)), dtype=float))
-                return out
-            fns.append(fn)
-        return fns
+        return _power_derivative_fns(kernel, k)
     prof = kernel.profile
     fns = [lambda zz: prof(zz)]
     for i in range(1, k + 1):

@@ -273,12 +273,6 @@ class AssociateNormEngine:
         out[1:] += out[0]
         return out
 
-    def split_kernel_mass_vals(self, t_idx: int | None = None) -> np.ndarray:
-        """Phi_k(xi, t) on the grid for fixed t (default T): head mass up
-        to xi plus xi^(k/n) times the tail of tau^(-k/n) phi over [xi, t]."""
-        j_at_t = 0.0 if t_idx is None else self.jk[t_idx]
-        return self.iphi + self.t ** self.kn * (self.jk - j_at_t)
-
     # -- the four functionals ----------------------------------------------
 
     def rho_tilde(self, g: np.ndarray) -> float:

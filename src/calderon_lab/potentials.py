@@ -1,20 +1,23 @@
 """Convolution against singular radial kernels, finite differences,
 moduli of smoothness, and the lattice norms built on them.
 
-Fields are sampled on uniform tensor grids over a box [-H, H]^n.  The
-n = 1 path is the certified one (full quadrature control over the
-singular cell); n = 2, 3 run at low resolution with the same direct
-summation.  Convolution never uses Fourier transforms: the singular
-cell is replaced by the kernel's exact radial integral over an
-equal-volume ball, which keeps the near-origin mass honest.
+Fields are one-dimensional, sampled on a uniform grid over [-H, H].
+Convolution never uses Fourier transforms: it is a direct midpoint
+summation in which the singular cell is replaced by the kernel's exact
+integral over that cell, which keeps the near-origin mass honest.  The
+dimension n of the lattice (the t^(1/n) scaling of the modulus and the
+cone kernel) is a separate argument; fields of dimension n >= 2 are
+rejected, because a direct sum needs an exact singular-cell integral
+there, which the toolkit does not have.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DomainError,
@@ -27,7 +30,6 @@ from .gridfn import (
     LogGrid,
     SampledFunction,
     classify_zero_endpoint,
-    cumulative_from_zero,
     head_mass,
     integrate,
     make_log_grid,
@@ -43,12 +45,12 @@ DIRECTION_SEED = 0x5EED
 
 @dataclass
 class FieldSample:
-    """Values of a function on the uniform tensor grid of a box.
+    """Values of a function on the uniform grid of [-H, H].
 
-    The grid is inclusive: x_i = origin + i * spacing with
-    resolution points per axis; by default origin = -box_halfwidth on
-    every axis.  Restricted domains produced by differencing keep their
-    own origin.
+    The grid is inclusive: x_i = origin + i * spacing with resolution
+    points; by default origin = -box_halfwidth.  Restricted domains
+    produced by differencing keep their own origin.  Only n = 1 is
+    supported.
     """
 
     n: int
@@ -58,13 +60,13 @@ class FieldSample:
     origin: np.ndarray | None = None
 
     def __post_init__(self):
-        if not (1 <= self.n <= 3):
-            raise DomainError("dimension must be 1, 2, or 3")
+        if self.n != 1:
+            raise DomainError("fields must be one-dimensional (n = 1)")
         if self.resolution < 16:
             raise DomainError("resolution must be at least 16")
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != self.n:
-            raise DomainError("values array must have one axis per dimension")
+        if self.values.ndim != 1:
+            raise DomainError("values must be a one-dimensional array")
         if not np.all(np.isfinite(self.values)):
             raise DomainError("field values must be finite")
         if self.origin is None:
@@ -84,15 +86,10 @@ class FieldSample:
 
 
 def sample_field(fn, n: int, box_halfwidth: float, resolution: int) -> FieldSample:
-    axes = [(-box_halfwidth + 2.0 * box_halfwidth / (resolution - 1) * np.arange(resolution))
-            for _ in range(n)]
-    if n == 1:
-        vals = np.asarray(fn(axes[0]), dtype=float)
-    else:
-        mesh = np.meshgrid(*axes, indexing="ij")
-        vals = np.asarray(fn(*mesh), dtype=float)
+    """fn evaluated on the grid points of [-H, H]."""
+    x = -box_halfwidth + 2.0 * box_halfwidth / (resolution - 1) * np.arange(resolution)
     return FieldSample(n=n, box_halfwidth=box_halfwidth, resolution=resolution,
-                       values=vals)
+                       values=fn(x))
 
 
 def field_rearrangement(f: FieldSample, grid: LogGrid | None = None) -> SampledFunction:
@@ -109,53 +106,30 @@ def field_rearrangement(f: FieldSample, grid: LogGrid | None = None) -> SampledF
 
 def convolve(kernel: KernelSpec, f: FieldSample) -> FieldSample:
     """u(x) = int G(x - y) f(y) dy by direct midpoint summation, the
-    singular (zero-offset) cell replaced by the kernel's radial integral
-    over the equal-volume ball.
+    singular (zero-offset) cell replaced by the kernel's exact integral
+    over that cell.
 
-    Raises ResolutionTooCoarse when that correction carries more than
-    10% of the kernel mass reachable inside the box.
+    Raises ResolutionTooCoarse when the singular cell carries more than
+    half of the kernel mass reachable inside the box.
     """
     if kernel.n != f.n:
         raise DomainError("kernel and field dimension mismatch")
-    n, h = f.n, f.spacing
-    cell_vol = h ** n
+    h = f.spacing
     phi_fn = kernel.measure_profile_fn()
-    cell_mass, _ = integrate(phi_fn, 0.0, cell_vol, singular_at_a=True, tol=1e-10)
-    box_measure = (4.0 * f.box_halfwidth) ** n
-    box_mass, _ = integrate(phi_fn, 0.0, box_measure, singular_at_a=True, tol=1e-8)
-    # the equal-volume ball is exact in one dimension (the cell is an
-    # interval); in higher dimensions its error is bounded by the mass
-    # spread between the inscribed and circumscribed balls
-    if n > 1:
-        from .kernels import unit_ball_volume
-        vn = unit_ball_volume(n)
-        lo_mass, _ = integrate(phi_fn, 0.0, vn * (h / 2.0) ** n,
-                               singular_at_a=True, tol=1e-10)
-        hi_mass, _ = integrate(phi_fn, 0.0, vn * (h * math.sqrt(n) / 2.0) ** n,
-                               singular_at_a=True, tol=1e-10)
-        if hi_mass - lo_mass > 0.1 * cell_mass:
-            raise ResolutionTooCoarse(
-                f"singular-cell shape error is {(hi_mass - lo_mass) / cell_mass:.1%} "
-                f"of the cell contribution")
+    cell_mass, _ = integrate(phi_fn, 0.0, h, singular_at_a=True, tol=1e-10)
+    box_mass, _ = integrate(phi_fn, 0.0, 4.0 * f.box_halfwidth,
+                            singular_at_a=True, tol=1e-8)
     if cell_mass > 0.5 * box_mass:
         raise ResolutionTooCoarse(
             f"singular cell carries {cell_mass / box_mass:.1%} of the kernel mass")
 
-    from scipy.signal import convolve as direct_convolve
     m = f.values.shape[0]
-    offsets = h * np.arange(-(m - 1), m)
-    if n == 1:
-        table = kernel.profile(np.abs(offsets)) * cell_vol
-        table[m - 1] = cell_mass
-    else:
-        grids = np.meshgrid(*([offsets] * n), indexing="ij")
-        dist = np.sqrt(sum(gg * gg for gg in grids))
-        center = tuple([m - 1] * n)
-        dist[center] = 1.0
-        table = kernel.profile(dist) * cell_vol
-        table[center] = cell_mass
-    u = direct_convolve(f.values, table, mode="same", method="direct")
-    return FieldSample(n=n, box_halfwidth=f.box_halfwidth,
+    table = kernel.profile(np.abs(h * np.arange(-(m - 1), m))) * h
+    table[m - 1] = cell_mass
+    # row x holds table[x + m - 1 - i] for i = 0..m-1: the centred m
+    # points of the full convolution, summed in index order
+    u = sliding_window_view(table, m)[:, ::-1] @ f.values
+    return FieldSample(n=1, box_halfwidth=f.box_halfwidth,
                        resolution=f.resolution, values=u, origin=f.origin.copy())
 
 
@@ -198,17 +172,10 @@ def finite_difference(u: FieldSample, h, k: int) -> FieldSample:
 def _shift_sample(u: FieldSample, shift: np.ndarray) -> np.ndarray:
     """u(x + shift) on the full grid via linear interpolation (exact when
     the shift is grid-aligned); positions outside the box return nan."""
-    if u.n == 1:
-        x = u.axis_points(0)
-        pos = x + shift[0]
-        out = np.interp(pos, x, u.values, left=np.nan, right=np.nan)
-        out[(pos < x[0]) | (pos > x[-1])] = np.nan
-        return out
-    from scipy.ndimage import map_coordinates
-    idx = [np.arange(s, dtype=float) for s in u.values.shape]
-    mesh = np.meshgrid(*idx, indexing="ij")
-    coords = [mm + shift[ax] / u.spacing for ax, mm in enumerate(mesh)]
-    out = map_coordinates(u.values, coords, order=1, mode="constant", cval=np.nan)
+    x = u.axis_points(0)
+    pos = x + shift[0]
+    out = np.interp(pos, x, u.values, left=np.nan, right=np.nan)
+    out[(pos < x[0]) | (pos > x[-1])] = np.nan
     return out
 
 
@@ -228,20 +195,13 @@ def _difference_sup(u: FieldSample, hvec: np.ndarray, k: int) -> float:
     return float(np.max(np.abs(acc[valid])))
 
 
-def _unit_directions(n: int, count: int = 32) -> np.ndarray:
-    rng = np.random.default_rng(DIRECTION_SEED)
-    vecs = rng.normal(size=(count, n))
-    return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
-
-
 def modulus_of_smoothness(u: FieldSample, k: int, t: float,
                           directions: int = 16) -> float:
     """omega_k(u; t): sup over sampled steps |h| <= t of the sup norm of
     the k-th difference.
 
-    n = 1 samples h = +-t*j/J including |h| = t exactly; n >= 2 uses 32
-    fixed quasi-random unit directions times the same magnitude ladder.
-    The result approximates the true supremum from below.
+    Samples h = +-t*j/J, j = 1..J (J = directions), including |h| = t
+    exactly.  The result approximates the true supremum from below.
     """
     if t <= 0:
         raise DomainError("t must be positive")
@@ -249,26 +209,16 @@ def modulus_of_smoothness(u: FieldSample, k: int, t: float,
         raise DomainExceeded("stencil span exceeds the box")
     mags = t * np.arange(1, directions + 1) / directions
     best = 0.0
-    if u.n == 1:
-        for mag in mags:
-            for sign in (1.0, -1.0):
-                best = max(best, _difference_sup(u, np.array([sign * mag]), k))
-        return best
-    dirs = _unit_directions(u.n)
-    for mag in mags[::4] if len(mags) >= 4 else mags:
-        for d in dirs:
-            best = max(best, _difference_sup(u, mag * d, k))
-    # always include the extreme magnitude
-    for d in dirs:
-        best = max(best, _difference_sup(u, t * d, k))
+    for mag in mags:
+        for sign in (1.0, -1.0):
+            best = max(best, _difference_sup(u, np.array([sign * mag]), k))
     return best
 
 
-def modulus_curve(u: FieldSample, k: int, t_grid: LogGrid, n: int | None = None,
+def modulus_curve(u: FieldSample, k: int, t_grid: LogGrid, n: int = 1,
                   directions: int = 16) -> SampledFunction:
     """omega_k(u; t^(1/n)) over a grid of t values, forced nondecreasing
     by a cumulative max (window nesting)."""
-    n = u.n if n is None else n
     vals = np.empty(t_grid.count)
     for i, t in enumerate(t_grid.points):
         vals[i] = modulus_of_smoothness(u, k, t ** (1.0 / n), directions=directions)
@@ -285,9 +235,8 @@ def envelope_bounds(space: LorentzSpace, phi, k: int, n: int,
                     t_grid: LogGrid):
     """The associate-norm curve t -> || Omega_phi(t, .) || in the dual of
     the base space: both the upper and the lower smoothness-envelope
-    estimates equal this curve up to fixed constants, so it is returned
-    for both slots.  Raises NotEmbedded when the profile is not in the
-    associate space."""
+    estimates equal this curve up to fixed constants.  Raises NotEmbedded
+    when the profile is not in the associate space."""
     psi = embedding_function(space, phi)
     if not math.isfinite(psi.values[-1]):
         raise NotEmbedded("profile not in the associate space")
@@ -297,8 +246,7 @@ def envelope_bounds(space: LorentzSpace, phi, k: int, n: int,
         hstar = SampledFunction(space.grid, om, monotonicity="none",
                                 extension="zero_beyond_T")
         vals[i] = associate_norm(space, hstar)
-    curve = SampledFunction(grid=t_grid, values=vals, monotonicity="increasing")
-    return curve, curve.with_values(curve.values.copy(), monotonicity="increasing")
+    return SampledFunction(grid=t_grid, values=vals, monotonicity="increasing")
 
 
 @dataclass

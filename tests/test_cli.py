@@ -219,6 +219,24 @@ class TestMain:
         assert all(r.passed for r in recs)
 
 
+class TestEmptySeries:
+    def test_sweep_survives_infinite_aggregate(self, tmp_path):
+        # alpha = 0.3 < 1/q: the aggregate is infinite everywhere, so the
+        # psi series is empty
+        empty = parse_config_text("scenario = embedding_check\nspace.q = 2\n"
+                                  "kernel.alpha = 0.3\n" + FAST)
+        fine = parse_config_text("scenario = embedding_check\nkernel.alpha = 0.75\n"
+                                 + FAST)
+        recs = sweep([empty, fine], out_dir=tmp_path)
+        assert recs[0].scalars["embeds"] is False
+        rows = (tmp_path / "summary.csv").read_text().splitlines()
+        assert len(rows) == 3
+        series = tmp_path / "item_000" / "series"
+        assert (series / "psi.csv").read_text() == "t,value\n"
+        assert len((tmp_path / "item_001" / "series" / "psi.csv")
+                   .read_text().splitlines()) > 1
+
+
 class TestWorkers:
     def test_env_override_and_parallel_determinism(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CALDERON_LAB_WORKERS", "3")

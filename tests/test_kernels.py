@@ -183,6 +183,42 @@ class TestDerivativeConditions:
         assert rep.delta1 == pytest.approx(0.25, rel=0.3)
 
 
+class TestPowerDerivatives:
+    @pytest.mark.parametrize("factors", [
+        (("log", 1.5),),
+        (("loglog", -0.5),),
+        (("log", 1.5), ("loglog", -0.5)),
+    ], ids=["log", "loglog", "both"])
+    def test_closed_form_matches_symbolic(self, factors):
+        # oracle: sympy differentiates z^(alpha-n) Lambda(z) and its
+        # exponential tail; evaluated at 40 digits
+        sp = pytest.importorskip("sympy")
+        import mpmath
+        from calderon_lab.kernels import _phi_derivative_fns
+        alpha, n, z1, rate = sp.Rational(3, 5), 1, sp.Rational(1, 2), 1
+        kern = KernelSpec(PowerSlowlyVarying(
+            alpha=float(alpha), sv=SlowlyVaryingSpec(factors=factors, scale=float(z1)),
+            z1=float(z1), tail_rate=float(rate)), n=n)
+        z = sp.symbols("z", positive=True)
+        head = z ** (alpha - n)
+        for kind, expo in factors:
+            inner = sp.log(sp.E * z1 / z)
+            if kind == "loglog":
+                inner = sp.log(sp.E * inner)
+            head *= inner ** sp.Rational(expo)
+        tail = head.subs(z, z1) * sp.exp(-rate * (z - z1))
+        z_in = np.geomspace(1e-5 * float(z1), float(z1), 25)
+        z_out = np.geomspace(1.02 * float(z1), 30.0, 10)
+        fns = _phi_derivative_fns(kern, 3)
+        with mpmath.workdps(40):
+            for k in range(4):
+                for expr, zz in ((head, z_in), (tail, z_out)):
+                    exact = sp.lambdify(z, sp.diff(expr, z, k), "mpmath")
+                    ref = np.array([float(exact(mpmath.mpf(float(x)))) for x in zz])
+                    got = fns[k](zz)
+                    assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-12, k
+
+
 class TestSlowlyVarying:
     def test_trivial_head_ratio(self):
         g = default_grid()

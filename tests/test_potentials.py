@@ -93,6 +93,25 @@ class TestConvolve:
         with pytest.raises(DomainError):
             convolve(KernelSpec(BesselMcDonald(nu=0.4), n=2), f)
 
+    @pytest.mark.parametrize("kernel", [
+        BMD,
+        KernelSpec(PowerSlowlyVarying(alpha=0.6, sv=SlowlyVaryingSpec(
+            factors=(("log", 0.5),)), z1=1.0), n=1),
+    ], ids=["bessel", "power_log"])
+    def test_matches_direct_convolution(self, kernel):
+        # the same sums in the same order as scipy's direct method
+        signal = pytest.importorskip("scipy.signal")
+        for resolution in (128, 256):
+            for name, f in bump_and_staircase_family(count=4, resolution=resolution):
+                u = convolve(kernel, f)
+                m = f.resolution
+                h = f.spacing
+                table = kernel.profile(np.abs(h * np.arange(-(m - 1), m))) * h
+                table[m - 1] = integrate(kernel.measure_profile_fn(), 0.0, h,
+                                         singular_at_a=True, tol=1e-10)[0]
+                ref = signal.convolve(f.values, table, mode="same", method="direct")
+                assert np.array_equal(u.values, ref), name
+
 
 class TestFiniteDifference:
     def test_linear_gives_constant_h(self):
@@ -126,11 +145,6 @@ class TestFiniteDifference:
         u = sample_field(lambda x: x, 1, 2.0, 65)
         with pytest.raises(DomainExceeded):
             finite_difference(u, 2.0, 3)
-
-    def test_two_dimensional(self):
-        u = sample_field(lambda x, y: x + 2 * y, 2, 1.0, 33)
-        d = finite_difference(u, (0.0625, 0.0625), 1)
-        assert np.allclose(d.values, 0.0625 + 2 * 0.0625)
 
 
 class TestModulus:
@@ -177,11 +191,6 @@ class TestModulus:
         om = modulus_curve(u, 1, tg)
         assert np.all(np.diff(om.values) >= 0)
 
-    def test_two_dimensional_direction_sampling(self):
-        u = sample_field(lambda x, y: np.sin(2 * x) + np.cos(3 * y), 2, 2.0, 48)
-        val = modulus_of_smoothness(u, 1, 0.3)
-        assert 0.0 < val <= 2 * u.sup_norm() + 1e-12
-
 
 class TestEnvelope:
     def test_endpoint_within_factor_two(self):
@@ -189,13 +198,12 @@ class TestEnvelope:
         sp = LorentzSpace(2.0, FLAT, g)
         phi = sample(lambda t: t ** -0.25, g, monotonicity="decreasing")
         tg = make_log_grid(1e-6, 1.0, 32)
-        upper, lower = envelope_bounds(sp, phi, 1, 1, tg)
+        upper = envelope_bounds(sp, phi, 1, 1, tg)
         from calderon_lab.gridfn import SampledFunction
         pn = associate_norm(sp, SampledFunction(g, phi(g.points),
                                                 extension="zero_beyond_T"))
         assert 0.5 * pn <= upper.values[-1] <= pn * (1 + 1e-9)
         assert np.all(np.diff(upper.values) >= -1e-10 * upper.values[:-1])
-        assert np.allclose(upper.values, lower.values)
 
     def test_small_scale_slope(self):
         # flat weight, q = 2, n = k = 1: the envelope behaves like
@@ -206,7 +214,7 @@ class TestEnvelope:
             phi = sample(lambda t, a=alpha: t ** (a - 1.0), g,
                          monotonicity="decreasing")
             tg = make_log_grid(1e-6, 1e-2, 24)
-            upper, _ = envelope_bounds(sp, phi, 1, 1, tg)
+            upper = envelope_bounds(sp, phi, 1, 1, tg)
             A = np.vstack([np.ones(tg.count), np.log(tg.points)]).T
             slope = np.linalg.lstsq(A, np.log(upper.values), rcond=None)[0][1]
             assert abs(slope - (alpha - 0.5)) < 0.05
@@ -298,7 +306,13 @@ class TestFieldSampleValidation:
 
     def test_dimension_shape(self):
         with pytest.raises(DomainError):
-            FieldSample(2, 1.0, 32, np.zeros(32))
+            FieldSample(1, 1.0, 32, np.zeros((32, 32)))
+
+    def test_one_dimensional_only(self):
+        with pytest.raises(DomainError):
+            FieldSample(2, 1.0, 32, np.zeros((32, 32)))
+        with pytest.raises(DomainError):
+            sample_field(lambda x: x, 2, 1.0, 32)
 
 
 class TestEnvelopeSandwich:
@@ -311,7 +325,7 @@ class TestEnvelopeSandwich:
         fam = bump_and_staircase_family(count=4, resolution=256)
         tg = make_log_grid(1e-4, 1.0, 24)
         rep = upper_cone_check(sp, BMD, 1, fam, t_grid=tg)
-        upper, _ = envelope_bounds(
+        upper = envelope_bounds(
             sp, sample(BMD.measure_profile_fn(), g, monotonicity="decreasing"),
             1, 1, tg)
         for name, f in fam:
