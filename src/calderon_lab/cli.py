@@ -31,7 +31,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigInvalid, Inconclusive, ScenarioFailed, ToolkitError
-from .gridfn import LogGrid, SampledFunction, make_log_grid, sample
+from .gridfn import (
+    LogGrid,
+    SampledFunction,
+    head_mass,
+    make_log_grid,
+    sample,
+    segment_masses,
+)
 from .kernels import (
     BesselMcDonald,
     KernelSpec,
@@ -465,12 +472,9 @@ def _scenario_covering_sample(cfg: ExperimentConfig, rec: ReportRecord):
     rec.scalars["c0_profile_norm"] = c0
     _check(rec.assertions, "profile_in_associate_space", math.isfinite(c0), c0,
            "the profile must have finite associate norm")
-    masses = np.empty(16)
     tg = np.geomspace(1e-6 * cfg.T, cfg.T, 16)
-    from .gridfn import head_mass, segment_masses
-    for i, tt in enumerate(tg):
-        y = cone_kernel(phi, cfg.k, cfg.n, tt, t)
-        masses[i] = head_mass(t, y) + float(np.sum(segment_masses(t, y)))
+    masses = np.array([head_mass(t, y) + float(np.sum(segment_masses(t, y)))
+                       for y in cone_kernel(phi, cfg.k, cfg.n, tg[:, None], t)])
     rec.scalars["kernel_mass_min"] = float(np.min(masses))
     _check(rec.assertions, "kernel_mass_positive", bool(np.all(masses > 0)),
            float(np.min(masses)), "cone kernel mass positive at every scale")

@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import DerivativeUnstable, DomainError, NonConvergent
 from .gridfn import (
+    _GAUSS_HI,
     LogGrid,
     SampledFunction,
     cumulative_from_zero,
@@ -214,7 +215,7 @@ def _bessel_k_batch(nu: float, rho: np.ndarray) -> np.ndarray:
     u_hi = 8.0
     n_panels = max(24, int((u_hi - u_lo) / 1.0))
     edges = np.linspace(u_lo, u_hi, n_panels + 1)
-    nodes16, w16 = np.polynomial.legendre.leggauss(16)
+    nodes16, w16 = _GAUSS_HI
     mids = 0.5 * (edges[1:] + edges[:-1])
     rads = 0.5 * (edges[1:] - edges[:-1])
     u = (mids[:, None] + rads[:, None] * nodes16[None, :]).ravel()
@@ -276,11 +277,15 @@ class KernelSpec:
                 out = np.where(z > 0, z, np.nan) ** (-nu) * _bessel_k_batch(nu, z)
         else:
             v = self.variant
-            lam = v.sv(np.minimum(z, v.z1)) if v.sv.factors else np.ones_like(z)
-            head = z ** (v.alpha - self.n) * lam
+            # Phi(0) = +inf is set directly: 0^(alpha-n) * Lambda(0) warns,
+            # and is inf * 0 = nan for a decaying log factor
+            zz = np.where(z == 0, 1.0, z)
+            lam = v.sv(np.minimum(zz, v.z1)) if v.sv.factors else np.ones_like(zz)
+            head = zz ** (v.alpha - self.n) * lam
             cap = v.z1 ** (v.alpha - self.n) * (v.sv(v.z1) if v.sv.factors else 1.0)
             out = np.where(z <= v.z1, head,
                            cap * np.exp(-v.tail_rate * (z - v.z1)))
+            out[z == 0] = np.inf
         return float(out[0]) if scalar else out
 
     def measure_profile_fn(self):

@@ -284,7 +284,7 @@ class AssociateNormEngine:
             if classify_boundedness(sp.grid, np.maximum(vals, 1e-300)).tag == "divergent":
                 return math.inf
             return float(np.max(vals))
-        return self._qprime_norm(prod ** sp.qp * sp.w_vals, tail_const=0.0)
+        return self._qprime_norm(prod ** sp.qp * sp.w_vals)
 
     def rho1(self, g: np.ndarray) -> float:
         sp = self.space
@@ -296,7 +296,7 @@ class AssociateNormEngine:
         inner = np.maximum(inner, 0.0)
         if sp.q == 1.0:
             return float(np.max(inner / sp.V.values))
-        return self._qprime_norm(inner ** sp.qp * sp.w_vals, tail_const=0.0)
+        return self._qprime_norm(inner ** sp.qp * sp.w_vals)
 
     def rho2(self, g: np.ndarray) -> float:
         sp = self.space
@@ -343,11 +343,11 @@ class AssociateNormEngine:
             return math.inf
         return head + float(np.sum(segment_masses(self.t, y)))
 
-    def _qprime_norm(self, y: np.ndarray, tail_const: float) -> float:
+    def _qprime_norm(self, y: np.ndarray) -> float:
         total = self._qprime_power_integral(y)
         if not math.isfinite(total):
             return math.inf
-        return float((total + tail_const) ** (1.0 / self.space.qp))
+        return float(total ** (1.0 / self.space.qp))
 
 
 @dataclass

@@ -9,6 +9,16 @@ dimension n of the lattice (the t^(1/n) scaling of the modulus and the
 cone kernel) is a separate argument; fields of dimension n >= 2 are
 rejected, because a direct sum needs an exact singular-cell integral
 there, which the toolkit does not have.
+
+The modulus omega_k(u; t) is evaluated in one array pass per t: rows
+are the 2J sampled steps +-t*j/J, columns the grid points, and each of
+the k shifts is one linear interpolation over that steps x points
+array.  Batching is per t only: stacking every t of a curve into one
+array as well would multiply the memory by the curve length (8 MB per
+temporary for 64 t values on a 512-point field) for little further
+gain.  The cone kernel's profile factor phi(tau) depends neither on t
+nor on the field, so the cone checks build all t rows of the kernel
+once, before looping over fields.
 """
 
 from __future__ import annotations
@@ -57,7 +67,7 @@ class FieldSample:
     box_halfwidth: float
     resolution: int
     values: np.ndarray
-    origin: np.ndarray | None = None
+    origin: float | None = None
 
     def __post_init__(self):
         if self.n != 1:
@@ -69,17 +79,14 @@ class FieldSample:
             raise DomainError("values must be a one-dimensional array")
         if not np.all(np.isfinite(self.values)):
             raise DomainError("field values must be finite")
-        if self.origin is None:
-            self.origin = np.full(self.n, -self.box_halfwidth)
-        else:
-            self.origin = np.asarray(self.origin, dtype=float)
+        self.origin = float(-self.box_halfwidth if self.origin is None else self.origin)
 
     @property
     def spacing(self) -> float:
         return 2.0 * self.box_halfwidth / (self.resolution - 1)
 
-    def axis_points(self, axis: int = 0) -> np.ndarray:
-        return self.origin[axis] + self.spacing * np.arange(self.values.shape[axis])
+    def axis_points(self) -> np.ndarray:
+        return self.origin + self.spacing * np.arange(len(self.values))
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
@@ -95,8 +102,7 @@ def sample_field(fn, n: int, box_halfwidth: float, resolution: int) -> FieldSamp
 def field_rearrangement(f: FieldSample, grid: LogGrid | None = None) -> SampledFunction:
     """Decreasing rearrangement of |f| over its box (equal-measure cells
     given by the grid cells)."""
-    measure = (2.0 * f.box_halfwidth) ** f.n
-    ms = MeasurableSample(domain_measure=measure, samples=f.values.ravel())
+    ms = MeasurableSample(domain_measure=2.0 * f.box_halfwidth, samples=f.values)
     return decreasing_rearrangement(ms, grid=grid)
 
 
@@ -130,7 +136,7 @@ def convolve(kernel: KernelSpec, f: FieldSample) -> FieldSample:
     # points of the full convolution, summed in index order
     u = sliding_window_view(table, m)[:, ::-1] @ f.values
     return FieldSample(n=1, box_halfwidth=f.box_halfwidth,
-                       resolution=f.resolution, values=u, origin=f.origin.copy())
+                       resolution=f.resolution, values=u, origin=f.origin)
 
 
 # ---------------------------------------------------------------------------
@@ -141,58 +147,23 @@ def _difference_coeffs(k: int) -> np.ndarray:
     return np.array([math.comb(k, j) * (-1.0) ** (k - j) for j in range(k + 1)])
 
 
-def finite_difference(u: FieldSample, h, k: int) -> FieldSample:
+def finite_difference(u: FieldSample, h: float, k: int) -> FieldSample:
     """The k-th forward difference along a grid-aligned step h, on the
     restricted domain where all k shifts stay inside the box."""
-    h = np.atleast_1d(np.asarray(h, dtype=float))
-    if len(h) != u.n:
-        raise DomainError("step vector must have one component per axis")
-    steps = h / u.spacing
-    m = np.rint(steps).astype(int)
-    if np.any(np.abs(steps - m) > 1e-9 * np.maximum(np.abs(steps), 1.0)):
+    steps = float(h) / u.spacing
+    m = int(np.rint(steps))
+    if abs(steps - m) > 1e-9 * max(abs(steps), 1.0):
         raise DomainError("step must be a whole number of grid cells")
-    shape = np.array(u.values.shape)
-    if np.any(k * np.abs(m) >= shape):
+    if k * abs(m) >= len(u.values):
         raise DomainExceeded("difference stencil leaves the box")
-    out_shape = shape - k * np.abs(m)
-    coeffs = _difference_coeffs(k)
-    out = np.zeros(out_shape)
-    base = [slice(0, s) for s in out_shape]
-    for j, c in enumerate(coeffs):
-        sl = []
-        for ax in range(u.n):
-            start = j * m[ax] if m[ax] >= 0 else (k - j) * (-m[ax])
-            sl.append(slice(start, start + out_shape[ax]))
-        out += c * u.values[tuple(sl)]
-    origin = u.origin + np.where(m < 0, k * np.abs(m) * u.spacing, 0.0)
+    size = len(u.values) - k * abs(m)
+    out = np.zeros(size)
+    for j, c in enumerate(_difference_coeffs(k)):
+        start = j * m if m >= 0 else (k - j) * (-m)
+        out += c * u.values[start:start + size]
+    origin = u.origin + (k * abs(m) * u.spacing if m < 0 else 0.0)
     return FieldSample(n=u.n, box_halfwidth=u.box_halfwidth,
                        resolution=u.resolution, values=out, origin=origin)
-
-
-def _shift_sample(u: FieldSample, shift: np.ndarray) -> np.ndarray:
-    """u(x + shift) on the full grid via linear interpolation (exact when
-    the shift is grid-aligned); positions outside the box return nan."""
-    x = u.axis_points(0)
-    pos = x + shift[0]
-    out = np.interp(pos, x, u.values, left=np.nan, right=np.nan)
-    out[(pos < x[0]) | (pos > x[-1])] = np.nan
-    return out
-
-
-def _difference_sup(u: FieldSample, hvec: np.ndarray, k: int) -> float:
-    """sup over valid x of |Delta_h^k u| with off-grid shifts linearly
-    interpolated (a from-below approximation of the true supremum)."""
-    coeffs = _difference_coeffs(k)
-    acc = coeffs[0] * u.values
-    valid = np.ones(u.values.shape, dtype=bool)
-    for j in range(1, k + 1):
-        shifted = _shift_sample(u, j * hvec)
-        good = ~np.isnan(shifted)
-        valid &= good
-        acc = acc + coeffs[j] * np.where(good, shifted, 0.0)
-    if not np.any(valid):
-        raise DomainExceeded("no grid point keeps the whole stencil inside the box")
-    return float(np.max(np.abs(acc[valid])))
 
 
 def modulus_of_smoothness(u: FieldSample, k: int, t: float,
@@ -201,18 +172,31 @@ def modulus_of_smoothness(u: FieldSample, k: int, t: float,
     the k-th difference.
 
     Samples h = +-t*j/J, j = 1..J (J = directions), including |h| = t
-    exactly.  The result approximates the true supremum from below.
+    exactly.  Off-grid shifts u(x + j*h) are linearly interpolated, so
+    the result approximates the true supremum from below.  All 2J steps
+    are evaluated together: row r of the steps x points arrays holds
+    Delta_h^k u at every grid point x for the r-th step, and a point
+    counts only where its whole stencil stays inside the box.  Raises
+    DomainExceeded when some step leaves no such point.
     """
     if t <= 0:
         raise DomainError("t must be positive")
     if k * t > 2.0 * u.box_halfwidth:
         raise DomainExceeded("stencil span exceeds the box")
     mags = t * np.arange(1, directions + 1) / directions
-    best = 0.0
-    for mag in mags:
-        for sign in (1.0, -1.0):
-            best = max(best, _difference_sup(u, np.array([sign * mag]), k))
-    return best
+    steps = np.concatenate([mags, -mags])[:, None]
+    x = u.axis_points()
+    coeffs = _difference_coeffs(k)
+    acc = coeffs[0] * u.values
+    valid = np.ones((len(steps), len(x)), dtype=bool)
+    for j in range(1, k + 1):
+        pos = x + j * steps
+        good = (x[0] <= pos) & (pos <= x[-1])
+        valid &= good
+        acc = acc + coeffs[j] * np.where(good, np.interp(pos, x, u.values), 0.0)
+    if not np.all(np.any(valid, axis=1)):
+        raise DomainExceeded("no grid point keeps the whole stencil inside the box")
+    return float(np.max(np.abs(acc[valid]), initial=0.0))
 
 
 def modulus_curve(u: FieldSample, k: int, t_grid: LogGrid, n: int = 1,
@@ -260,23 +244,23 @@ class ConeCheckReport:
 
 
 def upper_cone_check(space: LorentzSpace, kernel: KernelSpec, k: int,
-                     f_family, t_grid: LogGrid | None = None,
-                     directions: int = 16) -> ConeCheckReport:
+                     f_family, t_grid: LogGrid | None = None) -> ConeCheckReport:
     """Run the upper estimate over a family of fields, reporting the
     family maximum of the per-field ratio maxima."""
     n = kernel.n
     if t_grid is None:
         t_grid = make_log_grid(1e-4 * space.T, space.T, 64)
-    phi_fn = kernel.measure_profile_fn()
     tau = space.grid.points
+    # row i is the cone kernel at t_grid.points[i]
+    cones = cone_kernel(kernel.measure_profile_fn(), k, n, t_grid.points[:, None], tau)
     per_field = {}
     for name, f in f_family:
         u = convolve(kernel, f)
-        omega = modulus_curve(u, k, t_grid, n=n, directions=directions)
+        omega = modulus_curve(u, k, t_grid, n=n)
         fstar = field_rearrangement(f, grid=space.grid)
         denom = np.empty(t_grid.count)
-        for i, t in enumerate(t_grid.points):
-            y = cone_kernel(phi_fn, k, n, t, tau) * fstar.values
+        for i, cone in enumerate(cones):
+            y = cone * fstar.values
             denom[i] = head_mass(tau, y) + float(np.sum(segment_masses(tau, y)))
         ratios = omega.values / denom
         per_field[name] = float(np.max(ratios))
@@ -320,7 +304,7 @@ def nontriviality_gate(spec: OptimalNormSpec, k: int, n: int) -> bool:
 
 
 def calderon_norm(u: FieldSample, X, k: int, n: int, T: float = 1.0,
-                  t_grid: LogGrid | None = None, directions: int = 16) -> float:
+                  t_grid: LogGrid | None = None) -> float:
     """sup norm of u plus the lattice norm of its modulus of smoothness
     omega_k(u; t^(1/n)) over (0, T).
 
@@ -332,7 +316,7 @@ def calderon_norm(u: FieldSample, X, k: int, n: int, T: float = 1.0,
         t_grid = make_log_grid(1e-6 * T, T, 96)
     if isinstance(X, OptimalNormSpec) and not nontriviality_gate(X, k, n):
         raise TrivialSpace("the modulus lattice is trivial for this aggregate")
-    omega = modulus_curve(u, k, t_grid, n=n, directions=directions)
+    omega = modulus_curve(u, k, t_grid, n=n)
     if isinstance(X, OptimalNormSpec):
         if X.case == "sup":
             part = float(np.max(omega.values))

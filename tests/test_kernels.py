@@ -94,6 +94,20 @@ class TestKernelSpec:
         lam = sv(g.points / vn)
         assert np.allclose(phi.values, (g.points / vn) ** -0.5 * lam, rtol=1e-12)
 
+    @pytest.mark.parametrize("lam", [0.0, 0.5, -0.5])
+    def test_power_profile_infinite_at_origin(self, lam):
+        # Phi(0) = +inf without a floating-point warning (0^(alpha-n)
+        # times an infinite or vanishing log factor otherwise warns or
+        # gives nan); positive arguments keep their values
+        sv = SlowlyVaryingSpec(factors=(("log", lam),), scale=1.0)
+        kern = KernelSpec(PowerSlowlyVarying(alpha=0.6, sv=sv, z1=1.0), n=1)
+        zs = np.array([0.0, 1e-3, 0.5, 2.0])
+        with np.errstate(all="raise"):
+            assert kern.profile(0.0) == math.inf
+            vals = kern.profile(zs)
+        assert vals[0] == math.inf
+        assert np.array_equal(vals[1:], kern.profile(zs[1:]))
+
     def test_integrability_enforced(self):
         kern = KernelSpec(BesselMcDonald(nu=0.2), n=1)
         mass = kern.radial_mass()

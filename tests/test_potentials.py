@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from calderon_lab.kernels import (
     KernelSpec,
     PowerSlowlyVarying,
     SlowlyVaryingSpec,
+    cone_kernel,
+    measure_profile,
 )
 from calderon_lab.lorentz import LorentzSpace, WeightSpec, associate_norm, lorentz_norm
 from calderon_lab.optimal import make_optimal_norm_spec
@@ -37,6 +40,31 @@ from calderon_lab.potentials import (
 
 FLAT = WeightSpec(power_exponent=0.0)
 BMD = KernelSpec(BesselMcDonald(nu=0.125), n=1)     # alpha = 0.75
+POWER_LOG = KernelSpec(PowerSlowlyVarying(alpha=0.6, sv=SlowlyVaryingSpec(
+    factors=(("log", 0.5),)), z1=1.0), n=1)
+
+
+def _modulus_by_steps(u, k, t, directions=16):
+    """omega_k(u; t) one step at a time, one interpolation per shift and
+    the terms summed in stencil order: the reference the array pass of
+    modulus_of_smoothness must reproduce bit for bit."""
+    if k * t > 2.0 * u.box_halfwidth:
+        raise DomainExceeded("stencil span exceeds the box")
+    x = u.axis_points()
+    coeffs = [math.comb(k, j) * (-1.0) ** (k - j) for j in range(k + 1)]
+    best = 0.0
+    for mag in t * np.arange(1, directions + 1) / directions:
+        for h in (mag, -mag):
+            acc = coeffs[0] * u.values
+            valid = np.ones(len(x), dtype=bool)
+            for j in range(1, k + 1):
+                shifted = np.interp(x + j * h, x, u.values, left=np.nan, right=np.nan)
+                valid &= ~np.isnan(shifted)
+                acc = acc + coeffs[j] * np.nan_to_num(shifted, nan=0.0)
+            if not np.any(valid):
+                raise DomainExceeded("no grid point keeps the whole stencil inside the box")
+            best = max(best, float(np.max(np.abs(acc[valid]))))
+    return best
 
 
 class TestConvolve:
@@ -74,7 +102,7 @@ class TestConvolve:
                              1, 3.0, res)
             f.values /= np.sum(f.values) * f.spacing
             u = convolve(BMD, f)
-            x = u.axis_points(0)
+            x = u.axis_points()
             sel = (np.abs(x) > 0.3) & (np.abs(x) < 2.0)
             errs.append(float(np.max(np.abs(u.values[sel]
                                             - BMD.profile(np.abs(x[sel]))))))
@@ -111,6 +139,13 @@ class TestConvolve:
                                          singular_at_a=True, tol=1e-10)[0]
                 ref = signal.convolve(f.values, table, mode="same", method="direct")
                 assert np.array_equal(u.values, ref), name
+
+    def test_power_kernel_no_floating_point_warning(self):
+        f = bump_and_staircase_family(count=1, resolution=128)[0][1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = convolve(POWER_LOG, f)
+        assert np.all(np.isfinite(u.values))
 
 
 class TestFiniteDifference:
@@ -185,6 +220,38 @@ class TestModulus:
         for k in (1, 2, 3):
             assert modulus_of_smoothness(u, k, 0.8) <= 2 ** k * u.sup_norm() + 1e-12
 
+    @pytest.mark.parametrize("directions", [16, 5])
+    def test_matches_per_step_reference(self, directions):
+        fam = bump_and_staircase_family(count=2, resolution=128)
+        for name, f in fam:
+            u = convolve(BMD, f)
+            h = u.spacing
+            for k in (1, 2, 3):
+                span = 2.0 * u.box_halfwidth / k
+                for t in (0.3 * h, h, 2.5 * h, 0.05, 0.7, 0.999 * span, span):
+                    try:
+                        want = _modulus_by_steps(u, k, t, directions)
+                    except DomainExceeded:
+                        with pytest.raises(DomainExceeded):
+                            modulus_of_smoothness(u, k, t, directions)
+                        continue
+                    assert modulus_of_smoothness(u, k, t, directions) == want, \
+                        (name, k, t)
+
+    def test_stencil_outside_restricted_domain(self):
+        # a differenced field covers less than its box: steps that pass
+        # the box check can still leave no point with the whole stencil
+        u = finite_difference(sample_field(np.sin, 1, 2.0, 65), 2.5, 1)
+        for k, t in ((1, 1.6), (2, 0.8), (3, 0.55)):
+            with pytest.raises(DomainExceeded, match="no grid point"):
+                _modulus_by_steps(u, k, t)
+            with pytest.raises(DomainExceeded, match="no grid point"):
+                modulus_of_smoothness(u, k, t)
+        with pytest.raises(DomainExceeded, match="span exceeds"):
+            modulus_of_smoothness(u, 2, 2.1)
+        # inside the restricted domain the two still agree
+        assert modulus_of_smoothness(u, 1, 0.9) == _modulus_by_steps(u, 1, 0.9)
+
     def test_curve_nondecreasing(self):
         u = sample_field(lambda x: np.sin(4 * x), 1, 4.0, 512)
         tg = make_log_grid(1e-4, 1.0, 32)
@@ -228,6 +295,17 @@ class TestEnvelope:
 
 
 class TestUpperCone:
+    @pytest.mark.parametrize("kernel", [BMD, POWER_LOG], ids=["bessel", "power_log"])
+    def test_cone_rows_match_per_t_calls(self, kernel):
+        # the cone checks build every t row at once
+        g = default_grid()
+        ts = make_log_grid(1e-4, 1.0, 24).points
+        for phi in (kernel.measure_profile_fn(), measure_profile(kernel, g)):
+            for k, n in ((1, 1), (2, 1), (1, 2), (3, 2)):
+                rows = cone_kernel(phi, k, n, ts[:, None], g.points)
+                for t, row in zip(ts, rows):
+                    assert np.array_equal(row, cone_kernel(phi, k, n, t, g.points))
+
     def test_finite_and_scale_invariant(self):
         g = default_grid()
         sp = LorentzSpace(2.0, FLAT, g)
