@@ -30,21 +30,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigInvalid, Inconclusive, ScenarioFailed, ToolkitError
-from .gridfn import (
-    LogGrid,
-    SampledFunction,
-    head_mass,
-    make_log_grid,
-    sample,
-    segment_masses,
-)
+from .errors import ConfigInvalid, ToolkitError
+from .gridfn import LogGrid, SampledFunction, make_log_grid, total_mass
 from .kernels import (
     BesselMcDonald,
     KernelSpec,
     PowerSlowlyVarying,
     SlowlyVaryingSpec,
-    auto_z1,
     check_derivative_conditions,
     measure_profile,
     cone_kernel,
@@ -61,7 +53,6 @@ from .optimal import (
     check_condition_a,
     check_condition_b,
     equivalence_report,
-    half_level_point,
     make_optimal_norm_spec,
     optimal_norm,
     sample_family,
@@ -69,10 +60,8 @@ from .optimal import (
 )
 from .potentials import (
     bump_and_staircase_family,
-    calderon_norm,
     convolve,
     envelope_bounds,
-    field_rearrangement,
     modulus_curve,
     power_modulus_norm,
     stieltjes_modulus_norm,
@@ -473,7 +462,7 @@ def _scenario_covering_sample(cfg: ExperimentConfig, rec: ReportRecord):
     _check(rec.assertions, "profile_in_associate_space", math.isfinite(c0), c0,
            "the profile must have finite associate norm")
     tg = np.geomspace(1e-6 * cfg.T, cfg.T, 16)
-    masses = np.array([head_mass(t, y) + float(np.sum(segment_masses(t, y)))
+    masses = np.array([total_mass(t, y)
                        for y in cone_kernel(phi, cfg.k, cfg.n, tg[:, None], t)])
     rec.scalars["kernel_mass_min"] = float(np.min(masses))
     _check(rec.assertions, "kernel_mass_positive", bool(np.all(masses > 0)),
@@ -531,7 +520,8 @@ def _inputs_echo(cfg: ExperimentConfig) -> dict:
 
 def sweep(configs, out_dir=None, workers: int | None = None) -> list[ReportRecord]:
     """Run many configs; one failure never aborts the rest.  Results come
-    back in input order; a summary CSV is written when out_dir is set."""
+    back in input order; a summary CSV is written when out_dir is set.
+    workers defaults to CALDERON_LAB_WORKERS (1 when unset)."""
     configs = list(configs)
     if not configs:
         raise ConfigInvalid("sweep: empty config list")
@@ -626,10 +616,6 @@ def main(argv=None) -> int:
         cfg.validate()
         return cfg
 
-    workers = args.workers
-    if workers is None:
-        workers = int(os.environ.get("CALDERON_LAB_WORKERS", "1"))
-
     try:
         if args.command == "run":
             cfg = apply_overrides(load_config(args.config))
@@ -642,7 +628,7 @@ def main(argv=None) -> int:
             if not paths:
                 raise ConfigInvalid(f"no .cfg files in {args.config_dir}")
             configs = [apply_overrides(load_config(p)) for p in paths]
-            records = sweep(configs, out_dir=args.out, workers=workers)
+            records = sweep(configs, out_dir=args.out, workers=args.workers)
             for p, rec in zip(paths, records):
                 print(f"{p.name}: passed={rec.passed}"
                       + (f" error={rec.error}" if rec.error else ""))

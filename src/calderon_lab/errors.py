@@ -74,7 +74,3 @@ class NotEmbedded(ToolkitError):
 
 class ConfigInvalid(ToolkitError):
     """An experiment configuration failed validation (field + reason)."""
-
-
-class ScenarioFailed(ToolkitError):
-    """A scenario aborted; wraps the underlying module error with context."""

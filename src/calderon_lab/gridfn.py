@@ -55,10 +55,6 @@ class LogGrid:
     def ratio(self) -> float:
         return (self.t_max / self.t_min) ** (1.0 / (self.count - 1))
 
-    def refined(self, factor: int = 2) -> "LogGrid":
-        """Same endpoints, `factor` times as many intervals."""
-        return make_log_grid(self.t_min, self.t_max, (self.count - 1) * factor + 1)
-
 
 def make_log_grid(t_min: float, t_max: float, count: int) -> LogGrid:
     """Geometric grid with exact endpoints and constant point ratio."""
@@ -242,6 +238,15 @@ def head_mass(t: np.ndarray, y: np.ndarray) -> float:
     return float(y[0] * t[0] / (p + 1.0))
 
 
+def total_mass(t, y) -> float:
+    """Estimated integral of y over (0, t[-1]]: the power-law head
+    below t[0] plus the segment rule, or +inf when the head diverges."""
+    head = head_mass(t, y)
+    if not math.isfinite(head):
+        return math.inf
+    return head + float(np.sum(segment_masses(t, y)))
+
+
 def cumulative_from_zero(t, y) -> np.ndarray:
     """I[i] = estimated integral of y over (0, t[i]].  May be +inf."""
     head = head_mass(t, y)
@@ -308,13 +313,10 @@ def running_sup(f: SampledFunction, direction: str = "over_(0,t]") -> SampledFun
 
 def _call(f, x):
     with np.errstate(all="ignore"):
-        try:
-            y = np.asarray(f(x), dtype=float)
-            if y.shape != x.shape:
-                y = np.broadcast_to(y, x.shape).astype(float)
-            return y
-        except (TypeError, ValueError):
-            return np.array([float(f(xi)) for xi in x])
+        y = np.asarray(f(x), dtype=float)
+    if y.shape != x.shape:
+        y = np.broadcast_to(y, x.shape).astype(float)
+    return y
 
 
 def _gauss_panel(f, lo, hi):
@@ -510,12 +512,14 @@ class EndpointFit:
     tag: str    # "convergent" | "divergent" | "ambiguous"
 
 
+_P_TOL = 0.02      # half-width of the power exponent's borderline band
+
+
 def classify_zero_endpoint(grid: LogGrid, values: np.ndarray,
-                           window: float = 0.5,
-                           p_tol: float = 0.02, e_tol: float = 0.05) -> EndpointFit:
+                           e_tol: float = 0.05) -> EndpointFit:
     """Decide whether the integral of a positive sampled function
     converges at 0, by fitting a power and a log-power exponent over the
-    lower `window` fraction of the grid.
+    lower half of the grid.
 
     The families in scope are all power x iterated-log, so the two-term
     fit is essentially exact; genuinely borderline cases come back
@@ -523,7 +527,7 @@ def classify_zero_endpoint(grid: LogGrid, values: np.ndarray,
     """
     t = grid.points
     y = np.asarray(values, dtype=float)
-    n = max(8, int(len(t) * window))
+    n = max(8, len(t) // 2)
     t, y = t[:n], y[:n]
     good = (y > 0) & np.isfinite(y)
     if good.sum() < 8:
@@ -533,9 +537,9 @@ def classify_zero_endpoint(grid: LogGrid, values: np.ndarray,
     A = np.vstack([np.ones_like(t), np.log(t), np.log(L)]).T
     coef, *_ = np.linalg.lstsq(A, np.log(y), rcond=None)
     p, e = float(coef[1]), float(coef[2])
-    if p > -1.0 + p_tol:
+    if p > -1.0 + _P_TOL:
         tag = "convergent"
-    elif p < -1.0 - p_tol:
+    elif p < -1.0 - _P_TOL:
         tag = "divergent"
     elif e < -1.0 - e_tol:
         tag = "convergent"
@@ -547,16 +551,16 @@ def classify_zero_endpoint(grid: LogGrid, values: np.ndarray,
 
 
 def classify_boundedness(grid: LogGrid, values: np.ndarray,
-                         p_tol: float = 0.02, e_tol: float = 0.05) -> EndpointFit:
+                         e_tol: float = 0.05) -> EndpointFit:
     """Decide whether a positive sampled function stays bounded as
     t -> 0 (tag "convergent" = bounded, "divergent" = blows up)."""
-    fit = classify_zero_endpoint(grid, values, p_tol=p_tol, e_tol=e_tol)
+    fit = classify_zero_endpoint(grid, values, e_tol=e_tol)
     p, e = fit.p, fit.e
     if math.isnan(p):
         return EndpointFit(p=p, e=e, tag="ambiguous")
-    if p > p_tol:
+    if p > _P_TOL:
         tag = "convergent"
-    elif p < -p_tol:
+    elif p < -_P_TOL:
         tag = "divergent"
     elif e > e_tol:
         tag = "divergent"

@@ -9,7 +9,9 @@ Two families are supported:
     Phi(z) = z^(alpha - n) * Lambda(z) on (0, z1], continued past z1 by
     an exponential tail.
 
-Both expose the profile in measure coordinates,
+K_nu has one evaluator, `bessel_k`: a shared-panel Gauss rule on the
+integral representation, vectorized over rho and 0 past rho = 700.
+Both families expose the profile in measure coordinates,
 phi(tau) = Phi((tau / V_n)^(1/n)), the cone kernel
 phi(tau) / (1 + (tau/t)^(k/n)), and checkers for the derivative bounds
 that the smoothness estimates require.
@@ -31,7 +33,6 @@ from .gridfn import (
     cumulative_from_zero,
     cumulative_tail,
     integrate,
-    make_log_grid,
     sample,
 )
 
@@ -81,9 +82,6 @@ class SlowlyVaryingSpec:
         """The same factors with every exponent multiplied by q."""
         return SlowlyVaryingSpec(
             factors=tuple((k, e * q) for k, e in self.factors), scale=self.scale)
-
-    def is_trivial(self) -> bool:
-        return all(e == 0 for _, e in self.factors)
 
 
 def slow_variation_witness(sv: SlowlyVaryingSpec, grid: LogGrid,
@@ -171,37 +169,18 @@ class PowerSlowlyVarying:
     tail_rate: float = 1.0
 
 
-def bessel_k_integral(nu: float, rho: float, tol: float = 1e-10) -> float:
-    """K_nu(rho) evaluated from its integral representation,
-    (1/2) (rho/2)^nu * int_0^inf xi^(-nu-1} exp(-xi - rho^2/(4 xi)) dxi.
-
-    For rho > 700 the value underflows; use bessel_k_flagged to detect.
-    """
-    if rho <= 0:
+def bessel_k(nu: float, rho):
+    """K_nu(rho) for a scalar or an array of rho > 0 (a float for a
+    scalar input): the integral representation
+    (1/2) (rho/2)^nu int_R exp(-nu u - e^u - (rho^2/4) e^-u) du on a
+    shared-panel Gauss rule, to a relative accuracy well below 1e-10.
+    The value underflows to 0 past rho = 700; any rho <= 0 raises
+    DomainError."""
+    r = np.asarray(rho, dtype=float)
+    if np.any(r <= 0):
         raise DomainError("rho must be positive")
-    if rho > 700.0:
-        return 0.0
-    c = rho * rho / 4.0
-    val, _ = integrate(lambda x: x ** (-nu - 1.0) * np.exp(-x - c / x),
-                       0.0, np.inf, singular_at_a=True, tol=tol)
-    return 0.5 * (rho / 2.0) ** nu * val
-
-
-def bessel_k_flagged(nu: float, rho: float, tol: float = 1e-10):
-    """(value, underflowed) pair; underflow kicks in past rho = 700."""
-    if rho > 700.0:
-        return 0.0, True
-    return bessel_k_integral(nu, rho, tol=tol), False
-
-
-def bessel_k(nu: float, rho, tol: float = 1e-10):
-    """Vectorized K_nu; scalar input via the defining integral, arrays
-    via a shared-panel Gauss rule on the log axis (relative accuracy
-    well below 1e-10 for rho in (0, 700])."""
-    rho = np.asarray(rho, dtype=float)
-    if rho.ndim == 0:
-        return bessel_k_integral(nu, float(rho), tol=tol)
-    return _bessel_k_batch(nu, rho)
+    out = _bessel_k_batch(nu, np.atleast_1d(r))
+    return float(out[0]) if r.ndim == 0 else out
 
 
 def _bessel_k_batch(nu: float, rho: np.ndarray) -> np.ndarray:
@@ -259,13 +238,6 @@ class KernelSpec:
     def ball_volume(self) -> float:
         return unit_ball_volume(self.n)
 
-    @property
-    def singularity_order(self) -> float:
-        """alpha such that phi(tau) ~ tau^(alpha/n - 1) near 0."""
-        if isinstance(self.variant, BesselMcDonald):
-            return self.n - 2.0 * self.variant.nu
-        return self.variant.alpha
-
     def profile(self, z):
         """Phi(z), vectorized."""
         z = np.asarray(z, dtype=float)
@@ -302,10 +274,10 @@ class KernelSpec:
                            0.0, np.inf, singular_at_a=True, tol=tol)
         return val
 
-    def validate(self, points: int = 64) -> None:
+    def validate(self) -> None:
         """Check positivity, monotonicity, and integrability of Phi on a
-        test grid; raises DomainError / NonConvergent on failure."""
-        zg = np.geomspace(1e-6, 20.0, points)
+        64-point test grid; raises DomainError / NonConvergent on failure."""
+        zg = np.geomspace(1e-6, 20.0, 64)
         ph = self.profile(zg)
         if not np.all(ph > 0):
             raise DomainError("profile must be positive")
@@ -332,14 +304,13 @@ def cone_kernel(phi, k: int, n: int, t, tau):
     return phi(tau) / (1.0 + (tau / t) ** (k / float(n)))
 
 
-def auto_z1(kernel: KernelSpec, z_grid: np.ndarray | None = None,
-            factor: float = 4.0) -> float:
-    """Largest grid point where the small-argument two-sided bound still
-    holds within `factor`: the ratio Phi(y) * y^(2 nu) (power variants:
-    Phi(z) * z^(n-alpha) / Lambda) must stay within [limit/factor,
-    limit*factor] of its value at the smallest grid point."""
-    if z_grid is None:
-        z_grid = np.geomspace(1e-6, 20.0, 256)
+def auto_z1(kernel: KernelSpec) -> float:
+    """Largest point of a 256-point geometric grid on [1e-6, 20] where
+    the small-argument two-sided bound still holds within a factor 4:
+    the ratio Phi(y) * y^(2 nu) (power variants: Phi(z) * z^(n-alpha) /
+    Lambda) must stay within [1/4, 4] times its value at the smallest
+    grid point."""
+    z_grid = np.geomspace(1e-6, 20.0, 256)
     if isinstance(kernel.variant, BesselMcDonald):
         ratio = kernel.profile(z_grid) * z_grid ** (2.0 * kernel.variant.nu)
     else:
@@ -347,7 +318,7 @@ def auto_z1(kernel: KernelSpec, z_grid: np.ndarray | None = None,
         lam = v.sv(np.minimum(z_grid, v.z1)) if v.sv.factors else np.ones_like(z_grid)
         ratio = kernel.profile(z_grid) * z_grid ** (kernel.n - v.alpha) / lam
     rhat = ratio / ratio[0]
-    ok = (rhat >= 1.0 / factor) & (rhat <= factor)
+    ok = (rhat >= 0.25) & (rhat <= 4.0)
     if not ok[0]:
         raise DomainError("two-sided bound fails at the smallest test point")
     bad = np.nonzero(~ok)[0]
@@ -383,8 +354,11 @@ _STENCILS = {
 }
 
 
-def _derivatives_richardson(f, z: np.ndarray, order: int, h_rel: float = 1e-4,
-                            stability_tol: float = 1e-3) -> np.ndarray:
+_H_REL = 1e-4               # first Richardson step, relative to z
+_STABILITY_TOL = 1e-3       # largest accepted disagreement of two levels
+
+
+def _derivatives_richardson(f, z: np.ndarray, order: int) -> np.ndarray:
     """order-th derivative at points z by central differences with two
     Richardson extrapolation levels (h, h/2, h/4, each O(h^2))."""
     if order not in _STENCILS:
@@ -392,7 +366,7 @@ def _derivatives_richardson(f, z: np.ndarray, order: int, h_rel: float = 1e-4,
     offs, coefs = _STENCILS[order]
     estimates = []
     for lvl in range(3):
-        h = z * h_rel / 2 ** lvl
+        h = z * _H_REL / 2 ** lvl
         pts = z[:, None] + offs[None, :] * h[:, None]
         vals = f(pts.ravel()).reshape(pts.shape)
         estimates.append((vals * coefs[None, :]).sum(axis=1) / h ** order)
@@ -402,10 +376,10 @@ def _derivatives_richardson(f, z: np.ndarray, order: int, h_rel: float = 1e-4,
     r3 = (16.0 * r2 - r1) / 15.0
     scale = np.maximum(np.abs(r3), 1e-300)
     disagreement = np.abs(r2 - r1) / scale
-    if np.any(disagreement > stability_tol):
+    if np.any(disagreement > _STABILITY_TOL):
         worst = float(np.max(disagreement))
         raise DerivativeUnstable(
-            f"extrapolation levels disagree by {worst:.2e} (> {stability_tol})")
+            f"extrapolation levels disagree by {worst:.2e} (> {_STABILITY_TOL})")
     return r3
 
 
@@ -480,24 +454,20 @@ def _phi_derivative_fns(kernel: KernelSpec, k: int):
     return fns
 
 
-def check_derivative_conditions(kernel: KernelSpec, k: int,
-                                z1: float | None = None,
-                                points: int = 96) -> DerivativeConditionReport:
+def check_derivative_conditions(kernel: KernelSpec, k: int) -> DerivativeConditionReport:
     """Evaluate the two-scale derivative bounds and the k-th derivative
-    sign bound for a kernel profile on test grids either side of z1.
-
-    z1 defaults to the kernel's own split point (power variants) or the
+    sign bound for a kernel profile on 96-point test grids either side
+    of z1: the kernel's own split point (power variants) or the
     automatically selected small-argument range (Bessel family).
     """
     if k < 1:
         raise DomainError("k must be a positive integer")
-    if z1 is None:
-        z1 = (kernel.variant.z1 if isinstance(kernel.variant, PowerSlowlyVarying)
-              else auto_z1(kernel))
+    z1 = (kernel.variant.z1 if isinstance(kernel.variant, PowerSlowlyVarying)
+          else auto_z1(kernel))
     derivs = _phi_derivative_fns(kernel, k)
 
-    z_in = np.geomspace(z1 * 1e-5, z1, points)
-    z_out = np.geomspace(z1 * 1.02, max(10.0 * z1, z1 + 30.0), points)
+    z_in = np.geomspace(z1 * 1e-5, z1, 96)
+    z_out = np.geomspace(z1 * 1.02, max(10.0 * z1, z1 + 30.0), 96)
 
     def radial_ratios(z, denom):
         d_vals = [np.asarray(derivs[i](z), dtype=float) for i in range(k + 1)]

@@ -34,6 +34,7 @@ from .gridfn import (
     integrate,
     make_log_grid,
     segment_masses,
+    total_mass,
 )
 from .kernels import SlowlyVaryingSpec
 from .rearrange import maximal_function
@@ -184,8 +185,7 @@ def lorentz_norm(space: LorentzSpace, fstar: SampledFunction) -> float:
     """
     t = fstar.grid.points
     y = np.abs(fstar.values) ** space.q * space.weight(t)
-    head = head_mass(t, y)
-    total = head + float(np.sum(segment_masses(t, y)))
+    total = total_mass(t, y)
     if fstar.extension != "zero_beyond_T" and fstar.values[-1] > 0:
         # both continuation rules give the weight infinite total mass
         # (power with exponent > -1, or a positive constant), so any
@@ -258,18 +258,17 @@ def embedding_function(space: LorentzSpace, phi: SampledFunction) -> SampledFunc
     return SampledFunction(grid=space.grid, values=vals, monotonicity="increasing")
 
 
-def embedding_criterion(space: LorentzSpace, phi: SampledFunction,
-                        spans=(1e-4, 1e-6, 1e-8)) -> dict:
+def embedding_criterion(space: LorentzSpace, phi: SampledFunction) -> dict:
     """Finiteness classification of Psi_q(T) under grid refinement.
 
     The aggregate is recomputed with the grid floor pushed down through
-    `spans`; growth by more than 10x per refinement (or a divergent
+    1e-4 T, 1e-6 T and 1e-8 T; growth by more than 10x per refinement (or a divergent
     head) classifies the value as infinite.  An ambiguous trend raises
     Inconclusive rather than deciding silently.
     """
     T = space.T
     values = []
-    for span in spans:
+    for span in (1e-4, 1e-6, 1e-8):
         g = make_log_grid(span * T, T, space.grid.count)
         psi = embedding_function(space.on_grid(g), phi)
         values.append(float(psi.values[-1]))

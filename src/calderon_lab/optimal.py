@@ -39,6 +39,7 @@ from .gridfn import (
     head_mass,
     integrate,
     segment_masses,
+    total_mass,
 )
 from .lorentz import LorentzSpace, embedding_function
 
@@ -66,16 +67,16 @@ def tail_embedding_function(space: LorentzSpace, phi, k: int, n: int):
     return wtilde, uq
 
 
-def largest_monotone_exponent(t: np.ndarray, vals: np.ndarray,
-                              tol: float = 1e-10, j_max: int = 20) -> float:
-    """Largest eps in {2^-j : j = 0..j_max} such that t^eps * vals is
-    nonincreasing on the grid (0.0 when none passes).  Monotone in eps,
-    so the first pass in descending order is the largest."""
+def largest_monotone_exponent(t: np.ndarray, vals: np.ndarray) -> float:
+    """Largest eps in {2^-j : j = 0..20} such that t^eps * vals is
+    nonincreasing on the grid up to a relative 1e-10 (0.0 when none
+    passes).  Monotone in eps, so the first pass in descending order is
+    the largest."""
     vals = np.asarray(vals, dtype=float)
-    for j in range(j_max + 1):
+    for j in range(21):
         eps = 2.0 ** -j
         prod = t ** eps * vals
-        if np.all(np.diff(prod) <= tol * np.maximum(np.abs(prod[:-1]), 1e-300)):
+        if np.all(np.diff(prod) <= 1e-10 * np.maximum(np.abs(prod[:-1]), 1e-300)):
             return eps
     return 0.0
 
@@ -149,9 +150,10 @@ def check_condition_b(phi, u_q: SampledFunction, k: int, n: int,
 # the optimal norm
 # ---------------------------------------------------------------------------
 
-def half_level_point(psi: SampledFunction, rel_tol: float = 1e-6) -> float:
+def half_level_point(psi: SampledFunction) -> float:
     """The point T1 where the nondecreasing aggregate reaches half its
-    terminal value, by bisection on the interpolated grid function.
+    terminal value (to 1e-6 of that value), by bisection on the
+    interpolated grid function.
     Raises NoSolution when the aggregate never drops below half (e.g.
     when its limit at 0 is already at least half)."""
     vals = psi.values
@@ -164,7 +166,7 @@ def half_level_point(psi: SampledFunction, rel_tol: float = 1e-6) -> float:
     for _ in range(200):
         mid = math.sqrt(lo * hi)
         val = float(psi(mid))
-        if abs(val - target) <= rel_tol * vals[-1]:
+        if abs(val - target) <= 1e-6 * vals[-1]:
             return mid
         if val < target:
             lo = mid
@@ -214,13 +216,17 @@ def optimal_norm(spec: OptimalNormSpec, f: SampledFunction) -> float:
     if spec.case == "sup":
         return float(np.max(av))
     psi = spec.psi(f.grid.points) if f.grid is not spec.psi.grid else spec.psi.values
-    run = np.maximum.accumulate(av)
-    dpsi = np.diff(psi)
-    terms = (run[:-1] / psi[:-1]) ** spec.q * dpsi / psi[:-1]
-    core = float(np.sum(terms)) ** (1.0 / spec.q)
+    core = _stieltjes_sum(np.maximum.accumulate(av), psi, spec.q)
     t = f.grid.points
     tail_sup = float(np.max(av[t >= spec.T1])) if np.any(t >= spec.T1) else av[-1]
     return core + tail_sup / psi[-1]
+
+
+def _stieltjes_sum(v: np.ndarray, psi: np.ndarray, q: float) -> float:
+    """( sum (v/Psi)^q dPsi/Psi )^(1/q) over the forward differences of
+    Psi, each term taken at the left end of its step."""
+    terms = (v[:-1] / psi[:-1]) ** q * np.diff(psi) / psi[:-1]
+    return float(np.sum(terms)) ** (1.0 / q)
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +286,7 @@ class AssociateNormEngine:
         gtail = cumulative_tail(self.t, g)
         prod = self.iphi * gtail
         if sp.q == 1.0:
-            vals = prod / sp.V.values
-            if classify_boundedness(sp.grid, np.maximum(vals, 1e-300)).tag == "divergent":
-                return math.inf
-            return float(np.max(vals))
+            return self._bounded_sup(prod)
         return self._qprime_norm(prod ** sp.qp * sp.w_vals)
 
     def rho1(self, g: np.ndarray) -> float:
@@ -314,11 +317,8 @@ class AssociateNormEngine:
         if not np.isfinite(cum[0]):
             return math.inf
         if sp.q == 1.0:
-            vals = cum / sp.V.values
-            if classify_boundedness(sp.grid, np.maximum(vals, 1e-300)).tag == "divergent":
-                return math.inf
-            return float(np.max(vals))
-        total_pow = self._qprime_power_integral(cum ** sp.qp * sp.w_vals)
+            return self._bounded_sup(cum)
+        total_pow = total_mass(self.t, cum ** sp.qp * sp.w_vals)
         if not math.isfinite(total_pow):
             return math.inf
         total_pow += cum[-1] ** sp.qp * sp.tail_w
@@ -337,14 +337,16 @@ class AssociateNormEngine:
 
     # -- helpers -------------------------------------------------------------
 
-    def _qprime_power_integral(self, y: np.ndarray) -> float:
-        head = head_mass(self.t, y)
-        if not math.isfinite(head):
+    def _bounded_sup(self, y: np.ndarray) -> float:
+        """q = 1: sup V^-1 y, or +inf when V^-1 y blows up at 0."""
+        sp = self.space
+        vals = y / sp.V.values
+        if classify_boundedness(sp.grid, np.maximum(vals, 1e-300)).tag == "divergent":
             return math.inf
-        return head + float(np.sum(segment_masses(self.t, y)))
+        return float(np.max(vals))
 
     def _qprime_norm(self, y: np.ndarray) -> float:
-        total = self._qprime_power_integral(y)
+        total = total_mass(self.t, y)
         if not math.isfinite(total):
             return math.inf
         return float(total ** (1.0 / self.space.qp))
@@ -358,19 +360,18 @@ class AssociatedNorms:
     rho2: float
 
 
-def kernel_mass_split(phi, k: int, n: int, xi: float, t: float,
-                      tol: float = 1e-8) -> float:
+def kernel_mass_split(phi, k: int, n: int, xi: float, t: float) -> float:
     """Phi_k(xi, t) = int_0^xi phi + xi^(k/n) int_xi^t tau^(-k/n) phi,
-    for 0 < xi <= t."""
+    for 0 < xi <= t, to the default quadrature tolerance."""
     if not (0.0 < xi <= t):
         raise DomainError("need 0 < xi <= t")
     kn = k / float(n)
     head, _ = integrate(lambda s: np.asarray(phi(s), dtype=float),
-                        0.0, xi, singular_at_a=True, tol=tol)
+                        0.0, xi, singular_at_a=True)
     if xi == t:
         return head
     tail, _ = integrate(lambda s: np.asarray(phi(s), dtype=float) * s ** -kn,
-                        xi, t, tol=tol)
+                        xi, t)
     return head + xi ** kn * tail
 
 
@@ -426,17 +427,15 @@ def level_discretization(u1: SampledFunction, count: int = 20) -> np.ndarray:
     return out
 
 
-def two_sided_level_discretization(uq: SampledFunction, m_minus: int = 5,
-                                   m_plus: int | None = None):
+def two_sided_level_discretization(uq: SampledFunction, m_minus: int = 5):
     """delta_m = sup{ tau : U_q(tau) = 2^m } for m in [-m_minus, m_plus];
-    requires U_q(T) = 0 and U_q blowing up at 0.  m_plus defaults to the
-    largest level found above 10x the grid floor."""
+    requires U_q(T) = 0 and U_q blowing up at 0.  m_plus is the largest
+    level found above 10x the grid floor."""
     env = np.maximum.accumulate(uq.values[::-1])[::-1]
     if uq.values[-1] > 1e-12 * env[0]:
         raise DomainError("tail aggregate must vanish at T")
     f10 = SampledFunction(uq.grid, env)(10.0 * uq.grid.t_min)
-    if m_plus is None:
-        m_plus = int(math.floor(math.log2(f10))) if f10 > 0 else 0
+    m_plus = int(math.floor(math.log2(f10))) if f10 > 0 else 0
     ms = np.arange(-m_minus, m_plus + 1)
     deltas = np.empty(len(ms))
     for i, m in enumerate(ms):
@@ -561,7 +560,8 @@ def equivalence_report(space: LorentzSpace, phi, k: int, n: int,
         "ratios": ratios,
         "min_ratio": float(vals.min()),
         "max_ratio": float(vals.max()),
-        "spread": float(vals.max() / vals.min()),
+        "spread": (math.inf if vals.min() == 0.0
+                   else float(vals.max() / vals.min())),
         "count": int(len(vals)),
         "both_infinite": infinite,
     }

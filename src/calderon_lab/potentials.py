@@ -40,14 +40,13 @@ from .gridfn import (
     LogGrid,
     SampledFunction,
     classify_zero_endpoint,
-    head_mass,
     integrate,
     make_log_grid,
-    segment_masses,
+    total_mass,
 )
 from .kernels import KernelSpec, cone_kernel
 from .lorentz import LorentzSpace, associate_norm, embedding_function
-from .optimal import OptimalNormSpec
+from .optimal import OptimalNormSpec, _stieltjes_sum
 from .rearrange import MeasurableSample, decreasing_rearrangement
 
 DIRECTION_SEED = 0x5EED
@@ -258,10 +257,7 @@ def upper_cone_check(space: LorentzSpace, kernel: KernelSpec, k: int,
         u = convolve(kernel, f)
         omega = modulus_curve(u, k, t_grid, n=n)
         fstar = field_rearrangement(f, grid=space.grid)
-        denom = np.empty(t_grid.count)
-        for i, cone in enumerate(cones):
-            y = cone * fstar.values
-            denom[i] = head_mass(tau, y) + float(np.sum(segment_masses(tau, y)))
+        denom = np.array([total_mass(tau, cone * fstar.values) for cone in cones])
         ratios = omega.values / denom
         per_field[name] = float(np.max(ratios))
     c1 = max(per_field.values())
@@ -275,21 +271,14 @@ def upper_cone_check(space: LorentzSpace, kernel: KernelSpec, k: int,
 def stieltjes_modulus_norm(spec: OptimalNormSpec, omega: SampledFunction) -> float:
     """( int_0^T (omega(t) / Psi(t))^q dPsi/Psi )^(1/q) against forward
     differences of the aggregate on the omega grid."""
-    psi = spec.psi(omega.grid.points)
-    dpsi = np.diff(psi)
-    terms = (omega.values[:-1] / psi[:-1]) ** spec.q * dpsi / psi[:-1]
-    return float(np.sum(terms)) ** (1.0 / spec.q)
+    return _stieltjes_sum(omega.values, spec.psi(omega.grid.points), spec.q)
 
 
 def power_modulus_norm(omega: SampledFunction, exponent: float, q: float) -> float:
     """( int_0^T (omega(t)/t^exponent)^q dt/t )^(1/q), the classical
     smoothness-norm shape."""
     t = omega.grid.points
-    y = (omega.values / t ** exponent) ** q / t
-    head = head_mass(t, y)
-    if not math.isfinite(head):
-        return math.inf
-    return float((head + np.sum(segment_masses(t, y))) ** (1.0 / q))
+    return total_mass(t, (omega.values / t ** exponent) ** q / t) ** (1.0 / q)
 
 
 def nontriviality_gate(spec: OptimalNormSpec, k: int, n: int) -> bool:
@@ -332,10 +321,9 @@ def calderon_norm(u: FieldSample, X, k: int, n: int, T: float = 1.0,
 # ---------------------------------------------------------------------------
 
 def bump_and_staircase_family(count: int = 10, resolution: int = 512,
-                              box_halfwidth: float = 3.0,
                               seed: int = DIRECTION_SEED):
-    """Seeded 1-d family: smooth compact bumps and decreasing staircases
-    supported well inside the box."""
+    """Seeded 1-d family on the box [-3, 3]: smooth compact bumps and
+    decreasing staircases supported well inside it."""
     rng = np.random.default_rng(seed)
     family = []
     for i in range(count):
@@ -353,5 +341,5 @@ def bump_and_staircase_family(count: int = 10, resolution: int = 512,
                 for (lo, hi), lv in zip(zip(edges[:-1], edges[1:]), levels):
                     out += lv * ((x >= lo) & (x < hi))
                 return out
-        family.append((f"field_{i}", sample_field(fn, 1, box_halfwidth, resolution)))
+        family.append((f"field_{i}", sample_field(fn, 1, 3.0, resolution)))
     return family

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from calderon_lab import cli
 from calderon_lab.cli import (
     ExperimentConfig,
     main,
@@ -174,6 +175,18 @@ class TestScenarios:
         assert math.isfinite(rec.scalars["empirical_c1"])
         assert rec.scalars["delta1"] > 0
 
+    def test_equivalence_zero_min_ratio(self):
+        # q = 1 borderline: rho0 and rho_tilde disagree on finiteness for
+        # some g, so the smallest finite ratio is 0 and the spread is
+        # infinite, without a division by zero
+        rec = run(parse_config_text(
+            "scenario = equivalence_sweep\nspace.q = 1\nspace.b_log = 1.244\n"
+            "kernel.alpha = 0.916\nk = 1\nn = 1\ngrid.points = 256\n"
+            "seed = 211290874\n"))
+        assert rec.error is None
+        assert rec.scalars["ratio_min"] == 0.0
+        assert rec.scalars["ratio_spread"] == math.inf
+
     def test_besov_case(self):
         rec = run(parse_config_text(
             "scenario = besov_case\nkernel.variant = bessel_mcdonald\n"
@@ -247,3 +260,35 @@ class TestWorkers:
         rows = (tmp_path / "summary.csv").read_text().splitlines()[1:]
         stripped = [",".join(r.split(",")[1:]) for r in rows]
         assert stripped[0] == stripped[1] == stripped[2]
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool(cli.ThreadPoolExecutor):
+            def __init__(self, max_workers=None):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+        return sizes
+
+    def _sweep_dir(self, tmp_path):
+        d = tmp_path / "cfgs"
+        d.mkdir()
+        for name in ("a", "b"):
+            (d / f"{name}.cfg").write_text(
+                "scenario = embedding_check\nkernel.alpha = 0.75\n" + FAST)
+        return d
+
+    def test_flag_wins_over_env(self, tmp_path, monkeypatch, pool_sizes):
+        monkeypatch.setenv("CALDERON_LAB_WORKERS", "3")
+        d = self._sweep_dir(tmp_path)
+        assert main(["sweep", str(d), "--workers", "2"]) == 0
+        assert pool_sizes == [2]
+
+    def test_env_without_flag(self, tmp_path, monkeypatch, pool_sizes):
+        monkeypatch.setenv("CALDERON_LAB_WORKERS", "3")
+        d = self._sweep_dir(tmp_path)
+        assert main(["sweep", str(d)]) == 0
+        assert pool_sizes == [3]

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -18,3 +19,28 @@ def test_package_imports_only_numpy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == ""
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports but never refers to."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_unused_import_detector():
+    assert _unused_imports("import math\nfrom os import path, sep\nsep\n") == ["math", "path"]
+
+
+def test_no_unused_imports():
+    # __init__.py imports names to re-export them
+    unused = {p.name: _unused_imports(p.read_text())
+              for p in sorted((SRC / "calderon_lab").glob("*.py"))
+              if p.name != "__init__.py"}
+    assert {name: names for name, names in unused.items() if names} == {}

@@ -13,7 +13,6 @@ from calderon_lab.kernels import (
     SlowlyVaryingSpec,
     auto_z1,
     bessel_k,
-    bessel_k_flagged,
     check_derivative_conditions,
     cone_kernel,
     measure_profile,
@@ -44,14 +43,16 @@ class TestBesselK:
         assert np.all(np.diff(vals) < 0)
 
     def test_underflow_flag(self):
-        val, flagged = bessel_k_flagged(0.5, 800.0)
-        assert val == 0.0 and flagged
-        val, flagged = bessel_k_flagged(0.5, 1.0)
-        assert val > 0 and not flagged
+        assert bessel_k(0.5, 800.0) == 0.0
+        assert bessel_k(0.5, 1.0) > 0
 
     def test_domain(self):
         with pytest.raises(DomainError):
             bessel_k(0.5, -1.0)
+
+    def test_domain_array(self):
+        with pytest.raises(DomainError):
+            bessel_k(0.5, np.array([1.0, 0.0]))
 
 
 class TestKernelSpec:
