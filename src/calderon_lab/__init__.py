@@ -2,6 +2,8 @@
 kernels, moduli of smoothness, and the optimal-lattice construction that
 ties them together."""
 
+import importlib
+
 from . import errors
 from .gridfn import (
     LogGrid,
@@ -77,6 +79,16 @@ from .potentials import (
     stieltjes_modulus_norm,
     upper_cone_check,
 )
-from .cli import ExperimentConfig, ReportRecord, parse_config_text, run, sweep
 
 __version__ = "0.1.0"
+
+_CLI_NAMES = ("cli", "ExperimentConfig", "ReportRecord", "parse_config_text", "run", "sweep")
+
+
+def __getattr__(name):
+    # cli is imported on first use, so that `python -m calderon_lab.cli`
+    # executes the module once, as __main__
+    if name in _CLI_NAMES:
+        cli = importlib.import_module(".cli", __name__)
+        return cli if name == "cli" else getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -21,10 +21,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -67,17 +65,6 @@ from .potentials import (
     stieltjes_modulus_norm,
     upper_cone_check,
 )
-
-SCENARIOS = (
-    "embedding_check",
-    "optimal_norm",
-    "equivalence_sweep",
-    "envelope",
-    "besov_case",
-    "lorentz_karamata_case",
-    "covering_sample",
-)
-
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -400,12 +387,15 @@ def _scenario_besov_case(cfg: ExperimentConfig, rec: ReportRecord):
         direct = u.sup_norm() + power_modulus_norm(omega, exponent, cfg.q)
         factors.append(opt / direct if direct > 0 else math.nan)
     factors = np.array(factors)
-    rec.scalars["factor_min"] = float(np.nanmin(factors))
-    rec.scalars["factor_max"] = float(np.nanmax(factors))
-    spread = float(np.nanmax(factors) / np.nanmin(factors))
+    lo, hi = float(np.nanmin(factors)), float(np.nanmax(factors))
+    rec.scalars["factor_min"] = lo
+    rec.scalars["factor_max"] = hi
+    # an infinite direct norm gives a zero factor: the spread is then
+    # infinite, or NaN when every factor is zero, and the check fails
+    spread = hi / lo if lo > 0 else (math.inf if hi > 0 else math.nan)
     rec.scalars["factor_spread"] = spread
     _check(rec.assertions, "two_sided_factor",
-           max(np.nanmax(factors), 1.0 / np.nanmin(factors)) <= 8.0,
+           lo > 0 and max(hi, 1.0 / lo) <= 8.0,
            spread, "optimal and direct smoothness norms agree within factor 8")
 
 
@@ -486,6 +476,7 @@ _SCENARIO_FNS = {
     "lorentz_karamata_case": _scenario_lorentz_karamata_case,
     "covering_sample": _scenario_covering_sample,
 }
+SCENARIOS = tuple(_SCENARIO_FNS)
 
 
 # ---------------------------------------------------------------------------
@@ -518,33 +509,20 @@ def _inputs_echo(cfg: ExperimentConfig) -> dict:
     return _plain(doc)
 
 
-def sweep(configs, out_dir=None, workers: int | None = None) -> list[ReportRecord]:
-    """Run many configs; one failure never aborts the rest.  Results come
-    back in input order; a summary CSV is written when out_dir is set.
-    workers defaults to CALDERON_LAB_WORKERS (1 when unset)."""
+def sweep(configs, out_dir=None) -> list[ReportRecord]:
+    """Run many configs one after another, in input order; one failure
+    never aborts the rest.  A summary CSV is written when out_dir is set."""
     configs = list(configs)
     if not configs:
         raise ConfigInvalid("sweep: empty config list")
-    if workers is None:
-        workers = int(os.environ.get("CALDERON_LAB_WORKERS", "1"))
     names = [f"item_{i:03d}" for i in range(len(configs))]
-
-    def one(i):
-        cfg = configs[i]
-        sub = (Path(out_dir) / names[i]) if out_dir else None
+    records = []
+    for name, cfg in zip(names, configs):
         try:
-            return run(cfg, out_dir=sub)
-        except ToolkitError as exc:
-            rec = ReportRecord(scenario=getattr(cfg, "scenario", "?"),
-                               inputs=_inputs_echo(cfg) if isinstance(cfg, ExperimentConfig) else {},
-                               error=f"{type(exc).__name__}: {exc}")
-            return rec
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(one, range(len(configs))))
-    else:
-        records = [one(i) for i in range(len(configs))]
+            records.append(run(cfg, out_dir=Path(out_dir) / name if out_dir else None))
+        except ConfigInvalid as exc:
+            records.append(ReportRecord(scenario=cfg.scenario, inputs=_inputs_echo(cfg),
+                                        error=f"{type(exc).__name__}: {exc}"))
 
     if out_dir:
         lines = ["item,scenario,passed,error," +
@@ -590,7 +568,6 @@ def main(argv=None) -> int:
     common.add_argument("--tmin", type=float, default=None)
     common.add_argument("--seed", type=int, default=None)
     common.add_argument("--out", type=str, default=None)
-    common.add_argument("--workers", type=int, default=None)
     parser = argparse.ArgumentParser(prog="calderon-lab",
                                      description="numerical experiments on "
                                                  "smoothness norms and optimal lattices")
@@ -600,6 +577,8 @@ def main(argv=None) -> int:
     p_sweep = sub.add_parser("sweep", parents=[common],
                              help="run every .cfg file in a directory")
     p_sweep.add_argument("config_dir")
+    p_sweep.add_argument("--workers", type=int,
+                         help="accepted and ignored: items run one after another")
     sub.add_parser("selftest", parents=[common],
                    help="fast built-in scenario exercise")
     args = parser.parse_args(argv)
@@ -619,28 +598,23 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             cfg = apply_overrides(load_config(args.config))
-            rec = run(cfg)
-            print(f"{cfg.scenario}: passed={rec.passed}"
-                  + (f" error={rec.error}" if rec.error else ""))
-            return 0 if rec.passed else 1
-        if args.command == "sweep":
+            labelled = [(cfg.scenario, run(cfg))]
+        elif args.command == "sweep":
             paths = sorted(Path(args.config_dir).glob("*.cfg"))
             if not paths:
                 raise ConfigInvalid(f"no .cfg files in {args.config_dir}")
             configs = [apply_overrides(load_config(p)) for p in paths]
-            records = sweep(configs, out_dir=args.out, workers=args.workers)
-            for p, rec in zip(paths, records):
-                print(f"{p.name}: passed={rec.passed}"
-                      + (f" error={rec.error}" if rec.error else ""))
-            return 0 if all(r.passed for r in records) else 1
-        records = selftest(out_dir=args.out)
-        for rec in records:
-            print(f"{rec.scenario}: passed={rec.passed}"
-                  + (f" error={rec.error}" if rec.error else ""))
-        return 0 if all(r.passed for r in records) else 1
+            labelled = [(p.name, rec)
+                        for p, rec in zip(paths, sweep(configs, out_dir=args.out))]
+        else:
+            labelled = [(rec.scenario, rec) for rec in selftest(out_dir=args.out)]
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    for name, rec in labelled:
+        print(f"{name}: passed={rec.passed}"
+              + (f" error={rec.error}" if rec.error else ""))
+    return 0 if all(rec.passed for _, rec in labelled) else 1
 
 
 if __name__ == "__main__":

@@ -194,6 +194,19 @@ class TestScenarios:
         assert rec.passed
         assert rec.scalars["factor_spread"] < 8.0
 
+    def test_besov_zero_factor(self):
+        # k = 2: omega_2 stalls at its rounding floor at small t, the direct
+        # norm is infinite and the smallest factor is 0; the spread is then
+        # infinite, without a division by zero
+        rec = run(parse_config_text(
+            "scenario = besov_case\nkernel.variant = bessel_mcdonald\n"
+            "kernel.alpha = 0.848\nspace.q = 2\nk = 2\n"
+            "field.resolution = 256\n"))
+        assert rec.error is None
+        assert rec.scalars["factor_min"] == 0.0
+        assert rec.scalars["factor_spread"] == math.inf
+        assert not rec.assertions["two_sided_factor"]["passed"]
+
 
 class TestMain:
     def test_exit_codes(self, tmp_path):
@@ -227,6 +240,21 @@ class TestMain:
         assert main(["sweep", str(d), "--out", str(out)]) == 0
         assert (out / "summary.csv").exists()
 
+    def test_sweep_ignores_workers(self, tmp_path, monkeypatch):
+        # items run one after another: neither the flag nor the variable
+        # changes what a sweep does
+        monkeypatch.setenv("CALDERON_LAB_WORKERS", "x")
+        d = tmp_path / "cfgs"
+        d.mkdir()
+        for name, alpha in (("a", 0.75), ("b", 0.6)):
+            (d / f"{name}.cfg").write_text(
+                f"scenario = embedding_check\nkernel.alpha = {alpha}\n" + FAST)
+        plain, flagged = tmp_path / "plain", tmp_path / "flagged"
+        assert main(["sweep", str(d), "--out", str(plain)]) == 0
+        assert main(["sweep", str(d), "--workers", "2", "--out", str(flagged)]) == 0
+        assert ((flagged / "summary.csv").read_text()
+                == (plain / "summary.csv").read_text())
+
     def test_selftest(self):
         recs = selftest()
         assert all(r.passed for r in recs)
@@ -248,47 +276,3 @@ class TestEmptySeries:
         assert (series / "psi.csv").read_text() == "t,value\n"
         assert len((tmp_path / "item_001" / "series" / "psi.csv")
                    .read_text().splitlines()) > 1
-
-
-class TestWorkers:
-    def test_env_override_and_parallel_determinism(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CALDERON_LAB_WORKERS", "3")
-        text = "scenario = embedding_check\nkernel.alpha = 0.75\n" + FAST
-        cfgs = [parse_config_text(text) for _ in range(3)]
-        recs = sweep(cfgs, out_dir=tmp_path)   # workers from the env var
-        assert all(r.passed for r in recs)
-        rows = (tmp_path / "summary.csv").read_text().splitlines()[1:]
-        stripped = [",".join(r.split(",")[1:]) for r in rows]
-        assert stripped[0] == stripped[1] == stripped[2]
-
-    @pytest.fixture
-    def pool_sizes(self, monkeypatch):
-        sizes = []
-
-        class RecordingPool(cli.ThreadPoolExecutor):
-            def __init__(self, max_workers=None):
-                sizes.append(max_workers)
-                super().__init__(max_workers=max_workers)
-
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
-        return sizes
-
-    def _sweep_dir(self, tmp_path):
-        d = tmp_path / "cfgs"
-        d.mkdir()
-        for name in ("a", "b"):
-            (d / f"{name}.cfg").write_text(
-                "scenario = embedding_check\nkernel.alpha = 0.75\n" + FAST)
-        return d
-
-    def test_flag_wins_over_env(self, tmp_path, monkeypatch, pool_sizes):
-        monkeypatch.setenv("CALDERON_LAB_WORKERS", "3")
-        d = self._sweep_dir(tmp_path)
-        assert main(["sweep", str(d), "--workers", "2"]) == 0
-        assert pool_sizes == [2]
-
-    def test_env_without_flag(self, tmp_path, monkeypatch, pool_sizes):
-        monkeypatch.setenv("CALDERON_LAB_WORKERS", "3")
-        d = self._sweep_dir(tmp_path)
-        assert main(["sweep", str(d)]) == 0
-        assert pool_sizes == [3]

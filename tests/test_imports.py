@@ -7,18 +7,28 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def test_package_imports_only_numpy():
-    # scipy and sympy are test oracles, never runtime dependencies
-    code = ("import sys, calderon_lab\n"
-            "heavy = sorted(m for m in sys.modules\n"
-            "               if m.startswith(('scipy', 'sympy')))\n"
-            "print(','.join(heavy))\n")
+def _python(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == ""
+    return subprocess.run([sys.executable, *args], env=env, check=True,
+                          capture_output=True, text=True)
+
+
+def test_package_imports_only_numpy():
+    # scipy and sympy are test oracles, never runtime dependencies, and
+    # sweeps need no thread pool
+    code = ("import sys, calderon_lab.cli\n"
+            "heavy = sorted(m for m in sys.modules\n"
+            "               if m.startswith(('scipy', 'sympy', 'concurrent')))\n"
+            "print(','.join(heavy))\n")
+    assert _python("-c", code).stdout.strip() == ""
+
+
+def test_cli_module_runs_once():
+    # the package does not import cli itself, so runpy does not find it
+    # in sys.modules and warn before running it as __main__
+    assert _python("-m", "calderon_lab.cli", "--help").stderr == ""
 
 
 def _unused_imports(source: str) -> list[str]:
