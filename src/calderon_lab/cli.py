@@ -518,11 +518,15 @@ def sweep(configs, out_dir=None) -> list[ReportRecord]:
     names = [f"item_{i:03d}" for i in range(len(configs))]
     records = []
     for name, cfg in zip(names, configs):
+        item_dir = Path(out_dir) / name if out_dir else None
         try:
-            records.append(run(cfg, out_dir=Path(out_dir) / name if out_dir else None))
+            records.append(run(cfg, out_dir=item_dir))
         except ConfigInvalid as exc:
-            records.append(ReportRecord(scenario=cfg.scenario, inputs=_inputs_echo(cfg),
-                                        error=f"{type(exc).__name__}: {exc}"))
+            rec = ReportRecord(scenario=cfg.scenario, inputs=_inputs_echo(cfg),
+                               error=f"{type(exc).__name__}: {exc}")
+            if item_dir:
+                write_report(rec, item_dir)
+            records.append(rec)
 
     if out_dir:
         lines = ["item,scenario,passed,error," +

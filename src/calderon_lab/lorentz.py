@@ -287,31 +287,41 @@ def embedding_criterion(space: LorentzSpace, phi: SampledFunction) -> dict:
 # associate norm (the dual evaluator used by envelopes and duality checks)
 # ---------------------------------------------------------------------------
 
+def _associate_norm_of_cumulative(space: LorentzSpace, cum: np.ndarray) -> float:
+    """The associate norm of a density h >= 0 on (0, T], zero beyond T,
+    from its cumulative c = int_0^t h on the space's grid:
+
+      q = 1:  sup_t V(t)^(-1) c(t), or +inf when V^(-1) c blows up at 0
+      q > 1:  ( int_0^T c^(q') w + c(T)^(q') int_T^inf w )^(1/q'),
+              +inf when the head below the grid diverges
+
+    The one rule behind associate_norm and the AssociateNormEngine
+    functionals.
+    """
+    if not np.isfinite(cum[0]):
+        return math.inf
+    if space.q == 1.0:
+        vals = cum / space.V.values
+        if classify_boundedness(space.grid, np.maximum(vals, 1e-300)).tag == "divergent":
+            return math.inf
+        return float(np.max(vals))
+    # total_mass is +inf on a divergent head, and the sum stays +inf
+    total = total_mass(space.grid.points, cum ** space.qp * space.w_vals)
+    total += cum[-1] ** space.qp * space.tail_w
+    return float(total ** (1.0 / space.qp))
+
+
 def associate_norm(space: LorentzSpace, hstar: SampledFunction) -> float:
     """Norm of a nonincreasing h* >= 0 on (0, T] in the associate space:
 
       q = 1:  sup_t V(t)^(-1) int_0^t h*
       q > 1:  ( int_0^inf (int_0^t h*)^(q') w dt )^(1/q')
 
-    h* is treated as zero beyond T.
+    h* is treated as zero beyond T; +inf when the sup blows up or the
+    integral diverges at 0.
     """
     if hstar.grid.t_max > space.T * (1 + 1e-12):
         raise DomainError("h* must live on (0, T]")
     t = space.grid.points
-    h = np.maximum(hstar(t), 0.0)
-    cum = cumulative_from_zero(t, h)
-    if not np.isfinite(cum[0]):
-        return math.inf
-    if space.q == 1.0:
-        return float(np.max(cum / space.V.values))
-    inner = cum ** space.qp * space.w_vals
-    head = head_mass(t, inner)
-    if not math.isfinite(head):
-        fit = classify_zero_endpoint(space.grid, inner)
-        if fit.tag == "convergent":
-            head = _fitted_head_integral(space.grid, inner, fit)
-        else:
-            return math.inf
-    total = head + float(np.sum(segment_masses(t, inner)))
-    total += cum[-1] ** space.qp * space.tail_w
-    return float(total ** (1.0 / space.qp))
+    return _associate_norm_of_cumulative(
+        space, cumulative_from_zero(t, np.maximum(hstar(t), 0.0)))

@@ -41,7 +41,7 @@ from .gridfn import (
     segment_masses,
     total_mass,
 )
-from .lorentz import LorentzSpace, embedding_function
+from .lorentz import LorentzSpace, _associate_norm_of_cumulative, embedding_function
 
 
 # ---------------------------------------------------------------------------
@@ -282,12 +282,9 @@ class AssociateNormEngine:
     # -- the four functionals ----------------------------------------------
 
     def rho_tilde(self, g: np.ndarray) -> float:
-        sp = self.space
-        gtail = cumulative_tail(self.t, g)
-        prod = self.iphi * gtail
-        if sp.q == 1.0:
-            return self._bounded_sup(prod)
-        return self._qprime_norm(prod ** sp.qp * sp.w_vals)
+        # the tail integral of g ends in 0, so the term beyond T adds exactly 0
+        return _associate_norm_of_cumulative(self.space,
+                                             self.iphi * cumulative_tail(self.t, g))
 
     def rho1(self, g: np.ndarray) -> float:
         sp = self.space
@@ -298,8 +295,8 @@ class AssociateNormEngine:
             return math.inf
         inner = np.maximum(inner, 0.0)
         if sp.q == 1.0:
-            return float(np.max(inner / sp.V.values))
-        return self._qprime_norm(inner ** sp.qp * sp.w_vals)
+            return _associate_norm_of_cumulative(sp, inner)
+        return float(total_mass(self.t, inner ** sp.qp * sp.w_vals) ** (1.0 / sp.qp))
 
     def rho2(self, g: np.ndarray) -> float:
         sp = self.space
@@ -311,45 +308,18 @@ class AssociateNormEngine:
         return float(mass * sp.tail_w ** (1.0 / sp.qp))
 
     def rho0(self, g: np.ndarray) -> float:
-        sp = self.space
         psi0 = (self.xi_weights * g) @ self.omega     # tau -> int Omega(xi,tau) g(xi) dxi
-        cum = cumulative_from_zero(self.t, psi0)
-        if not np.isfinite(cum[0]):
-            return math.inf
-        if sp.q == 1.0:
-            return self._bounded_sup(cum)
-        total_pow = total_mass(self.t, cum ** sp.qp * sp.w_vals)
-        if not math.isfinite(total_pow):
-            return math.inf
-        total_pow += cum[-1] ** sp.qp * sp.tail_w
-        return float(total_pow ** (1.0 / sp.qp))
+        return _associate_norm_of_cumulative(self.space,
+                                             cumulative_from_zero(self.t, psi0))
 
     def rho0_hat(self, g: np.ndarray) -> float:
         """q = 1 only: the nested form sup_t V^-1 int_0^t phi(tau)
         (int_tau^T g) dtau, which dominates rho_tilde term by term."""
         if self.space.q != 1.0:
             raise DomainError("the nested form is a q = 1 functional")
-        gtail = cumulative_tail(self.t, g)
-        cum = cumulative_from_zero(self.t, self.phi_vals * gtail)
-        if not np.isfinite(cum[0]):
-            return math.inf
-        return float(np.max(cum / self.space.V.values))
-
-    # -- helpers -------------------------------------------------------------
-
-    def _bounded_sup(self, y: np.ndarray) -> float:
-        """q = 1: sup V^-1 y, or +inf when V^-1 y blows up at 0."""
-        sp = self.space
-        vals = y / sp.V.values
-        if classify_boundedness(sp.grid, np.maximum(vals, 1e-300)).tag == "divergent":
-            return math.inf
-        return float(np.max(vals))
-
-    def _qprime_norm(self, y: np.ndarray) -> float:
-        total = total_mass(self.t, y)
-        if not math.isfinite(total):
-            return math.inf
-        return float(total ** (1.0 / self.space.qp))
+        nested = self.phi_vals * cumulative_tail(self.t, g)
+        return _associate_norm_of_cumulative(self.space,
+                                             cumulative_from_zero(self.t, nested))
 
 
 @dataclass

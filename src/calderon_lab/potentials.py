@@ -223,12 +223,11 @@ def envelope_bounds(space: LorentzSpace, phi, k: int, n: int,
     psi = embedding_function(space, phi)
     if not math.isfinite(psi.values[-1]):
         raise NotEmbedded("profile not in the associate space")
-    vals = np.empty(t_grid.count)
-    for i, t in enumerate(t_grid.points):
-        om = cone_kernel(phi, k, n, t, space.grid.points)
-        hstar = SampledFunction(space.grid, om, monotonicity="none",
-                                extension="zero_beyond_T")
-        vals[i] = associate_norm(space, hstar)
+    # row i is the cone kernel at t_grid.points[i]
+    cones = cone_kernel(phi, k, n, t_grid.points[:, None], space.grid.points)
+    vals = np.array([associate_norm(space, SampledFunction(
+        space.grid, om, monotonicity="none", extension="zero_beyond_T"))
+        for om in cones])
     return SampledFunction(grid=t_grid, values=vals, monotonicity="increasing")
 
 

@@ -124,6 +124,21 @@ class TestSweep:
         assert recs[0].error is not None
         assert recs[1].passed
 
+    def test_config_error_reported_per_item(self, tmp_path):
+        # a ConfigInvalid raised inside run still gets its own report.json
+        good = parse_config_text(
+            "scenario = embedding_check\nkernel.alpha = 0.75\n" + FAST)
+        bad = parse_config_text(
+            "scenario = lorentz_karamata_case\nkernel.alpha = 0.75\n" + FAST)
+        sweep([bad, good], out_dir=tmp_path)
+        docs = [json.loads((tmp_path / f"item_{i:03d}" / "report.json").read_text())
+                for i in range(2)]
+        assert docs[0]["error"].startswith("ConfigInvalid: space.b_log: ")
+        assert not docs[0]["passed"]
+        assert docs[1]["passed"]
+        row = (tmp_path / "summary.csv").read_text().splitlines()[1]
+        assert row.startswith("item_000,lorentz_karamata_case,False,ConfigInvalid: space.b_log: ")
+
     def test_condition_flips_across_k(self):
         # alpha sweep over the dominance threshold: the condition column
         # flips from A to B as alpha crosses k

@@ -25,6 +25,7 @@ from calderon_lab.lorentz import (
     marcinkiewicz_norm,
     power_weight,
 )
+from calderon_lab.optimal import AssociateNormEngine
 
 FLAT = WeightSpec(power_exponent=0.0)
 
@@ -249,6 +250,24 @@ class TestAssociateNorm:
                 inner = head_mass(g.points, y) + float(np.sum(segment_masses(g.points, y)))
                 bound = lorentz_norm(sp, f) * associate_norm(sp, h)
                 assert inner <= bound * (1 + 1e-9)
+
+    @pytest.mark.parametrize("power,expected", [(-0.5, math.inf), (0.0, 1.0)])
+    @pytest.mark.parametrize("functional", ["associate_norm", "rho0_hat"])
+    def test_q1_blowup_at_zero(self, functional, power, expected):
+        # q = 1, flat weight: V^-1 int_0^t h = 2 t^(-1/2) for h = t^(-1/2)
+        # is unbounded at 0, so the norm is +inf, not the grid maximum;
+        # for h = 1 it is 1
+        g = make_log_grid(1e-8, 1.0, 256)
+        sp = LorentzSpace(1.0, FLAT, g)
+        h = lambda t: t ** power
+        if functional == "associate_norm":
+            got = associate_norm(sp, SampledFunction(g, h(g.points),
+                                                     extension="zero_beyond_T"))
+        else:
+            # phi = h and g = 1: the nested density phi(t) (T - t) behaves
+            # like h at 0
+            got = AssociateNormEngine(sp, h, 1, 1).rho0_hat(np.ones(g.count))
+        assert got == pytest.approx(expected, rel=1e-6)
 
     def test_domain_guard(self):
         g = default_grid()
