@@ -237,9 +237,11 @@ class AssociateNormEngine:
     """Shared tables for evaluating the associate functionals of many
     nonnegative g on one grid.
 
-    The double-integral functional needs the full cone-kernel matrix
-    (O(grid^2), cached here once); the reduced functionals only need
-    running integrals.
+    The double-integral functional needs the cone kernel
+    phi(tau) / (1 + (tau/xi)^(k/n)).  It relies on the geometric grid,
+    where tau/xi = r^(j-i): the logistic factor depends on j - i alone and
+    is stored as one Toeplitz row of length 2N - 1 (O(grid) memory, no
+    N x N matrix).  The reduced functionals only need running integrals.
     """
 
     def __init__(self, space: LorentzSpace, phi, k: int, n: int):
@@ -260,9 +262,10 @@ class AssociateNormEngine:
         du[0] = 0.5 * (u[1] - u[0])
         du[-1] = 0.5 * (u[-1] - u[-2])
         self.xi_weights = t * du
-        # cone kernel matrix: rows xi, columns tau
-        ratio = (t[None, :] / t[:, None]) ** self.kn   # (xi, tau) -> (tau/xi)^(k/n)
-        self.omega = self.phi_vals[None, :] / (1.0 + ratio)
+        # logistic factor of the cone kernel, kernel_row[d + N - 1] =
+        # 1 / (1 + r^(kn d)) for d = j - i in 1-N .. N-1
+        self.kernel_row = 1.0 / (1.0 + np.concatenate(
+            ((t[0] / t[:0:-1]) ** self.kn, (t / t[0]) ** self.kn)))
         # smooth factors multiplying g in the reduced functionals, with
         # their below-grid head masses (g itself is treated as locally
         # constant below the grid: a two-point power fit on staircase or
@@ -270,6 +273,12 @@ class AssociateNormEngine:
         self.split_factor = self.iphi + t ** self.kn * self.jk
         self.split_head = head_mass(t, self.split_factor)
         self.power_head = t[0] ** (self.kn + 1.0) / (self.kn + 1.0)
+
+    def _checked(self, g) -> np.ndarray:
+        g = np.asarray(g, dtype=float)
+        if g.shape != self.t.shape:
+            raise DomainError(f"g has shape {g.shape}, the grid {self.t.shape}")
+        return g
 
     def _cum_scaled_head(self, g: np.ndarray, factor: np.ndarray,
                          factor_head: float) -> np.ndarray:
@@ -282,11 +291,13 @@ class AssociateNormEngine:
     # -- the four functionals ----------------------------------------------
 
     def rho_tilde(self, g: np.ndarray) -> float:
+        g = self._checked(g)
         # the tail integral of g ends in 0, so the term beyond T adds exactly 0
         return _associate_norm_of_cumulative(self.space,
                                              self.iphi * cumulative_tail(self.t, g))
 
     def rho1(self, g: np.ndarray) -> float:
+        g = self._checked(g)
         sp = self.space
         inner = (self._cum_scaled_head(g, self.split_factor, self.split_head)
                  - self.jk * self._cum_scaled_head(g, self.t ** self.kn,
@@ -299,6 +310,7 @@ class AssociateNormEngine:
         return float(total_mass(self.t, inner ** sp.qp * sp.w_vals) ** (1.0 / sp.qp))
 
     def rho2(self, g: np.ndarray) -> float:
+        g = self._checked(g)
         sp = self.space
         if sp.q == 1.0:
             return 0.0
@@ -308,7 +320,10 @@ class AssociateNormEngine:
         return float(mass * sp.tail_w ** (1.0 / sp.qp))
 
     def rho0(self, g: np.ndarray) -> float:
-        psi0 = (self.xi_weights * g) @ self.omega     # tau -> int Omega(xi,tau) g(xi) dxi
+        g = self._checked(g)
+        # tau -> int Omega(xi, tau) g(xi) dxi
+        psi0 = self.phi_vals * np.convolve(self.xi_weights * g, self.kernel_row,
+                                           mode="valid")
         return _associate_norm_of_cumulative(self.space,
                                              cumulative_from_zero(self.t, psi0))
 
@@ -317,6 +332,7 @@ class AssociateNormEngine:
         (int_tau^T g) dtau, which dominates rho_tilde term by term."""
         if self.space.q != 1.0:
             raise DomainError("the nested form is a q = 1 functional")
+        g = self._checked(g)
         nested = self.phi_vals * cumulative_tail(self.t, g)
         return _associate_norm_of_cumulative(self.space,
                                              cumulative_from_zero(self.t, nested))

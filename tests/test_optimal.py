@@ -1,14 +1,31 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from calderon_lab.errors import Exhausted, NoSolution, NotEmbedded, WitnessMissing
-from calderon_lab.gridfn import SampledFunction, default_grid, make_log_grid, sample
+from calderon_lab.errors import (
+    DomainError,
+    Exhausted,
+    NoSolution,
+    NotEmbedded,
+    WitnessMissing,
+)
+from calderon_lab.gridfn import (
+    SampledFunction,
+    cumulative_from_zero,
+    default_grid,
+    make_log_grid,
+    sample,
+)
 from calderon_lab.kernels import SlowlyVaryingSpec
 from calderon_lab.lorentz import (
     LorentzSpace,
     WeightSpec,
+    _associate_norm_of_cumulative,
     embedding_function,
     power_weight,
 )
@@ -286,6 +303,75 @@ class TestAssociatedNorms:
             lhs = max(2.0 ** m * a[m:].sum() for m in range(40))
             rhs = 2.0 * max(2.0 ** j * a[j] for j in range(40))
             assert lhs <= rhs * (1 + 1e-12)
+
+
+class TestConeKernel:
+    @pytest.mark.parametrize("points", [64, 700])
+    @pytest.mark.parametrize("k,n", [(1, 3), (1, 2), (1, 1), (2, 1)])
+    def test_rho0_matches_dense_matrix(self, k, n, points):
+        # The grid is geometric only to rounding, so the Toeplitz row and
+        # the dense (t_j/t_i)^(k/n) differ by <= 4.3e-15 relative per psi0
+        # entry.  The two-point power fit of head_mass divides that by
+        # log r and by the fitted exponent's distance from -1: measured up
+        # to 6.6e-14 relative in rho0 at 700 points, 1.5e-12 at 4000.
+        g = default_grid(points=points)
+        t = g.points
+        phi = power_phi(g, 0.75)
+        omega = (np.asarray(phi(t))[None, :]
+                 / (1.0 + (t[None, :] / t[:, None]) ** (k / n)))
+        rng = np.random.default_rng(100 * points + 10 * k + n)
+        gs = [gv for _, gv in sample_family(g)] + [rng.random(points)
+                                                   for _ in range(3)]
+        finite = 0
+        for sp in (LorentzSpace(2.0, FLAT, g), LorentzSpace(1.0, FLAT, g),
+                   LorentzSpace(1.0, WeightSpec(power_exponent=-0.5), g)):
+            eng = AssociateNormEngine(sp, phi, k, n)
+            for gv in gs:
+                want = _associate_norm_of_cumulative(
+                    sp, cumulative_from_zero(t, (eng.xi_weights * gv) @ omega))
+                got = eng.rho0(gv)
+                assert math.isfinite(got) == math.isfinite(want)
+                if math.isfinite(want):
+                    finite += 1
+                    assert abs(got - want) <= 1e-11 * want
+        assert 0 < finite < 3 * len(gs)
+
+    @pytest.mark.parametrize("length", [63, 65])
+    @pytest.mark.parametrize("method", ["rho0", "rho_tilde", "rho1", "rho2",
+                                        "rho0_hat"])
+    def test_wrong_length_rejected(self, method, length):
+        g = default_grid(points=64)
+        eng = AssociateNormEngine(LorentzSpace(1.0, FLAT, g), power_phi(g, 0.75),
+                                  1, 1)
+        with pytest.raises(DomainError):
+            getattr(eng, method)(np.ones(length))
+
+    def test_memory_linear_in_grid(self):
+        # A dense 4000 x 4000 cone kernel and its ratio temporary take
+        # 256 MB.  RSS, not tracemalloc: numpy's internal copy of a strided
+        # matmul operand does not show in tracemalloc.
+        code = (
+            "import resource, sys\n"
+            "from calderon_lab.gridfn import default_grid, sample\n"
+            "from calderon_lab.lorentz import LorentzSpace, WeightSpec\n"
+            "from calderon_lab.optimal import equivalence_report, sample_family\n"
+            "g = default_grid(points=4000)\n"
+            "sp = LorentzSpace(2.0, WeightSpec(power_exponent=0.0), g)\n"
+            "phi = sample(lambda t: t ** -0.25, g)\n"
+            "family = sample_family(g, count=50)\n"
+            "unit = 1 if sys.platform == 'darwin' else 1024   # ru_maxrss in KiB\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "rep = equivalence_report(sp, phi, 1, 1, family)\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "print(rep['count'], (after - before) * unit)\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout.split()
+        assert int(out[0]) == 50
+        assert int(out[1]) < 64 * 2 ** 20
 
 
 class TestEquivalence:
