@@ -51,6 +51,7 @@ from .optimal import (
     check_condition_a,
     check_condition_b,
     equivalence_report,
+    hardy_constants,
     make_optimal_norm_spec,
     optimal_norm,
     sample_family,
@@ -333,7 +334,6 @@ def _scenario_equivalence_sweep(cfg: ExperimentConfig, rec: ReportRecord):
     rec.scalars["ratio_spread"] = rep["spread"]
     rec.series["uq"] = (space.grid.points, uq.values)
     if cfg.q > 1.0:
-        from .optimal import hardy_constants
         h = hardy_constants(space, delta=0.0)
         rec.scalars["hardy_B0"] = h["B_delta"]
         rec.scalars["hardy_bound"] = h["bound"]

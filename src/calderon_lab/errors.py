@@ -54,11 +54,6 @@ class WitnessMissing(ToolkitError):
     """No monotonicity exponent witness could be found."""
 
 
-class DerivativeUnstable(ToolkitError):
-    """Richardson-extrapolated numerical derivatives disagree beyond the
-    stability threshold."""
-
-
 class ResolutionTooCoarse(ToolkitError):
     """The singular-cell correction dominates a convolution cell."""
 

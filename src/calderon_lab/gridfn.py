@@ -474,7 +474,6 @@ def _fit_tail(masses, centers, width, U, u_edge, downward):
         if sgn * beta < -1e-12:
             r = math.exp(-abs(beta) * width)
             out_a = am[-1] * r / (1.0 - r)
-        rB = math.inf
         Bm = np.vstack([np.ones_like(u), np.log(dist)]).T
         coefB, resB, *_ = np.linalg.lstsq(Bm, y, rcond=None)
         rB = float(resB[0]) if len(resB) else 0.0

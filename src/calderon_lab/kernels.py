@@ -14,7 +14,10 @@ integral representation, vectorized over rho and 0 past rho = 700.
 Both families expose the profile in measure coordinates,
 phi(tau) = Phi((tau / V_n)^(1/n)), the cone kernel
 phi(tau) / (1 + (tau/t)^(k/n)), and checkers for the derivative bounds
-that the smoothness estimates require.
+that the smoothness estimates require.  Both families are differentiated
+in closed form, to any order: the power family through its iterated-log
+terms, the Bessel family through K'_mu = -K_(mu+1) + (mu/z) K_mu, which
+makes every derivative a short sum of c z^m K_(nu+j)(z) terms.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DerivativeUnstable, DomainError, NonConvergent
+from .errors import DomainError, NonConvergent
 from .gridfn import (
     _GAUSS_HI,
     LogGrid,
@@ -252,9 +255,9 @@ class KernelSpec:
             # Phi(0) = +inf is set directly: 0^(alpha-n) * Lambda(0) warns,
             # and is inf * 0 = nan for a decaying log factor
             zz = np.where(z == 0, 1.0, z)
-            lam = v.sv(np.minimum(zz, v.z1)) if v.sv.factors else np.ones_like(zz)
+            lam = v.sv(np.minimum(zz, v.z1))
             head = zz ** (v.alpha - self.n) * lam
-            cap = v.z1 ** (v.alpha - self.n) * (v.sv(v.z1) if v.sv.factors else 1.0)
+            cap = v.z1 ** (v.alpha - self.n) * v.sv(v.z1)
             out = np.where(z <= v.z1, head,
                            cap * np.exp(-v.tail_rate * (z - v.z1)))
             out[z == 0] = np.inf
@@ -315,7 +318,7 @@ def auto_z1(kernel: KernelSpec) -> float:
         ratio = kernel.profile(z_grid) * z_grid ** (2.0 * kernel.variant.nu)
     else:
         v = kernel.variant
-        lam = v.sv(np.minimum(z_grid, v.z1)) if v.sv.factors else np.ones_like(z_grid)
+        lam = v.sv(np.minimum(z_grid, v.z1))
         ratio = kernel.profile(z_grid) * z_grid ** (kernel.n - v.alpha) / lam
     rhat = ratio / ratio[0]
     ok = (rhat >= 0.25) & (rhat <= 4.0)
@@ -346,43 +349,6 @@ def _radial_derivative_coeffs(j: int) -> tuple:
     return tuple(out)
 
 
-_STENCILS = {
-    1: (np.array([-1, 0, 1]), np.array([-0.5, 0.0, 0.5])),
-    2: (np.array([-1, 0, 1]), np.array([1.0, -2.0, 1.0])),
-    3: (np.array([-2, -1, 0, 1, 2]), np.array([-0.5, 1.0, 0.0, -1.0, 0.5])),
-    4: (np.array([-2, -1, 0, 1, 2]), np.array([1.0, -4.0, 6.0, -4.0, 1.0])),
-}
-
-
-_H_REL = 1e-4               # first Richardson step, relative to z
-_STABILITY_TOL = 1e-3       # largest accepted disagreement of two levels
-
-
-def _derivatives_richardson(f, z: np.ndarray, order: int) -> np.ndarray:
-    """order-th derivative at points z by central differences with two
-    Richardson extrapolation levels (h, h/2, h/4, each O(h^2))."""
-    if order not in _STENCILS:
-        raise DomainError(f"derivative order {order} not supported")
-    offs, coefs = _STENCILS[order]
-    estimates = []
-    for lvl in range(3):
-        h = z * _H_REL / 2 ** lvl
-        pts = z[:, None] + offs[None, :] * h[:, None]
-        vals = f(pts.ravel()).reshape(pts.shape)
-        estimates.append((vals * coefs[None, :]).sum(axis=1) / h ** order)
-    d_h, d_h2, d_h4 = estimates
-    r1 = (4.0 * d_h2 - d_h) / 3.0
-    r2 = (4.0 * d_h4 - d_h2) / 3.0
-    r3 = (16.0 * r2 - r1) / 15.0
-    scale = np.maximum(np.abs(r3), 1e-300)
-    disagreement = np.abs(r2 - r1) / scale
-    if np.any(disagreement > _STABILITY_TOL):
-        worst = float(np.max(disagreement))
-        raise DerivativeUnstable(
-            f"extrapolation levels disagree by {worst:.2e} (> {_STABILITY_TOL})")
-    return r3
-
-
 @dataclass
 class DerivativeConditionReport:
     """Constants of the derivative bounds a kernel profile satisfies.
@@ -401,6 +367,23 @@ class DerivativeConditionReport:
     lower_ok: bool
 
 
+def _term_levels(k: int, start, children) -> list:
+    """levels[i] maps each term key of the i-th derivative to its
+    coefficient, from levels[0] = {start: 1.0}: one more derivative sends
+    the term c at key to f c at child for each (child, f) that
+    children(key, i) yields; zero coefficients are dropped."""
+    levels = [{start: 1.0}]
+    for i in range(k):
+        nxt = {}
+        for key, c in levels[-1].items():
+            for child, f in children(key, i):
+                d = f * c
+                if d != 0.0:
+                    nxt[child] = nxt.get(child, 0.0) + d
+        levels.append(nxt)
+    return levels
+
+
 def _power_derivative_fns(kernel: KernelSpec, k: int):
     """Callables z -> Phi^(i)(z), i = 0..k, in closed form.
 
@@ -416,16 +399,14 @@ def _power_derivative_fns(kernel: KernelSpec, k: int):
     p1 = sum(e for kind, e in v.sv.factors if kind == "log")
     p2 = sum(e for kind, e in v.sv.factors if kind == "loglog")
     cap = kernel.profile(v.z1)
-    levels = [{(0, 0): 1.0}]
-    for i in range(k):
-        nxt = {}
-        for (j1, j2), c in levels[-1].items():
-            for key, d in (((j1, j2), (a - i) * c),
-                           ((j1 + 1, j2), -(p1 - j1) * c),
-                           ((j1 + 1, j2 + 1), -(p2 - j2) * c)):
-                if d != 0.0:
-                    nxt[key] = nxt.get(key, 0.0) + d
-        levels.append(nxt)
+
+    def children(key, i):
+        j1, j2 = key
+        return (((j1, j2), a - i),
+                ((j1 + 1, j2), -(p1 - j1)),
+                ((j1 + 1, j2 + 1), -(p2 - j2)))
+
+    levels = _term_levels(k, (0, 0), children)
 
     def fn(zz, i):
         zz = np.asarray(zz, dtype=float)
@@ -442,23 +423,39 @@ def _power_derivative_fns(kernel: KernelSpec, k: int):
 
 
 def _phi_derivative_fns(kernel: KernelSpec, k: int):
-    """Callables z -> Phi^(i)(z), i = 0..k: closed form for the power
-    variants (exact), Richardson differences for the Bessel family."""
+    """Callables z -> Phi^(i)(z), i = 0..k, in closed form for both
+    kernel families and any k.
+
+    Bessel family: Phi = z^(-nu) K_nu(z), and K'_mu = -K_(mu+1) +
+    (mu/z) K_mu (DLMF 10.29.2) gives d/dz [z^m K_mu] = (m + mu) z^(m-1)
+    K_mu - z^m K_(mu+1), so a term c z^(-nu-j1) K_(nu+j2) at (j1, j2)
+    goes to (j2-j1) c at (j1+1, j2) and -c at (j1, j2+1).
+    """
     if isinstance(kernel.variant, PowerSlowlyVarying):
         return _power_derivative_fns(kernel, k)
-    prof = kernel.profile
-    fns = [lambda zz: prof(zz)]
-    for i in range(1, k + 1):
-        fns.append(lambda zz, i=i: _derivatives_richardson(prof, np.atleast_1d(
-            np.asarray(zz, dtype=float)), i))
-    return fns
+    nu = kernel.variant.nu
+
+    def children(key, i):
+        j1, j2 = key
+        return (((j1 + 1, j2), j2 - j1), ((j1, j2 + 1), -1.0))
+
+    levels = _term_levels(k, (0, 0), children)
+
+    def fn(zz, i):
+        zz = np.asarray(zz, dtype=float)
+        return sum(c * zz ** (-nu - j1) * bessel_k(nu + j2, zz)
+                   for (j1, j2), c in levels[i].items())
+
+    return [lambda zz, i=i: fn(zz, i) for i in range(k + 1)]
 
 
 def check_derivative_conditions(kernel: KernelSpec, k: int) -> DerivativeConditionReport:
     """Evaluate the two-scale derivative bounds and the k-th derivative
     sign bound for a kernel profile on 96-point test grids either side
     of z1: the kernel's own split point (power variants) or the
-    automatically selected small-argument range (Bessel family).
+    automatically selected small-argument range (Bessel family).  The
+    profile derivatives are closed forms for both families, so any
+    k >= 1 is accepted.
     """
     if k < 1:
         raise DomainError("k must be a positive integer")

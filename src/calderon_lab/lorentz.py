@@ -66,7 +66,6 @@ class WeightSpec:
         scalar = t.ndim == 0
         t = np.atleast_1d(t)
         inside = t <= self.T
-        out = np.empty_like(t)
         tt = np.where(inside, t, self.T)
         lam = self.sv(tt) if self.sv is not None else np.ones_like(tt)
         out = tt ** self.power_exponent * lam
@@ -170,8 +169,6 @@ def check_norm_conditions(space: LorentzSpace) -> dict:
             return {"ok": False, "c": math.inf}
         beyond = sv_T * space.T ** (a - q + 1.0) / (q - a - 1.0)
     else:
-        if q <= 1.0:
-            return {"ok": False, "c": math.inf}
         beyond = sv_T * space.T ** a * space.T ** (1.0 - q) / (q - 1.0)
     c = float(np.max(t ** q * (inner + beyond) / V))
     return {"ok": bool(np.isfinite(c)), "c": c}

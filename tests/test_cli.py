@@ -190,6 +190,16 @@ class TestScenarios:
         assert math.isfinite(rec.scalars["empirical_c1"])
         assert rec.scalars["delta1"] > 0
 
+    def test_covering_sample_bessel_k3(self):
+        # the Bessel-profile derivatives are closed forms, so k = 3 is
+        # checked like k = 1 and 2
+        rec = run(parse_config_text(
+            "scenario = covering_sample\nkernel.variant = bessel_mcdonald\n"
+            "kernel.alpha = 0.75\nk = 3\nfield.resolution = 256\n" + FAST))
+        assert rec.error is None
+        assert rec.passed
+        assert rec.assertions["derivative_bounds"]["passed"]
+
     def test_equivalence_zero_min_ratio(self):
         # q = 1 borderline: rho0 and rho_tilde disagree on finiteness for
         # some g, so the smallest finite ratio is 0 and the spread is

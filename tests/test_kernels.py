@@ -197,6 +197,18 @@ class TestDerivativeConditions:
         # constant approaches 2 nu
         assert rep.delta1 == pytest.approx(0.25, rel=0.3)
 
+    @pytest.mark.parametrize("nu", [0.125, 0.45])
+    @pytest.mark.parametrize("k", [2, 3, 4, 6])
+    def test_bessel_mcdonald_higher_orders(self, nu, k):
+        # closed-form derivatives: every order is accepted, and near 0
+        # the sign constant approaches beta (beta+1) ... (beta+k-1) with
+        # beta = 2 nu
+        kern = KernelSpec(BesselMcDonald(nu=nu), n=1)
+        rep = check_derivative_conditions(kern, k=k)
+        assert rep.inner_ok and rep.outer_ok and rep.lower_ok
+        expected = math.prod(2.0 * nu + j for j in range(k))
+        assert rep.delta1 == pytest.approx(expected, rel=0.3)
+
 
 class TestPowerDerivatives:
     @pytest.mark.parametrize("factors", [
@@ -232,6 +244,40 @@ class TestPowerDerivatives:
                     ref = np.array([float(exact(mpmath.mpf(float(x)))) for x in zz])
                     got = fns[k](zz)
                     assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-12, k
+
+
+class TestBesselDerivatives:
+    @pytest.mark.parametrize("nu", ["1/10", "1/4", "9/20"])
+    def test_closed_form_matches_symbolic(self, nu):
+        # oracle: sympy differentiates z^(-nu) K_nu(z) through
+        # K'_mu = -(K_(mu-1) + K_(mu+1)) / 2, a different identity from
+        # the one the kernel module uses; mpmath evaluates every K order
+        # at 40 digits.  Points: every fifth point of the checker's inner
+        # and outer grids, both ends included.
+        sp = pytest.importorskip("sympy")
+        import mpmath
+        from calderon_lab.kernels import _phi_derivative_fns
+        nu = sp.Rational(nu)
+        kern = KernelSpec(BesselMcDonald(nu=float(nu)), n=1)
+        z1 = auto_z1(kern)
+        zz = np.concatenate((np.geomspace(z1 * 1e-5, z1, 96)[::5],
+                             np.geomspace(z1 * 1.02, max(10.0 * z1, z1 + 30.0), 96)[::5]))
+        z = sp.symbols("z", positive=True)
+        exprs = [sp.diff(z ** -nu * sp.besselk(nu, z), z, k) for k in range(7)]
+        orders = sorted({b.args[0] for e in exprs for b in e.atoms(sp.besselk)})
+        ks = sp.symbols(f"k0:{len(orders)}")
+        subs = {sp.besselk(o, z): s for o, s in zip(orders, ks)}
+        exact = [sp.lambdify((z, *ks), e.xreplace(subs), "mpmath") for e in exprs]
+        fns = _phi_derivative_fns(kern, 6)
+        ref = np.empty((7, len(zz)))
+        with mpmath.workdps(40):
+            for col, x in enumerate(zz):
+                xm = mpmath.mpf(float(x))
+                kv = [mpmath.besselk(o, xm) for o in orders]
+                ref[:, col] = [float(f(xm, *kv)) for f in exact]
+        for k in range(7):
+            got = fns[k](zz)
+            assert np.max(np.abs(got - ref[k]) / np.abs(ref[k])) <= 1e-11, k
 
 
 class TestSlowlyVarying:
