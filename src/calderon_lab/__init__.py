@@ -69,6 +69,7 @@ from .potentials import (
     bump_and_staircase_family,
     calderon_norm,
     convolve,
+    convolver,
     envelope_bounds,
     field_rearrangement,
     finite_difference,

@@ -59,7 +59,7 @@ from .optimal import (
 )
 from .potentials import (
     bump_and_staircase_family,
-    convolve,
+    convolver,
     envelope_bounds,
     modulus_curve,
     power_modulus_norm,
@@ -379,9 +379,10 @@ def _scenario_besov_case(cfg: ExperimentConfig, rec: ReportRecord):
                                        seed=cfg.seed)
     exponent = cfg.alpha / cfg.n - 1.0 / cfg.q
     tg = make_log_grid(1e-6 * cfg.T, cfg.T, 64)
+    conv = convolver(kernel, fields[0][1])
     factors = []
     for name, f in fields:
-        u = convolve(kernel, f)
+        u = conv(f)
         omega = modulus_curve(u, cfg.k, tg, n=cfg.n)
         opt = u.sup_norm() + stieltjes_modulus_norm(spec, omega)
         direct = u.sup_norm() + power_modulus_norm(omega, exponent, cfg.q)
@@ -558,6 +559,9 @@ def selftest(out_dir=None) -> list[ReportRecord]:
         parse_config_text("scenario = equivalence_sweep\nspace.q = 2\nn = 2\n"
                           "kernel.variant = power\nkernel.alpha = 1.5\nk = 1\n"
                           "grid.points = 256\n"),
+        parse_config_text("scenario = besov_case\nspace.q = 2\n"
+                          "kernel.variant = bessel_mcdonald\nkernel.alpha = 0.75\n"
+                          "field.resolution = 128\ngrid.points = 256\n"),
     ]
     return sweep(configs, out_dir=out_dir)
 

@@ -4,9 +4,11 @@ moduli of smoothness, and the lattice norms built on them.
 Fields are one-dimensional, sampled on a uniform grid over [-H, H].
 Convolution never uses Fourier transforms: it is a direct midpoint
 summation in which the singular cell is replaced by the kernel's exact
-integral over that cell, which keeps the near-origin mass honest.  The
-dimension n of the lattice (the t^(1/n) scaling of the modulus and the
-cone kernel) is a separate argument; fields of dimension n >= 2 are
+integral over that cell, which keeps the near-origin mass honest.
+`convolver` builds that mass and the offset table once per (kernel,
+grid); each field on the grid then costs one mat-vec.  The dimension n
+of the lattice (the t^(1/n) scaling of the modulus and the cone
+kernel) is a separate argument; fields of dimension n >= 2 are
 rejected, because a direct sum needs an exact singular-cell integral
 there, which the toolkit does not have.
 
@@ -109,33 +111,43 @@ def field_rearrangement(f: FieldSample, grid: LogGrid | None = None) -> SampledF
 # convolution
 # ---------------------------------------------------------------------------
 
-def convolve(kernel: KernelSpec, f: FieldSample) -> FieldSample:
-    """u(x) = int G(x - y) f(y) dy by direct midpoint summation, the
-    singular (zero-offset) cell replaced by the kernel's exact integral
-    over that cell.
-
-    Raises ResolutionTooCoarse when the singular cell carries more than
-    half of the kernel mass reachable inside the box.
-    """
-    if kernel.n != f.n:
+def convolver(kernel: KernelSpec, like: FieldSample):
+    """f -> u(x) = int G(x - y) f(y) dy for fields on like's grid, by
+    direct midpoint summation, the singular (zero-offset) cell replaced
+    by the kernel's exact integral over that cell.  The table and that
+    mass are built here, once per (kernel, grid); the returned function
+    is one mat-vec, keeps f's origin, and raises DomainError when f's
+    spacing or length differs from like's.  Raises ResolutionTooCoarse
+    when the singular cell carries more than half of the kernel mass
+    reachable inside the box."""
+    if kernel.n != like.n:
         raise DomainError("kernel and field dimension mismatch")
-    h = f.spacing
+    h = like.spacing
     phi_fn = kernel.measure_profile_fn()
     cell_mass, _ = integrate(phi_fn, 0.0, h, singular_at_a=True, tol=1e-10)
-    box_mass, _ = integrate(phi_fn, 0.0, 4.0 * f.box_halfwidth,
+    box_mass, _ = integrate(phi_fn, 0.0, 4.0 * like.box_halfwidth,
                             singular_at_a=True, tol=1e-8)
     if cell_mass > 0.5 * box_mass:
         raise ResolutionTooCoarse(
             f"singular cell carries {cell_mass / box_mass:.1%} of the kernel mass")
 
-    m = f.values.shape[0]
+    m = like.values.shape[0]
     table = kernel.profile(np.abs(h * np.arange(-(m - 1), m))) * h
     table[m - 1] = cell_mass
     # row x holds table[x + m - 1 - i] for i = 0..m-1: the centred m
     # points of the full convolution, summed in index order
-    u = sliding_window_view(table, m)[:, ::-1] @ f.values
-    return FieldSample(n=1, box_halfwidth=f.box_halfwidth,
-                       resolution=f.resolution, values=u, origin=f.origin)
+    window = sliding_window_view(table, m)[:, ::-1]
+    def apply(f: FieldSample) -> FieldSample:
+        if f.spacing != h or len(f.values) != m:
+            raise DomainError("field grid differs from the convolver's grid")
+        return FieldSample(n=1, box_halfwidth=f.box_halfwidth, resolution=f.resolution,
+                           values=window @ f.values, origin=f.origin)
+    return apply
+
+
+def convolve(kernel: KernelSpec, f: FieldSample) -> FieldSample:
+    """G*f for one field: the table of convolver(kernel, f), used once."""
+    return convolver(kernel, f)(f)
 
 
 # ---------------------------------------------------------------------------
@@ -244,16 +256,19 @@ class ConeCheckReport:
 def upper_cone_check(space: LorentzSpace, kernel: KernelSpec, k: int,
                      f_family, t_grid: LogGrid | None = None) -> ConeCheckReport:
     """Run the upper estimate over a family of fields, reporting the
-    family maximum of the per-field ratio maxima."""
+    family maximum of the per-field ratio maxima (all fields on one grid)."""
+    if not f_family:
+        raise DomainError("empty field family")
     n = kernel.n
     if t_grid is None:
         t_grid = make_log_grid(1e-4 * space.T, space.T, 64)
     tau = space.grid.points
     # row i is the cone kernel at t_grid.points[i]
     cones = cone_kernel(kernel.measure_profile_fn(), k, n, t_grid.points[:, None], tau)
+    conv = convolver(kernel, f_family[0][1])
     per_field = {}
     for name, f in f_family:
-        u = convolve(kernel, f)
+        u = conv(f)
         omega = modulus_curve(u, k, t_grid, n=n)
         fstar = field_rearrangement(f, grid=space.grid)
         denom = np.array([total_mass(tau, cone * fstar.values) for cone in cones])

@@ -4,6 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
+import calderon_lab.potentials as potentials
+from calderon_lab import cli
 from calderon_lab.errors import (
     DomainError,
     DomainExceeded,
@@ -27,6 +29,7 @@ from calderon_lab.potentials import (
     bump_and_staircase_family,
     calderon_norm,
     convolve,
+    convolver,
     envelope_bounds,
     field_rearrangement,
     finite_difference,
@@ -147,6 +150,44 @@ class TestConvolve:
             u = convolve(POWER_LOG, f)
         assert np.all(np.isfinite(u.values))
 
+    @pytest.mark.parametrize("kernel", [BMD, POWER_LOG], ids=["bessel", "power_log"])
+    @pytest.mark.parametrize("resolution", [256, 512])
+    def test_convolver_matches_convolve(self, kernel, resolution):
+        fam = bump_and_staircase_family(resolution=resolution)
+        conv = convolver(kernel, fam[0][1])
+        for name, f in fam:
+            assert np.array_equal(conv(f).values, convolve(kernel, f).values), name
+
+    def test_convolver_rejects_other_grid(self):
+        f = sample_field(np.cos, 1, 3.0, 256)
+        conv = convolver(BMD, f)
+        shifted = FieldSample(1, 3.0, 256, f.values, origin=-2.5)
+        assert conv(shifted).origin == -2.5
+        for other in (sample_field(np.cos, 1, 4.0, 256),     # box halfwidth
+                      sample_field(np.cos, 1, 3.0, 512),     # resolution
+                      finite_difference(f, f.spacing, 1)):   # length
+            with pytest.raises(DomainError):
+                conv(other)
+
+    def test_integrals_once_per_family(self, monkeypatch):
+        # the two kernel integrals are the per-grid build; a family on one
+        # grid must not repeat them per field
+        calls = []
+        def counting(*args, **kwargs):
+            calls.append(args[1:3])
+            return integrate(*args, **kwargs)
+        monkeypatch.setattr(potentials, "integrate", counting)
+        sp = LorentzSpace(2.0, FLAT, default_grid())
+        upper_cone_check(sp, BMD, 1, bump_and_staircase_family(count=3, resolution=256),
+                         t_grid=make_log_grid(1e-4, 1.0, 8))
+        assert len(calls) == 2
+        calls.clear()
+        rec = cli.run(cli.parse_config_text(
+            "scenario = besov_case\nkernel.variant = bessel_mcdonald\n"
+            "kernel.alpha = 0.75\nfield.resolution = 128\ngrid.points = 256\n"))
+        assert rec.error is None
+        assert len(calls) == 2
+
 
 class TestFiniteDifference:
     def test_linear_gives_constant_h(self):
@@ -192,6 +233,21 @@ class TestModulus:
         u = sample_field(np.sin, 1, 8.0, 4096)
         for t in np.linspace(0.2, 3.0, 10):
             assert abs(modulus_of_smoothness(u, 1, t) - 2 * math.sin(t / 2)) < 1e-3
+
+    @pytest.mark.parametrize("resolution", [512, 4096])
+    def test_second_order_sine_closed_form(self, resolution):
+        # omega_2(sin; t) = 4 sin^2(t/2) for t <= pi once the box holds a
+        # stencil of span 2t around a peak (2H >= 2t + pi).  Linear
+        # interpolation is off by at most d^2/8 per shifted term, so the
+        # stencil (coefficients 1, -2, 1) by at most 3 d^2/8 <= d^2/2; the
+        # grid samples the sup over x, losing at most a factor
+        # cos(d/2) >= 1 - d^2/8.
+        u = sample_field(np.sin, 1, 8.0, resolution)
+        d = u.spacing
+        for t in np.geomspace(4 * d, 3.0, 20):
+            exact = 4 * math.sin(t / 2) ** 2
+            tol = d * d / 2 + exact * d * d / 8
+            assert abs(modulus_of_smoothness(u, 2, t) - exact) <= tol, t
 
     def test_dilation_inequality(self):
         rng = np.random.default_rng(0x5EED)
@@ -319,6 +375,11 @@ class TestUpperCone:
                                 t_grid=make_log_grid(1e-4, 1.0, 24))
         for name in rep.per_field:
             assert np.isclose(rep.per_field[name], rep2.per_field[name], rtol=1e-9)
+
+    def test_empty_family(self):
+        sp = LorentzSpace(2.0, FLAT, default_grid())
+        with pytest.raises(DomainError, match="empty field family"):
+            upper_cone_check(sp, BMD, 1, [])
 
     def test_modulus_vanishes_at_small_scale(self):
         fam = bump_and_staircase_family(count=3, resolution=512)
