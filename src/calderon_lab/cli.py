@@ -118,6 +118,19 @@ class ExperimentConfig:
             bad("grid.points", "must be at least 16")
         if not (0.0 < self.tmin_span < 1.0):
             bad("grid.tmin", "span must lie in (0, 1)")
+        # span^-e must stay within half the float range, leaving room for
+        # products and sums; e is the largest power of t formed: V^-q', the
+        # tail density (t^-k/n phi / V)^q', W^q' v, t^-k/n phi, the Hardy t^-q
+        a, kn = self.q / (self.p or self.q), self.k / self.n
+        b = (self.n - 2.0 * nu if self.kernel_variant == "bessel_mcdonald"
+             else self.alpha) / self.n
+        qp = self.q / (self.q - 1.0) if self.q > 1.0 else 1.0   # the q = 1 sup forms
+        e = max(abs(x) for x in (qp * a, qp * (b - kn - a), qp * (b - a) + a - 1.0,
+                                 b - kn - 1.0, self.q))
+        floor = math.exp(-0.5 * math.log(np.finfo(float).max) / e)
+        if self.tmin_span < floor:
+            bad("grid.tmin", f"span {self.tmin_span:g} is below {floor:.3g}: t^-{e:g}, "
+                "the largest power of t formed, must stay within half the float range")
 
 
 _KEY_MAP = {

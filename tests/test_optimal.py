@@ -336,20 +336,61 @@ class TestConeKernel:
                     assert abs(got - want) <= 1e-11 * want
         assert 0 < finite < 3 * len(gs)
 
+    @pytest.mark.parametrize("points", [64, 700])
+    @pytest.mark.parametrize("k,n", [(1, 3), (1, 2), (1, 1), (2, 1)])
+    def test_family_psi0_matches_dense_matrix(self, k, n, points):
+        # Every term w g Omega is nonnegative, so the blocked GEMM keeps
+        # each psi0 entry within a few ulp of the dense product (4.7e-15
+        # seen), down to the head-indicator tail entries below 1e-12 of the
+        # row maximum at k/n = 2.  A batched rfft product does not: its
+        # error scales with the row maximum, measured at 4.5e-8 relative on
+        # such entries at k/n = 2 (1e-8 span, 1000 and 4000 points) and
+        # 1.0e-7 in the 700-point case here, so it must fail this test.
+        g = default_grid(points=points)
+        t = g.points
+        phi = power_phi(g, 0.25)
+        omega = (np.asarray(phi(t))[None, :]
+                 / (1.0 + (t[None, :] / t[:, None]) ** (k / n)))
+        G = np.array([gv for _, gv in sample_family(g)])
+        assert len(G) == 50
+        eng = AssociateNormEngine(LorentzSpace(2.0, FLAT, g), phi, k, n)
+        want = (eng.xi_weights * G) @ omega
+        got = eng._psi0(G)
+        # a narrow band can miss every point of the coarse grid
+        empty = ~np.any(G > 0, axis=1)
+        assert np.all(got[empty] == 0.0)
+        want, got = want[~empty], got[~empty]
+        assert np.all(want > 0)
+        if k == 2 * n:
+            assert np.any(want < 1e-12 * want.max(axis=1, keepdims=True))
+        assert np.max(np.abs(got - want) / want) <= 1e-13
+
     @pytest.mark.parametrize("length", [63, 65])
     @pytest.mark.parametrize("method", ["rho0", "rho_tilde", "rho1", "rho2",
-                                        "rho0_hat"])
+                                        "rho0_hat", "rho0_family"])
     def test_wrong_length_rejected(self, method, length):
         g = default_grid(points=64)
         eng = AssociateNormEngine(LorentzSpace(1.0, FLAT, g), power_phi(g, 0.75),
                                   1, 1)
+        arg = np.ones((3, length)) if method == "rho0_family" else np.ones(length)
         with pytest.raises(DomainError):
-            getattr(eng, method)(np.ones(length))
+            getattr(eng, method)(arg)
+
+    @pytest.mark.parametrize("shape", [(64,), (2, 3, 64)])
+    def test_family_rank_rejected(self, shape):
+        g = default_grid(points=64)
+        eng = AssociateNormEngine(LorentzSpace(1.0, FLAT, g), power_phi(g, 0.75),
+                                  1, 1)
+        with pytest.raises(DomainError):
+            eng.rho0_family(np.ones(shape))
 
     def test_memory_linear_in_grid(self):
         # A dense 4000 x 4000 cone kernel and its ratio temporary take
         # 256 MB.  RSS, not tracemalloc: numpy's internal copy of a strided
-        # matmul operand does not show in tracemalloc.
+        # matmul operand does not show in tracemalloc.  Measured growth:
+        # 5.9 MiB with the family product (a 2 MB column-block buffer, the
+        # weighted family and the result, 1.6 MB each), 0.8 MiB with the
+        # earlier per-g np.convolve loop.
         code = (
             "import resource, sys\n"
             "from calderon_lab.gridfn import default_grid, sample\n"
@@ -405,6 +446,33 @@ class TestEquivalence:
         assert np.isfinite(psi.values[-1])
         rep = equivalence_report(sp, phi, 1, 1, sample_family(g, count=30))
         assert rep["spread"] < 50.0
+
+    @pytest.mark.parametrize("q,alpha,k,n", [(2.0, 1.5, 1, 2), (1.0, 0.75, 1, 1),
+                                             (2.0, 0.5, 1, 1), (4.0, 0.6, 2, 1)])
+    def test_report_matches_per_g_loop(self, q, alpha, k, n):
+        # the family product against one rho0/rho_tilde evaluation per g;
+        # at (1.0, 0.75) and the non-embedded (2.0, 0.5) most or all of the
+        # family is infinite under both functionals
+        g = default_grid(points=300)
+        sp = LorentzSpace(q, FLAT, g)
+        phi = power_phi(g, alpha, n=n)
+        family = sample_family(g, count=50)
+        rep = equivalence_report(sp, phi, k, n, family)
+        eng = AssociateNormEngine(sp, phi, k, n)
+        count = infinite = 0
+        for name, gv in family:
+            r0, rt = eng.rho0(gv), eng.rho_tilde(gv)
+            got = rep["ratios"][name]
+            if math.isinf(r0) and math.isinf(rt):
+                infinite += 1
+                assert math.isnan(got)
+                continue
+            want = r0 / rt if rt > 0 else math.nan
+            count += math.isfinite(want)
+            assert math.isnan(got) == math.isnan(want)
+            assert got == want or abs(got - want) <= 1e-12 * abs(want)
+        assert rep["count"] == count
+        assert rep["both_infinite"] == infinite
 
     def test_neither_condition_reported(self):
         g = default_grid()
