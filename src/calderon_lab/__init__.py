@@ -11,8 +11,6 @@ from .gridfn import (
     default_grid,
     integrate,
     make_log_grid,
-    running_integral,
-    running_sup,
     sample,
 )
 from .rearrange import (
@@ -31,32 +29,26 @@ from .kernels import (
     check_derivative_conditions,
     cone_kernel,
     measure_profile,
-    slowly_varying_ratios,
 )
 from .lorentz import (
     LorentzSpace,
     WeightSpec,
     associate_norm,
-    check_norm_conditions,
     cumulative_weight,
     embedding_criterion,
     embedding_function,
     lorentz_norm,
-    marcinkiewicz_norm,
     power_weight,
 )
 from .optimal import (
-    AssociatedNorms,
     AssociateNormEngine,
     ConditionWitness,
     OptimalNormSpec,
-    associated_norms,
     check_condition_a,
     check_condition_b,
     equivalence_report,
     half_level_point,
     hardy_constants,
-    kernel_mass_split,
     level_discretization,
     make_optimal_norm_spec,
     optimal_norm,

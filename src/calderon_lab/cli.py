@@ -59,11 +59,11 @@ from .optimal import (
 )
 from .potentials import (
     bump_and_staircase_family,
+    calderon_norm,
     convolver,
     envelope_bounds,
     modulus_curve,
     power_modulus_norm,
-    stieltjes_modulus_norm,
     upper_cone_check,
 )
 
@@ -108,6 +108,8 @@ class ExperimentConfig:
             nu = self.nu if self.nu is not None else (self.n - self.alpha) / 2.0
             if not (0.0 < nu < self.n / 2.0):
                 bad("kernel.nu", f"must lie in (0, n/2) = (0, {self.n / 2})")
+        if self.z1 <= 0.0:
+            bad("kernel.z1", "must be positive")
         if self.k < 1:
             bad("k", "must be a positive integer")
         if not (1 <= self.n <= 3):
@@ -118,6 +120,10 @@ class ExperimentConfig:
             bad("grid.points", "must be at least 16")
         if not (0.0 < self.tmin_span < 1.0):
             bad("grid.tmin", "span must lie in (0, 1)")
+        if self.scenario in ("besov_case", "covering_sample") and self.field_resolution < 16:
+            bad("field.resolution", "must be at least 16")
+        if self.seed < 0:
+            bad("seed", "must be a non-negative integer")
         # span^-e must stay within half the float range, leaving room for
         # products and sums; e is the largest power of t formed: V^-q', the
         # tail density (t^-k/n phi / V)^q', W^q' v, t^-k/n phi, the Hardy t^-q
@@ -393,12 +399,14 @@ def _scenario_besov_case(cfg: ExperimentConfig, rec: ReportRecord):
     exponent = cfg.alpha / cfg.n - 1.0 / cfg.q
     tg = make_log_grid(1e-6 * cfg.T, cfg.T, 64)
     conv = convolver(kernel, fields[0][1])
+    direct_norm = lambda om: power_modulus_norm(om, exponent, cfg.q)
     factors = []
-    for name, f in fields:
+    for _, f in fields:
         u = conv(f)
+        # one modulus curve per field, shared by both norms
         omega = modulus_curve(u, cfg.k, tg, n=cfg.n)
-        opt = u.sup_norm() + stieltjes_modulus_norm(spec, omega)
-        direct = u.sup_norm() + power_modulus_norm(omega, exponent, cfg.q)
+        opt = calderon_norm(u, omega, spec, cfg.k, cfg.n)
+        direct = calderon_norm(u, omega, direct_norm, cfg.k, cfg.n)
         factors.append(opt / direct if direct > 0 else math.nan)
     factors = np.array(factors)
     lo, hi = float(np.nanmin(factors)), float(np.nanmax(factors))

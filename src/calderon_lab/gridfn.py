@@ -141,13 +141,6 @@ class SampledFunction:
             out[above] = 0.0 if self.extension == "zero_beyond_T" else v[-1]
         return float(out[0]) if scalar else out
 
-    def with_values(self, values, monotonicity="none", extension=None):
-        return SampledFunction(
-            grid=self.grid, values=np.asarray(values, dtype=float),
-            monotonicity=monotonicity,
-            extension=self.extension if extension is None else extension,
-            fn=None)
-
 
 def sample(fn, grid: LogGrid, monotonicity="none", extension="analytic") -> SampledFunction:
     """Sample a vectorized callable on a grid, keeping it for evaluation."""
@@ -264,47 +257,6 @@ def cumulative_tail(t, y) -> np.ndarray:
     out = np.zeros(len(t))
     out[:-1] = np.cumsum(seg[::-1])[::-1]
     return out
-
-
-def running_integral(f: SampledFunction, from_zero: bool = True) -> SampledFunction:
-    """t -> integral of f over (0, t] (from_zero) or over [t, T].
-
-    The head below the grid floor is estimated by the local power law;
-    a non-integrable head raises NonConvergent.  When f >= 0 the output
-    carries the appropriate monotonicity tag.
-    """
-    t = f.grid.points
-    if from_zero:
-        vals = cumulative_from_zero(t, f.values)
-        if not np.isfinite(vals[0]):
-            raise NonConvergent("integrand is not integrable at the origin")
-        mono = "increasing" if np.all(f.values >= 0) else "none"
-    else:
-        vals = cumulative_tail(t, f.values)
-        if not np.all(np.isfinite(vals)):
-            raise NonConvergent("tail integral does not converge")
-        mono = "decreasing" if np.all(f.values >= 0) else "none"
-    return SampledFunction(grid=f.grid, values=vals, monotonicity=mono,
-                           extension="constant_beyond_T")
-
-
-def running_sup(f: SampledFunction, direction: str = "over_(0,t]") -> SampledFunction:
-    """Pointwise supremum of f over the window (0, t] or [t, T].
-
-    Suprema over grid points only; +-inf propagates.  The output is
-    nondecreasing for left windows and nonincreasing for right windows
-    (window nesting).
-    """
-    if direction == "over_(0,t]":
-        vals = np.maximum.accumulate(f.values)
-        mono = "increasing"
-    elif direction == "over_[t,T]":
-        vals = np.maximum.accumulate(f.values[::-1])[::-1]
-        mono = "decreasing"
-    else:
-        raise DomainError(f"unknown direction {direction!r}")
-    return SampledFunction(grid=f.grid, values=vals, monotonicity=mono,
-                           extension="constant_beyond_T")
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,6 @@ from .gridfn import (
     _GAUSS_HI,
     LogGrid,
     SampledFunction,
-    cumulative_from_zero,
-    cumulative_tail,
     integrate,
     sample,
 )
@@ -85,72 +83,6 @@ class SlowlyVaryingSpec:
         """The same factors with every exponent multiplied by q."""
         return SlowlyVaryingSpec(
             factors=tuple((k, e * q) for k, e in self.factors), scale=self.scale)
-
-
-def slow_variation_witness(sv: SlowlyVaryingSpec, grid: LogGrid,
-                           gamma: float) -> dict:
-    """Where on the grid t^gamma*lambda increases and t^(-gamma)*lambda
-    decreases simultaneously.
-
-    The classical property is asymptotic at the origin: log factors of
-    either sign violate it on some range (near T for small gamma), so
-    the witness reports the longest contiguous valid run.
-    """
-    t = grid.points
-    lam = sv(t)
-    up = t ** gamma * lam
-    down = t ** -gamma * lam
-    inc_ok = np.diff(up) >= -1e-12 * np.abs(up[:-1])
-    dec_ok = np.diff(down) <= 1e-12 * np.abs(down[:-1])
-    ok = inc_ok & dec_ok
-    best_len, best_lo, run_lo = 0, 0, 0
-    length = 0
-    for i, flag in enumerate(ok):
-        if flag:
-            if length == 0:
-                run_lo = i
-            length += 1
-            if length > best_len:
-                best_len, best_lo = length, run_lo
-        else:
-            length = 0
-    return {
-        "gamma": gamma,
-        "holds_everywhere": bool(np.all(ok)),
-        "ok_fraction": float(np.mean(ok)),
-        "run_lower": float(t[best_lo]) if best_len else math.nan,
-        "run_upper": float(t[best_lo + best_len]) if best_len else math.nan,
-    }
-
-
-def slowly_varying_ratios(sv: SlowlyVaryingSpec, gamma: float,
-                          grid: LogGrid) -> dict:
-    """The three ratios quantifying slow variation, as grid functions:
-
-      head_ratio(t)  = int_0^t tau^(gamma-1) lam / (t^gamma lam(t))
-      tail_ratio(t)  = int_t^T tau^(-gamma-1) lam / (t^(-gamma) lam(t))
-      log_tail_ratio(t) = lam(t) / int_t^T tau^(-1) lam
-
-    head_ratio and tail_ratio stay bounded; log_tail_ratio tends to 0 at
-    the origin.
-    """
-    if gamma <= 0:
-        raise DomainError("gamma must be positive")
-    t = grid.points
-    lam = sv(t)
-    head = cumulative_from_zero(t, t ** (gamma - 1.0) * lam)
-    if not np.isfinite(head[0]):
-        raise NonConvergent("head integral diverges; gamma too small for factors")
-    tail = cumulative_tail(t, t ** (-gamma - 1.0) * lam)
-    log_tail = cumulative_tail(t, lam / t)
-    with np.errstate(divide="ignore"):
-        out = {
-            "head_ratio": SampledFunction(grid, head / (t ** gamma * lam)),
-            "tail_ratio": SampledFunction(grid, tail / (t ** -gamma * lam)),
-            "log_tail_ratio": SampledFunction(grid, np.where(log_tail > 0,
-                                                             lam / log_tail, np.inf)),
-        }
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Weighted Lorentz and Marcinkiewicz norms and the embedding criterion.
+"""Weighted Lorentz norms, their associates and the embedding criterion.
 
 A weight v(t) = t^a * (iterated-log factors) determines the Lorentz
 functional  ( int (f*)^q v )^(1/q)  and, through its cumulative V and
@@ -28,7 +28,6 @@ from .gridfn import (
     classify_boundedness,
     classify_zero_endpoint,
     cumulative_from_zero,
-    cumulative_tail,
     default_grid,
     head_mass,
     integrate,
@@ -37,13 +36,12 @@ from .gridfn import (
     total_mass,
 )
 from .kernels import SlowlyVaryingSpec
-from .rearrange import maximal_function
 
 
 @dataclass(frozen=True)
 class WeightSpec:
     """v(t) = t^power_exponent * sv(t) on (0, T], continued beyond T by
-    its leading power (power_extend) or frozen (constant).
+    its leading power t^power_exponent * sv(T).
 
     The slowly varying part, when present, already carries any q-th
     power (build it with SlowlyVaryingSpec.powered).  Integrability at 0
@@ -52,12 +50,9 @@ class WeightSpec:
 
     power_exponent: float
     sv: SlowlyVaryingSpec | None = None
-    beyond_T: str = "power_extend"
     T: float = 1.0
 
     def __post_init__(self):
-        if self.beyond_T not in ("power_extend", "constant"):
-            raise DomainError(f"unknown continuation {self.beyond_T!r}")
         if self.sv is not None and self.sv.scale != self.T:
             raise DomainError("slowly varying factors must be anchored at T")
 
@@ -71,20 +66,8 @@ class WeightSpec:
         out = tt ** self.power_exponent * lam
         if np.any(~inside):
             sv_T = float(self.sv(self.T)) if self.sv is not None else 1.0
-            if self.beyond_T == "power_extend":
-                out[~inside] = t[~inside] ** self.power_exponent * sv_T
-            else:
-                out[~inside] = self.T ** self.power_exponent * sv_T
+            out[~inside] = t[~inside] ** self.power_exponent * sv_T
         return float(out[0]) if scalar else out
-
-    def cumulative_beyond(self, V_T: float, t):
-        """V(t) for t >= T given V(T), under the continuation rule."""
-        t = np.asarray(t, dtype=float)
-        a = self.power_exponent
-        sv_T = float(self.sv(self.T)) if self.sv is not None else 1.0
-        if self.beyond_T == "power_extend":
-            return V_T + sv_T * (t ** (a + 1.0) - self.T ** (a + 1.0)) / (a + 1.0)
-        return V_T + sv_T * self.T ** a * (t - self.T)
 
 
 def power_weight(q: float, p: float, T: float = 1.0,
@@ -147,33 +130,6 @@ class LorentzSpace:
         return LorentzSpace(self.q, self.weight, grid)
 
 
-def check_norm_conditions(space: LorentzSpace) -> dict:
-    """Verify that the Lorentz functional is equivalent to a norm.
-
-    q = 1:  t^(-1) V(t) must be almost decreasing; c is the largest
-            increase ratio over ordered grid pairs (threshold 1e6).
-    q > 1:  c = sup_t t^q int_t^inf tau^(-q) v(tau) dtau / V(t).
-    """
-    t = space.grid.points
-    V = space.V.values
-    if space.q == 1.0:
-        ratio = V / t
-        c = float(np.max(ratio / np.minimum.accumulate(ratio)))
-        return {"ok": bool(c < 1e6), "c": c}
-    q = space.q
-    a = space.weight.power_exponent
-    sv_T = float(space.weight.sv(space.T)) if space.weight.sv is not None else 1.0
-    inner = cumulative_tail(t, t ** (-q) * space.v_vals)
-    if space.weight.beyond_T == "power_extend":
-        if a - q + 1.0 >= 0.0:
-            return {"ok": False, "c": math.inf}
-        beyond = sv_T * space.T ** (a - q + 1.0) / (q - a - 1.0)
-    else:
-        beyond = sv_T * space.T ** a * space.T ** (1.0 - q) / (q - 1.0)
-    c = float(np.max(t ** q * (inner + beyond) / V))
-    return {"ok": bool(np.isfinite(c)), "c": c}
-
-
 def lorentz_norm(space: LorentzSpace, fstar: SampledFunction) -> float:
     """( int_0^inf (f*)^q v )^(1/q) for a nonincreasing f* >= 0.
 
@@ -184,19 +140,11 @@ def lorentz_norm(space: LorentzSpace, fstar: SampledFunction) -> float:
     y = np.abs(fstar.values) ** space.q * space.weight(t)
     total = total_mass(t, y)
     if fstar.extension != "zero_beyond_T" and fstar.values[-1] > 0:
-        # both continuation rules give the weight infinite total mass
-        # (power with exponent > -1, or a positive constant), so any
-        # nonvanishing constant continuation of f* costs an infinite norm
+        # the weight's power continuation (exponent > -1) has infinite
+        # total mass, so any nonvanishing constant continuation of f*
+        # costs an infinite norm
         total = math.inf
     return float(total ** (1.0 / space.q))
-
-
-def marcinkiewicz_norm(weight, fstar: SampledFunction) -> float:
-    """sup_t v(t) * (1/t) int_0^t f*;  weight may be a WeightSpec or any
-    callable.  The supremum runs over the grid of f*."""
-    fss = maximal_function(fstar)
-    t = fstar.grid.points
-    return float(np.max(fss.values * np.asarray(weight(t), dtype=float)))
 
 
 # ---------------------------------------------------------------------------

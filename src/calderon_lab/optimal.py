@@ -38,7 +38,6 @@ from .gridfn import (
     cumulative_from_zero,
     cumulative_tail,
     head_mass,
-    integrate,
     segment_masses,
     total_mass,
 )
@@ -231,7 +230,7 @@ def _stieltjes_sum(v: np.ndarray, psi: np.ndarray, q: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the split kernel mass and the four associate functionals
+# the four associate functionals
 # ---------------------------------------------------------------------------
 
 class AssociateNormEngine:
@@ -363,42 +362,6 @@ class AssociateNormEngine:
                                              cumulative_from_zero(self.t, nested))
 
 
-@dataclass
-class AssociatedNorms:
-    rho0: float
-    rho_tilde: float
-    rho1: float
-    rho2: float
-
-
-def kernel_mass_split(phi, k: int, n: int, xi: float, t: float) -> float:
-    """Phi_k(xi, t) = int_0^xi phi + xi^(k/n) int_xi^t tau^(-k/n) phi,
-    for 0 < xi <= t, to the default quadrature tolerance."""
-    if not (0.0 < xi <= t):
-        raise DomainError("need 0 < xi <= t")
-    kn = k / float(n)
-    head, _ = integrate(lambda s: np.asarray(phi(s), dtype=float),
-                        0.0, xi, singular_at_a=True)
-    if xi == t:
-        return head
-    tail, _ = integrate(lambda s: np.asarray(phi(s), dtype=float) * s ** -kn,
-                        xi, t)
-    return head + xi ** kn * tail
-
-
-def associated_norms(space: LorentzSpace, phi, k: int, n: int,
-                     g) -> AssociatedNorms:
-    """All four associate functionals of a nonnegative g sampled on the
-    space's grid.  For repeated evaluation over a family build one
-    AssociateNormEngine and call its methods directly."""
-    eng = AssociateNormEngine(space, phi, k, n)
-    gv = g.values if isinstance(g, SampledFunction) else np.asarray(g, dtype=float)
-    if np.any(gv < 0):
-        raise DomainError("g must be nonnegative")
-    return AssociatedNorms(rho0=eng.rho0(gv), rho_tilde=eng.rho_tilde(gv),
-                           rho1=eng.rho1(gv), rho2=eng.rho2(gv))
-
-
 # ---------------------------------------------------------------------------
 # dyadic level discretizations
 # ---------------------------------------------------------------------------
@@ -460,11 +423,10 @@ def two_sided_level_discretization(uq: SampledFunction, m_minus: int = 5):
 # Hardy constants
 # ---------------------------------------------------------------------------
 
-def hardy_constants(space: LorentzSpace, delta: float = 0.0,
-                    T0: float | None = None) -> dict:
+def hardy_constants(space: LorentzSpace, delta: float = 0.0) -> dict:
     """The weighted-Hardy constant
 
-      B_delta = sup_t ( int_t^T0 w tau^(delta q') )^(1/q')
+      B_delta = sup_t ( int_t^T w tau^(delta q') )^(1/q')
                       ( int_0^t w^(-q/q') tau^(-(delta+1) q) )^(1/q)
 
     together with the theoretical bound (q/q')^(1/q') / (eps - delta q)
@@ -483,14 +445,6 @@ def hardy_constants(space: LorentzSpace, delta: float = 0.0,
     q, qp = space.q, space.qp
     w = space.w_vals
     upper = cumulative_tail(t, w * t ** (delta * qp))
-    if T0 is not None and not math.isfinite(T0):
-        wt = space.weight
-        V_T = space.V.values[-1]
-        def w_beyond(s):
-            V = wt.cumulative_beyond(V_T, s)
-            return V ** -qp * wt(s) * s ** (delta * qp)
-        extra, _ = integrate(w_beyond, space.T, math.inf, tol=1e-9)
-        upper = upper + extra
     lower = cumulative_from_zero(t, w ** (-q / qp) * t ** (-(delta + 1.0) * q))
     if not np.isfinite(lower[0]):
         raise NonConvergent("lower Hardy integral diverges at 0")

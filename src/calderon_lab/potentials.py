@@ -306,28 +306,22 @@ def nontriviality_gate(spec: OptimalNormSpec, k: int, n: int) -> bool:
     return fit.p > 0.01
 
 
-def calderon_norm(u: FieldSample, X, k: int, n: int, T: float = 1.0,
-                  t_grid: LogGrid | None = None) -> float:
-    """sup norm of u plus the lattice norm of its modulus of smoothness
-    omega_k(u; t^(1/n)) over (0, T).
+def calderon_norm(u: FieldSample, omega: SampledFunction, X, k: int, n: int) -> float:
+    """sup norm of u plus the lattice norm of omega, its modulus of
+    smoothness omega_k(u; t^(1/n)) as modulus_curve computes it.
 
-    X is either an OptimalNormSpec (evaluated in the Stieltjes form) or
-    a callable mapping the modulus curve to a number.  Raises
-    TrivialSpace when the lattice only contains the zero modulus.
+    X is either an OptimalNormSpec (max omega in the sup case, the
+    Stieltjes form in the weighted case) or a callable mapping the
+    modulus curve to a number.  Raises TrivialSpace when the lattice of
+    an OptimalNormSpec only contains the zero modulus.
     """
-    if t_grid is None:
-        t_grid = make_log_grid(1e-6 * T, T, 96)
-    if isinstance(X, OptimalNormSpec) and not nontriviality_gate(X, k, n):
+    if not isinstance(X, OptimalNormSpec):
+        return u.sup_norm() + float(X(omega))
+    if not nontriviality_gate(X, k, n):
         raise TrivialSpace("the modulus lattice is trivial for this aggregate")
-    omega = modulus_curve(u, k, t_grid, n=n)
-    if isinstance(X, OptimalNormSpec):
-        if X.case == "sup":
-            part = float(np.max(omega.values))
-        else:
-            part = stieltjes_modulus_norm(X, omega)
-    else:
-        part = float(X(omega))
-    return u.sup_norm() + part
+    if X.case == "sup":
+        return u.sup_norm() + float(np.max(omega.values))
+    return u.sup_norm() + stieltjes_modulus_norm(X, omega)
 
 
 # ---------------------------------------------------------------------------

@@ -184,7 +184,7 @@ def test_criterion_06_condition_dichotomy():
 
 def test_criterion_07_hardy_constants():
     sp = LorentzSpace(2.0, FLAT, default_grid())
-    h = hardy_constants(sp, delta=0.0, T0=None)
+    h = hardy_constants(sp, delta=0.0)
     # closed-form maximization oracle: the product is
     # ((1/t - 1) t)^(1/2) = (1 - t)^(1/2), supremum 1 as t -> 0+.
     # (The criterion sheet quotes 0.5 from maximizing t - t^2, which is

@@ -56,6 +56,31 @@ class TestConfigParsing:
             parse_config_text("scenario = nonsense\n")
 
 
+class TestValidationBounds:
+    # each of these used to pass validation and fail inside run
+    @pytest.mark.parametrize("scenario, key, bad, good", [
+        ("besov_case", "kernel.z1", "0", "1e-3"),
+        ("covering_sample", "kernel.z1", "-1", "0.5"),
+        ("besov_case", "field.resolution", "15", "16"),
+        ("covering_sample", "field.resolution", "15", "16"),
+        ("equivalence_sweep", "seed", "-1", "0"),
+        ("besov_case", "seed", "-1", "0"),
+    ])
+    def test_both_sides(self, tmp_path, scenario, key, bad, good):
+        base = f"scenario = {scenario}\n{FAST}"
+        with pytest.raises(ConfigInvalid, match=key):
+            parse_config_text(base + f"{key} = {bad}\n")
+        cfg = parse_config_text(base + f"{key} = {good}\n")
+        assert cfg.scenario == scenario
+        path = tmp_path / "bad.cfg"
+        path.write_text(base + f"{key} = {bad}\n")
+        assert main(["run", str(path)]) == 2
+
+    def test_field_resolution_ignored_without_fields(self):
+        cfg = parse_config_text("scenario = embedding_check\nfield.resolution = 8\n")
+        assert cfg.field_resolution == 8
+
+
 class TestRun:
     def test_embedding_true(self):
         cfg = parse_config_text(

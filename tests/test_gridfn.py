@@ -12,11 +12,10 @@ from calderon_lab.errors import (
 )
 from calderon_lab.gridfn import (
     SampledFunction,
+    cumulative_from_zero,
+    cumulative_tail,
     integrate,
     make_log_grid,
-    running_integral,
-    running_sup,
-    sample,
 )
 
 
@@ -97,80 +96,33 @@ class TestIntegrate:
             integrate(lambda x: x, 2.0, 1.0)
 
 
-class TestRunningIntegral:
+class TestCumulative:
     def test_identity_for_ones(self):
         g = make_log_grid(1e-8, 1.0, 256)
-        r = running_integral(sample(lambda t: np.ones_like(t), g))
-        assert np.allclose(r.values, g.points, rtol=1e-12)
-        assert r.monotonicity == "increasing"
+        r = cumulative_from_zero(g.points, np.ones(256))
+        assert np.allclose(r, g.points, rtol=1e-12)
 
     def test_sqrt_antiderivative(self):
         g = make_log_grid(1e-8, 1.0, 256)
-        r = running_integral(sample(lambda t: t ** -0.5, g))
-        assert np.allclose(r.values, 2.0 * np.sqrt(g.points), rtol=1e-12)
+        r = cumulative_from_zero(g.points, g.points ** -0.5)
+        assert np.allclose(r, 2.0 * np.sqrt(g.points), rtol=1e-12)
 
     def test_tail_of_ones(self):
         g = make_log_grid(1e-6, 1.0, 256)
-        r = running_integral(sample(lambda t: np.ones_like(t), g), from_zero=False)
-        assert np.allclose(r.values, 1.0 - g.points, atol=1e-12)
-        assert r.monotonicity == "decreasing"
+        r = cumulative_tail(g.points, np.ones(256))
+        assert np.allclose(r, 1.0 - g.points, atol=1e-12)
+        assert np.all(np.diff(r) <= 0.0)
 
     def test_nondecreasing_for_nonnegative(self):
         g = make_log_grid(1e-6, 1.0, 300)
         rng = np.random.default_rng(5)
-        vals = rng.random(300)
-        r = running_integral(SampledFunction(g, vals))
-        assert np.all(np.diff(r.values) >= -1e-15)
+        r = cumulative_from_zero(g.points, rng.random(300))
+        assert np.all(np.diff(r) >= -1e-15)
 
     def test_nonintegrable_head(self):
         g = make_log_grid(1e-8, 1.0, 128)
-        with pytest.raises(NonConvergent):
-            running_integral(sample(lambda t: 1.0 / t, g))
-
-
-class TestRunningSup:
-    def test_decreasing_input(self):
-        g = make_log_grid(1e-4, 1.0, 128)
-        f = sample(lambda t: t ** -0.5, g, monotonicity="decreasing")
-        r = running_sup(f, "over_(0,t]")
-        assert np.allclose(r.values, f.values[0])
-
-    def test_increasing_input(self):
-        g = make_log_grid(1e-4, 1.0, 128)
-        f = sample(lambda t: t, g)
-        r = running_sup(f, "over_(0,t]")
-        assert np.allclose(r.values, f.values)
-
-    def test_parabola_right_window(self):
-        g = make_log_grid(1e-4, 1.0, 400)
-        f = sample(lambda t: t * (1 - t), g)
-        r = running_sup(f, "over_[t,T]")
-        t = g.points
-        expected = np.where(t <= 0.5, 0.25, t * (1 - t))
-        # the sampled max of the parabola sits within one grid cell of 1/4
-        assert np.max(np.abs(r.values - expected)) < 1e-6
-
-    def test_window_monotonicity(self):
-        g = make_log_grid(1e-4, 1.0, 200)
-        rng = np.random.default_rng(11)
-        f = SampledFunction(g, rng.normal(size=200))
-        left = running_sup(f, "over_(0,t]")
-        right = running_sup(f, "over_[t,T]")
-        assert np.all(np.diff(left.values) >= 0)
-        assert np.all(np.diff(right.values) <= 0)
-
-    def test_infinity_propagates(self):
-        g = make_log_grid(1e-2, 1.0, 16)
-        vals = np.ones(16)
-        vals[3] = np.inf
-        r = running_sup(SampledFunction(g, vals), "over_(0,t]")
-        assert np.all(np.isinf(r.values[3:]))
-        assert np.all(np.isfinite(r.values[:3]))
-
-    def test_unknown_direction(self):
-        g = make_log_grid(1e-2, 1.0, 16)
-        with pytest.raises(DomainError):
-            running_sup(SampledFunction(g, np.ones(16)), "sideways")
+        r = cumulative_from_zero(g.points, 1.0 / g.points)
+        assert np.all(np.isinf(r))
 
 
 class TestSampledFunction:

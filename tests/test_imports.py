@@ -54,3 +54,50 @@ def test_no_unused_imports():
               for p in sorted((SRC / "calderon_lab").glob("*.py"))
               if p.name != "__init__.py"}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+README = SRC.parent / "README.md"
+
+
+def _readme_library_names() -> set[str]:
+    """The names of the README's `from calderon_lab import (...)` block."""
+    text = README.read_text()
+    start = text.index("from calderon_lab import (")
+    block = text[start:text.index(")", start) + 1]
+    node = ast.parse(block).body[0]
+    return {a.name for a in node.names}
+
+
+def _package_exports() -> set[str]:
+    """The names __init__.py re-exports from the package's modules."""
+    tree = ast.parse((SRC / "calderon_lab" / "__init__.py").read_text())
+    return {a.asname or a.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+            for a in node.names}
+
+
+def test_readme_library_block_equals_exports():
+    assert _readme_library_names() == _package_exports()
+
+
+def test_public_names_reached():
+    # every public module-level function or class is used somewhere in
+    # the package (its own module included; __init__.py's re-export does
+    # not count) or is documented library API
+    defined, referenced = {}, set()
+    for path in sorted((SRC / "calderon_lab").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                defined[node.name] = path.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    unreached = {name: module for name, module in defined.items()
+                 if name not in referenced | _readme_library_names()}
+    assert unreached == {}

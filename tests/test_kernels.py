@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import kv as scipy_kv
 
-from calderon_lab.errors import DomainError, NonConvergent
+from calderon_lab.errors import DomainError
 from calderon_lab.gridfn import default_grid, make_log_grid
 from calderon_lab.kernels import (
     BesselMcDonald,
@@ -16,8 +16,6 @@ from calderon_lab.kernels import (
     check_derivative_conditions,
     cone_kernel,
     measure_profile,
-    slow_variation_witness,
-    slowly_varying_ratios,
     unit_ball_volume,
 )
 
@@ -278,53 +276,3 @@ class TestBesselDerivatives:
         for k in range(7):
             got = fns[k](zz)
             assert np.max(np.abs(got - ref[k]) / np.abs(ref[k])) <= 1e-11, k
-
-
-class TestSlowlyVarying:
-    def test_trivial_head_ratio(self):
-        g = default_grid()
-        rr = slowly_varying_ratios(SlowlyVaryingSpec(), 1.0, g)
-        assert np.allclose(rr["head_ratio"].values, 1.0, atol=1e-12)
-
-    def test_log_head_ratio_closed_form(self):
-        g = default_grid()
-        sv = SlowlyVaryingSpec(factors=(("log", 1.0),), scale=1.0)
-        rr = slowly_varying_ratios(sv, 1.0, g)
-        expected = 1.0 + 1.0 / np.log(np.e / g.points)
-        assert np.max(np.abs(rr["head_ratio"].values - expected)) < 5e-3
-        assert np.all(rr["head_ratio"].values > 1.0)
-        assert np.all(rr["head_ratio"].values <= 2.0 + 5e-3)
-
-    def test_log_tail_ratio_vanishes(self):
-        g = default_grid()
-        rr = slowly_varying_ratios(SlowlyVaryingSpec(), 1.0, g)
-        vals = rr["log_tail_ratio"].values
-        assert abs(vals[0] - 1.0 / math.log(1.0 / g.points[0])) < 1e-6
-        assert vals[0] < vals[9]
-
-    def test_ratios_bounded(self):
-        g = default_grid()
-        for factors in [(), (("log", 1.0),), (("log", -2.0),), (("loglog", 1.0),)]:
-            sv = SlowlyVaryingSpec(factors=factors, scale=1.0)
-            for gamma in (0.5, 1.0):
-                rr = slowly_varying_ratios(sv, gamma, g)
-                assert np.all(np.isfinite(rr["head_ratio"].values))
-                assert np.all(np.isfinite(rr["tail_ratio"].values[:-1]))
-
-    def test_monotonicity_witness(self):
-        g = default_grid()
-        # a large gamma beats any log factor on the whole grid
-        sv_neg = SlowlyVaryingSpec(factors=(("log", -2.0),), scale=1.0)
-        w = slow_variation_witness(sv_neg, g, 3.0)
-        assert w["holds_everywhere"]
-        # log powers violate the property near T for small gamma (it is
-        # asymptotic at the origin); a valid run survives lower down
-        sv_pos = SlowlyVaryingSpec(factors=(("log", 2.0),), scale=1.0)
-        w2 = slow_variation_witness(sv_pos, g, 0.5)
-        assert not w2["holds_everywhere"]
-        assert w2["ok_fraction"] > 0.5
-        assert w2["run_upper"] < 1.0
-
-    def test_gamma_must_be_positive(self):
-        with pytest.raises(DomainError):
-            slowly_varying_ratios(SlowlyVaryingSpec(), 0.0, default_grid())

@@ -17,12 +17,10 @@ from calderon_lab.lorentz import (
     LorentzSpace,
     WeightSpec,
     associate_norm,
-    check_norm_conditions,
     cumulative_weight,
     embedding_criterion,
     embedding_function,
     lorentz_norm,
-    marcinkiewicz_norm,
     power_weight,
 )
 from calderon_lab.optimal import AssociateNormEngine
@@ -58,23 +56,6 @@ class TestCumulativeWeight:
     def test_trivial_space(self):
         with pytest.raises(TrivialSpace):
             cumulative_weight(WeightSpec(power_exponent=-1.2), default_grid())
-
-
-class TestNormConditions:
-    def test_flat_q2(self):
-        r = check_norm_conditions(LorentzSpace(2.0, FLAT))
-        assert r["ok"] and abs(r["c"] - 1.0) < 1e-9
-
-    def test_flat_q1(self):
-        r = check_norm_conditions(LorentzSpace(1.0, FLAT))
-        assert r["ok"] and abs(r["c"] - 1.0) < 1e-9
-
-    def test_power_weight_oracle(self):
-        # v = t^(q/p-1): t^q int_t^inf tau^(-q) v / V = 1/(p-1)
-        for q, p in [(2.0, 4.0), (3.0, 2.0)]:
-            r = check_norm_conditions(LorentzSpace(q, power_weight(q, p)))
-            assert r["ok"]
-            assert abs(r["c"] - 1.0 / (p - 1.0)) < 1e-6
 
 
 class TestLorentzNorm:
@@ -127,36 +108,6 @@ class TestLorentzNorm:
         f = SampledFunction(g, np.ones(g.count), monotonicity="decreasing",
                             extension="constant_beyond_T")
         assert lorentz_norm(sp, f) == math.inf
-
-
-class TestMarcinkiewicz:
-    def test_flat_weight_gives_top_value(self):
-        g = default_grid()
-        f = SampledFunction(g, np.maximum(1.0 - g.points, 0.0),
-                            monotonicity="decreasing", extension="zero_beyond_T")
-        got = marcinkiewicz_norm(lambda t: np.ones_like(t), f)
-        assert abs(got - 1.0) < 1e-6
-
-    def test_indicator_linear_weight(self):
-        g = default_grid()
-        a = float(g.points[300])
-        got = marcinkiewicz_norm(lambda t: t, indicator_fstar(g, a))
-        assert abs(got - a) < 2 * (g.ratio - 1.0) * a
-
-    def test_zero(self):
-        g = default_grid()
-        f = SampledFunction(g, np.zeros(g.count), monotonicity="decreasing",
-                            extension="zero_beyond_T")
-        assert marcinkiewicz_norm(lambda t: t, f) == 0.0
-
-    def test_homogeneity(self):
-        g = default_grid()
-        f = indicator_fstar(g, 0.1)
-        f2 = SampledFunction(g, 2 * f.values, monotonicity="decreasing",
-                             extension="zero_beyond_T")
-        a = marcinkiewicz_norm(lambda t: t ** 0.5, f)
-        b = marcinkiewicz_norm(lambda t: t ** 0.5, f2)
-        assert np.isclose(b, 2 * a, rtol=1e-12)
 
 
 class TestEmbeddingFunction:
@@ -279,14 +230,9 @@ class TestAssociateNorm:
 
 class TestWeightSpec:
     def test_continuation_rules(self):
-        w_pow = WeightSpec(power_exponent=0.5, beyond_T="power_extend")
-        w_con = WeightSpec(power_exponent=0.5, beyond_T="constant")
+        # beyond T the weight continues by its leading power
+        w_pow = WeightSpec(power_exponent=0.5)
         assert np.isclose(w_pow(4.0), 2.0)
-        assert np.isclose(w_con(4.0), 1.0)
-
-    def test_cumulative_beyond(self):
-        w = WeightSpec(power_exponent=0.0)
-        assert np.isclose(w.cumulative_beyond(1.0, 3.0), 3.0)
 
     def test_grid_must_end_at_T(self):
         with pytest.raises(DomainError):

@@ -13,7 +13,13 @@ from calderon_lab.errors import (
     ResolutionTooCoarse,
     TrivialSpace,
 )
-from calderon_lab.gridfn import default_grid, integrate, make_log_grid, sample
+from calderon_lab.gridfn import (
+    SampledFunction,
+    default_grid,
+    integrate,
+    make_log_grid,
+    sample,
+)
 from calderon_lab.kernels import (
     BesselMcDonald,
     KernelSpec,
@@ -23,7 +29,7 @@ from calderon_lab.kernels import (
     measure_profile,
 )
 from calderon_lab.lorentz import LorentzSpace, WeightSpec, associate_norm, lorentz_norm
-from calderon_lab.optimal import make_optimal_norm_spec
+from calderon_lab.optimal import OptimalNormSpec, make_optimal_norm_spec, optimal_norm
 from calderon_lab.potentials import (
     FieldSample,
     bump_and_staircase_family,
@@ -35,6 +41,7 @@ from calderon_lab.potentials import (
     finite_difference,
     modulus_curve,
     modulus_of_smoothness,
+    nontriviality_gate,
     power_modulus_norm,
     sample_field,
     stieltjes_modulus_norm,
@@ -83,9 +90,8 @@ class TestConvolve:
         g = default_grid()
         sp = LorentzSpace(2.0, FLAT, g)
         phi_fn = BMD.measure_profile_fn()
-        phi_assoc = associate_norm(sp, sample(phi_fn, g, extension="zero_beyond_T")
-                                   .with_values(phi_fn(g.points),
-                                                extension="zero_beyond_T"))
+        phi_assoc = associate_norm(sp, SampledFunction(g, phi_fn(g.points),
+                                                       extension="zero_beyond_T"))
         head, _ = integrate(phi_fn, 0.0, 1.0, singular_at_a=True, tol=1e-8)
         tail, _ = integrate(phi_fn, 1.0, np.inf, tol=1e-8)
         c0 = 1.0 + tail / head
@@ -392,13 +398,16 @@ class TestUpperCone:
 
 
 class TestFieldNorms:
+    TG = make_log_grid(1e-6, 1.0, 96)
+
     def test_constant_field_gives_sup_norm(self):
         g = default_grid()
         sp = LorentzSpace(2.0, FLAT, g)
         spec = make_optimal_norm_spec(sp, sample(lambda t: t ** -0.25, g,
                                                  monotonicity="decreasing"))
         u = sample_field(lambda x: 0.7 * np.ones_like(x), 1, 2.0, 64)
-        assert abs(calderon_norm(u, spec, 1, 1) - 0.7) < 1e-12
+        om = modulus_curve(u, 1, self.TG)
+        assert abs(calderon_norm(u, om, spec, 1, 1) - 0.7) < 1e-12
 
     def test_besov_shape_agreement(self):
         # the optimal Stieltjes form and the direct power form agree
@@ -408,30 +417,40 @@ class TestFieldNorms:
         phi = sample(BMD.measure_profile_fn(), g, monotonicity="decreasing")
         spec = make_optimal_norm_spec(sp, phi)
         tg = make_log_grid(1e-6, 1.0, 48)
+        direct_norm = lambda om: power_modulus_norm(om, 0.75 - 0.5, 2.0)
         for name, f in bump_and_staircase_family(count=3, resolution=256):
             u = convolve(BMD, f)
             om = modulus_curve(u, 1, tg)
-            opt = u.sup_norm() + stieltjes_modulus_norm(spec, om)
-            direct = u.sup_norm() + power_modulus_norm(om, 0.75 - 0.5, 2.0)
+            opt = calderon_norm(u, om, spec, 1, 1)
+            direct = calderon_norm(u, om, direct_norm, 1, 1)
+            assert opt == u.sup_norm() + stieltjes_modulus_norm(spec, om)
+            assert direct == u.sup_norm() + direct_norm(om)
             factor = max(opt / direct, direct / opt)
             assert factor <= 8.0
 
+    def test_sup_case_takes_max_modulus(self):
+        # the sup case of the lattice norm is max omega, as in optimal_norm
+        g = default_grid()
+        psi = sample(lambda t: 1.0 + 0.0 * t, g, monotonicity="increasing")
+        spec = OptimalNormSpec(case="sup", psi=psi, T1=None, q=1.0)
+        u = sample_field(np.sin, 1, 2.0, 64)
+        om = modulus_curve(u, 1, self.TG)
+        got = calderon_norm(u, om, spec, 1, 1)
+        assert got == u.sup_norm() + float(np.max(om.values))
+        assert got == u.sup_norm() + optimal_norm(spec, om)
+
     def test_trivial_gate(self):
-        # k far above the smoothness order: t^(k/n) no longer has finite
-        # norm once the aggregate saturates... the flat q=2 alpha=0.75
-        # aggregate grows like t^(1/4), so even k = 1 passes; force a
-        # failure with an aggregate that grows faster than t^(k/n)
+        # the flat q = 2 aggregate of t^(-1/4) grows like t^(1/4): t^(k/n)
+        # has finite lattice norm at k/n = 1, and not at k/n = 1/8
         g = default_grid()
         sp = LorentzSpace(2.0, FLAT, g)
         phi = sample(lambda t: t ** -0.25, g, monotonicity="decreasing")
         spec = make_optimal_norm_spec(sp, phi)
-        u = sample_field(lambda x: np.sin(x), 1, 2.0, 64)
-        from calderon_lab.potentials import nontriviality_gate
+        u = sample_field(np.sin, 1, 2.0, 64)
         assert nontriviality_gate(spec, 1, 1)
-        # Psi ~ t^(1/4) grows slower than t^(k/n) = t^2 -> fine;
-        # the failing direction needs k/n below the aggregate's growth,
-        # i.e. a fractional "k/n" — exercised directly through the gate
         assert not nontriviality_gate(spec, 1, 8)
+        with pytest.raises(TrivialSpace):
+            calderon_norm(u, modulus_curve(u, 1, self.TG, n=8), spec, 1, 8)
 
 
 class TestFieldSampleValidation:
