@@ -96,7 +96,9 @@ class TestIntegrate:
             integrate(lambda x: x, 2.0, 1.0)
 
 
-class TestCumulative:
+class TestRunningIntegral:
+    """Running integrals on a grid: cumulative_from_zero and cumulative_tail."""
+
     def test_identity_for_ones(self):
         g = make_log_grid(1e-8, 1.0, 256)
         r = cumulative_from_zero(g.points, np.ones(256))
