@@ -91,6 +91,19 @@ class ExperimentConfig:
     seed: int = 0x5EED
     out: str | None = None
 
+    @property
+    def kernel_nu(self) -> float:
+        """The Bessel order: kernel.nu, or (n - alpha)/2 from kernel.alpha."""
+        return self.nu if self.nu is not None else (self.n - self.alpha) / 2.0
+
+    @property
+    def kernel_alpha(self) -> float:
+        """The kernel's smoothness exponent: n - 2 nu for a Bessel kernel
+        given by kernel.nu, else kernel.alpha."""
+        if self.kernel_variant == "bessel_mcdonald" and self.nu is not None:
+            return self.n - 2.0 * self.nu
+        return self.alpha
+
     def validate(self) -> None:
         def bad(fieldname, reason):
             raise ConfigInvalid(f"{fieldname}: {reason}")
@@ -105,8 +118,7 @@ class ExperimentConfig:
         if self.kernel_variant == "power" and not (0.0 < self.alpha < self.n):
             bad("kernel.alpha", f"must lie in (0, n) = (0, {self.n})")
         if self.kernel_variant == "bessel_mcdonald":
-            nu = self.nu if self.nu is not None else (self.n - self.alpha) / 2.0
-            if not (0.0 < nu < self.n / 2.0):
+            if not (0.0 < self.kernel_nu < self.n / 2.0):
                 bad("kernel.nu", f"must lie in (0, n/2) = (0, {self.n / 2})")
         if self.z1 <= 0.0:
             bad("kernel.z1", "must be positive")
@@ -128,8 +140,7 @@ class ExperimentConfig:
         # products and sums; e is the largest power of t formed: V^-q', the
         # tail density (t^-k/n phi / V)^q', W^q' v, t^-k/n phi, the Hardy t^-q
         a, kn = self.q / (self.p or self.q), self.k / self.n
-        b = (self.n - 2.0 * nu if self.kernel_variant == "bessel_mcdonald"
-             else self.alpha) / self.n
+        b = self.kernel_alpha / self.n
         qp = self.q / (self.q - 1.0) if self.q > 1.0 else 1.0   # the q = 1 sup forms
         e = max(abs(x) for x in (qp * a, qp * (b - kn - a), qp * (b - a) + a - 1.0,
                                  b - kn - 1.0, self.q))
@@ -275,8 +286,7 @@ def _build_weight(cfg: ExperimentConfig) -> WeightSpec:
 
 def _build_kernel(cfg: ExperimentConfig) -> KernelSpec:
     if cfg.kernel_variant == "bessel_mcdonald":
-        nu = cfg.nu if cfg.nu is not None else (cfg.n - cfg.alpha) / 2.0
-        return KernelSpec(BesselMcDonald(nu=nu), n=cfg.n)
+        return KernelSpec(BesselMcDonald(nu=cfg.kernel_nu), n=cfg.n)
     factors = (("log", cfg.lambda_log),) if cfg.lambda_log != 0.0 else ()
     sv = SlowlyVaryingSpec(factors=factors, scale=cfg.z1)
     return KernelSpec(PowerSlowlyVarying(alpha=cfg.alpha, sv=sv, z1=cfg.z1), n=cfg.n)
@@ -396,7 +406,7 @@ def _scenario_besov_case(cfg: ExperimentConfig, rec: ReportRecord):
     kernel = _build_kernel(cfg)
     fields = bump_and_staircase_family(count=10, resolution=cfg.field_resolution,
                                        seed=cfg.seed)
-    exponent = cfg.alpha / cfg.n - 1.0 / cfg.q
+    exponent = cfg.kernel_alpha / cfg.n - 1.0 / cfg.q
     tg = make_log_grid(1e-6 * cfg.T, cfg.T, 64)
     conv = convolver(kernel, fields[0][1])
     direct_norm = lambda om: power_modulus_norm(om, exponent, cfg.q)
@@ -429,12 +439,13 @@ def _scenario_lorentz_karamata_case(cfg: ExperimentConfig, rec: ReportRecord):
     rec.scalars["embeds"] = crit["embeds"]
     rec.scalars["psi_at_T"] = crit["psi_at_T"]
     p = cfg.p if cfg.p is not None else cfg.q
-    borderline = abs(cfg.alpha / cfg.n - 1.0 / p) < 1e-12
+    alpha = cfg.kernel_alpha
+    borderline = abs(alpha / cfg.n - 1.0 / p) < 1e-12
     rec.scalars["borderline_alpha"] = borderline
     if cfg.q > 1.0:
         qp = cfg.q / (cfg.q - 1.0)
         rec.scalars["expected_embeds"] = (
-            (cfg.alpha / cfg.n > 1.0 / p) or (borderline and cfg.b_log * qp > 1.0))
+            (alpha / cfg.n > 1.0 / p) or (borderline and cfg.b_log * qp > 1.0))
         _check(rec.assertions, "criterion_matches_exponent_rule",
                crit["embeds"] == rec.scalars["expected_embeds"], crit["embeds"],
                "embedding classification matches the exponent rule")
@@ -444,7 +455,7 @@ def _scenario_lorentz_karamata_case(cfg: ExperimentConfig, rec: ReportRecord):
     if crit["embeds"] and not borderline:
         t = space.grid.points
         b = SlowlyVaryingSpec(factors=(("log", cfg.b_log),), scale=cfg.T)(t)
-        model = t ** (cfg.alpha / cfg.n - 1.0 / p) / b
+        model = t ** (alpha / cfg.n - 1.0 / p) / b
         ratio = psi.values / model
         rec.scalars["model_ratio_spread"] = float(ratio.max() / ratio.min())
         _check(rec.assertions, "power_model_two_sided",

@@ -92,7 +92,7 @@ class SampledFunction:
 
     grid: LogGrid
     values: np.ndarray
-    monotonicity: str = "none"          # "increasing" | "decreasing" | "none"
+    monotonicity: str = "none"          # "decreasing" | "none"
     extension: str = "constant_beyond_T"
     fn: object = None                   # optional callable for extension="analytic"
 
@@ -101,6 +101,8 @@ class SampledFunction:
         if len(self.values) != self.grid.count:
             raise DomainError(
                 f"{len(self.values)} values on a grid of {self.grid.count} points")
+        if self.monotonicity not in ("none", "decreasing"):
+            raise DomainError(f"unknown monotonicity tag {self.monotonicity!r}")
         if self.monotonicity == "decreasing":
             v = self.values
             finite = np.isfinite(v[:-1])
@@ -142,11 +144,12 @@ class SampledFunction:
         return float(out[0]) if scalar else out
 
 
-def sample(fn, grid: LogGrid, monotonicity="none", extension="analytic") -> SampledFunction:
-    """Sample a vectorized callable on a grid, keeping it for evaluation."""
+def sample(fn, grid: LogGrid, monotonicity="none") -> SampledFunction:
+    """Sample a vectorized callable on a grid, keeping it for evaluation
+    (extension "analytic")."""
     vals = np.asarray(fn(grid.points), dtype=float)
     return SampledFunction(grid=grid, values=vals, monotonicity=monotonicity,
-                           extension=extension, fn=fn if extension == "analytic" else None)
+                           extension="analytic", fn=fn)
 
 
 def _interp_loglog(t, g, v):
@@ -290,48 +293,31 @@ def _adaptive_panel(f, lo, hi, tol_abs, depth=0):
     return v1 + v2, e1 + e2
 
 
-def integrate(f, a: float, b: float, singular_at_a: bool = False,
-              tol: float = DEFAULT_QUAD_TOL):
-    """Integrate f over (a, b); returns (value, err_estimate).
+def integrate(f, b: float, tol: float = DEFAULT_QUAD_TOL):
+    """Integrate f over (0, b); returns (value, err_estimate).
 
-    f must accept numpy arrays.  b may be +inf.  With singular_at_a the
-    subdivision is geometric toward a (fixed-width panels in
-    log(x - a)); mass hiding below the floating-point floor is recovered
-    by fitting the panel decay (geometric for power singularities,
-    log-power otherwise).  Raises NonConvergent when the error estimate
-    stalls above tol or the endpoint mass diverges.
+    f must accept numpy arrays and may be singular at 0.  b may be +inf.
+    The subdivision is geometric toward 0 (fixed-width panels in log x),
+    and toward +inf when b is.  Mass below the floating-point floor is
+    the geometric continuation of the panel masses, the power law that
+    `head_mass` uses too; it is exact for x^p.  Raises NonConvergent when
+    the error estimate stalls above tol, the endpoint mass does not
+    decay, or the panel-mass ratio drifts (log-type endpoints).
     """
-    if not (a < b):
-        raise DomainError(f"need a < b, got ({a}, {b})")
-    if not np.isfinite(a):
-        raise DomainError("lower bound must be finite")
+    if not b > 0.0:
+        raise DomainError(f"need b > 0, got {b}")
 
     total, err = 0.0, 0.0
     upper = b
     if not np.isfinite(b):
-        upper = max(2.0 * abs(a) if a != 0 else 1.0, 1.0)
+        upper = 1.0
         t_val, t_err = _log_panel_limit(f, upper, tol, downward=False)
         total += t_val
         err += t_err
 
-    if singular_at_a:
-        shifted = (lambda x: _call(f, a + x)) if a != 0.0 else f
-        # below ~1e-9*|a| the shift x -> a + x loses too many digits; the
-        # tail fit supplies the remaining mass
-        floor_x = max(1e-290, abs(a) * 1e-9)
-        s_val, s_err = _log_panel_limit(shifted, upper - a, tol, downward=True,
-                                        floor_u=math.log(floor_x))
-        total += s_val
-        err += s_err
-    else:
-        v, e = _adaptive_panel(f, a, upper, tol * max(abs(total), _ABS_FLOOR))
-        for _ in range(6):
-            target = tol * max(abs(total + v), _ABS_FLOOR)
-            if e <= target:
-                break
-            v, e = _adaptive_panel(f, a, upper, target / 4)
-        total += v
-        err += e
+    s_val, s_err = _log_panel_limit(f, upper, tol, downward=True)
+    total += s_val
+    err += s_err
 
     if err > 10 * tol * max(abs(total), _ABS_FLOOR) + _ABS_FLOOR:
         raise NonConvergent(
@@ -340,25 +326,26 @@ def integrate(f, a: float, b: float, singular_at_a: bool = False,
 
 
 _PANEL_WIDTH = 16.0     # e^-16 ~ 1e-7 of the scale per panel
+_FLOOR_U = math.log(1e-290)
+_CEIL_U = 700.0
 
 
-def _log_panel_limit(f, c: float, tol: float, downward: bool, floor_u: float = None):
+def _log_panel_limit(f, c: float, tol: float, downward: bool):
     """Integrate f over (0, c] (downward) or [c, inf) via fixed-width
-    panels in u = log x, plus a model fit for the mass beyond the float
-    range.  f takes the distance from the finite end."""
+    panels in u = log x, plus the geometric continuation of the panel
+    masses beyond the float range."""
     U = math.log(c)
     g = lambda u: _call(f, np.exp(u)) * np.exp(u)
     sgn = -1.0 if downward else 1.0
-    if floor_u is None:
-        floor_u = -700.0 if downward else 700.0
+    end_u = _FLOOR_U if downward else _CEIL_U
 
-    # uniform panels exactly covering [floor_u, U]; no partial last panel,
-    # so penultimate/last mass ratios are clean extrapolation data
-    span = abs(floor_u - U)
+    # uniform panels exactly covering [end_u, U]; no partial last panel,
+    # so successive mass ratios are clean extrapolation data
+    span = abs(end_u - U)
     n_panels = max(8, int(math.ceil(span / _PANEL_WIDTH)))
     width = span / n_panels
 
-    masses, centers = [], []
+    masses = []
     total, err = 0.0, 0.0
     edge = U
     scale = _ABS_FLOOR
@@ -370,7 +357,6 @@ def _log_panel_limit(f, c: float, tol: float, downward: bool, floor_u: float = N
             raise NonConvergent(
                 "integrand overflow near endpoint; integral appears divergent")
         masses.append(val)
-        centers.append(0.5 * (lo + hi))
         total += val
         err += e
         scale = max(scale, abs(total))
@@ -385,70 +371,21 @@ def _log_panel_limit(f, c: float, tol: float, downward: bool, floor_u: float = N
                 if tail <= 0.5 * tol * scale:
                     return total, err + tail
 
-    tail, tail_err = _fit_tail(np.asarray(masses), np.asarray(centers),
-                               width, U, edge, downward)
-    if not np.isfinite(tail):
+    am = np.abs(masses)
+    if np.any(am[1:] >= am[:-1] * (1 - 1e-12)):
         raise NonConvergent(
             "endpoint mass does not decay; integral appears divergent")
+    # a power x^p gives equal-width panel masses in a fixed ratio r; a
+    # log factor makes r drift toward 1, and no geometric law fits that
+    r, r_prev = am[-1] / am[-2], am[-2] / am[-3]
+    if abs(r - r_prev) > tol * (1.0 - r):
+        raise NonConvergent(
+            f"panel-mass ratio drifts ({r_prev:.6g} -> {r:.6g}) toward the "
+            "endpoint; log-type mass beyond the float range is not computed")
+    tail = masses[-1] * r / (1.0 - r)
     total += tail
-    err += tail_err
+    err += am[-1] * abs(r - r_prev) / (1.0 - r) ** 2
     return total, err
-
-
-def _fit_tail(masses, centers, width, U, u_edge, downward):
-    """Extrapolate the panel masses past the float floor at u_edge.
-
-    Two models are fitted to the trailing panels and the better residual
-    wins: geometric decay of equal-width panel masses (power-type
-    integrands) and a power of the log-distance from the start
-    (iterated-log integrands).  Either way the amplitude is calibrated
-    to the last measured mass, so only the fitted slope matters.
-    Divergent or non-decaying masses return inf.
-    """
-    am = np.abs(masses)
-    n = len(am)
-    if n == 0 or am[-1] == 0.0:
-        return 0.0, 0.0
-    if n < 4 or np.any(am[1:] >= am[:-1] * (1 - 1e-12)):
-        return math.inf, math.inf
-    sgn_mass = math.copysign(1.0, masses[-1])
-    sgn = -1.0 if downward else 1.0
-
-    def tail_from_window(k):
-        u = centers[-k:]
-        y = np.log(am[-k:])
-        dist = sgn * (u - U) + 1.0
-        A = np.vstack([np.ones_like(u), u]).T
-        coefA, resA, *_ = np.linalg.lstsq(A, y, rcond=None)
-        rA = float(resA[0]) if len(resA) else 0.0
-        beta = coefA[1]
-        out_a = out_b = math.inf
-        if sgn * beta < -1e-12:
-            r = math.exp(-abs(beta) * width)
-            out_a = am[-1] * r / (1.0 - r)
-        Bm = np.vstack([np.ones_like(u), np.log(dist)]).T
-        coefB, resB, *_ = np.linalg.lstsq(Bm, y, rcond=None)
-        rB = float(resB[0]) if len(resB) else 0.0
-        sigma = -coefB[1]
-        if sigma > 1.02:
-            # virtual panels continuing the last mass with the fitted decay
-            d_last = dist[-1]
-            d = d_last + width * (1.0 + np.arange(4000))
-            out_b = am[-1] * float(np.sum((d / d_last) ** -sigma))
-            out_b += am[-1] * ((d[-1] + width) / d_last) ** (1.0 - sigma) \
-                / ((sigma - 1.0) * width / d_last)
-        return (out_a, rA) if rA <= rB else (out_b, rB)
-
-    k1 = min(n, 8)
-    t1, r1 = tail_from_window(k1)
-    if not np.isfinite(t1):
-        return math.inf, math.inf
-    t2, _ = tail_from_window(min(n, 16)) if n > k1 else (t1, 0.0)
-    if not np.isfinite(t2):
-        t2 = t1
-    rms = math.sqrt(max(r1, 0.0) / k1)
-    terr = abs(t1 - t2) + (20.0 * rms + 1e-6) * abs(t1)
-    return sgn_mass * t1, terr
 
 
 # ---------------------------------------------------------------------------

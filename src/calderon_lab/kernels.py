@@ -205,8 +205,7 @@ class KernelSpec:
         """int_0^inf Phi(z) z^(n-1) dz; raises NonConvergent when the
         kernel is not integrable."""
         n = self.n
-        val, _ = integrate(lambda z: self.profile(z) * z ** (n - 1),
-                           0.0, np.inf, singular_at_a=True, tol=tol)
+        val, _ = integrate(lambda z: self.profile(z) * z ** (n - 1), np.inf, tol=tol)
         return val
 
     def validate(self) -> None:
@@ -226,8 +225,7 @@ class KernelSpec:
 def measure_profile(kernel: KernelSpec, grid: LogGrid) -> SampledFunction:
     """Sample phi(tau) = Phi((tau/V_n)^(1/n)) on a grid; positive and
     decreasing, kept evaluable everywhere via the analytic extension."""
-    return sample(kernel.measure_profile_fn(), grid,
-                  monotonicity="decreasing", extension="analytic")
+    return sample(kernel.measure_profile_fn(), grid, monotonicity="decreasing")
 
 
 def cone_kernel(phi, k: int, n: int, t, tau):

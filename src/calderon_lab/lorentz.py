@@ -28,7 +28,6 @@ from .gridfn import (
     classify_boundedness,
     classify_zero_endpoint,
     cumulative_from_zero,
-    default_grid,
     head_mass,
     integrate,
     make_log_grid,
@@ -78,18 +77,16 @@ def power_weight(q: float, p: float, T: float = 1.0,
                       sv=sv.powered(q) if sv is not None else None, T=T)
 
 
-def cumulative_weight(weight: WeightSpec, grid: LogGrid | None = None) -> SampledFunction:
+def cumulative_weight(weight: WeightSpec, grid: LogGrid) -> SampledFunction:
     """V(t) = int_0^t v, increasing; raises TrivialSpace when v is not
     integrable at 0 (the space then contains only 0)."""
-    if grid is None:
-        grid = default_grid(weight.T)
     if weight.power_exponent <= -1.0:
         raise TrivialSpace(
             f"weight power {weight.power_exponent} <= -1: V is infinite")
     vals = cumulative_from_zero(grid.points, weight(grid.points))
     if not np.isfinite(vals[0]):
         raise TrivialSpace("cumulative weight is infinite")
-    return SampledFunction(grid=grid, values=vals, monotonicity="increasing")
+    return SampledFunction(grid=grid, values=vals)
 
 
 class LorentzSpace:
@@ -103,12 +100,12 @@ class LorentzSpace:
       tail_w     -- int_T^inf w dt, closed form V(T)^(1-q')/(q'-1)
     """
 
-    def __init__(self, q: float, weight: WeightSpec, grid: LogGrid | None = None):
+    def __init__(self, q: float, weight: WeightSpec, grid: LogGrid):
         if q < 1.0 or not math.isfinite(q):
             raise DomainError(f"q must lie in [1, inf), got {q}")
         self.q = float(q)
         self.weight = weight
-        self.grid = grid if grid is not None else default_grid(weight.T)
+        self.grid = grid
         if abs(self.grid.t_max - weight.T) > 1e-12 * weight.T:
             raise DomainError("grid must end at the weight's T")
         self.v_vals = weight(self.grid.points)
@@ -170,7 +167,7 @@ def _fitted_head_integral(grid: LogGrid, y: np.ndarray, fit) -> float:
     C = y[0] / (t0 ** fit.p * L0 ** fit.e)
     val, _ = integrate(
         lambda s: C * s ** fit.p * np.log(math.e * grid.t_max / s) ** fit.e,
-        0.0, t0, singular_at_a=True, tol=1e-8)
+        t0, tol=1e-8)
     return val
 
 
@@ -186,8 +183,7 @@ def embedding_function(space: LorentzSpace, phi: SampledFunction) -> SampledFunc
             vals = np.full_like(t, math.inf)
         else:
             vals = np.maximum.accumulate(W.values)
-        return SampledFunction(grid=space.grid, values=vals,
-                               monotonicity="increasing")
+        return SampledFunction(grid=space.grid, values=vals)
     y = W.values ** space.qp * space.v_vals
     fit = classify_zero_endpoint(space.grid, y)
     head = head_mass(t, y)
@@ -200,7 +196,7 @@ def embedding_function(space: LorentzSpace, phi: SampledFunction) -> SampledFunc
     else:
         vals = (head + np.concatenate(([0.0], np.cumsum(segment_masses(t, y))))) \
             ** (1.0 / space.qp)
-    return SampledFunction(grid=space.grid, values=vals, monotonicity="increasing")
+    return SampledFunction(grid=space.grid, values=vals)
 
 
 def embedding_criterion(space: LorentzSpace, phi: SampledFunction) -> dict:

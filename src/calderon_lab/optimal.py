@@ -500,12 +500,9 @@ def sample_family(grid: LogGrid, count: int = 50, seed: int = FAMILY_SEED):
     return family[:count]
 
 
-def equivalence_report(space: LorentzSpace, phi, k: int, n: int,
-                       family=None) -> dict:
+def equivalence_report(space: LorentzSpace, phi, k: int, n: int, family) -> dict:
     """Ratios rho0/rho_tilde over the sample family; the two-sided
     equivalence constant is the spread C = max ratio / min ratio."""
-    if family is None:
-        family = sample_family(space.grid)
     eng = AssociateNormEngine(space, phi, k, n)
     rows = [eng._checked(g) for _, g in family]
     rho0s = eng.rho0_family(rows).tolist() if rows else []

@@ -43,7 +43,6 @@ from .gridfn import (
     SampledFunction,
     classify_zero_endpoint,
     integrate,
-    make_log_grid,
     total_mass,
 )
 from .kernels import KernelSpec, cone_kernel
@@ -100,7 +99,7 @@ def sample_field(fn, n: int, box_halfwidth: float, resolution: int) -> FieldSamp
                        values=fn(x))
 
 
-def field_rearrangement(f: FieldSample, grid: LogGrid | None = None) -> SampledFunction:
+def field_rearrangement(f: FieldSample, grid: LogGrid) -> SampledFunction:
     """Decreasing rearrangement of |f| over its box (equal-measure cells
     given by the grid cells)."""
     ms = MeasurableSample(domain_measure=2.0 * f.box_halfwidth, samples=f.values)
@@ -124,9 +123,8 @@ def convolver(kernel: KernelSpec, like: FieldSample):
         raise DomainError("kernel and field dimension mismatch")
     h = like.spacing
     phi_fn = kernel.measure_profile_fn()
-    cell_mass, _ = integrate(phi_fn, 0.0, h, singular_at_a=True, tol=1e-10)
-    box_mass, _ = integrate(phi_fn, 0.0, 4.0 * like.box_halfwidth,
-                            singular_at_a=True, tol=1e-8)
+    cell_mass, _ = integrate(phi_fn, h, tol=1e-10)
+    box_mass, _ = integrate(phi_fn, 4.0 * like.box_halfwidth, tol=1e-8)
     if cell_mass > 0.5 * box_mass:
         raise ResolutionTooCoarse(
             f"singular cell carries {cell_mass / box_mass:.1%} of the kernel mass")
@@ -218,8 +216,7 @@ def modulus_curve(u: FieldSample, k: int, t_grid: LogGrid, n: int = 1,
     for i, t in enumerate(t_grid.points):
         vals[i] = modulus_of_smoothness(u, k, t ** (1.0 / n), directions=directions)
     vals = np.maximum.accumulate(vals)
-    return SampledFunction(grid=t_grid, values=vals, monotonicity="increasing",
-                           extension="constant_beyond_T")
+    return SampledFunction(grid=t_grid, values=vals, extension="constant_beyond_T")
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +237,7 @@ def envelope_bounds(space: LorentzSpace, phi, k: int, n: int,
     vals = np.array([associate_norm(space, SampledFunction(
         space.grid, om, monotonicity="none", extension="zero_beyond_T"))
         for om in cones])
-    return SampledFunction(grid=t_grid, values=vals, monotonicity="increasing")
+    return SampledFunction(grid=t_grid, values=vals)
 
 
 @dataclass
@@ -254,14 +251,12 @@ class ConeCheckReport:
 
 
 def upper_cone_check(space: LorentzSpace, kernel: KernelSpec, k: int,
-                     f_family, t_grid: LogGrid | None = None) -> ConeCheckReport:
+                     f_family, t_grid: LogGrid) -> ConeCheckReport:
     """Run the upper estimate over a family of fields, reporting the
     family maximum of the per-field ratio maxima (all fields on one grid)."""
     if not f_family:
         raise DomainError("empty field family")
     n = kernel.n
-    if t_grid is None:
-        t_grid = make_log_grid(1e-4 * space.T, space.T, 64)
     tau = space.grid.points
     # row i is the cone kernel at t_grid.points[i]
     cones = cone_kernel(kernel.measure_profile_fn(), k, n, t_grid.points[:, None], tau)

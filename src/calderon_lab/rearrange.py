@@ -16,9 +16,6 @@ from .gridfn import (
     LogGrid,
     SampledFunction,
     cumulative_from_zero,
-    make_log_grid,
-    DEFAULT_GRID_POINTS,
-    DEFAULT_GRID_SPAN,
 )
 
 
@@ -65,8 +62,7 @@ def step_evaluate(steps: np.ndarray, cell: float, t) -> np.ndarray:
     return out
 
 
-def decreasing_rearrangement(f: MeasurableSample,
-                             grid: LogGrid | None = None) -> SampledFunction:
+def decreasing_rearrangement(f: MeasurableSample, grid: LogGrid) -> SampledFunction:
     """Nonincreasing, right-continuous function on (0, domain_measure)
     equimeasurable with |f|, resampled onto a geometric grid.
 
@@ -75,9 +71,6 @@ def decreasing_rearrangement(f: MeasurableSample,
     """
     steps = rearrangement_steps(f)
     cell = f.cell_measure
-    if grid is None:
-        grid = make_log_grid(DEFAULT_GRID_SPAN * f.domain_measure,
-                             f.domain_measure, DEFAULT_GRID_POINTS)
     vals = step_evaluate(steps, cell, grid.points)
     # a grid point sitting exactly at the domain end reads the last cell
     at_end = grid.points >= f.domain_measure

@@ -8,7 +8,6 @@ import json
 import math
 
 import numpy as np
-import pytest
 
 from calderon_lab.cli import parse_config_text, run
 from calderon_lab.gridfn import (
@@ -44,7 +43,6 @@ from calderon_lab.potentials import (
     bump_and_staircase_family,
     convolve,
     finite_difference,
-    make_log_grid as _mlg,
     modulus_curve,
     modulus_of_smoothness,
     power_modulus_norm,

@@ -1,13 +1,10 @@
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from calderon_lab import cli
 from calderon_lab.cli import (
-    ExperimentConfig,
     main,
     parse_config_text,
     run,
@@ -256,6 +253,21 @@ class TestScenarios:
             "kernel.alpha = 0.75\nfield.resolution = 128\n" + FAST))
         assert rec.passed
         assert rec.scalars["factor_spread"] < 8.0
+
+    @pytest.mark.parametrize("scenario, extra", [
+        ("besov_case", "field.resolution = 128\n"),
+        ("lorentz_karamata_case", "space.p = 2\nspace.b_log = 0.75\n"),
+    ], ids=["besov_case", "lorentz_karamata_case"])
+    def test_bessel_nu_and_alpha_agree(self, scenario, extra):
+        # nu = 1/16 and alpha = n - 2 nu = 7/8 spell one kernel; both are
+        # binary fractions, so every derived number agrees bit for bit
+        base = (f"scenario = {scenario}\nkernel.variant = bessel_mcdonald\n"
+                + extra + FAST)
+        by_nu = run(parse_config_text(base + "kernel.nu = 0.0625\n"))
+        by_alpha = run(parse_config_text(base + "kernel.alpha = 0.875\n"))
+        assert by_nu.error is None and by_nu.scalars
+        assert by_nu.scalars == by_alpha.scalars
+        assert by_nu.assertions == by_alpha.assertions
 
     def test_besov_zero_factor(self):
         # k = 2: omega_2 stalls at its rounding floor at small t, the direct

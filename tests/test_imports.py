@@ -50,9 +50,10 @@ def test_unused_import_detector():
 
 def test_no_unused_imports():
     # __init__.py imports names to re-export them
-    unused = {p.name: _unused_imports(p.read_text())
-              for p in sorted((SRC / "calderon_lab").glob("*.py"))
-              if p.name != "__init__.py"}
+    files = [p for p in sorted((SRC / "calderon_lab").glob("*.py"))
+             if p.name != "__init__.py"] + sorted((SRC.parent / "tests").glob("*.py"))
+    unused = {str(p.relative_to(SRC.parent)): _unused_imports(p.read_text())
+              for p in files}
     assert {name: names for name, names in unused.items() if names} == {}
 
 

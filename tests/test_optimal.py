@@ -12,7 +12,6 @@ from calderon_lab.errors import (
     Exhausted,
     NoSolution,
     NotEmbedded,
-    WitnessMissing,
 )
 from calderon_lab.gridfn import (
     SampledFunction,
@@ -138,7 +137,7 @@ class TestHalfLevel:
 
     def test_constant_has_no_solution(self):
         g = default_grid()
-        psi = SampledFunction(g, np.ones(g.count), monotonicity="increasing")
+        psi = SampledFunction(g, np.ones(g.count))
         with pytest.raises(NoSolution):
             half_level_point(psi)
 
