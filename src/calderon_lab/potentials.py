@@ -12,15 +12,16 @@ kernel) is a separate argument; fields of dimension n >= 2 are
 rejected, because a direct sum needs an exact singular-cell integral
 there, which the toolkit does not have.
 
-The modulus omega_k(u; t) is evaluated in one array pass per t: rows
-are the 2J sampled steps +-t*j/J, columns the grid points, and each of
-the k shifts is one linear interpolation over that steps x points
-array.  Batching is per t only: stacking every t of a curve into one
-array as well would multiply the memory by the curve length (8 MB per
-temporary for 64 t values on a 512-point field) for little further
-gain.  The cone kernel's profile factor phi(tau) depends neither on t
-nor on the field, so the cone checks build all t rows of the kernel
-once, before looping over fields.
+The modulus omega_k(u; t) is that of the piecewise-linear interpolant s
+of the samples: for each sampled step h = +-t*j/J the sup over x of
+|Delta_h^k s(x)| is exact, taken at the breaks of x -> Delta_h^k s(x).
+A t with k*t >= spacing takes one array pass over its 2J steps; a t
+below the spacing needs only |h| = t, and all such t of a curve share
+one pass.  Stacking the t above the spacing as well would multiply the
+memory by the curve length (8 MB per temporary for 64 t values on a
+512-point field) for little further gain.  The cone kernel's profile
+factor phi(tau) depends neither on t nor on the field, so the cone
+checks build all t rows of the kernel once, before looping over fields.
 """
 
 from __future__ import annotations
@@ -175,47 +176,93 @@ def finite_difference(u: FieldSample, h: float, k: int) -> FieldSample:
                        resolution=u.resolution, values=out, origin=origin)
 
 
-def modulus_of_smoothness(u: FieldSample, k: int, t: float,
-                          directions: int = 16) -> float:
-    """omega_k(u; t): sup over sampled steps |h| <= t of the sup norm of
-    the k-th difference.
+def _difference_sups(u: FieldSample, k: int, mags: np.ndarray) -> np.ndarray:
+    """For each step magnitude a of mags, the sup over x of
+    |Delta_a^k s(x)|, s the piecewise-linear interpolant of u, over the x
+    whose stencil stays inside u's points.
 
-    Samples h = +-t*j/J, j = 1..J (J = directions), including |h| = t
-    exactly.  Off-grid shifts u(x + j*h) are linearly interpolated, so
-    the result approximates the true supremum from below.  All 2J steps
-    are evaluated together: row r of the steps x points arrays holds
-    Delta_h^k u at every grid point x for the r-th step, and a point
-    counts only where its whole stencil stays inside the box.  Raises
-    DomainExceeded when some step leaves no such point.
+    x -> Delta_a^k s(x) is piecewise linear with breaks x_i - j*a
+    (j = 0..k), among them the ends of its domain, so the sup is attained
+    at a break; Delta_{-a}^k s(x) = (-1)^k Delta_a^k s(x - k*a) has the
+    same sup.  The break x_i - j*a needs s(x_i + l*a), l = -j..k-j, which
+    the rows of the steps +a and -a hold: window j = 0 is the +a step at
+    the nodes, window k the -a step.  Raises DomainExceeded when the +a
+    or the -a step leaves no node with its stencil inside.
     """
-    if t <= 0:
-        raise DomainError("t must be positive")
-    if k * t > 2.0 * u.box_halfwidth:
-        raise DomainExceeded("stencil span exceeds the box")
-    mags = t * np.arange(1, directions + 1) / directions
+    r = len(mags)
     steps = np.concatenate([mags, -mags])[:, None]
     x = u.axis_points()
     coeffs = _difference_coeffs(k)
-    acc = coeffs[0] * u.values
-    valid = np.ones((len(steps), len(x)), dtype=bool)
-    for j in range(1, k + 1):
-        pos = x + j * steps
+    # row[m] holds s(x_i + m*a) at the nodes x_i, one row per magnitude a,
+    # and inside[m] whether x_i + m*a lies within u's points; the values
+    # outside are clamped by np.interp and never reach the max
+    row, inside = {0: np.broadcast_to(u.values, (r, len(x)))}, {0: True}
+    for m in range(1, k + 1):
+        pos = x + m * steps
         good = (x[0] <= pos) & (pos <= x[-1])
-        valid &= good
-        acc = acc + coeffs[j] * np.where(good, np.interp(pos, x, u.values), 0.0)
-    if not np.all(np.any(valid, axis=1)):
+        vals = np.interp(pos, x, u.values)
+        row[m], row[-m] = vals[:r], vals[r:]
+        inside[m], inside[-m] = good[:r], good[r:]
+    if not np.all(np.any(good, axis=1)):
         raise DomainExceeded("no grid point keeps the whole stencil inside the box")
-    return float(np.max(np.abs(acc[valid]), initial=0.0))
+    best = np.zeros(r)
+    for j in range(k + 1):
+        acc = coeffs[0] * row[-j]
+        for l in range(1, k + 1):
+            acc += coeffs[l] * row[l - j]
+        np.abs(acc, out=acc)
+        best = np.maximum(best, np.max(acc, axis=1, initial=0.0,
+                                       where=inside[-j] & inside[k - j]))
+    return best
+
+
+def _moduli(u: FieldSample, k: int, ts: np.ndarray, directions: int) -> np.ndarray:
+    """omega_k(u; t) for each t > 0 of ts, over the steps +-t*j/J."""
+    mags = ts[:, None] * np.arange(1, directions + 1) / directions
+    out = np.empty(len(ts))
+    # Below one cell (k*t < spacing) the stencil of a break x_i - j*h lies
+    # in the two cells around x_i, where s is linear on either side, so
+    # Delta_h^k s there is |h| times a combination of the two slopes, and
+    # which breaks keep their stencil inside does not depend on |h|: the
+    # sup over the sampled steps is at |h| = t, two rows per t.  The last
+    # column is t*J/J, rounded as the sampled steps are.
+    below = k * ts < u.spacing
+    if np.any(below):
+        out[below] = _difference_sups(u, k, mags[below, -1])
+    for i in np.flatnonzero(~below):
+        if k * ts[i] > 2.0 * u.box_halfwidth:
+            raise DomainExceeded("stencil span exceeds the box")
+        out[i] = np.max(_difference_sups(u, k, mags[i]))
+    return out
+
+
+def modulus_of_smoothness(u: FieldSample, k: int, t: float,
+                          directions: int = 16) -> float:
+    """omega_k(u; t): sup over sampled steps |h| <= t of the sup norm of
+    the k-th difference of the piecewise-linear interpolant s of u.
+
+    Samples h = +-t*j/J, j = 1..J (J = directions), including |h| = t
+    exactly.  For each step the sup over x is exact for s: it is taken
+    over the breaks x_i - j*h of x -> Delta_h^k s(x), where the whole
+    stencil stays inside the box.  Below the grid spacing the result
+    describes s, not u: it grows like t * spacing^(k-1), not t^k.
+    Raises DomainExceeded when some step leaves no grid point whose
+    stencil stays inside the box.
+    """
+    if t <= 0:
+        raise DomainError("t must be positive")
+    return float(_moduli(u, k, np.array([float(t)]), directions)[0])
 
 
 def modulus_curve(u: FieldSample, k: int, t_grid: LogGrid, n: int = 1,
                   directions: int = 16) -> SampledFunction:
     """omega_k(u; t^(1/n)) over a grid of t values, forced nondecreasing
-    by a cumulative max (window nesting)."""
-    vals = np.empty(t_grid.count)
-    for i, t in enumerate(t_grid.points):
-        vals[i] = modulus_of_smoothness(u, k, t ** (1.0 / n), directions=directions)
-    vals = np.maximum.accumulate(vals)
+    by a cumulative max (window nesting).  Every t below the grid
+    spacing is evaluated in one array pass."""
+    # scalar powers, as a caller of modulus_of_smoothness forms them: the
+    # vectorised power can differ in the last bit
+    ts = np.array([t ** (1.0 / n) for t in t_grid.points])
+    vals = np.maximum.accumulate(_moduli(u, k, ts, directions))
     return SampledFunction(grid=t_grid, values=vals, extension="constant_beyond_T")
 
 

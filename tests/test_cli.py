@@ -1,10 +1,13 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from calderon_lab import cli
 from calderon_lab.cli import (
+    load_config,
     main,
     parse_config_text,
     run,
@@ -13,6 +16,7 @@ from calderon_lab.cli import (
 )
 from calderon_lab.errors import ConfigInvalid
 
+DATA = Path(__file__).resolve().parent / "data"
 FAST = "grid.points = 256\n"
 
 
@@ -269,16 +273,27 @@ class TestScenarios:
         assert by_nu.scalars == by_alpha.scalars
         assert by_nu.assertions == by_alpha.assertions
 
-    def test_besov_zero_factor(self):
-        # k = 2: omega_2 stalls at its rounding floor at small t, the direct
-        # norm is infinite and the smallest factor is 0; the spread is then
-        # infinite, without a division by zero
-        rec = run(parse_config_text(
-            "scenario = besov_case\nkernel.variant = bessel_mcdonald\n"
-            "kernel.alpha = 0.848\nspace.q = 2\nk = 2\n"
-            "field.resolution = 256\n"))
+    def test_besov_k2_factor(self):
+        # k = 2 with most of the t grid below the field spacing: the
+        # modulus of the interpolant grows like t * spacing there, so the
+        # direct norm is finite and the factors are positive
+        rec = run(load_config(DATA / "besov_k2.cfg"))
+        assert rec.error is None
+        assert rec.scalars["factor_min"] > 0
+        assert rec.assertions["two_sided_factor"]["passed"]
+
+    def test_besov_zero_factor(self, monkeypatch):
+        # an infinite direct norm gives a zero factor; the spread is then
+        # infinite, without a division by zero, and the check fails
+        real, calls = cli.power_modulus_norm, []
+        def first_infinite(*args):
+            calls.append(args)
+            return math.inf if len(calls) == 1 else real(*args)
+        monkeypatch.setattr(cli, "power_modulus_norm", first_infinite)
+        rec = run(load_config(DATA / "besov_k2.cfg"))
         assert rec.error is None
         assert rec.scalars["factor_min"] == 0.0
+        assert rec.scalars["factor_max"] > 0
         assert rec.scalars["factor_spread"] == math.inf
         assert not rec.assertions["two_sided_factor"]["passed"]
 

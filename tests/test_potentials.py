@@ -77,6 +77,31 @@ def _modulus_by_steps(u, k, t, directions=16):
     return best
 
 
+def _modulus_at_breaks(u, k, t, directions=16, signs=(1.0,)):
+    """omega_k(u; t) for the piecewise-linear interpolant: for each
+    sampled step h, Delta_h^k at every break x_i - j*h (j = 0..k), one
+    interpolation per stencil point x_i + (l - j)*h, the terms summed in
+    stencil order.  With signs (1,) only the +h steps are evaluated:
+    Delta_-h^k s(x) = (-1)^k Delta_h^k s(x - k*h) has the same sup, and
+    the terms of the +h breaks are then the ones modulus_of_smoothness
+    sums, in its order, so the two agree bit for bit; the -h breaks sum
+    the same terms in mirrored order."""
+    x = u.axis_points()
+    coeffs = [math.comb(k, j) * (-1.0) ** (k - j) for j in range(k + 1)]
+    best = 0.0
+    for mag in t * np.arange(1, directions + 1) / directions:
+        for h in (sign * mag for sign in signs):
+            for j in range(k + 1):
+                acc = 0.0
+                valid = np.ones(len(x), dtype=bool)
+                for l in range(k + 1):
+                    v = np.interp(x + (l - j) * h, x, u.values, left=np.nan, right=np.nan)
+                    valid &= ~np.isnan(v)
+                    acc = acc + coeffs[l] * np.nan_to_num(v, nan=0.0)
+                best = max(best, float(np.max(np.abs(acc[valid]), initial=0.0)))
+    return best
+
+
 class TestConvolve:
     def test_positive_kernel_positive_output(self):
         rng = np.random.default_rng(3)
@@ -253,6 +278,16 @@ class TestModulus:
             exact = 4 * math.sin(t / 2) ** 2
             tol = d * d / 2 + exact * d * d / 8
             assert abs(modulus_of_smoothness(u, 2, t) - exact) <= tol, t
+        # below the spacing the curve describes the interpolant: for
+        # 2t < d each stencil sits in the two cells around one node, so
+        # omega_2(t) = t * max_i |s_i - s_(i-1)|, s_i the cell slopes,
+        # which is of order t * d, not t^2; the floor covers the rounding
+        # of the sampled positions and of the stencil sum
+        slopes = np.diff(u.values) / d
+        kink = np.max(np.abs(np.diff(slopes)))
+        for t in np.geomspace(1e-6, 0.49 * d, 12):
+            tol = 64 * np.finfo(float).eps + 1e-12 * t * kink
+            assert abs(modulus_of_smoothness(u, 2, t) - t * kink) <= tol, t
 
     def test_dilation_inequality(self):
         rng = np.random.default_rng(0x5EED)
@@ -283,6 +318,7 @@ class TestModulus:
 
     @pytest.mark.parametrize("directions", [16, 5])
     def test_matches_per_step_reference(self, directions):
+        # 0.3 spacing takes the pass that evaluates only |h| = t
         fam = bump_and_staircase_family(count=2, resolution=128)
         for name, f in fam:
             u = convolve(BMD, f)
@@ -291,13 +327,30 @@ class TestModulus:
                 span = 2.0 * u.box_halfwidth / k
                 for t in (0.3 * h, h, 2.5 * h, 0.05, 0.7, 0.999 * span, span):
                     try:
-                        want = _modulus_by_steps(u, k, t, directions)
+                        by_steps = _modulus_by_steps(u, k, t, directions)
                     except DomainExceeded:
                         with pytest.raises(DomainExceeded):
                             modulus_of_smoothness(u, k, t, directions)
                         continue
-                    assert modulus_of_smoothness(u, k, t, directions) == want, \
-                        (name, k, t)
+                    got = modulus_of_smoothness(u, k, t, directions)
+                    assert got == _modulus_at_breaks(u, k, t, directions), (name, k, t)
+                    if k == 1:
+                        # the two breaks of a step are the nodes of the +h and
+                        # -h steps, so the nodes-only reference holds too
+                        assert got == by_steps, (name, t)
+                    # the -h steps have the same sup, summed in mirrored order
+                    both = _modulus_at_breaks(u, k, t, directions, signs=(1.0, -1.0))
+                    tol = k * 2 ** k * np.finfo(float).eps * u.sup_norm()
+                    assert abs(got - both) <= tol, (name, k, t)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_curve_is_running_max_of_single_t(self, k):
+        u = convolve(BMD, bump_and_staircase_family(count=1, resolution=256)[0][1])
+        tg = make_log_grid(1e-6, 1.0, 64)
+        for n in (1, 2):
+            per_t = [modulus_of_smoothness(u, k, t ** (1.0 / n)) for t in tg.points]
+            assert np.array_equal(modulus_curve(u, k, tg, n=n).values,
+                                  np.maximum.accumulate(per_t)), n
 
     def test_stencil_outside_restricted_domain(self):
         # a differenced field covers less than its box: steps that pass
