@@ -23,12 +23,12 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigInvalid, ToolkitError
+from .errors import ConfigInvalid, NotEmbedded, ToolkitError
 from .gridfn import LogGrid, SampledFunction, make_log_grid, total_mass
 from .kernels import (
     BesselMcDonald,
@@ -38,6 +38,7 @@ from .kernels import (
     check_derivative_conditions,
     measure_profile,
     cone_kernel,
+    unit_ball_volume,
 )
 from .lorentz import (
     LorentzSpace,
@@ -104,7 +105,7 @@ class ExperimentConfig:
             return self.n - 2.0 * self.nu
         return self.alpha
 
-    def validate(self) -> None:
+    def _check_ranges(self) -> None:
         def bad(fieldname, reason):
             raise ConfigInvalid(f"{fieldname}: {reason}")
         if self.scenario not in SCENARIOS:
@@ -132,7 +133,7 @@ class ExperimentConfig:
             bad("grid.points", "must be at least 16")
         if not (0.0 < self.tmin_span < 1.0):
             bad("grid.tmin", "span must lie in (0, 1)")
-        if self.scenario in ("besov_case", "covering_sample") and self.field_resolution < 16:
+        if self.scenario in _FIELD_SCENARIOS and self.field_resolution < 16:
             bad("field.resolution", "must be at least 16")
         if self.seed < 0:
             bad("seed", "must be a non-negative integer")
@@ -148,6 +149,30 @@ class ExperimentConfig:
         if self.tmin_span < floor:
             bad("grid.tmin", f"span {self.tmin_span:g} is below {floor:.3g}: t^-{e:g}, "
                 "the largest power of t formed, must stay within half the float range")
+
+    def validate(self) -> None:
+        """Reject, with ConfigInvalid naming the key, a config that no run
+        can handle: a value out of its range (the part parse_config_text
+        checks), or a kernel or space the scenario does not cover."""
+        def bad(fieldname, reason):
+            raise ConfigInvalid(f"{fieldname}: {reason}")
+        self._check_ranges()
+        fields = self.scenario in _FIELD_SCENARIOS
+        if fields and self.n != 1:
+            bad("n", "fields are one-dimensional: must be 1 for this scenario")
+        if self.scenario == "lorentz_karamata_case" and self.b_log == 0.0:
+            bad("space.b_log", "this scenario needs a log weight factor")
+        if self.kernel_variant == "power" and self.lambda_log < 0.0:
+            # Phi(z) = z^(alpha-n) l(z)^lambda, l(z) = 1 + log(z1/z), on (0, z1]
+            # has d log Phi / d log z = (alpha - n) - lambda/l, largest where l
+            # is smallest: at the largest z used, min(z1, (T/V_n)^(1/n)) on the
+            # grid; fields use offsets up to z = 6, so all of (0, z1], l >= 1
+            zmax = (self.T / unit_ball_volume(self.n)) ** (1.0 / self.n)
+            ell = 1.0 if fields else 1.0 + math.log(self.z1 / min(self.z1, zmax))
+            bound = (self.n - self.alpha) * ell
+            if -self.lambda_log > bound:
+                bad("kernel.lambda_log", f"{self.lambda_log:g} makes the kernel profile "
+                    f"increase: needs -lambda_log <= (n - alpha) l(z*) = {bound:.6g}")
 
 
 _KEY_MAP = {
@@ -171,7 +196,8 @@ _KEY_MAP = {
 }
 
 
-def parse_config_text(text: str) -> ExperimentConfig:
+def _parse_config(text: str) -> ExperimentConfig:
+    """The config a text spells, unvalidated; ConfigInvalid on bad syntax."""
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -189,8 +215,13 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise ConfigInvalid(f"line {lineno}: {key}: {exc}") from None
     if "scenario" not in values:
         raise ConfigInvalid("scenario: missing required key")
-    cfg = ExperimentConfig(**values)
-    cfg.validate()
+    return ExperimentConfig(**values)
+
+
+def parse_config_text(text: str) -> ExperimentConfig:
+    """The config a text spells, each value checked against its range."""
+    cfg = _parse_config(text)
+    cfg._check_ranges()
     return cfg
 
 
@@ -347,6 +378,8 @@ def _scenario_optimal_norm(cfg: ExperimentConfig, rec: ReportRecord):
 
 def _scenario_equivalence_sweep(cfg: ExperimentConfig, rec: ReportRecord):
     space, phi = _space_and_profile(cfg)
+    if not math.isfinite(embedding_function(space, phi).values[-1]):
+        raise NotEmbedded("aggregate infinite at T; no equivalence to measure")
     wt, uq = tail_embedding_function(space, phi, cfg.k, cfg.n)
     ca = check_condition_a(phi, space.V, cfg.k, cfg.n, space.grid)
     cb = check_condition_b(phi, uq, cfg.k, cfg.n, space.grid)
@@ -432,8 +465,6 @@ def _scenario_besov_case(cfg: ExperimentConfig, rec: ReportRecord):
 
 
 def _scenario_lorentz_karamata_case(cfg: ExperimentConfig, rec: ReportRecord):
-    if cfg.b_log == 0.0:
-        raise ConfigInvalid("space.b_log: this scenario needs a log weight factor")
     space, phi = _space_and_profile(cfg)
     crit = embedding_criterion(space, phi)
     rec.scalars["embeds"] = crit["embeds"]
@@ -510,6 +541,7 @@ _SCENARIO_FNS = {
     "covering_sample": _scenario_covering_sample,
 }
 SCENARIOS = tuple(_SCENARIO_FNS)
+_FIELD_SCENARIOS = ("besov_case", "covering_sample")
 
 
 # ---------------------------------------------------------------------------
@@ -524,8 +556,6 @@ def run(cfg: ExperimentConfig, out_dir=None) -> ReportRecord:
     start = time.perf_counter()
     try:
         _SCENARIO_FNS[cfg.scenario](cfg, rec)
-    except ConfigInvalid:
-        raise
     except ToolkitError as exc:
         rec.error = f"{type(exc).__name__}: {exc}"
     except Exception as exc:   # defensive: a scenario bug should not kill a sweep
@@ -581,21 +611,13 @@ def sweep(configs, out_dir=None) -> list[ReportRecord]:
 
 def selftest(out_dir=None) -> list[ReportRecord]:
     """A fast end-to-end exercise of the main scenarios."""
-    configs = [
-        parse_config_text("scenario = embedding_check\nspace.q = 2\n"
-                          "kernel.variant = power\nkernel.alpha = 0.75\n"
-                          "grid.points = 256\n"),
-        parse_config_text("scenario = optimal_norm\nspace.q = 2\n"
-                          "kernel.variant = power\nkernel.alpha = 0.75\n"
-                          "grid.points = 256\n"),
-        parse_config_text("scenario = equivalence_sweep\nspace.q = 2\nn = 2\n"
-                          "kernel.variant = power\nkernel.alpha = 1.5\nk = 1\n"
-                          "grid.points = 256\n"),
-        parse_config_text("scenario = besov_case\nspace.q = 2\n"
-                          "kernel.variant = bessel_mcdonald\nkernel.alpha = 0.75\n"
-                          "field.resolution = 128\ngrid.points = 256\n"),
-    ]
-    return sweep(configs, out_dir=out_dir)
+    texts = ["scenario = embedding_check\nkernel.alpha = 0.75\n",
+             "scenario = optimal_norm\nkernel.alpha = 0.75\n",
+             "scenario = equivalence_sweep\nn = 2\nkernel.alpha = 1.5\nk = 1\n",
+             "scenario = besov_case\nkernel.variant = bessel_mcdonald\n"
+             "kernel.alpha = 0.75\nfield.resolution = 128\n"]
+    return sweep([parse_config_text(text + "space.q = 2\ngrid.points = 256\n")
+                  for text in texts], out_dir=out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -623,27 +645,21 @@ def main(argv=None) -> int:
                    help="fast built-in scenario exercise")
     args = parser.parse_args(argv)
 
-    def apply_overrides(cfg: ExperimentConfig) -> ExperimentConfig:
-        if args.grid_points is not None:
-            cfg.grid_points = args.grid_points
-        if args.tmin is not None:
-            cfg.tmin_span = args.tmin
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.out is not None:
-            cfg.out = args.out
-        cfg.validate()
-        return cfg
+    # options given on the command line replace the file's values
+    overrides = {attr: value for attr, value in (
+        ("grid_points", args.grid_points), ("tmin_span", args.tmin),
+        ("seed", args.seed), ("out", args.out)) if value is not None}
 
     try:
         if args.command == "run":
-            cfg = apply_overrides(load_config(args.config))
+            cfg = replace(load_config(args.config), **overrides)
             labelled = [(cfg.scenario, run(cfg))]
         elif args.command == "sweep":
             paths = sorted(Path(args.config_dir).glob("*.cfg"))
             if not paths:
                 raise ConfigInvalid(f"no .cfg files in {args.config_dir}")
-            configs = [apply_overrides(load_config(p)) for p in paths]
+            # unvalidated: sweep rejects an invalid item in its own report
+            configs = [replace(_parse_config(p.read_text()), **overrides) for p in paths]
             labelled = [(p.name, rec)
                         for p, rec in zip(paths, sweep(configs, out_dir=args.out))]
         else:

@@ -31,7 +31,6 @@ from .errors import (
 DEFAULT_GRID_POINTS = 512
 DEFAULT_GRID_SPAN = 1e-8       # t_min = span * T
 DEFAULT_QUAD_TOL = 1e-8
-DEFAULT_NORM_TOL = 1e-6
 
 _GAUSS_HI = np.polynomial.legendre.leggauss(16)
 _GAUSS_LO = np.polynomial.legendre.leggauss(8)

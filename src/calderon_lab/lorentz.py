@@ -148,13 +148,19 @@ def lorentz_norm(space: LorentzSpace, fstar: SampledFunction) -> float:
 # the embedding aggregate and criterion
 # ---------------------------------------------------------------------------
 
+def _profile_integral(t, phi_values) -> np.ndarray:
+    """int_0^t phi at each point t; NonConvergent when phi is not integrable."""
+    iphi = cumulative_from_zero(t, phi_values)
+    if not np.isfinite(iphi[0]):
+        raise NonConvergent("kernel profile is not integrable at 0")
+    return iphi
+
+
 def kernel_average(space: LorentzSpace, phi: SampledFunction) -> SampledFunction:
     """W(t) = V(t)^(-1) int_0^t phi, the density the aggregate is built
     from."""
     t = space.grid.points
-    iphi = cumulative_from_zero(t, phi(t))
-    if not np.isfinite(iphi[0]):
-        raise NonConvergent("kernel profile is not integrable at 0")
+    iphi = _profile_integral(t, phi(t))
     return SampledFunction(grid=space.grid, values=iphi / space.V.values)
 
 

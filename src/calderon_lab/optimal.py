@@ -41,7 +41,8 @@ from .gridfn import (
     segment_masses,
     total_mass,
 )
-from .lorentz import LorentzSpace, _associate_norm_of_cumulative, embedding_function
+from .lorentz import (LorentzSpace, _associate_norm_of_cumulative, _profile_integral,
+                      embedding_function)
 
 
 # ---------------------------------------------------------------------------
@@ -98,9 +99,7 @@ def check_condition_a(phi, V: SampledFunction, k: int, n: int,
     exponent eps making t^eps / V(t) nonincreasing."""
     t = grid.points
     ph = np.asarray(phi(t), dtype=float)
-    head = cumulative_from_zero(t, ph)
-    if not np.isfinite(head[0]):
-        raise NonConvergent("phi is not integrable at 0")
+    head = _profile_integral(t, ph)
     tail = cumulative_tail(t, t ** (-k / float(n)) * ph)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(head > 0, tail / (t ** (-k / float(n)) * head), np.inf)
@@ -261,9 +260,7 @@ class AssociateNormEngine:
         self.t = t
         self.kn = k / float(n)
         self.phi_vals = np.asarray(phi(t), dtype=float)
-        self.iphi = cumulative_from_zero(t, self.phi_vals)
-        if not np.isfinite(self.iphi[0]):
-            raise NonConvergent("phi is not integrable at 0")
+        self.iphi = _profile_integral(t, self.phi_vals)
         self.jk = cumulative_tail(t, t ** -self.kn * self.phi_vals)
         # log-trapezoid weights for integrals against g(xi) d xi
         u = np.log(t)

@@ -15,6 +15,7 @@ from calderon_lab.cli import (
     sweep,
 )
 from calderon_lab.errors import ConfigInvalid
+from calderon_lab.optimal import equivalence_report, sample_family
 
 DATA = Path(__file__).resolve().parent / "data"
 FAST = "grid.points = 256\n"
@@ -80,6 +81,66 @@ class TestValidationBounds:
     def test_field_resolution_ignored_without_fields(self):
         cfg = parse_config_text("scenario = embedding_check\nfield.resolution = 8\n")
         assert cfg.field_resolution == 8
+
+
+class TestClosedFormRejection:
+    # Phi(z) = z^(alpha-n) (1 + log(z1/z))^lambda is nonincreasing on
+    # (0, z*] exactly when -lambda <= (n - alpha)(1 + log(z1/z*)); the grid
+    # scenarios sample up to z* = min(z1, (T/V_n)^(1/n)), the field
+    # scenarios are held to z* = z1
+    @staticmethod
+    def zstar(n, fields=False):
+        ball = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}[n]
+        return 1.0 if fields else min(1.0, (1.0 / ball) ** (1.0 / n))
+
+    def threshold(self, n, alpha, fields=False):
+        return -(n - alpha) * (1.0 + math.log(1.0 / self.zstar(n, fields)))
+
+    @staticmethod
+    def rises_below(cfg, z):
+        kernel = cli._build_kernel(cfg)
+        return kernel.profile(z) > kernel.profile(z * (1.0 - 1e-4))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_lambda_both_sides_grid(self, n):
+        alpha = 0.75 * n
+        lam = self.threshold(n, alpha)
+        base = (f"scenario = embedding_check\nn = {n}\nkernel.alpha = {alpha}\n"
+                + FAST)
+        good = parse_config_text(base + f"kernel.lambda_log = {0.99 * lam!r}\n")
+        assert not self.rises_below(good, self.zstar(n))
+        assert run(good).error is None
+        bad = parse_config_text(base + f"kernel.lambda_log = {1.01 * lam!r}\n")
+        assert self.rises_below(bad, self.zstar(n))
+        with pytest.raises(ConfigInvalid, match=r"^kernel\.lambda_log: "):
+            run(bad)
+
+    def test_lambda_both_sides_fields(self):
+        lam = self.threshold(1, 0.75, fields=True)
+        zstar = self.zstar(1, fields=True)
+        base = ("scenario = besov_case\nkernel.alpha = 0.75\n"
+                "field.resolution = 128\n" + FAST)
+        good = parse_config_text(base + f"kernel.lambda_log = {0.99 * lam!r}\n")
+        assert not self.rises_below(good, zstar)
+        assert run(good).error is None
+        bad = parse_config_text(base + f"kernel.lambda_log = {1.01 * lam!r}\n")
+        assert self.rises_below(bad, zstar)
+        with pytest.raises(ConfigInvalid, match=r"^kernel\.lambda_log: "):
+            run(bad)
+
+    @pytest.mark.parametrize("scenario", ["besov_case", "covering_sample"])
+    def test_fields_one_dimensional(self, scenario, tmp_path):
+        text = f"scenario = {scenario}\nn = 2\nkernel.alpha = 1.5\n"
+        with pytest.raises(ConfigInvalid, match=r"^n: "):
+            run(parse_config_text(text))
+        path = tmp_path / "c.cfg"
+        path.write_text(text)
+        assert main(["run", str(path)]) == 2
+
+    def test_lorentz_karamata_needs_log_weight(self):
+        cfg = parse_config_text("scenario = lorentz_karamata_case\n")
+        with pytest.raises(ConfigInvalid, match=r"^space\.b_log: "):
+            cfg.validate()
 
 
 class TestRun:
@@ -242,14 +303,19 @@ class TestScenarios:
     def test_equivalence_zero_min_ratio(self):
         # q = 1 borderline: rho0 and rho_tilde disagree on finiteness for
         # some g, so the smallest finite ratio is 0 and the spread is
-        # infinite, without a division by zero
-        rec = run(parse_config_text(
+        # infinite, without a division by zero.  The aggregate is infinite
+        # at T, so the scenario stops at NotEmbedded; the report is built
+        # directly
+        cfg = parse_config_text(
             "scenario = equivalence_sweep\nspace.q = 1\nspace.b_log = 1.244\n"
             "kernel.alpha = 0.916\nk = 1\nn = 1\ngrid.points = 256\n"
-            "seed = 211290874\n"))
-        assert rec.error is None
-        assert rec.scalars["ratio_min"] == 0.0
-        assert rec.scalars["ratio_spread"] == math.inf
+            "seed = 211290874\n")
+        space, phi = cli._space_and_profile(cfg)
+        fam = sample_family(space.grid, count=50, seed=cfg.seed)
+        rep = equivalence_report(space, phi, cfg.k, cfg.n, fam)
+        assert rep["min_ratio"] == 0.0
+        assert rep["spread"] == math.inf
+        assert run(cfg).error.startswith("NotEmbedded: ")
 
     def test_besov_case(self):
         rec = run(parse_config_text(
@@ -353,6 +419,24 @@ class TestMain:
         out = tmp_path / "sweep_out"
         assert main(["sweep", str(d), "--out", str(out)]) == 0
         assert (out / "summary.csv").exists()
+
+    def test_sweep_rejects_per_item(self, tmp_path):
+        # a file with an out-of-range value gets its own report and
+        # summary row; the sweep runs the rest and exits 1
+        d = tmp_path / "cfgs"
+        d.mkdir()
+        (d / "a.cfg").write_text(
+            "scenario = embedding_check\nkernel.alpha = 0.75\n" + FAST)
+        (d / "b.cfg").write_text("scenario = embedding_check\nspace.q = 0.5\n")
+        out = tmp_path / "sweep_out"
+        assert main(["sweep", str(d), "--out", str(out)]) == 1
+        good, bad = (json.loads((out / f"item_{i:03d}" / "report.json").read_text())
+                     for i in range(2))
+        assert good["passed"]
+        assert bad["error"].startswith("ConfigInvalid: space.q: ")
+        assert not bad["passed"]
+        row = (out / "summary.csv").read_text().splitlines()[2].split(",")
+        assert row[:4] == ["item_001", "embedding_check", "False", bad["error"]]
 
     def test_sweep_ignores_workers(self, tmp_path, monkeypatch):
         # items run one after another: neither the flag nor the variable

@@ -57,7 +57,6 @@ class TestKernelSpec:
     def test_bessel_profile_two_sided(self):
         nu = 0.125
         kern = KernelSpec(BesselMcDonald(nu=nu), n=1)
-        kern.validate()
         y1 = auto_z1(kern)
         ys = np.geomspace(1e-6, y1, 64)
         ratio = kern.profile(ys) * ys ** (2 * nu)
@@ -106,11 +105,6 @@ class TestKernelSpec:
             vals = kern.profile(zs)
         assert vals[0] == math.inf
         assert np.array_equal(vals[1:], kern.profile(zs[1:]))
-
-    def test_integrability_enforced(self):
-        kern = KernelSpec(BesselMcDonald(nu=0.2), n=1)
-        mass = kern.radial_mass()
-        assert 0.0 < mass < math.inf
 
     def test_invalid_parameters(self):
         with pytest.raises(DomainError):
