@@ -105,7 +105,10 @@ class ExperimentConfig:
             return self.n - 2.0 * self.nu
         return self.alpha
 
-    def _check_ranges(self) -> None:
+    def validate(self) -> None:
+        """Reject, with ConfigInvalid naming the key, a config that no run
+        can handle: a value out of its range, or a kernel or space the
+        scenario does not cover."""
         def bad(fieldname, reason):
             raise ConfigInvalid(f"{fieldname}: {reason}")
         if self.scenario not in SCENARIOS:
@@ -149,14 +152,6 @@ class ExperimentConfig:
         if self.tmin_span < floor:
             bad("grid.tmin", f"span {self.tmin_span:g} is below {floor:.3g}: t^-{e:g}, "
                 "the largest power of t formed, must stay within half the float range")
-
-    def validate(self) -> None:
-        """Reject, with ConfigInvalid naming the key, a config that no run
-        can handle: a value out of its range (the part parse_config_text
-        checks), or a kernel or space the scenario does not cover."""
-        def bad(fieldname, reason):
-            raise ConfigInvalid(f"{fieldname}: {reason}")
-        self._check_ranges()
         fields = self.scenario in _FIELD_SCENARIOS
         if fields and self.n != 1:
             bad("n", "fields are one-dimensional: must be 1 for this scenario")
@@ -196,8 +191,9 @@ _KEY_MAP = {
 }
 
 
-def _parse_config(text: str) -> ExperimentConfig:
-    """The config a text spells, unvalidated; ConfigInvalid on bad syntax."""
+def parse_config_text(text: str) -> ExperimentConfig:
+    """The config a text spells, unvalidated (run validates it);
+    ConfigInvalid on bad syntax."""
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -216,17 +212,6 @@ def _parse_config(text: str) -> ExperimentConfig:
     if "scenario" not in values:
         raise ConfigInvalid("scenario: missing required key")
     return ExperimentConfig(**values)
-
-
-def parse_config_text(text: str) -> ExperimentConfig:
-    """The config a text spells, each value checked against its range."""
-    cfg = _parse_config(text)
-    cfg._check_ranges()
-    return cfg
-
-
-def load_config(path) -> ExperimentConfig:
-    return parse_config_text(Path(path).read_text())
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +294,7 @@ def _build_weight(cfg: ExperimentConfig) -> WeightSpec:
     sv = None
     if cfg.b_log != 0.0:
         sv = SlowlyVaryingSpec(factors=(("log", cfg.b_log),), scale=cfg.T)
-    if cfg.p is None and sv is None:
-        return WeightSpec(power_exponent=0.0, T=cfg.T)
+    # no space.p: p = q, so v = b^q (q/q - 1 is exactly 0)
     p = cfg.p if cfg.p is not None else cfg.q
     return power_weight(cfg.q, p, T=cfg.T, sv=sv)
 
@@ -427,7 +411,7 @@ def _scenario_envelope(cfg: ExperimentConfig, rec: ReportRecord):
     _check(rec.assertions, "endpoint_factor_two",
            0.5 - 1e-9 <= ratio <= 1.0 + 1e-9, ratio,
            "kernel at t=T sits between half and all of the profile norm")
-    sel = (tg.points >= 1e-6) & (tg.points <= 1e-2)
+    sel = tg.points <= 1e-2 * cfg.T
     A = np.vstack([np.ones(sel.sum()), np.log(tg.points[sel])]).T
     slope = float(np.linalg.lstsq(A, np.log(upper.values[sel]), rcond=None)[0][1])
     rec.scalars["small_t_slope"] = slope
@@ -645,21 +629,22 @@ def main(argv=None) -> int:
                    help="fast built-in scenario exercise")
     args = parser.parse_args(argv)
 
-    # options given on the command line replace the file's values
+    # options given on the command line replace the file's values, and run
+    # validates them together
     overrides = {attr: value for attr, value in (
         ("grid_points", args.grid_points), ("tmin_span", args.tmin),
         ("seed", args.seed), ("out", args.out)) if value is not None}
 
     try:
         if args.command == "run":
-            cfg = replace(load_config(args.config), **overrides)
+            cfg = replace(parse_config_text(Path(args.config).read_text()), **overrides)
             labelled = [(cfg.scenario, run(cfg))]
         elif args.command == "sweep":
             paths = sorted(Path(args.config_dir).glob("*.cfg"))
             if not paths:
                 raise ConfigInvalid(f"no .cfg files in {args.config_dir}")
-            # unvalidated: sweep rejects an invalid item in its own report
-            configs = [replace(_parse_config(p.read_text()), **overrides) for p in paths]
+            # run validates: sweep rejects an invalid item in its own report
+            configs = [replace(parse_config_text(p.read_text()), **overrides) for p in paths]
             labelled = [(p.name, rec)
                         for p, rec in zip(paths, sweep(configs, out_dir=args.out))]
         else:

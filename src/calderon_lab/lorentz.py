@@ -123,9 +123,6 @@ class LorentzSpace:
     def T(self) -> float:
         return self.weight.T
 
-    def on_grid(self, grid: LogGrid) -> "LorentzSpace":
-        return LorentzSpace(self.q, self.weight, grid)
-
 
 def lorentz_norm(space: LorentzSpace, fstar: SampledFunction) -> float:
     """( int_0^inf (f*)^q v )^(1/q) for a nonincreasing f* >= 0.
@@ -156,14 +153,6 @@ def _profile_integral(t, phi_values) -> np.ndarray:
     return iphi
 
 
-def kernel_average(space: LorentzSpace, phi: SampledFunction) -> SampledFunction:
-    """W(t) = V(t)^(-1) int_0^t phi, the density the aggregate is built
-    from."""
-    t = space.grid.points
-    iphi = _profile_integral(t, phi(t))
-    return SampledFunction(grid=space.grid, values=iphi / space.V.values)
-
-
 def _fitted_head_integral(grid: LogGrid, y: np.ndarray, fit) -> float:
     """Integral over (0, t_min) of the fitted model C t^p L^e matching
     the first sample (used when the two-point power rule is too crude,
@@ -181,16 +170,17 @@ def embedding_function(space: LorentzSpace, phi: SampledFunction) -> SampledFunc
     """The nondecreasing aggregate Psi_q(t) whose value at T decides the
     embedding; identically +inf when the defining integral (or sup)
     diverges at the origin."""
-    W = kernel_average(space, phi)
     t = space.grid.points
+    # W(t) = V(t)^(-1) int_0^t phi, the density the aggregate is built from
+    W = _profile_integral(t, phi(t)) / space.V.values
     if space.q == 1.0:
-        tag = classify_boundedness(space.grid, W.values).tag
+        tag = classify_boundedness(space.grid, W).tag
         if tag == "divergent":
             vals = np.full_like(t, math.inf)
         else:
-            vals = np.maximum.accumulate(W.values)
+            vals = np.maximum.accumulate(W)
         return SampledFunction(grid=space.grid, values=vals)
-    y = W.values ** space.qp * space.v_vals
+    y = W ** space.qp * space.v_vals
     fit = classify_zero_endpoint(space.grid, y)
     head = head_mass(t, y)
     if fit.tag == "divergent":
@@ -217,7 +207,7 @@ def embedding_criterion(space: LorentzSpace, phi: SampledFunction) -> dict:
     values = []
     for span in (1e-4, 1e-6, 1e-8):
         g = make_log_grid(span * T, T, space.grid.count)
-        psi = embedding_function(space.on_grid(g), phi)
+        psi = embedding_function(LorentzSpace(space.q, space.weight, g), phi)
         values.append(float(psi.values[-1]))
     if any(not math.isfinite(v) for v in values):
         return {"embeds": False, "psi_at_T": math.inf, "refinements": values}

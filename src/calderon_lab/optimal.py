@@ -89,7 +89,6 @@ class ConditionWitness:
     d_grid: float           # raw grid supremum of the defining ratio
     epsilon: float          # monotonicity exponent witness (0 when none)
     holds: bool
-    failure_locus: float | None = None
 
 
 def check_condition_a(phi, V: SampledFunction, k: int, n: int,
@@ -111,10 +110,8 @@ def check_condition_a(phi, V: SampledFunction, k: int, n: int,
     unbounded = tag == "divergent"
     eps = largest_monotone_exponent(t, 1.0 / V.values)
     holds = (not unbounded) and eps > 0.0
-    locus = float(t[int(np.argmax(ratio[:-1]))]) if unbounded else None
     return ConditionWitness(which="A", d=(math.inf if unbounded else d_grid),
-                            d_grid=d_grid, epsilon=eps, holds=holds,
-                            failure_locus=locus)
+                            d_grid=d_grid, epsilon=eps, holds=holds)
 
 
 def check_condition_b(phi, u_q: SampledFunction, k: int, n: int,
@@ -130,19 +127,14 @@ def check_condition_b(phi, u_q: SampledFunction, k: int, n: int,
     if not np.isfinite(head[0]):
         d_grid = math.inf
         unbounded = True
-        ratio = np.full_like(t, math.inf)
     else:
         ratio = head / (t ** (1.0 - kn) * ph)
         d_grid = float(np.max(ratio))
         unbounded = classify_boundedness(grid, ratio, e_tol=0.4).tag == "divergent"
     eps = largest_monotone_exponent(t, u_q.values)
     holds = (not unbounded) and math.isfinite(d_grid) and eps > 0.0
-    locus = None
-    if unbounded and math.isfinite(d_grid):
-        locus = float(t[int(np.argmax(ratio))])
     return ConditionWitness(which="B", d=(math.inf if unbounded else d_grid),
-                            d_grid=d_grid, epsilon=eps, holds=holds,
-                            failure_locus=locus)
+                            d_grid=d_grid, epsilon=eps, holds=holds)
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,9 @@ integral over that cell, which keeps the near-origin mass honest.
 `convolver` builds that mass and the offset table once per (kernel,
 grid); each field on the grid then costs one mat-vec.  The dimension n
 of the lattice (the t^(1/n) scaling of the modulus and the cone
-kernel) is a separate argument; fields of dimension n >= 2 are
-rejected, because a direct sum needs an exact singular-cell integral
-there, which the toolkit does not have.
+kernel) is a separate argument; the convolver rejects kernels of
+dimension n >= 2, because a direct sum needs an exact singular-cell
+integral there, which the toolkit does not have.
 
 The modulus omega_k(u; t) is that of the piecewise-linear interpolant s
 of the samples: for each sampled step h = +-t*j/J the sup over x of
@@ -60,19 +60,16 @@ class FieldSample:
 
     The grid is inclusive: x_i = origin + i * spacing with resolution
     points; by default origin = -box_halfwidth.  Restricted domains
-    produced by differencing keep their own origin.  Only n = 1 is
-    supported.
+    produced by differencing keep their own origin.
     """
 
-    n: int
+    n = 1   # fields are one-dimensional; perfbench/tracer.py _modulus_steps reads u.n
     box_halfwidth: float
     resolution: int
     values: np.ndarray
     origin: float | None = None
 
     def __post_init__(self):
-        if self.n != 1:
-            raise DomainError("fields must be one-dimensional (n = 1)")
         if self.resolution < 16:
             raise DomainError("resolution must be at least 16")
         self.values = np.asarray(self.values, dtype=float)
@@ -93,11 +90,10 @@ class FieldSample:
         return float(np.max(np.abs(self.values)))
 
 
-def sample_field(fn, n: int, box_halfwidth: float, resolution: int) -> FieldSample:
+def sample_field(fn, box_halfwidth: float, resolution: int) -> FieldSample:
     """fn evaluated on the grid points of [-H, H]."""
     x = -box_halfwidth + 2.0 * box_halfwidth / (resolution - 1) * np.arange(resolution)
-    return FieldSample(n=n, box_halfwidth=box_halfwidth, resolution=resolution,
-                       values=fn(x))
+    return FieldSample(box_halfwidth=box_halfwidth, resolution=resolution, values=fn(x))
 
 
 def field_rearrangement(f: FieldSample, grid: LogGrid) -> SampledFunction:
@@ -120,7 +116,7 @@ def convolver(kernel: KernelSpec, like: FieldSample):
     spacing or length differs from like's.  Raises ResolutionTooCoarse
     when the singular cell carries more than half of the kernel mass
     reachable inside the box."""
-    if kernel.n != like.n:
+    if kernel.n != 1:
         raise DomainError("kernel and field dimension mismatch")
     h = like.spacing
     phi_fn = kernel.measure_profile_fn()
@@ -139,7 +135,7 @@ def convolver(kernel: KernelSpec, like: FieldSample):
     def apply(f: FieldSample) -> FieldSample:
         if f.spacing != h or len(f.values) != m:
             raise DomainError("field grid differs from the convolver's grid")
-        return FieldSample(n=1, box_halfwidth=f.box_halfwidth, resolution=f.resolution,
+        return FieldSample(box_halfwidth=f.box_halfwidth, resolution=f.resolution,
                            values=window @ f.values, origin=f.origin)
     return apply
 
@@ -172,8 +168,8 @@ def finite_difference(u: FieldSample, h: float, k: int) -> FieldSample:
         start = j * m if m >= 0 else (k - j) * (-m)
         out += c * u.values[start:start + size]
     origin = u.origin + (k * abs(m) * u.spacing if m < 0 else 0.0)
-    return FieldSample(n=u.n, box_halfwidth=u.box_halfwidth,
-                       resolution=u.resolution, values=out, origin=origin)
+    return FieldSample(box_halfwidth=u.box_halfwidth, resolution=u.resolution,
+                       values=out, origin=origin)
 
 
 def _difference_sups(u: FieldSample, k: int, mags: np.ndarray) -> np.ndarray:
@@ -294,7 +290,6 @@ class ConeCheckReport:
     cone-kernel integral of f*."""
     c1: float
     per_field: dict
-    resolution: int
 
 
 def upper_cone_check(space: LorentzSpace, kernel: KernelSpec, k: int,
@@ -317,7 +312,7 @@ def upper_cone_check(space: LorentzSpace, kernel: KernelSpec, k: int,
         ratios = omega.values / denom
         per_field[name] = float(np.max(ratios))
     c1 = max(per_field.values())
-    return ConeCheckReport(c1=c1, per_field=per_field, resolution=f_family[0][1].resolution)
+    return ConeCheckReport(c1=c1, per_field=per_field)
 
 
 # ---------------------------------------------------------------------------
@@ -391,5 +386,5 @@ def bump_and_staircase_family(count: int = 10, resolution: int = 512,
                 for (lo, hi), lv in zip(zip(edges[:-1], edges[1:]), levels):
                     out += lv * ((x >= lo) & (x < hi))
                 return out
-        family.append((f"field_{i}", sample_field(fn, 1, 3.0, resolution)))
+        family.append((f"field_{i}", sample_field(fn, 3.0, resolution)))
     return family

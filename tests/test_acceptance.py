@@ -262,7 +262,7 @@ def test_criterion_09_discretization_laws():
 
 
 def test_criterion_10_moduli_of_smoothness():
-    u = sample_field(np.sin, 1, 8.0, 4096)
+    u = sample_field(np.sin, 8.0, 4096)
     worst = max(abs(modulus_of_smoothness(u, 1, float(t)) - 2 * math.sin(t / 2))
                 for t in np.linspace(0.15, math.pi - 1e-6, 15))
     rng = np.random.default_rng(0x5EED)
@@ -271,13 +271,13 @@ def test_criterion_10_moduli_of_smoothness():
         coef = rng.normal(size=3)
         field = sample_field(lambda x: coef[0] * np.sin(2 * x)
                              + coef[1] * np.cos(5 * x) + coef[2] * np.sin(11 * x),
-                             1, 4.0, 1024)
+                             4.0, 1024)
         k = 1 + trial % 2
         for lam in (0.5, 2.0, 3.0):
             lhs = modulus_of_smoothness(field, k, lam * 0.2)
             rhs = (1 + lam) ** k * modulus_of_smoothness(field, k, 0.2)
             dil_ok &= lhs <= rhs * (1 + 1e-9)
-    poly = sample_field(lambda x: 3 * x ** 2 - 2 * x + 7, 1, 2.0, 65)
+    poly = sample_field(lambda x: 3 * x ** 2 - 2 * x + 7, 2.0, 65)
     annihilation = float(np.max(np.abs(finite_difference(poly, 0.125, 3).values)))
     report(10, worst < 1e-3 and dil_ok and annihilation < 1e-12,
            f"omega_1(sin) off by {worst:.1e} (< 1e-3); dilation bound holds; "

@@ -61,3 +61,13 @@ def test_modulus_counter_binds_the_signature():
     # the step counter binds modulus_curve's arguments by position
     params = list(inspect.signature(calderon_lab.potentials.modulus_curve).parameters)
     assert params[:5] == ["u", "k", "t_grid", "n", "directions"]
+
+
+def test_modulus_counter_reads_the_field_dimension():
+    # the step counter reads u.n, which FieldSample keeps as a class
+    # attribute for it: 2 * 16 steps per t of a one-dimensional field
+    tracer = _load_tracer()
+    field = calderon_lab.bump_and_staircase_family(count=1, resolution=64)[0][1]
+    t_grid = calderon_lab.make_log_grid(1e-3, 1.0, 8)
+    steps = tracer._modulus_steps((field, 1, t_grid), {}, None)
+    assert steps == {"steps": t_grid.count * 32}

@@ -7,7 +7,6 @@ import pytest
 
 from calderon_lab import cli
 from calderon_lab.cli import (
-    load_config,
     main,
     parse_config_text,
     run,
@@ -51,11 +50,43 @@ class TestConfigParsing:
 
     def test_range_validation(self):
         with pytest.raises(ConfigInvalid):
-            parse_config_text("scenario = embedding_check\nspace.q = 0.5\n")
+            parse_config_text("scenario = embedding_check\nspace.q = 0.5\n").validate()
         with pytest.raises(ConfigInvalid):
-            parse_config_text("scenario = embedding_check\nkernel.alpha = 1.5\n")
+            parse_config_text("scenario = embedding_check\nkernel.alpha = 1.5\n").validate()
         with pytest.raises(ConfigInvalid):
-            parse_config_text("scenario = nonsense\n")
+            parse_config_text("scenario = nonsense\n").validate()
+
+
+class TestConfigContract:
+    # parse_config_text checks syntax only; validate, which run calls
+    # first, is the one place that rejects a config
+    BAD_Q = "scenario = embedding_check\nspace.q = 0.5\n"
+
+    def test_parse_accepts_validate_rejects(self):
+        cfg = parse_config_text(self.BAD_Q)
+        assert cfg.q == 0.5
+        with pytest.raises(ConfigInvalid, match=r"^space\.q: must be >= 1$"):
+            cfg.validate()
+
+    def test_main_run_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text(self.BAD_Q)
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == "config error: space.q: must be >= 1\n"
+
+    def test_override_validated_with_file(self, tmp_path, capsys):
+        # grid.points = 8 is out of range in the file, and the command
+        # line's value replaces it before anything is validated
+        path = tmp_path / "small.cfg"
+        path.write_text("scenario = embedding_check\nkernel.alpha = 0.75\n"
+                        "grid.points = 8\n")
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == \
+            "config error: grid.points: must be at least 16\n"
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--grid-points", "256", "--out", str(out)]) == 0
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["inputs"]["grid_points"] == 256
 
 
 class TestValidationBounds:
@@ -71,8 +102,9 @@ class TestValidationBounds:
     def test_both_sides(self, tmp_path, scenario, key, bad, good):
         base = f"scenario = {scenario}\n{FAST}"
         with pytest.raises(ConfigInvalid, match=key):
-            parse_config_text(base + f"{key} = {bad}\n")
+            parse_config_text(base + f"{key} = {bad}\n").validate()
         cfg = parse_config_text(base + f"{key} = {good}\n")
+        cfg.validate()
         assert cfg.scenario == scenario
         path = tmp_path / "bad.cfg"
         path.write_text(base + f"{key} = {bad}\n")
@@ -254,6 +286,16 @@ class TestScenarios:
         assert rec.passed
         assert abs(rec.scalars["small_t_slope"] - 0.25) < 0.05
 
+    def test_envelope_slope_window_scales_with_T(self):
+        # a pure power kernel and a flat weight: the envelope is the same
+        # curve in t/T, so the small-t slope does not depend on T
+        def slope(T):
+            rec = run(parse_config_text(
+                f"scenario = envelope\nkernel.alpha = 0.75\nT = {T}\n" + FAST))
+            assert rec.error is None
+            return rec.scalars["small_t_slope"]
+        assert slope(1e-3) == pytest.approx(slope(1.0), rel=1e-12, abs=0.0)
+
     @pytest.mark.xfail(strict=True,
                        reason="ROADMAP item 4: fitted q = 1 boundedness verdict")
     def test_envelope_q1_borderline_finite(self):
@@ -343,7 +385,7 @@ class TestScenarios:
         # k = 2 with most of the t grid below the field spacing: the
         # modulus of the interpolant grows like t * spacing there, so the
         # direct norm is finite and the factors are positive
-        rec = run(load_config(DATA / "besov_k2.cfg"))
+        rec = run(parse_config_text((DATA / "besov_k2.cfg").read_text()))
         assert rec.error is None
         assert rec.scalars["factor_min"] > 0
         assert rec.assertions["two_sided_factor"]["passed"]
@@ -356,7 +398,7 @@ class TestScenarios:
             calls.append(args)
             return math.inf if len(calls) == 1 else real(*args)
         monkeypatch.setattr(cli, "power_modulus_norm", first_infinite)
-        rec = run(load_config(DATA / "besov_k2.cfg"))
+        rec = run(parse_config_text((DATA / "besov_k2.cfg").read_text()))
         assert rec.error is None
         assert rec.scalars["factor_min"] == 0.0
         assert rec.scalars["factor_max"] > 0
@@ -374,7 +416,7 @@ class TestGridSpanFloor:
         # at 1e-200 the powers overflow, and the run used to end in
         # NonConvergent: lower Hardy integral diverges at 0
         with pytest.raises(ConfigInvalid, match=r"span 1e-200 is below 5\.62e-35: t\^-4\.5"):
-            parse_config_text(self.BASE + "grid.tmin = 1e-200\n")
+            parse_config_text(self.BASE + "grid.tmin = 1e-200\n").validate()
         cfg = tmp_path / "c.cfg"
         cfg.write_text(self.BASE)
         assert main(["run", str(cfg), "--tmin", "1e-200"]) == 2

@@ -52,7 +52,7 @@ def test_one_config_per_scenario():
 
 @pytest.mark.parametrize("cfg_path", CONFIGS, ids=lambda p: p.stem)
 def test_report_matches_golden(cfg_path):
-    got = json.loads(cli.run(cli.load_config(cfg_path)).to_json())
+    got = json.loads(cli.run(cli.parse_config_text(cfg_path.read_text())).to_json())
     del got["wall_time_s"]
     want = json.loads(cfg_path.with_suffix(".json").read_text())
     assert _mismatches(got, want) == []

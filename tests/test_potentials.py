@@ -105,7 +105,7 @@ def _modulus_at_breaks(u, k, t, directions=16, signs=(1.0,)):
 class TestConvolve:
     def test_positive_kernel_positive_output(self):
         rng = np.random.default_rng(3)
-        f = sample_field(lambda x: np.abs(np.sin(5 * x)) * (np.abs(x) < 1), 1, 3.0, 256)
+        f = sample_field(lambda x: np.abs(np.sin(5 * x)) * (np.abs(x) < 1), 3.0, 256)
         u = convolve(BMD, f)
         assert np.all(u.values >= -1e-14)
 
@@ -123,7 +123,7 @@ class TestConvolve:
         rng = np.random.default_rng(0x5EED)
         for _ in range(10):
             vals = rng.random(256) * (np.abs(np.linspace(-3, 3, 256)) < 1.2)
-            f = FieldSample(1, 3.0, 256, vals)
+            f = FieldSample(3.0, 256, vals)
             u = convolve(BMD, f)
             fstar = field_rearrangement(f, grid=g)
             bound = c0 * phi_assoc * lorentz_norm(sp, fstar)
@@ -133,7 +133,7 @@ class TestConvolve:
         errs = []
         for w, res in [(0.2, 1024), (0.1, 1024), (0.05, 2048)]:
             f = sample_field(lambda x, w=w: np.clip(1 - (x / w) ** 2, 0, None) ** 2,
-                             1, 3.0, res)
+                             3.0, res)
             f.values /= np.sum(f.values) * f.spacing
             u = convolve(BMD, f)
             x = u.axis_points()
@@ -146,12 +146,12 @@ class TestConvolve:
     def test_resolution_too_coarse(self):
         steep = KernelSpec(PowerSlowlyVarying(alpha=0.05, sv=SlowlyVaryingSpec(),
                                               z1=1.0), n=1)
-        f = sample_field(lambda x: (np.abs(x) < 1).astype(float), 1, 2.0, 16)
+        f = sample_field(lambda x: (np.abs(x) < 1).astype(float), 2.0, 16)
         with pytest.raises(ResolutionTooCoarse):
             convolve(steep, f)
 
     def test_dimension_mismatch(self):
-        f = sample_field(lambda x: x * 0 + 1.0, 1, 1.0, 32)
+        f = sample_field(lambda x: x * 0 + 1.0, 1.0, 32)
         with pytest.raises(DomainError):
             convolve(KernelSpec(BesselMcDonald(nu=0.4), n=2), f)
 
@@ -189,12 +189,12 @@ class TestConvolve:
             assert np.array_equal(conv(f).values, convolve(kernel, f).values), name
 
     def test_convolver_rejects_other_grid(self):
-        f = sample_field(np.cos, 1, 3.0, 256)
+        f = sample_field(np.cos, 3.0, 256)
         conv = convolver(BMD, f)
-        shifted = FieldSample(1, 3.0, 256, f.values, origin=-2.5)
+        shifted = FieldSample(3.0, 256, f.values, origin=-2.5)
         assert conv(shifted).origin == -2.5
-        for other in (sample_field(np.cos, 1, 4.0, 256),     # box halfwidth
-                      sample_field(np.cos, 1, 3.0, 512),     # resolution
+        for other in (sample_field(np.cos, 4.0, 256),     # box halfwidth
+                      sample_field(np.cos, 3.0, 512),     # resolution
                       finite_difference(f, f.spacing, 1)):   # length
             with pytest.raises(DomainError):
                 conv(other)
@@ -221,46 +221,46 @@ class TestConvolve:
 
 class TestFiniteDifference:
     def test_linear_gives_constant_h(self):
-        u = sample_field(lambda x: x, 1, 2.0, 65)
+        u = sample_field(lambda x: x, 2.0, 65)
         d = finite_difference(u, 0.25, 1)
         assert np.allclose(d.values, 0.25)
 
     def test_quadratic_second_difference(self):
-        u = sample_field(lambda x: x ** 2, 1, 2.0, 65)
+        u = sample_field(lambda x: x ** 2, 2.0, 65)
         d = finite_difference(u, 0.25, 2)
         assert np.allclose(d.values, 2 * 0.25 ** 2)
 
     def test_annihilates_low_degree(self):
-        u = sample_field(lambda x: 3 * x ** 2 - 2 * x + 7, 1, 2.0, 65)
+        u = sample_field(lambda x: 3 * x ** 2 - 2 * x + 7, 2.0, 65)
         d = finite_difference(u, 0.125, 3)
         assert np.max(np.abs(d.values)) < 1e-12
 
     def test_iterative_identity(self):
         rng = np.random.default_rng(5)
-        u = FieldSample(1, 2.0, 65, rng.normal(size=65))
+        u = FieldSample(2.0, 65, rng.normal(size=65))
         once_then_twice = finite_difference(finite_difference(u, 0.125, 2), 0.125, 1)
         threefold = finite_difference(u, 0.125, 3)
         assert np.allclose(once_then_twice.values, threefold.values, atol=1e-12)
 
     def test_negative_step(self):
-        u = sample_field(lambda x: x, 1, 2.0, 65)
+        u = sample_field(lambda x: x, 2.0, 65)
         d = finite_difference(u, -0.25, 1)
         assert np.allclose(d.values, -0.25)
 
     def test_domain_exceeded(self):
-        u = sample_field(lambda x: x, 1, 2.0, 65)
+        u = sample_field(lambda x: x, 2.0, 65)
         with pytest.raises(DomainExceeded):
             finite_difference(u, 2.0, 3)
 
 
 class TestModulus:
     def test_constant_field(self):
-        u = sample_field(lambda x: np.ones_like(x), 1, 2.0, 64)
+        u = sample_field(lambda x: np.ones_like(x), 2.0, 64)
         assert modulus_of_smoothness(u, 1, 0.5) == 0.0
         assert modulus_of_smoothness(u, 2, 0.5) == 0.0
 
     def test_sine_closed_form(self):
-        u = sample_field(np.sin, 1, 8.0, 4096)
+        u = sample_field(np.sin, 8.0, 4096)
         for t in np.linspace(0.2, 3.0, 10):
             assert abs(modulus_of_smoothness(u, 1, t) - 2 * math.sin(t / 2)) < 1e-3
 
@@ -272,7 +272,7 @@ class TestModulus:
         # stencil (coefficients 1, -2, 1) by at most 3 d^2/8 <= d^2/2; the
         # grid samples the sup over x, losing at most a factor
         # cos(d/2) >= 1 - d^2/8.
-        u = sample_field(np.sin, 1, 8.0, resolution)
+        u = sample_field(np.sin, 8.0, resolution)
         d = u.spacing
         for t in np.geomspace(4 * d, 3.0, 20):
             exact = 4 * math.sin(t / 2) ** 2
@@ -294,7 +294,7 @@ class TestModulus:
         for trial in range(10):
             coef = rng.normal(size=4)
             u = sample_field(lambda x: coef[0] * np.sin(2 * x) + coef[1] * np.cos(5 * x)
-                             + coef[2] * np.sin(9 * x) + coef[3], 1, 4.0, 1024)
+                             + coef[2] * np.sin(9 * x) + coef[3], 4.0, 1024)
             k = 1 + trial % 2
             for lam in (0.5, 2.0, 3.0):
                 for t in (0.1, 0.3):
@@ -304,15 +304,15 @@ class TestModulus:
 
     def test_subadditive(self):
         rng = np.random.default_rng(2)
-        a = sample_field(lambda x: np.sin(3 * x), 1, 4.0, 512)
-        b = sample_field(lambda x: np.cos(7 * x) * 0.5, 1, 4.0, 512)
-        both = FieldSample(1, 4.0, 512, a.values + b.values)
+        a = sample_field(lambda x: np.sin(3 * x), 4.0, 512)
+        b = sample_field(lambda x: np.cos(7 * x) * 0.5, 4.0, 512)
+        both = FieldSample(4.0, 512, a.values + b.values)
         for t in (0.2, 0.7):
             assert modulus_of_smoothness(both, 1, t) <= \
                 modulus_of_smoothness(a, 1, t) + modulus_of_smoothness(b, 1, t) + 1e-12
 
     def test_bounded_by_sup_norm(self):
-        u = sample_field(lambda x: np.sin(4 * x), 1, 4.0, 512)
+        u = sample_field(lambda x: np.sin(4 * x), 4.0, 512)
         for k in (1, 2, 3):
             assert modulus_of_smoothness(u, k, 0.8) <= 2 ** k * u.sup_norm() + 1e-12
 
@@ -355,7 +355,7 @@ class TestModulus:
     def test_stencil_outside_restricted_domain(self):
         # a differenced field covers less than its box: steps that pass
         # the box check can still leave no point with the whole stencil
-        u = finite_difference(sample_field(np.sin, 1, 2.0, 65), 2.5, 1)
+        u = finite_difference(sample_field(np.sin, 2.0, 65), 2.5, 1)
         for k, t in ((1, 1.6), (2, 0.8), (3, 0.55)):
             with pytest.raises(DomainExceeded, match="no grid point"):
                 _modulus_by_steps(u, k, t)
@@ -367,7 +367,7 @@ class TestModulus:
         assert modulus_of_smoothness(u, 1, 0.9) == _modulus_by_steps(u, 1, 0.9)
 
     def test_curve_nondecreasing(self):
-        u = sample_field(lambda x: np.sin(4 * x), 1, 4.0, 512)
+        u = sample_field(lambda x: np.sin(4 * x), 4.0, 512)
         tg = make_log_grid(1e-4, 1.0, 32)
         om = modulus_curve(u, 1, tg)
         assert np.all(np.diff(om.values) >= 0)
@@ -427,7 +427,7 @@ class TestUpperCone:
         rep = upper_cone_check(sp, BMD, 1, fam,
                                t_grid=make_log_grid(1e-4, 1.0, 24))
         assert math.isfinite(rep.c1) and rep.c1 > 0
-        scaled = [(name, FieldSample(f.n, f.box_halfwidth, f.resolution,
+        scaled = [(name, FieldSample(f.box_halfwidth, f.resolution,
                                      5.0 * f.values)) for name, f in fam]
         rep2 = upper_cone_check(sp, BMD, 1, scaled,
                                 t_grid=make_log_grid(1e-4, 1.0, 24))
@@ -457,7 +457,7 @@ class TestFieldNorms:
         sp = LorentzSpace(2.0, FLAT, g)
         spec = make_optimal_norm_spec(sp, sample(lambda t: t ** -0.25, g,
                                                  monotonicity="decreasing"))
-        u = sample_field(lambda x: 0.7 * np.ones_like(x), 1, 2.0, 64)
+        u = sample_field(lambda x: 0.7 * np.ones_like(x), 2.0, 64)
         om = modulus_curve(u, 1, self.TG)
         assert abs(calderon_norm(u, om, spec, 1, 1) - 0.7) < 1e-12
 
@@ -485,7 +485,7 @@ class TestFieldNorms:
         g = default_grid()
         psi = sample(lambda t: 1.0 + 0.0 * t, g)
         spec = OptimalNormSpec(case="sup", psi=psi, T1=None, q=1.0)
-        u = sample_field(np.sin, 1, 2.0, 64)
+        u = sample_field(np.sin, 2.0, 64)
         om = modulus_curve(u, 1, self.TG)
         got = calderon_norm(u, om, spec, 1, 1)
         assert got == u.sup_norm() + float(np.max(om.values))
@@ -498,7 +498,7 @@ class TestFieldNorms:
         sp = LorentzSpace(2.0, FLAT, g)
         phi = sample(lambda t: t ** -0.25, g, monotonicity="decreasing")
         spec = make_optimal_norm_spec(sp, phi)
-        u = sample_field(np.sin, 1, 2.0, 64)
+        u = sample_field(np.sin, 2.0, 64)
         assert nontriviality_gate(spec, 1, 1)
         assert not nontriviality_gate(spec, 1, 8)
         with pytest.raises(TrivialSpace):
@@ -508,21 +508,15 @@ class TestFieldNorms:
 class TestFieldSampleValidation:
     def test_resolution_floor(self):
         with pytest.raises(DomainError):
-            FieldSample(1, 1.0, 8, np.zeros(8))
+            FieldSample(1.0, 8, np.zeros(8))
 
     def test_finite_values(self):
         with pytest.raises(DomainError):
-            FieldSample(1, 1.0, 32, np.full(32, np.nan))
+            FieldSample(1.0, 32, np.full(32, np.nan))
 
     def test_dimension_shape(self):
         with pytest.raises(DomainError):
-            FieldSample(1, 1.0, 32, np.zeros((32, 32)))
-
-    def test_one_dimensional_only(self):
-        with pytest.raises(DomainError):
-            FieldSample(2, 1.0, 32, np.zeros((32, 32)))
-        with pytest.raises(DomainError):
-            sample_field(lambda x: x, 2, 1.0, 32)
+            FieldSample(1.0, 32, np.zeros((32, 32)))
 
 
 class TestEnvelopeSandwich:
@@ -551,7 +545,7 @@ class TestEnvelopeSandwich:
         from calderon_lab.gridfn import head_mass, segment_masses
         from calderon_lab.kernels import cone_kernel
         L = 0.5
-        f = sample_field(lambda x: (np.abs(x) < L / 2).astype(float), 1, 3.0, 512)
+        f = sample_field(lambda x: (np.abs(x) < L / 2).astype(float), 3.0, 512)
         g = default_grid()
         fstar = field_rearrangement(f, grid=g)
         phi_fn = BMD.measure_profile_fn()
