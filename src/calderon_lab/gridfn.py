@@ -115,6 +115,8 @@ class SampledFunction:
     # -- evaluation --------------------------------------------------------
 
     def __call__(self, t):
+        if t is self.grid.points and self.extension == "analytic" and self.fn is not None:
+            return self.values.copy()     # the samples are fn(grid.points)
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
         t = np.atleast_1d(t)
@@ -191,32 +193,36 @@ def segment_masses(t: np.ndarray, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     t0, t1 = t[:-1], t[1:]
     y0, y1 = y[:-1], y[1:]
-    dt = t1 - t0
-    ok = (y0 > 0) & (y1 > 0) & np.isfinite(y0) & np.isfinite(y1)
-    out = np.where(np.isfinite(y0) & np.isfinite(y1),
-                   0.5 * (y0 + y1) * dt, np.inf)
-    if not np.any(ok):
-        return out
+    finite = np.isfinite(y)
+    fin = finite[:-1] & finite[1:]
+    pos = (y > 0) & finite
+    ok = pos[:-1] & pos[1:]
+    out = (y0 + y1) * 0.5
+    out *= t1 - t0
+    out[~fin] = np.inf
     with np.errstate(divide="ignore", invalid="ignore"):
-        p = np.where(ok, np.log(np.where(ok, y1 / y0, 1.0))
-                     / np.log(t1 / t0), np.nan)
+        r = t1 / t0
+        log_r = np.log(r)
+        p = np.log(y1 / y0)
+        p /= log_r
+    p[~ok] = np.nan
     if len(p) > 1:
         dp = np.abs(np.diff(p))
         drift = np.empty_like(p)
-        drift[0] = dp[0]
-        drift[-1] = dp[-1]
-        if len(p) > 2:
-            drift[1:-1] = np.minimum(dp[:-1], dp[1:])
-        drift = np.where(np.isnan(drift), 0.0, drift)
-        ok = ok & ((drift < 0.5) | ~np.isfinite(drift)) & (np.abs(p) < 50.0)
-    if np.any(ok):
-        r = t1[ok] / t0[ok]
-        p1 = p[ok] + 1.0
-        base = y0[ok] * t0[ok]
-        small = np.abs(p1) < 1e-12
-        p1_safe = np.where(small, 1.0, p1)
-        out[ok] = np.where(small, base * np.log(r),
-                           base * (r ** p1_safe - 1.0) / p1_safe)
+        drift[0], drift[-1] = dp[0], dp[-1]
+        np.minimum(dp[:-1], dp[1:], out=drift[1:-1])
+        # a NaN drift (a neighbour without a power law) never vetoes
+        ok &= (~(drift >= 0.5) | np.isinf(drift)) & (np.abs(p) < 50.0)
+    # the power-law mass, only where the model is kept
+    idx = np.flatnonzero(ok)
+    p1 = p[idx] + 1.0
+    base = y0[idx] * t0[idx]
+    small = np.abs(p1) < 1e-12
+    p1[small] = 1.0
+    mass = (r[idx] ** p1 - 1.0) * base
+    mass /= p1
+    mass[small] = base[small] * log_r[idx[small]]
+    out[idx] = mass
     return out
 
 

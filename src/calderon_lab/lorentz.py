@@ -255,10 +255,12 @@ def associate_norm(space: LorentzSpace, hstar: SampledFunction) -> float:
       q > 1:  ( int_0^inf (int_0^t h*)^(q') w dt )^(1/q')
 
     h* is treated as zero beyond T; +inf when the sup blows up or the
-    integral diverges at 0.
+    integral diverges at 0.  An h* on the space's own grid is read from
+    its samples, without interpolation.
     """
     if hstar.grid.t_max > space.T * (1 + 1e-12):
         raise DomainError("h* must live on (0, T]")
     t = space.grid.points
+    h = hstar.values if hstar.grid is space.grid else hstar(t)
     return _associate_norm_of_cumulative(
-        space, cumulative_from_zero(t, np.maximum(hstar(t), 0.0)))
+        space, cumulative_from_zero(t, np.maximum(h, 0.0)))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from calderon_lab.errors import (
     DegenerateRange,
@@ -16,6 +18,8 @@ from calderon_lab.gridfn import (
     cumulative_tail,
     integrate,
     make_log_grid,
+    sample,
+    segment_masses,
 )
 
 
@@ -186,3 +190,161 @@ class TestSampledFunction:
         c = SampledFunction(g, np.ones(16), extension="constant_beyond_T")
         assert z(2.0) == 0.0
         assert c(2.0) == 1.0
+
+    def test_analytic_own_grid_reads_samples(self):
+        # the samples are fn(grid.points), so that call returns a copy of
+        # them without evaluating fn again
+        g = make_log_grid(1e-4, 1.0, 32)
+        calls = []
+
+        def fn(x):
+            calls.append(len(x))
+            return np.exp(-x) / x
+
+        f = sample(fn, g)
+        calls.clear()
+        out = f(g.points)
+        assert calls == []
+        assert np.array_equal(out, f.values)
+        out[:] = -1.0
+        assert np.all(f.values > 0.0)
+        # an equal but distinct array is evaluated through fn
+        twin = g.points.copy()
+        assert np.array_equal(f(twin), f.values)
+        assert calls == [32]
+
+
+def _reference_segment_masses(t: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The segment rule as it was before its array passes were cut; the
+    current rule must agree with it bit for bit."""
+    t = np.asarray(t, dtype=float)
+    y = np.asarray(y, dtype=float)
+    t0, t1 = t[:-1], t[1:]
+    y0, y1 = y[:-1], y[1:]
+    dt = t1 - t0
+    ok = (y0 > 0) & (y1 > 0) & np.isfinite(y0) & np.isfinite(y1)
+    out = np.where(np.isfinite(y0) & np.isfinite(y1),
+                   0.5 * (y0 + y1) * dt, np.inf)
+    if not np.any(ok):
+        return out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = np.where(ok, np.log(np.where(ok, y1 / y0, 1.0))
+                     / np.log(t1 / t0), np.nan)
+    if len(p) > 1:
+        dp = np.abs(np.diff(p))
+        drift = np.empty_like(p)
+        drift[0] = dp[0]
+        drift[-1] = dp[-1]
+        if len(p) > 2:
+            drift[1:-1] = np.minimum(dp[:-1], dp[1:])
+        drift = np.where(np.isnan(drift), 0.0, drift)
+        ok = ok & ((drift < 0.5) | ~np.isfinite(drift)) & (np.abs(p) < 50.0)
+    if np.any(ok):
+        r = t1[ok] / t0[ok]
+        p1 = p[ok] + 1.0
+        base = y0[ok] * t0[ok]
+        small = np.abs(p1) < 1e-12
+        p1_safe = np.where(small, 1.0, p1)
+        out[ok] = np.where(small, base * np.log(r),
+                           base * (r ** p1_safe - 1.0) / p1_safe)
+    return out
+
+
+def _assert_same_bits(t, y):
+    with np.errstate(all="ignore"):
+        new = segment_masses(t, y)
+        ref = _reference_segment_masses(t, y)
+    assert np.array_equal(new, ref, equal_nan=True)
+    signed = ~np.isnan(ref)
+    assert np.array_equal(np.signbit(new[signed]), np.signbit(ref[signed]))
+
+
+_SPECIAL = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300, 1e300,
+                            math.inf, -math.inf, math.nan])
+
+
+@st.composite
+def _segment_inputs(draw):
+    n = draw(st.integers(2, 40))
+    t0 = draw(st.floats(1e-12, 1e3))
+    ratios = draw(st.lists(st.floats(1.0001, 20.0), min_size=n - 1,
+                           max_size=n - 1))
+    t = t0 * np.cumprod([1.0] + ratios)
+    # mostly power laws, so the power model and its drift veto are used
+    power, scale = draw(st.floats(-60.0, 60.0)), draw(st.floats(1e-3, 1e3))
+    with np.errstate(over="ignore"):
+        y = scale * (t / t[0]) ** power
+    jitter = draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n))
+    y = y * np.array(jitter) if draw(st.booleans()) else y
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=4)):
+        y[i] = draw(_SPECIAL | st.floats(allow_nan=True, allow_infinity=True))
+    return t, y
+
+
+class TestSegmentMassesOracle:
+    """The segment rule against a verbatim copy of its earlier form."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_segment_inputs())
+    def test_matches_reference(self, ty):
+        _assert_same_bits(*ty)
+
+    def test_zeros_and_sign_flips(self):
+        t = make_log_grid(1e-4, 1.0, 9).points
+        _assert_same_bits(t, np.array([1.0, 0.0, 2.0, -1.0, 3.0, 0.0, 0.0, 4.0, -0.0]))
+        _assert_same_bits(t, -t ** -0.5)
+
+    def test_nonfinite_samples(self):
+        t = make_log_grid(1e-4, 1.0, 9).points
+        y = t ** -0.5
+        for bad in (math.inf, -math.inf, math.nan):
+            for i in (0, 4, 8):
+                z = y.copy()
+                z[i] = bad
+                _assert_same_bits(t, z)
+
+    def test_exact_inverse_power(self):
+        # y = 1/t: the fitted p + 1 is rounding noise, and log r is used
+        t = make_log_grid(1e-8, 1.0, 64).points
+        y = 1.0 / t
+        _assert_same_bits(t, y)
+        got = segment_masses(t, y)
+        assert np.allclose(got, np.log(t[1:] / t[:-1]), rtol=1e-12)
+
+    def test_steep_jumps_and_drift_of_one_half(self):
+        # on t = 4^k, sample ratios 1, 2, 4 give exactly p = 0, 1/2, 1,
+        # so neighbouring exponents drift by exactly 0.5
+        t = 4.0 ** np.arange(8)
+        y = np.cumprod([1.0, 1.0, 2.0, 4.0, 2.0, 1.0, 1.0, 2.0])
+        p = np.log(y[1:] / y[:-1]) / np.log(t[1:] / t[:-1])
+        assert 0.5 in np.abs(np.diff(p))
+        _assert_same_bits(t, y)
+        # |p| = 50 exactly (on t = 2^k) is outside the power model
+        t = 2.0 ** np.arange(6)
+        for m in (50.0, -50.0):
+            y = 2.0 ** (m * np.arange(6))
+            assert np.all(np.log(y[1:] / y[:-1]) / np.log(2.0) == m)
+            _assert_same_bits(t, y)
+        # jumps with |p| >= 50 on a fine grid
+        t = make_log_grid(1e-3, 1.0, 12).points
+        y = np.ones(12)
+        y[6:] = 1e-40
+        _assert_same_bits(t, y)
+        _assert_same_bits(t, 1.0 / y)
+
+    def test_ratio_overflow(self):
+        t = make_log_grid(1e-3, 1.0, 6).points
+        _assert_same_bits(t, np.array([1e-300, 1e300, 1e300, 1.0, 1.0, 1.0]))
+        _assert_same_bits(t, np.array([1e300, 1e-300, 1e-300, 1.0, 1.0, 1.0]))
+        # an infinite exponent next door gives an infinite drift, which
+        # does not veto its neighbours
+        _assert_same_bits(t, np.array([1e-160, 2e-160, 1e160, 1e160, 3e160, 1e160]))
+
+    @pytest.mark.parametrize("y", [[1.0, 2.0], [2.0, 1.0], [1.0, 1.0],
+                                   [1e-300, 1e300], [1e300, 1e-300], [0.0, 1.0],
+                                   [-1.0, 1.0], [math.inf, 1.0], [math.nan, 1.0],
+                                   [1.0, 2.0, 4.0], [1.0, 1e-200, 1.0],
+                                   [1.0, 0.0, 1.0], [1e300, 1e-300, 1e300]])
+    def test_short_inputs(self, y):
+        t = make_log_grid(0.1, 1.0, len(y)).points
+        _assert_same_bits(t, np.array(y))

@@ -6,6 +6,7 @@ import pytest
 from calderon_lab.errors import DomainError, TrivialSpace
 from calderon_lab.gridfn import (
     SampledFunction,
+    cumulative_from_zero,
     default_grid,
     head_mass,
     make_log_grid,
@@ -16,6 +17,7 @@ from calderon_lab.kernels import SlowlyVaryingSpec
 from calderon_lab.lorentz import (
     LorentzSpace,
     WeightSpec,
+    _associate_norm_of_cumulative,
     associate_norm,
     cumulative_weight,
     embedding_criterion,
@@ -219,6 +221,24 @@ class TestAssociateNorm:
             # like h at 0
             got = AssociateNormEngine(sp, h, 1, 1).rho0_hat(np.ones(g.count))
         assert got == pytest.approx(expected, rel=1e-6)
+
+    @pytest.mark.parametrize("q", [1.0, 2.0])
+    def test_same_grid_reads_samples(self, q, monkeypatch):
+        # a sample on the space's own grid is read, never re-interpolated
+        g = make_log_grid(1e-6, 1.0, 200)
+        sp = LorentzSpace(q, FLAT, g)
+        rng = np.random.default_rng(3)
+        v = g.points ** -0.4 * rng.uniform(0.5, 1.5, g.count) - 0.2
+        h = SampledFunction(g, v, extension="zero_beyond_T")
+        expected = _associate_norm_of_cumulative(
+            sp, cumulative_from_zero(g.points, np.maximum(v, 0.0)))
+
+        def no_call(self, t):
+            raise AssertionError("SampledFunction evaluated")
+
+        monkeypatch.setattr(SampledFunction, "__call__", no_call)
+        got = associate_norm(sp, h)
+        assert math.isfinite(got) and got == expected
 
     def test_domain_guard(self):
         g = default_grid()
