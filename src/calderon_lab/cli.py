@@ -79,8 +79,7 @@ class ExperimentConfig:
     p: float | None = None          # power weight t^(q/p-1); None -> v == 1
     b_log: float = 0.0              # log exponent of the slowly varying b
     kernel_variant: str = "power"   # "power" | "bessel_mcdonald"
-    alpha: float = 0.75
-    nu: float | None = None
+    alpha: float = 0.75             # Bessel variant: order nu = (n - alpha)/2
     z1: float = 1.0
     lambda_log: float = 0.0         # kernel slowly-varying log exponent
     k: int = 1
@@ -90,20 +89,12 @@ class ExperimentConfig:
     tmin_span: float = 1e-8
     field_resolution: int = 256
     seed: int = 0x5EED
-    out: str | None = None
 
     @property
-    def kernel_nu(self) -> float:
-        """The Bessel order: kernel.nu, or (n - alpha)/2 from kernel.alpha."""
-        return self.nu if self.nu is not None else (self.n - self.alpha) / 2.0
-
-    @property
-    def kernel_alpha(self) -> float:
-        """The kernel's smoothness exponent: n - 2 nu for a Bessel kernel
-        given by kernel.nu, else kernel.alpha."""
-        if self.kernel_variant == "bessel_mcdonald" and self.nu is not None:
-            return self.n - 2.0 * self.nu
-        return self.alpha
+    def weight_p(self) -> float:
+        """The p of the weight t^(q/p-1): space.p, or q when it is not set
+        (then q/p - 1 is exactly 0)."""
+        return self.p if self.p is not None else self.q
 
     def validate(self) -> None:
         """Reject, with ConfigInvalid naming the key, a config that no run
@@ -111,6 +102,10 @@ class ExperimentConfig:
         scenario does not cover."""
         def bad(fieldname, reason):
             raise ConfigInvalid(f"{fieldname}: {reason}")
+        for key, (attr, conv) in _KEY_MAP.items():
+            value = getattr(self, attr)
+            if conv is float and value is not None and not math.isfinite(value):
+                bad(key, f"must be finite, got {value}")
         if self.scenario not in SCENARIOS:
             bad("scenario", f"must be one of {SCENARIOS}")
         if self.q < 1.0:
@@ -119,11 +114,8 @@ class ExperimentConfig:
             bad("space.p", "must be > 1")
         if self.kernel_variant not in ("power", "bessel_mcdonald"):
             bad("kernel.variant", "must be power or bessel_mcdonald")
-        if self.kernel_variant == "power" and not (0.0 < self.alpha < self.n):
+        if not (0.0 < self.alpha < self.n):
             bad("kernel.alpha", f"must lie in (0, n) = (0, {self.n})")
-        if self.kernel_variant == "bessel_mcdonald":
-            if not (0.0 < self.kernel_nu < self.n / 2.0):
-                bad("kernel.nu", f"must lie in (0, n/2) = (0, {self.n / 2})")
         if self.z1 <= 0.0:
             bad("kernel.z1", "must be positive")
         if self.k < 1:
@@ -143,8 +135,7 @@ class ExperimentConfig:
         # span^-e must stay within half the float range, leaving room for
         # products and sums; e is the largest power of t formed: V^-q', the
         # tail density (t^-k/n phi / V)^q', W^q' v, t^-k/n phi, the Hardy t^-q
-        a, kn = self.q / (self.p or self.q), self.k / self.n
-        b = self.kernel_alpha / self.n
+        a, kn, b = self.q / self.weight_p, self.k / self.n, self.alpha / self.n
         qp = self.q / (self.q - 1.0) if self.q > 1.0 else 1.0   # the q = 1 sup forms
         e = max(abs(x) for x in (qp * a, qp * (b - kn - a), qp * (b - a) + a - 1.0,
                                  b - kn - 1.0, self.q))
@@ -177,7 +168,6 @@ _KEY_MAP = {
     "space.b_log": ("b_log", float),
     "kernel.variant": ("kernel_variant", str),
     "kernel.alpha": ("alpha", float),
-    "kernel.nu": ("nu", float),
     "kernel.z1": ("z1", float),
     "kernel.lambda_log": ("lambda_log", float),
     "k": ("k", int),
@@ -187,7 +177,6 @@ _KEY_MAP = {
     "grid.tmin": ("tmin_span", float),
     "field.resolution": ("field_resolution", int),
     "seed": ("seed", int),
-    "out": ("out", str),
 }
 
 
@@ -294,14 +283,12 @@ def _build_weight(cfg: ExperimentConfig) -> WeightSpec:
     sv = None
     if cfg.b_log != 0.0:
         sv = SlowlyVaryingSpec(factors=(("log", cfg.b_log),), scale=cfg.T)
-    # no space.p: p = q, so v = b^q (q/q - 1 is exactly 0)
-    p = cfg.p if cfg.p is not None else cfg.q
-    return power_weight(cfg.q, p, T=cfg.T, sv=sv)
+    return power_weight(cfg.q, cfg.weight_p, T=cfg.T, sv=sv)
 
 
 def _build_kernel(cfg: ExperimentConfig) -> KernelSpec:
     if cfg.kernel_variant == "bessel_mcdonald":
-        return KernelSpec(BesselMcDonald(nu=cfg.kernel_nu), n=cfg.n)
+        return KernelSpec(BesselMcDonald(nu=(cfg.n - cfg.alpha) / 2.0), n=cfg.n)
     factors = (("log", cfg.lambda_log),) if cfg.lambda_log != 0.0 else ()
     sv = SlowlyVaryingSpec(factors=factors, scale=cfg.z1)
     return KernelSpec(PowerSlowlyVarying(alpha=cfg.alpha, sv=sv, z1=cfg.z1), n=cfg.n)
@@ -423,7 +410,7 @@ def _scenario_besov_case(cfg: ExperimentConfig, rec: ReportRecord):
     kernel = _build_kernel(cfg)
     fields = bump_and_staircase_family(count=10, resolution=cfg.field_resolution,
                                        seed=cfg.seed)
-    exponent = cfg.kernel_alpha / cfg.n - 1.0 / cfg.q
+    exponent = cfg.alpha / cfg.n - 1.0 / cfg.weight_p
     tg = make_log_grid(1e-6 * cfg.T, cfg.T, 64)
     conv = convolver(kernel, fields[0][1])
     direct_norm = lambda om: power_modulus_norm(om, exponent, cfg.q)
@@ -453,14 +440,12 @@ def _scenario_lorentz_karamata_case(cfg: ExperimentConfig, rec: ReportRecord):
     crit = embedding_criterion(space, phi)
     rec.scalars["embeds"] = crit["embeds"]
     rec.scalars["psi_at_T"] = crit["psi_at_T"]
-    p = cfg.p if cfg.p is not None else cfg.q
-    alpha = cfg.kernel_alpha
+    alpha, p = cfg.alpha, cfg.weight_p
     borderline = abs(alpha / cfg.n - 1.0 / p) < 1e-12
     rec.scalars["borderline_alpha"] = borderline
     if cfg.q > 1.0:
-        qp = cfg.q / (cfg.q - 1.0)
         rec.scalars["expected_embeds"] = (
-            (alpha / cfg.n > 1.0 / p) or (borderline and cfg.b_log * qp > 1.0))
+            (alpha / cfg.n > 1.0 / p) or (borderline and cfg.b_log * space.qp > 1.0))
         _check(rec.assertions, "criterion_matches_exponent_rule",
                crit["embeds"] == rec.scalars["expected_embeds"], crit["embeds"],
                "embedding classification matches the exponent rule")
@@ -545,15 +530,13 @@ def run(cfg: ExperimentConfig, out_dir=None) -> ReportRecord:
     except Exception as exc:   # defensive: a scenario bug should not kill a sweep
         rec.error = f"ScenarioFailed: {type(exc).__name__}: {exc}"
     rec.wall_time_s = time.perf_counter() - start
-    target = out_dir if out_dir is not None else cfg.out
-    if target:
-        write_report(rec, target)
+    if out_dir:
+        write_report(rec, out_dir)
     return rec
 
 
 def _inputs_echo(cfg: ExperimentConfig) -> dict:
-    doc = {k: v for k, v in vars(cfg).items() if v is not None and k != "out"}
-    return _plain(doc)
+    return _plain({k: v for k, v in vars(cfg).items() if v is not None})
 
 
 def sweep(configs, out_dir=None) -> list[ReportRecord]:
@@ -633,12 +616,12 @@ def main(argv=None) -> int:
     # validates them together
     overrides = {attr: value for attr, value in (
         ("grid_points", args.grid_points), ("tmin_span", args.tmin),
-        ("seed", args.seed), ("out", args.out)) if value is not None}
+        ("seed", args.seed)) if value is not None}
 
     try:
         if args.command == "run":
             cfg = replace(parse_config_text(Path(args.config).read_text()), **overrides)
-            labelled = [(cfg.scenario, run(cfg))]
+            labelled = [(cfg.scenario, run(cfg, out_dir=args.out))]
         elif args.command == "sweep":
             paths = sorted(Path(args.config_dir).glob("*.cfg"))
             if not paths:

@@ -504,8 +504,10 @@ def equivalence_report(space: LorentzSpace, phi, k: int, n: int, family) -> dict
             infinite += 1
         else:
             ratios[name] = r0 / rt if rt > 0 else math.nan
-    vals = [v for v in ratios.values() if math.isfinite(v)]
+    # a one-sided infinite norm gives a ratio of 0 or +inf: either makes
+    # the spread infinite
+    vals = [v for v in ratios.values() if not math.isnan(v)]
     lo, hi = (min(vals), max(vals)) if vals else (math.nan, math.nan)
     return {"ratios": ratios, "min_ratio": lo, "max_ratio": hi,
-            "spread": math.inf if lo == 0.0 else hi / lo,
+            "spread": math.inf if lo == 0.0 or hi == math.inf else hi / lo,
             "count": len(vals), "both_infinite": infinite}

@@ -36,9 +36,12 @@ class TestConfigParsing:
             "# a comment\nscenario=embedding_check   # trailing\n\n  k =  2 \n")
         assert cfg.k == 2
 
-    def test_unknown_key(self):
-        with pytest.raises(ConfigInvalid):
-            parse_config_text("scenario = embedding_check\nbogus.key = 1\n")
+    # kernel.nu and out are not keys: alpha gives the Bessel order, and
+    # --out (or run's out_dir) the output directory
+    @pytest.mark.parametrize("key", ["bogus.key", "kernel.nu", "out"])
+    def test_unknown_key(self, key):
+        with pytest.raises(ConfigInvalid, match="unknown key"):
+            parse_config_text(f"scenario = embedding_check\n{key} = 1\n")
 
     def test_bad_value(self):
         with pytest.raises(ConfigInvalid):
@@ -98,6 +101,14 @@ class TestValidationBounds:
         ("covering_sample", "field.resolution", "15", "16"),
         ("equivalence_sweep", "seed", "-1", "0"),
         ("besov_case", "seed", "-1", "0"),
+        ("embedding_check", "space.q", "inf", "2"),
+        ("embedding_check", "space.p", "nan", "4"),
+        ("lorentz_karamata_case", "space.b_log", "inf", "0.75"),
+        ("embedding_check", "kernel.alpha", "nan", "0.5"),
+        ("embedding_check", "kernel.z1", "inf", "1"),
+        ("embedding_check", "kernel.lambda_log", "nan", "0.5"),
+        ("embedding_check", "T", "nan", "1"),
+        ("embedding_check", "grid.tmin", "-inf", "1e-6"),
     ])
     def test_both_sides(self, tmp_path, scenario, key, bad, good):
         base = f"scenario = {scenario}\n{FAST}"
@@ -366,21 +377,6 @@ class TestScenarios:
         assert rec.passed
         assert rec.scalars["factor_spread"] < 8.0
 
-    @pytest.mark.parametrize("scenario, extra", [
-        ("besov_case", "field.resolution = 128\n"),
-        ("lorentz_karamata_case", "space.p = 2\nspace.b_log = 0.75\n"),
-    ], ids=["besov_case", "lorentz_karamata_case"])
-    def test_bessel_nu_and_alpha_agree(self, scenario, extra):
-        # nu = 1/16 and alpha = n - 2 nu = 7/8 spell one kernel; both are
-        # binary fractions, so every derived number agrees bit for bit
-        base = (f"scenario = {scenario}\nkernel.variant = bessel_mcdonald\n"
-                + extra + FAST)
-        by_nu = run(parse_config_text(base + "kernel.nu = 0.0625\n"))
-        by_alpha = run(parse_config_text(base + "kernel.alpha = 0.875\n"))
-        assert by_nu.error is None and by_nu.scalars
-        assert by_nu.scalars == by_alpha.scalars
-        assert by_nu.assertions == by_alpha.assertions
-
     def test_besov_k2_factor(self):
         # k = 2 with most of the t grid below the field spacing: the
         # modulus of the interpolant grows like t * spacing there, so the
@@ -404,6 +400,20 @@ class TestScenarios:
         assert rec.scalars["factor_max"] > 0
         assert rec.scalars["factor_spread"] == math.inf
         assert not rec.assertions["two_sided_factor"]["passed"]
+
+    def test_besov_direct_exponent_uses_p(self, monkeypatch):
+        # the aggregate behaves like t^(alpha/n - 1/p), so the direct power
+        # norm takes that exponent, not alpha/n - 1/q
+        real, exponents = cli.power_modulus_norm, []
+        def capture(omega, exponent, q):
+            exponents.append(exponent)
+            return real(omega, exponent, q)
+        monkeypatch.setattr(cli, "power_modulus_norm", capture)
+        rec = run(parse_config_text(
+            "scenario = besov_case\nspace.q = 2\nspace.p = 4\nkernel.alpha = 0.75\n"
+            "field.resolution = 128\n" + FAST))
+        assert rec.error is None
+        assert exponents and set(exponents) == {0.75 - 1.0 / 4.0}
 
 
 class TestGridSpanFloor:

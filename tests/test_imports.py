@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from calderon_lab import cli
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -79,6 +81,19 @@ def _package_exports() -> set[str]:
 
 def test_readme_library_block_equals_exports():
     assert _readme_library_names() == _package_exports()
+
+
+def _readme_config_keys() -> set[str]:
+    """The keys of the README's "Config format" block."""
+    text = README.read_text()
+    start = text.index("```", text.index("### Config format")) + 3
+    block = text[start:text.index("```", start)]
+    lines = (line.split("#", 1)[0] for line in block.splitlines())
+    return {line.split("=", 1)[0].strip() for line in lines if "=" in line}
+
+
+def test_readme_config_block_equals_keys():
+    assert _readme_config_keys() == set(cli._KEY_MAP)
 
 
 def test_public_names_reached():

@@ -389,6 +389,24 @@ class TestEquivalence:
         assert rep["spread"] < 50.0
         assert rep["min_ratio"] > 0.9
 
+    def test_one_sided_infinite_ratio(self, monkeypatch):
+        # rho0 = inf with rho_tilde finite gives a +inf ratio; like the
+        # zero ratio of the mirror case, it makes the spread infinite
+        g = default_grid()
+        sp = LorentzSpace(4.0, FLAT, g)
+        phi = power_phi(g, 0.6, n=2)
+        real = AssociateNormEngine.rho0_family
+        def first_infinite(self, G):
+            out = real(self, G)
+            out[0] = math.inf
+            return out
+        monkeypatch.setattr(AssociateNormEngine, "rho0_family", first_infinite)
+        family = sample_family(g, count=50)
+        rep = equivalence_report(sp, phi, 1, 2, family)
+        assert rep["ratios"][family[0][0]] == math.inf
+        assert rep["max_ratio"] == math.inf
+        assert rep["spread"] == math.inf
+
     def test_condition_b_family(self):
         g = default_grid()
         sp = LorentzSpace(2.0, FLAT, g)
