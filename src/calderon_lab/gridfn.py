@@ -155,7 +155,8 @@ def sample(fn, grid: LogGrid, monotonicity="none") -> SampledFunction:
 
 def _interp_loglog(t, g, v):
     """Interpolate inside the grid: power law where both samples are
-    positive and finite, linear in log t otherwise."""
+    positive and finite, linear in log t otherwise; a grid node returns
+    its own sample."""
     idx = np.clip(np.searchsorted(g, t, side="right") - 1, 0, len(g) - 2)
     t0, t1 = g[idx], g[idx + 1]
     v0, v1 = v[idx], v[idx + 1]
@@ -165,9 +166,7 @@ def _interp_loglog(t, g, v):
     safe1 = np.where(pos, v1, 1.0)
     out = np.where(pos, safe0 * np.exp(w * np.log(safe1 / safe0)),
                    v0 + w * (v1 - v0))
-    exact = t == t0
-    out[exact] = v0[exact]
-    return out
+    return np.where(t == t0, v0, np.where(t == t1, v1, out))
 
 
 def _local_power(t0, t1, v0, v1):

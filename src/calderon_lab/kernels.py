@@ -9,7 +9,7 @@ Two families are supported:
     Phi(z) = z^(alpha - n) * Lambda(z) on (0, z1], continued past z1 by
     an exponential tail.
 
-K_nu has one evaluator, `bessel_k`: a shared-panel Gauss rule on the
+K_nu has one evaluator, `bessel_k`: the trapezoid rule on the cosh
 integral representation, vectorized over rho and 0 past rho = 700.
 Both families expose the profile in measure coordinates,
 phi(tau) = Phi((tau / V_n)^(1/n)), the cone kernel
@@ -29,12 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .gridfn import (
-    _GAUSS_HI,
-    LogGrid,
-    SampledFunction,
-    sample,
-)
+from .gridfn import LogGrid, SampledFunction, sample
 
 
 def unit_ball_volume(n: int) -> float:
@@ -105,43 +100,47 @@ class PowerSlowlyVarying:
 
 def bessel_k(nu: float, rho):
     """K_nu(rho) for a scalar or an array of rho > 0 (a float for a
-    scalar input): the integral representation
-    (1/2) (rho/2)^nu int_R exp(-nu u - e^u - (rho^2/4) e^-u) du on a
-    shared-panel Gauss rule, to a relative accuracy well below 1e-10.
-    The value underflows to 0 past rho = 700; any rho <= 0 raises
-    DomainError."""
+    scalar input): the trapezoid rule in t on
+    K_nu(rho) = e^-rho int_0^inf exp(-rho 2 sinh^2(t/2)) cosh(nu t) dt
+    (DLMF 10.32.9), with a step set by the size of rho.  Against 30-digit
+    mpmath the relative error is at most 1.6e-14 for nu <= 6.45 on
+    rho in [1e-12, 700], growing with the order (1.7e-12 at nu = 10.45).
+    The value is 0 past rho = 700 and +inf where it overflows; any rho
+    that is not > 0, NaN included, raises DomainError."""
     r = np.asarray(rho, dtype=float)
-    if np.any(r <= 0):
+    if not np.all(r > 0):
         raise DomainError("rho must be positive")
     out = _bessel_k_batch(nu, np.atleast_1d(r))
     return float(out[0]) if r.ndim == 0 else out
 
 
+# (upper end of the rho tier, trapezoid step in t)
+_BESSEL_TIERS = ((1.0, 0.2), (8.0, 0.1), (64.0, 0.04), (700.0, 0.015))
+
+
 def _bessel_k_batch(nu: float, rho: np.ndarray) -> np.ndarray:
     out = np.zeros_like(rho)
-    alive = (rho > 0) & (rho <= 700.0)
-    if not np.any(alive):
-        return out
-    r = rho[alive]
-    # integrand in u = log xi: exp(-nu*u - e^u - (rho^2/4) e^-u)
-    u_lo = min(-45.0, float(np.log(np.min(r) ** 2 / 2980.0)) - 3.0)
-    u_hi = 8.0
-    n_panels = max(24, int((u_hi - u_lo) / 1.0))
-    edges = np.linspace(u_lo, u_hi, n_panels + 1)
-    nodes16, w16 = _GAUSS_HI
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    rads = 0.5 * (edges[1:] - edges[:-1])
-    u = (mids[:, None] + rads[:, None] * nodes16[None, :]).ravel()
-    w = (rads[:, None] * w16[None, :]).ravel()
-    base = -nu * u - np.exp(u)
-    vals = np.empty_like(r)
-    quarter = r * r / 4.0
-    for lo in range(0, len(r), 2048):
-        sl = slice(lo, min(lo + 2048, len(r)))
-        expo = base[None, :] - quarter[sl, None] * np.exp(-u)[None, :]
-        with np.errstate(under="ignore"):
-            vals[sl] = np.exp(expo) @ w
-    out[alive] = 0.5 * (r / 2.0) ** nu * vals
+    lo = 0.0
+    for hi, h in _BESSEL_TIERS:
+        tier = (rho > lo) & (rho <= hi)
+        lo = hi
+        if not np.any(tier):
+            continue
+        r = rho[tier]
+        # one past where rho_min 2 sinh^2(t/2) reaches 45 (finite for any rho)
+        t_end = 2.0 * math.asinh(math.sqrt(22.5) / math.sqrt(r.min())) + 1.0
+        t = h * np.arange(int(t_end / h) + 1)
+        # the integrand exp(-rho 2 sinh^2(t/2)) cosh(nu t) in logs, so that
+        # cosh(nu t) cannot overflow against a vanishing exponential; the
+        # product is formed as (rho 2^60) (2 (2^-30 sinh(t/2))^2), the same
+        # bit for bit, but finite out to the t_end of a subnormal rho (> 710)
+        half = 2.0 ** -30 * np.sinh(0.5 * t)
+        with np.errstate(over="ignore", under="ignore"):
+            log_f = np.multiply.outer(-2.0 ** 60 * r, 2.0 * half * half)
+            log_f += np.logaddexp(nu * t, -nu * t) - math.log(2.0)
+            # the trapezoid sum: f = 1 at the node t = 0, which has half weight
+            f_sum = np.exp(log_f, out=log_f).sum(axis=1)
+        out[tier] = h * (f_sum - 0.5) * np.exp(-r)
     return out
 
 
@@ -182,18 +181,18 @@ class KernelSpec:
         if isinstance(self.variant, BesselMcDonald):
             nu = self.variant.nu
             with np.errstate(all="ignore"):
-                out = np.where(z > 0, z, np.nan) ** (-nu) * _bessel_k_batch(nu, z)
+                out = z ** (-nu) * _bessel_k_batch(nu, z)
         else:
             v = self.variant
-            # Phi(0) = +inf is set directly: 0^(alpha-n) * Lambda(0) warns,
-            # and is inf * 0 = nan for a decaying log factor
             zz = np.where(z == 0, 1.0, z)
             lam = v.sv(np.minimum(zz, v.z1))
             head = zz ** (v.alpha - self.n) * lam
             cap = v.z1 ** (v.alpha - self.n) * v.sv(v.z1)
             out = np.where(z <= v.z1, head,
                            cap * np.exp(-v.tail_rate * (z - v.z1)))
-            out[z == 0] = np.inf
+        # Phi(0) = +inf is set directly: 0^(alpha-n) * Lambda(0) warns and is
+        # inf * 0 = nan for a decaying log factor, as is 0^-nu * 0
+        out[z == 0] = np.inf
         return float(out[0]) if scalar else out
 
     def measure_profile_fn(self):

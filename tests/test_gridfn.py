@@ -184,6 +184,17 @@ class TestSampledFunction:
             f = SampledFunction(g, vals)
             assert np.array_equal(f(np.array([1e-9, 5e-5])), [first, first])
 
+    def test_grid_nodes_return_their_samples(self):
+        # at the last node the interpolant's weight is 1, and
+        # v0 exp(log(v1/v0)) can differ from v1 in the last bits
+        g = make_log_grid(1e-6, 1.0, 64)
+        rng = np.random.default_rng(5)
+        for _ in range(600):
+            values = np.exp(-np.cumsum(rng.exponential(size=64)))
+            f = SampledFunction(g, values, monotonicity="decreasing")
+            assert f(g.points[-1]) == values[-1]
+            assert np.array_equal(f(g.points), values)
+
     def test_extension_rules(self):
         g = make_log_grid(1e-2, 1.0, 16)
         z = SampledFunction(g, np.ones(16), extension="zero_beyond_T")

@@ -47,10 +47,36 @@ class TestBesselK:
     def test_domain(self):
         with pytest.raises(DomainError):
             bessel_k(0.5, -1.0)
+        with pytest.raises(DomainError, match="rho must be positive"):
+            bessel_k(0.25, math.nan)
 
     def test_domain_array(self):
         with pytest.raises(DomainError):
             bessel_k(0.5, np.array([1.0, 0.0]))
+        with pytest.raises(DomainError, match="rho must be positive"):
+            bessel_k(0.25, np.array([1.0, math.nan, 2.0]))
+
+    @pytest.mark.parametrize("nu", [0.05, 0.25, 0.45, 1.45, 3.45, 6.45])
+    def test_against_mpmath(self, nu):
+        # the whole documented range, up to the 700 cut-off
+        mpmath = pytest.importorskip("mpmath")
+        rhos = np.geomspace(1e-12, 700.0, 600)
+        with mpmath.workdps(30):
+            ref = np.array([float(mpmath.besselk(nu, mpmath.mpf(r))) for r in rhos])
+        assert np.max(np.abs(bessel_k(nu, rhos) - ref) / ref) <= 5e-14
+
+    @pytest.mark.parametrize("nu", [0.05, 0.45, 6.45])
+    def test_tiny_rho(self, nu):
+        # K_nu(rho) = Gamma(nu)/2 (2/rho)^nu (1 + O(rho^(2 nu))) as rho -> 0:
+        # a large float, or +inf where that overflows, but neither nan nor
+        # an exception, down to the smallest subnormal rho
+        for rho in (1e-300, 5e-324):
+            with np.errstate(over="ignore"):
+                ref = math.gamma(nu) / 2 * np.exp(nu * (math.log(2) - math.log(rho)))
+            value = bessel_k(nu, rho)
+            assert isinstance(value, float) and value == pytest.approx(ref, rel=1e-13)
+            pair = bessel_k(nu, np.array([rho, 1.0]))
+            assert pair[0] == pytest.approx(value, rel=1e-14)
 
 
 class TestKernelSpec:
@@ -100,6 +126,17 @@ class TestKernelSpec:
         sv = SlowlyVaryingSpec(factors=(("log", lam),), scale=1.0)
         kern = KernelSpec(PowerSlowlyVarying(alpha=0.6, sv=sv, z1=1.0), n=1)
         zs = np.array([0.0, 1e-3, 0.5, 2.0])
+        with np.errstate(all="raise"):
+            assert kern.profile(0.0) == math.inf
+            vals = kern.profile(zs)
+        assert vals[0] == math.inf
+        assert np.array_equal(vals[1:], kern.profile(zs[1:]))
+
+    def test_bessel_profile_infinite_at_origin(self):
+        # Phi(z) ~ c z^(-2 nu) as z -> 0, so Phi(0) = +inf as for the power
+        # variant above (0^-nu K_nu(0) would be inf * 0 = nan)
+        kern = KernelSpec(BesselMcDonald(nu=0.25), n=1)
+        zs = np.array([0.0, 1e-3, 0.5])
         with np.errstate(all="raise"):
             assert kern.profile(0.0) == math.inf
             vals = kern.profile(zs)
