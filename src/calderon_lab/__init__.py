@@ -66,6 +66,7 @@ from .potentials import (
     field_rearrangement,
     finite_difference,
     modulus_curve,
+    modulus_curves,
     modulus_of_smoothness,
     power_modulus_norm,
     sample_field,

@@ -63,7 +63,7 @@ from .potentials import (
     calderon_norm,
     convolver,
     envelope_bounds,
-    modulus_curve,
+    modulus_curves,
     power_modulus_norm,
     upper_cone_check,
 )
@@ -414,11 +414,10 @@ def _scenario_besov_case(cfg: ExperimentConfig, rec: ReportRecord):
     tg = make_log_grid(1e-6 * cfg.T, cfg.T, 64)
     conv = convolver(kernel, fields[0][1])
     direct_norm = lambda om: power_modulus_norm(om, exponent, cfg.q)
+    us = [conv(f) for _, f in fields]
     factors = []
-    for _, f in fields:
-        u = conv(f)
-        # one modulus curve per field, shared by both norms
-        omega = modulus_curve(u, cfg.k, tg, n=cfg.n)
+    # one modulus curve per field, shared by both norms
+    for u, omega in zip(us, modulus_curves(us, cfg.k, tg, n=cfg.n)):
         opt = calderon_norm(u, omega, spec, cfg.k, cfg.n)
         direct = calderon_norm(u, omega, direct_norm, cfg.k, cfg.n)
         factors.append(opt / direct if direct > 0 else math.nan)

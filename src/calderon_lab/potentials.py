@@ -16,12 +16,12 @@ The modulus omega_k(u; t) is that of the piecewise-linear interpolant s
 of the samples: for each sampled step h = +-t*j/J the sup over x of
 |Delta_h^k s(x)| is exact, taken at the breaks of x -> Delta_h^k s(x).
 A t with k*t >= spacing takes one array pass over its 2J steps; a t
-below the spacing needs only |h| = t, and all such t of a curve share
-one pass.  Stacking the t above the spacing as well would multiply the
-memory by the curve length (8 MB per temporary for 64 t values on a
-512-point field) for little further gain.  The cone kernel's profile
-factor phi(tau) depends neither on t nor on the field, so the cone
-checks build all t rows of the kernel once, before looping over fields.
+below the spacing needs only |h| = t, and all such t share one pass.
+The positions x_i + m*h, their grid intervals and the stencil windows
+depend only on the grid, k and t: each pass builds them once, as a step
+plan, and modulus_curves applies it to every field of a family.  The
+cone kernel's profile factor phi(tau) depends neither on t nor on the
+field, so the cone checks build all t rows of the kernel once.
 """
 
 from __future__ import annotations
@@ -172,10 +172,23 @@ def finite_difference(u: FieldSample, h: float, k: int) -> FieldSample:
                        values=out, origin=origin)
 
 
-def _difference_sups(u: FieldSample, k: int, mags: np.ndarray) -> np.ndarray:
-    """For each step magnitude a of mags, the sup over x of
-    |Delta_a^k s(x)|, s the piecewise-linear interpolant of u, over the x
-    whose stencil stays inside u's points.
+def _interp_intervals(x: np.ndarray, spacing: float, pos: np.ndarray):
+    """np.interp's interval j of each position on the uniform grid x and
+    the offset d = pos - x_j, 0 at the last node and outside the box: with
+    slope = diff(u)/diff(x) and a last 0, slope[j]*d + u[j] is
+    np.interp(pos, x, u) bit for bit."""
+    pos = np.clip(pos, x[0], x[-1])
+    j = np.minimum(((pos - x[0]) / spacing).astype(np.intp), len(x) - 2)
+    j += x[j + 1] <= pos
+    j -= x[j] > pos
+    return j, pos - x[j]
+
+
+def _difference_sups(like: FieldSample, k: int, mags: np.ndarray):
+    """The step plan of mags on like's grid, for every field on it: a
+    function (values, slope as in _interp_intervals) -> for each a of mags
+    the sup over x of |Delta_a^k s(x)|, s the piecewise-linear
+    interpolant of values, over the x whose stencil stays in the grid.
 
     x -> Delta_a^k s(x) is piecewise linear with breaks x_i - j*a
     (j = 0..k), among them the ends of its domain, so the sup is attained
@@ -187,48 +200,61 @@ def _difference_sups(u: FieldSample, k: int, mags: np.ndarray) -> np.ndarray:
     """
     r = len(mags)
     steps = np.concatenate([mags, -mags])[:, None]
-    x = u.axis_points()
+    x = like.axis_points()
     coeffs = _difference_coeffs(k)
-    # row[m] holds s(x_i + m*a) at the nodes x_i, one row per magnitude a,
-    # and inside[m] whether x_i + m*a lies within u's points; the values
-    # outside are clamped by np.interp and never reach the max
-    row, inside = {0: np.broadcast_to(u.values, (r, len(x)))}, {0: True}
+    shifts, inside = [], {0: True}
     for m in range(1, k + 1):
         pos = x + m * steps
         good = (x[0] <= pos) & (pos <= x[-1])
-        vals = np.interp(pos, x, u.values)
-        row[m], row[-m] = vals[:r], vals[r:]
+        shifts.append(_interp_intervals(x, like.spacing, pos))
         inside[m], inside[-m] = good[:r], good[r:]
     if not np.all(np.any(good, axis=1)):
         raise DomainExceeded("no grid point keeps the whole stencil inside the box")
-    best = np.zeros(r)
-    for j in range(k + 1):
-        acc = coeffs[0] * row[-j]
-        for l in range(1, k + 1):
-            acc += coeffs[l] * row[l - j]
-        np.abs(acc, out=acc)
-        best = np.maximum(best, np.max(acc, axis=1, initial=0.0,
-                                       where=inside[-j] & inside[k - j]))
-    return best
+    windows = [inside[-j] & inside[k - j] for j in range(k + 1)]
+
+    def sups(values: np.ndarray, slope: np.ndarray) -> np.ndarray:
+        # row[m] holds s(x_i + m*a) at the nodes x_i, one row per a; the
+        # values outside are clamped and never reach the max
+        row = {0: np.broadcast_to(values, (r, len(x)))}
+        for m, (j, d) in enumerate(shifts, 1):
+            vals = slope.take(j) * d + values.take(j)
+            row[m], row[-m] = vals[:r], vals[r:]
+        best = np.zeros(r)
+        for j, window in enumerate(windows):
+            acc = coeffs[0] * row[-j]
+            for l in range(1, k + 1):
+                acc += coeffs[l] * row[l - j]
+            np.abs(acc, out=acc)
+            best = np.maximum(best, np.max(acc, axis=1, initial=0.0, where=window))
+        return best
+    return sups
 
 
-def _moduli(u: FieldSample, k: int, ts: np.ndarray, directions: int) -> np.ndarray:
-    """omega_k(u; t) for each t > 0 of ts, over the steps +-t*j/J."""
+def _moduli(us, k: int, ts: np.ndarray, directions: int) -> np.ndarray:
+    """omega_k(u; t), a row per field u of us and a column per t of ts."""
+    like = us[0]
+    dx = np.diff(like.axis_points())
+    fields = [(u.values, np.append(np.diff(u.values) / dx, 0.0)) for u in us]
     mags = ts[:, None] * np.arange(1, directions + 1) / directions
-    out = np.empty(len(ts))
+    out = np.empty((len(us), len(ts)))
     # Below one cell (k*t < spacing) the stencil of a break x_i - j*h lies
     # in the two cells around x_i, where s is linear on either side, so
     # Delta_h^k s there is |h| times a combination of the two slopes, and
     # which breaks keep their stencil inside does not depend on |h|: the
     # sup over the sampled steps is at |h| = t, two rows per t.  The last
     # column is t*J/J, rounded as the sampled steps are.
-    below = k * ts < u.spacing
+    below = k * ts < like.spacing
     if np.any(below):
-        out[below] = _difference_sups(u, k, mags[below, -1])
+        sups = _difference_sups(like, k, mags[below, -1])
+        for row, field in zip(out, fields):
+            row[below] = sups(*field)
     for i in np.flatnonzero(~below):
-        if k * ts[i] > 2.0 * u.box_halfwidth:
+        if k * ts[i] > 2.0 * like.box_halfwidth:
             raise DomainExceeded("stencil span exceeds the box")
-        out[i] = np.max(_difference_sups(u, k, mags[i]))
+        # one plan at a time: all t at once hold 10 MB at k = 2, N = 512
+        sups = _difference_sups(like, k, mags[i])
+        for row, field in zip(out, fields):
+            row[i] = np.max(sups(*field))
     return out
 
 
@@ -247,7 +273,22 @@ def modulus_of_smoothness(u: FieldSample, k: int, t: float,
     """
     if t <= 0:
         raise DomainError("t must be positive")
-    return float(_moduli(u, k, np.array([float(t)]), directions)[0])
+    return float(_moduli([u], k, np.array([float(t)]), directions)[0, 0])
+
+
+def modulus_curves(us, k: int, t_grid: LogGrid, n: int = 1,
+                   directions: int = 16) -> list[SampledFunction]:
+    """modulus_curve of each field of us, bit for bit, with one step
+    plan per t for all of them.  Raises DomainError for an empty list or
+    fields whose origin, spacing, length or box differ."""
+    if len({(u.origin, u.spacing, len(u.values), u.box_halfwidth) for u in us}) != 1:
+        raise DomainError("modulus_curves needs a nonempty family on one grid")
+    # scalar powers, as a caller of modulus_of_smoothness forms them: the
+    # vectorised power can differ in the last bit
+    ts = np.array([t ** (1.0 / n) for t in t_grid.points])
+    return [SampledFunction(grid=t_grid, values=np.maximum.accumulate(vals),
+                            extension="constant_beyond_T")
+            for vals in _moduli(us, k, ts, directions)]
 
 
 def modulus_curve(u: FieldSample, k: int, t_grid: LogGrid, n: int = 1,
@@ -255,11 +296,7 @@ def modulus_curve(u: FieldSample, k: int, t_grid: LogGrid, n: int = 1,
     """omega_k(u; t^(1/n)) over a grid of t values, forced nondecreasing
     by a cumulative max (window nesting).  Every t below the grid
     spacing is evaluated in one array pass."""
-    # scalar powers, as a caller of modulus_of_smoothness forms them: the
-    # vectorised power can differ in the last bit
-    ts = np.array([t ** (1.0 / n) for t in t_grid.points])
-    vals = np.maximum.accumulate(_moduli(u, k, ts, directions))
-    return SampledFunction(grid=t_grid, values=vals, extension="constant_beyond_T")
+    return modulus_curves([u], k, t_grid, n, directions)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +340,9 @@ def upper_cone_check(space: LorentzSpace, kernel: KernelSpec, k: int,
     # row i is the cone kernel at t_grid.points[i]
     cones = cone_kernel(kernel.measure_profile_fn(), k, n, t_grid.points[:, None], tau)
     conv = convolver(kernel, f_family[0][1])
+    omegas = modulus_curves([conv(f) for _, f in f_family], k, t_grid, n=n)
     per_field = {}
-    for name, f in f_family:
-        u = conv(f)
-        omega = modulus_curve(u, k, t_grid, n=n)
+    for (name, f), omega in zip(f_family, omegas):
         fstar = field_rearrangement(f, grid=space.grid)
         denom = np.array([total_mass(tau, cone * fstar.values) for cone in cones])
         ratios = omega.values / denom

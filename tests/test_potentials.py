@@ -14,6 +14,7 @@ from calderon_lab.errors import (
     TrivialSpace,
 )
 from calderon_lab.gridfn import (
+    LogGrid,
     SampledFunction,
     default_grid,
     integrate,
@@ -40,6 +41,7 @@ from calderon_lab.potentials import (
     field_rearrangement,
     finite_difference,
     modulus_curve,
+    modulus_curves,
     modulus_of_smoothness,
     nontriviality_gate,
     power_modulus_norm,
@@ -371,6 +373,67 @@ class TestModulus:
         tg = make_log_grid(1e-4, 1.0, 32)
         om = modulus_curve(u, 1, tg)
         assert np.all(np.diff(om.values) >= 0)
+
+
+class TestModulusCurves:
+    @pytest.mark.parametrize("box, resolution", [(2.0, 64), (3.0, 512), (4.0, 129)])
+    def test_interp_intervals_reproduce_np_interp(self, box, resolution):
+        # node hits, the last node, both sides of the box, whole and
+        # fractional cell shifts of the nodes, and random points between
+        u = sample_field(lambda x: np.sin(3 * x) + 0.2 * x, box, resolution)
+        x, h = u.axis_points(), u.spacing
+        rng = np.random.default_rng(resolution)
+        outside = np.array([1e-12, h, 2 * box])
+        pos = np.concatenate([x, x[-1:], x[0] - outside, x[-1] + outside,
+                              x + 3 * h, x - 7 * h, x + 0.5 * h, x - (1 - 1e-13) * h,
+                              rng.uniform(x[0], x[-1], 1000)])
+        j, d = potentials._interp_intervals(x, h, pos)
+        slope = np.append(np.diff(u.values) / np.diff(x), 0.0)
+        assert np.array_equal(slope[j] * d + u.values[j], np.interp(pos, x, u.values))
+        assert np.all(d[:len(x) + 1] == 0.0)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_family_matches_single_field(self, k):
+        fam = bump_and_staircase_family(count=4, resolution=128)
+        conv = convolver(BMD, fam[0][1])
+        us = [conv(f) for _, f in fam]
+        # t whole multiples of J cells, so that every sampled step t*j/J
+        # lands on nodes
+        J = 4
+        ts = J * us[0].spacing * np.arange(1, 127 // (k * J) + 1, dtype=float)
+        on_nodes = LogGrid(ts[0], ts[-1], len(ts), ts)
+        curves = modulus_curves(us, k, on_nodes, directions=J)
+        for u, om in zip(us, curves):
+            assert np.array_equal(om.values, modulus_curve(u, k, on_nodes, directions=J).values)
+            breaks = [_modulus_at_breaks(u, k, t, J) for t in ts]
+            assert np.array_equal(om.values, np.maximum.accumulate(breaks))
+            nodes = np.maximum.accumulate([_modulus_by_steps(u, k, t, J) for t in ts])
+            if k == 1:
+                assert np.array_equal(om.values, nodes)
+            else:
+                # the nodes-only reference sums the stencil in another order
+                tol = k * 2 ** k * np.finfo(float).eps * u.sup_norm()
+                assert np.max(np.abs(om.values - nodes)) <= tol
+        # t below and above the spacing, n = 2
+        tg = make_log_grid(1e-6, 1.0, 48)
+        for u, om in zip(us, modulus_curves(us, k, tg, n=2)):
+            assert np.array_equal(om.values, modulus_curve(u, k, tg, n=2).values)
+
+    def test_fields_on_one_grid(self):
+        tg = make_log_grid(1e-3, 1.0, 8)
+        u = sample_field(np.sin, 2.0, 65)
+        with pytest.raises(DomainError, match="one grid"):
+            modulus_curves([], 1, tg)
+        shifted = FieldSample(2.0, 65, u.values, origin=-1.5)
+        wider = FieldSample(2.5, 65, u.values)
+        shorter = finite_difference(u, u.spacing, 1)
+        larger_box = FieldSample(4.0, 129, u.values, origin=-2.0)  # same spacing
+        assert larger_box.spacing == u.spacing
+        for other in (shifted, wider, shorter, larger_box):
+            with pytest.raises(DomainError, match="one grid"):
+                modulus_curves([u, other], 1, tg)
+        assert np.array_equal(modulus_curves([u, u], 1, tg)[1].values,
+                              modulus_curve(u, 1, tg).values)
 
 
 class TestEnvelope:
