@@ -83,17 +83,19 @@ class SampledFunction:
       constant_beyond_T -- frozen at the last sample
       analytic          -- delegate to `fn` (which must then be set; it is
                            also used below t_min and between grid points)
-    Below t_min (without `fn`) the first segment's local power law is
-    extrapolated.  Between grid points, positive values are interpolated
-    by the power law through the bracketing samples (exact for pure
-    powers); otherwise linearly in log t.
+    Called with its own `grid.points` (the same array object), it returns
+    a copy of its samples, whatever the extension.  Below t_min (without
+    `fn`) the first segment's local power law is extrapolated.  Between
+    grid points, positive values are interpolated by the power law
+    through the bracketing samples (exact for pure powers); otherwise
+    linearly in log t.
     """
 
     grid: LogGrid
     values: np.ndarray
     monotonicity: str = "none"          # "decreasing" | "none"
     extension: str = "constant_beyond_T"
-    fn: object = None                   # optional callable for extension="analytic"
+    fn: object = None                   # callable, required by extension="analytic"
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -102,6 +104,10 @@ class SampledFunction:
                 f"{len(self.values)} values on a grid of {self.grid.count} points")
         if self.monotonicity not in ("none", "decreasing"):
             raise DomainError(f"unknown monotonicity tag {self.monotonicity!r}")
+        if self.extension not in ("zero_beyond_T", "constant_beyond_T", "analytic"):
+            raise DomainError(f"unknown extension tag {self.extension!r}")
+        if self.extension == "analytic" and self.fn is None:
+            raise DomainError('extension "analytic" needs fn')
         if self.monotonicity == "decreasing":
             v = self.values
             finite = np.isfinite(v[:-1])
@@ -115,12 +121,12 @@ class SampledFunction:
     # -- evaluation --------------------------------------------------------
 
     def __call__(self, t):
-        if t is self.grid.points and self.extension == "analytic" and self.fn is not None:
-            return self.values.copy()     # the samples are fn(grid.points)
+        if t is self.grid.points:
+            return self.values.copy()
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
         t = np.atleast_1d(t)
-        if self.extension == "analytic" and self.fn is not None:
+        if self.extension == "analytic":
             out = np.asarray(self.fn(t), dtype=float)
             return float(out[0]) if scalar else out
 
@@ -247,9 +253,12 @@ def total_mass(t, y) -> float:
     return head + float(np.sum(segment_masses(t, y)))
 
 
-def cumulative_from_zero(t, y) -> np.ndarray:
-    """I[i] = estimated integral of y over (0, t[i]].  May be +inf."""
-    head = head_mass(t, y)
+def cumulative_from_zero(t, y, head=None) -> np.ndarray:
+    """I[i] = estimated integral of y over (0, t[i]]: the mass `head`
+    below t[0] (by default `head_mass(t, y)`) plus the segment rule.
+    May be +inf."""
+    if head is None:
+        head = head_mass(t, y)
     seg = segment_masses(t, y)
     out = np.empty(len(t))
     out[0] = head
@@ -298,31 +307,21 @@ def _adaptive_panel(f, lo, hi, tol_abs, depth=0):
 
 
 def integrate(f, b: float, tol: float = DEFAULT_QUAD_TOL):
-    """Integrate f over (0, b); returns (value, err_estimate).
+    """Integrate f over (0, b] for 0 < b < inf; returns (value, err_estimate).
 
-    f must accept numpy arrays and may be singular at 0.  b may be +inf.
-    The subdivision is geometric toward 0 (fixed-width panels in log x),
-    and toward +inf when b is.  Mass below the floating-point floor is
-    the geometric continuation of the panel masses, the power law that
-    `head_mass` uses too; it is exact for x^p.  Raises NonConvergent when
-    the error estimate stalls above tol, the endpoint mass does not
-    decay, or the panel-mass ratio drifts (log-type endpoints).
+    f must accept numpy arrays and may be singular at 0.  The
+    subdivision is geometric toward 0 (fixed-width panels in log x).
+    Mass below the floating-point floor is the geometric continuation of
+    the panel masses, the power law that `head_mass` uses too; it is
+    exact for x^p.  Raises DomainError unless 0 < b < inf, and
+    NonConvergent when the error estimate stalls above tol, the endpoint
+    mass does not decay, or the panel-mass ratio drifts (log-type
+    endpoints).
     """
-    if not b > 0.0:
-        raise DomainError(f"need b > 0, got {b}")
+    if not 0.0 < b < math.inf:
+        raise DomainError(f"need 0 < b < inf, got {b}")
 
-    total, err = 0.0, 0.0
-    upper = b
-    if not np.isfinite(b):
-        upper = 1.0
-        t_val, t_err = _log_panel_limit(f, upper, tol, downward=False)
-        total += t_val
-        err += t_err
-
-    s_val, s_err = _log_panel_limit(f, upper, tol, downward=True)
-    total += s_val
-    err += s_err
-
+    total, err = _log_panel_limit(f, b, tol)
     if err > 10 * tol * max(abs(total), _ABS_FLOOR) + _ABS_FLOOR:
         raise NonConvergent(
             f"error estimate {err:.3e} above tolerance for value {total:.6e}")
@@ -331,21 +330,18 @@ def integrate(f, b: float, tol: float = DEFAULT_QUAD_TOL):
 
 _PANEL_WIDTH = 16.0     # e^-16 ~ 1e-7 of the scale per panel
 _FLOOR_U = math.log(1e-290)
-_CEIL_U = 700.0
 
 
-def _log_panel_limit(f, c: float, tol: float, downward: bool):
-    """Integrate f over (0, c] (downward) or [c, inf) via fixed-width
-    panels in u = log x, plus the geometric continuation of the panel
-    masses beyond the float range."""
+def _log_panel_limit(f, c: float, tol: float):
+    """Integrate f over (0, c] via fixed-width panels in u = log x, plus
+    the geometric continuation of the panel masses below the float
+    range."""
     U = math.log(c)
     g = lambda u: _call(f, np.exp(u)) * np.exp(u)
-    sgn = -1.0 if downward else 1.0
-    end_u = _FLOOR_U if downward else _CEIL_U
 
-    # uniform panels exactly covering [end_u, U]; no partial last panel,
-    # so successive mass ratios are clean extrapolation data
-    span = abs(end_u - U)
+    # uniform panels exactly covering [_FLOOR_U, U]; no partial last
+    # panel, so successive mass ratios are clean extrapolation data
+    span = abs(_FLOOR_U - U)
     n_panels = max(8, int(math.ceil(span / _PANEL_WIDTH)))
     width = span / n_panels
 
@@ -354,9 +350,8 @@ def _log_panel_limit(f, c: float, tol: float, downward: bool):
     edge = U
     scale = _ABS_FLOOR
     for _ in range(n_panels):
-        nxt = edge + sgn * width
-        lo, hi = (nxt, edge) if downward else (edge, nxt)
-        val, e = _adaptive_panel(g, lo, hi, tol * scale / 64)
+        nxt = edge - width
+        val, e = _adaptive_panel(g, nxt, edge, tol * scale / 64)
         if not np.isfinite(val):
             raise NonConvergent(
                 "integrand overflow near endpoint; integral appears divergent")

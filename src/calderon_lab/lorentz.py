@@ -31,7 +31,6 @@ from .gridfn import (
     head_mass,
     integrate,
     make_log_grid,
-    segment_masses,
     total_mass,
 )
 from .kernels import SlowlyVaryingSpec
@@ -190,8 +189,7 @@ def embedding_function(space: LorentzSpace, phi: SampledFunction) -> SampledFunc
     if not math.isfinite(head):
         vals = np.full_like(t, math.inf)
     else:
-        vals = (head + np.concatenate(([0.0], np.cumsum(segment_masses(t, y))))) \
-            ** (1.0 / space.qp)
+        vals = cumulative_from_zero(t, y, head) ** (1.0 / space.qp)
     return SampledFunction(grid=space.grid, values=vals)
 
 
@@ -255,12 +253,10 @@ def associate_norm(space: LorentzSpace, hstar: SampledFunction) -> float:
       q > 1:  ( int_0^inf (int_0^t h*)^(q') w dt )^(1/q')
 
     h* is treated as zero beyond T; +inf when the sup blows up or the
-    integral diverges at 0.  An h* on the space's own grid is read from
-    its samples, without interpolation.
+    integral diverges at 0.
     """
     if hstar.grid.t_max > space.T * (1 + 1e-12):
         raise DomainError("h* must live on (0, T]")
     t = space.grid.points
-    h = hstar.values if hstar.grid is space.grid else hstar(t)
     return _associate_norm_of_cumulative(
-        space, cumulative_from_zero(t, np.maximum(h, 0.0)))
+        space, cumulative_from_zero(t, np.maximum(hstar(t), 0.0)))

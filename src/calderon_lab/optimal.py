@@ -38,7 +38,6 @@ from .gridfn import (
     cumulative_from_zero,
     cumulative_tail,
     head_mass,
-    segment_masses,
     total_mass,
 )
 from .lorentz import (LorentzSpace, _associate_norm_of_cumulative, _profile_integral,
@@ -206,7 +205,7 @@ def optimal_norm(spec: OptimalNormSpec, f: SampledFunction) -> float:
     av = np.abs(f.values)
     if spec.case == "sup":
         return float(np.max(av))
-    psi = spec.psi(f.grid.points) if f.grid is not spec.psi.grid else spec.psi.values
+    psi = spec.psi(f.grid.points)
     core = _stieltjes_sum(np.maximum.accumulate(av), psi, spec.q)
     t = f.grid.points
     tail_sup = float(np.max(av[t >= spec.T1])) if np.any(t >= spec.T1) else av[-1]
@@ -280,14 +279,6 @@ class AssociateNormEngine:
                               f"with rows of the grid's {len(self.t)} points")
         return g
 
-    def _cum_scaled_head(self, g: np.ndarray, factor: np.ndarray,
-                         factor_head: float) -> np.ndarray:
-        out = np.empty(len(self.t))
-        out[0] = g[0] * factor_head
-        np.cumsum(segment_masses(self.t, g * factor), out=out[1:])
-        out[1:] += out[0]
-        return out
-
     # -- the four functionals ----------------------------------------------
 
     def rho_tilde(self, g: np.ndarray) -> float:
@@ -299,9 +290,10 @@ class AssociateNormEngine:
     def rho1(self, g: np.ndarray) -> float:
         g = self._checked(g)
         sp = self.space
-        inner = (self._cum_scaled_head(g, self.split_factor, self.split_head)
-                 - self.jk * self._cum_scaled_head(g, self.t ** self.kn,
-                                                   self.power_head))
+        inner = (cumulative_from_zero(self.t, g * self.split_factor,
+                                      g[0] * self.split_head)
+                 - self.jk * cumulative_from_zero(self.t, g * self.t ** self.kn,
+                                                  g[0] * self.power_head))
         if not np.all(np.isfinite(inner)):
             return math.inf
         inner = np.maximum(inner, 0.0)
@@ -314,7 +306,8 @@ class AssociateNormEngine:
         sp = self.space
         if sp.q == 1.0:
             return 0.0
-        mass = self._cum_scaled_head(g, self.split_factor, self.split_head)[-1]
+        mass = cumulative_from_zero(self.t, g * self.split_factor,
+                                    g[0] * self.split_head)[-1]
         if not math.isfinite(mass):
             return math.inf
         return float(mass * sp.tail_w ** (1.0 / sp.qp))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from calderon_lab import gridfn
 from calderon_lab.errors import (
     DegenerateRange,
     DomainError,
@@ -94,7 +95,7 @@ class TestIntegrate:
     def test_err_estimate_bounds_true_error(self):
         for fn, b, truth in [
             (lambda x: np.sin(x), math.pi, 2.0),
-            (lambda x: np.exp(-x), np.inf, 1.0),
+            (lambda x: np.exp(-x), 30.0, -math.expm1(-30.0)),
             (lambda x: x ** -0.25, 1.0, 4.0 / 3.0),
         ]:
             v, e = integrate(fn, b)
@@ -110,6 +111,8 @@ class TestIntegrate:
             integrate(lambda x: x, 0.0)
         with pytest.raises(DomainError):
             integrate(lambda x: x, -1.0)
+        with pytest.raises(DomainError):
+            integrate(lambda x: np.exp(-x), np.inf)
 
 
 class TestRunningIntegral:
@@ -193,7 +196,8 @@ class TestSampledFunction:
             values = np.exp(-np.cumsum(rng.exponential(size=64)))
             f = SampledFunction(g, values, monotonicity="decreasing")
             assert f(g.points[-1]) == values[-1]
-            assert np.array_equal(f(g.points), values)
+            # a copy of the points, so that the interpolant is evaluated
+            assert np.array_equal(f(g.points.copy()), values)
 
     def test_extension_rules(self):
         g = make_log_grid(1e-2, 1.0, 16)
@@ -202,7 +206,15 @@ class TestSampledFunction:
         assert z(2.0) == 0.0
         assert c(2.0) == 1.0
 
-    def test_analytic_own_grid_reads_samples(self):
+    # a misspelt tag would read 1.0 past T; "analytic" without fn would
+    # interpolate and freeze the last sample
+    @pytest.mark.parametrize("extension", ["zero_beyond_t", "analytic"])
+    def test_bad_extension_rejected(self, extension):
+        g = make_log_grid(1e-2, 1.0, 16)
+        with pytest.raises(DomainError):
+            SampledFunction(g, np.ones(16), extension=extension)
+
+    def test_analytic_own_grid_reads_samples(self, monkeypatch):
         # the samples are fn(grid.points), so that call returns a copy of
         # them without evaluating fn again
         g = make_log_grid(1e-4, 1.0, 32)
@@ -223,6 +235,17 @@ class TestSampledFunction:
         twin = g.points.copy()
         assert np.array_equal(f(twin), f.values)
         assert calls == [32]
+
+        # a sample without fn is read on its own grid too, not interpolated
+        def no_interp(*args):
+            raise AssertionError("_interp_loglog called")
+
+        monkeypatch.setattr(gridfn, "_interp_loglog", no_interp)
+        h = SampledFunction(g, np.exp(-g.points), extension="zero_beyond_T")
+        out = h(g.points)
+        assert np.array_equal(out, np.exp(-g.points))
+        out[:] = -1.0
+        assert np.array_equal(h.values, np.exp(-g.points))
 
 
 def _reference_segment_masses(t: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from calderon_lab.errors import DomainError, TrivialSpace
+from calderon_lab import gridfn, lorentz
+from calderon_lab.errors import DomainError, Inconclusive, TrivialSpace
 from calderon_lab.gridfn import (
     SampledFunction,
     cumulative_from_zero,
@@ -185,6 +186,34 @@ class TestEmbeddingCriterion:
                      monotonicity="decreasing")
         assert embedding_criterion(sp, phi)["embeds"] is expected
 
+    # Psi_q(T) at the grid floors 1e-4 T, 1e-6 T and 1e-8 T
+    @pytest.mark.parametrize("refinements,embeds", [
+        ([1.0, 11.0, 121.0], False),        # grows more than 10x at each step
+        ([1.0, 1.4, 1.96], True),           # grows less than 1.5x at each step
+        ([1.0, 9.0, 81.0], None),           # in between: Inconclusive
+        ([1.0, 1.6, 2.56], None),
+        ([1.0, 20.0, 21.0], None),          # one step of each kind
+    ])
+    def test_three_span_rule(self, refinements, embeds, monkeypatch):
+        by_floor = dict(zip((-4, -6, -8), refinements))
+
+        def fake_psi(space, phi):
+            value = by_floor[round(math.log10(space.grid.t_min / space.T))]
+            return SampledFunction(space.grid, np.full(space.grid.count, value))
+
+        monkeypatch.setattr(lorentz, "embedding_function", fake_psi)
+        g = make_log_grid(1e-8, 1.0, 64)
+        sp = LorentzSpace(2.0, FLAT, g)
+        phi = sample(lambda t: t ** -0.5, g, monotonicity="decreasing")
+        if embeds is None:
+            with pytest.raises(Inconclusive):
+                embedding_criterion(sp, phi)
+            return
+        verdict = embedding_criterion(sp, phi)
+        assert verdict["embeds"] is embeds
+        assert verdict["refinements"] == refinements
+        assert verdict["psi_at_T"] == (refinements[-1] if embeds else math.inf)
+
 
 class TestAssociateNorm:
     def test_holder_duality_spot_check(self):
@@ -233,10 +262,10 @@ class TestAssociateNorm:
         expected = _associate_norm_of_cumulative(
             sp, cumulative_from_zero(g.points, np.maximum(v, 0.0)))
 
-        def no_call(self, t):
-            raise AssertionError("SampledFunction evaluated")
+        def no_interp(*args):
+            raise AssertionError("samples interpolated")
 
-        monkeypatch.setattr(SampledFunction, "__call__", no_call)
+        monkeypatch.setattr(gridfn, "_interp_loglog", no_interp)
         got = associate_norm(sp, h)
         assert math.isfinite(got) and got == expected
 

@@ -120,7 +120,9 @@ class TestConvolve:
         phi_assoc = associate_norm(sp, SampledFunction(g, phi_fn(g.points),
                                                        extension="zero_beyond_T"))
         head, _ = integrate(phi_fn, 1.0, tol=1e-8)
-        tail = integrate(phi_fn, np.inf, tol=1e-8)[0] - head
+        # phi decays like exp(-tau/2), so its mass beyond tau = 80 is
+        # below 1e-15 of the total
+        tail = integrate(phi_fn, 80.0, tol=1e-8)[0] - head
         c0 = 1.0 + tail / head
         rng = np.random.default_rng(0x5EED)
         for _ in range(10):
