@@ -387,9 +387,10 @@ def _scenario_envelope(cfg: ExperimentConfig, rec: ReportRecord):
     tg = make_log_grid(1e-6 * cfg.T, cfg.T, 48)
     upper = envelope_bounds(space, phi, cfg.k, cfg.n, tg)
     rec.series["envelope"] = (tg.points, upper.values)
-    _check(rec.assertions, "nondecreasing",
-           bool(np.all(np.diff(upper.values) >= -1e-10 * upper.values[:-1])),
-           float(upper.values[-1]), "envelope curve must be nondecreasing")
+    with np.errstate(invalid="ignore"):     # inf - inf is NaN, which fails
+        _check(rec.assertions, "nondecreasing",
+               bool(np.all(np.diff(upper.values) >= -1e-10 * upper.values[:-1])),
+               float(upper.values[-1]), "envelope curve must be nondecreasing")
     profile_norm = associate_norm(
         space, SampledFunction(space.grid, phi(space.grid.points),
                                extension="zero_beyond_T"))

@@ -12,16 +12,14 @@ kernel) is a separate argument; the convolver rejects kernels of
 dimension n >= 2, because a direct sum needs an exact singular-cell
 integral there, which the toolkit does not have.
 
-The modulus omega_k(u; t) is that of the piecewise-linear interpolant s
-of the samples: for each sampled step h = +-t*j/J the sup over x of
-|Delta_h^k s(x)| is exact, taken at the breaks of x -> Delta_h^k s(x).
-A t with k*t >= spacing takes one array pass over its 2J steps; a t
-below the spacing needs only |h| = t, and all such t share one pass.
-The positions x_i + m*h, their grid intervals and the stencil windows
-depend only on the grid, k and t: each pass builds them once, as a step
-plan, and modulus_curves applies it to every field of a family.  The
-cone kernel's profile factor phi(tau) depends neither on t nor on the
-field, so the cone checks build all t rows of the kernel once.
+The modulus omega_k(u; t) is the exact sup over |h| <= t and x of
+|Delta_h^k s(x)|, s the piecewise-linear interpolant of the samples: it
+is attained at h = t or at a vertex step h = spacing*p/q, q <= k, where
+lines x + j*h = x_i of the arrangement meet.  Step plans, one per block
+of t, evaluate the steps h = t for a whole family; each vertex step is a
+slice sum on the q-refined grid, O(t_max/spacing * N) per q.  The cone
+kernel's profile factor phi(tau) depends neither on t nor on the field,
+so the cone checks build all t rows of the kernel once.
 """
 
 from __future__ import annotations
@@ -51,7 +49,7 @@ from .lorentz import LorentzSpace, associate_norm, embedding_function
 from .optimal import OptimalNormSpec, _stieltjes_sum
 from .rearrange import MeasurableSample, decreasing_rearrangement
 
-DIRECTION_SEED = 0x5EED
+FAMILY_SEED = 0x5EED
 
 
 @dataclass
@@ -187,17 +185,12 @@ def _interp_intervals(x: np.ndarray, spacing: float, pos: np.ndarray):
 def _difference_sups(like: FieldSample, k: int, mags: np.ndarray):
     """The step plan of mags on like's grid, for every field on it: a
     function (values, slope as in _interp_intervals) -> for each a of mags
-    the sup over x of |Delta_a^k s(x)|, s the piecewise-linear
-    interpolant of values, over the x whose stencil stays in the grid.
-
-    x -> Delta_a^k s(x) is piecewise linear with breaks x_i - j*a
-    (j = 0..k), among them the ends of its domain, so the sup is attained
-    at a break; Delta_{-a}^k s(x) = (-1)^k Delta_a^k s(x - k*a) has the
-    same sup.  The break x_i - j*a needs s(x_i + l*a), l = -j..k-j, which
-    the rows of the steps +a and -a hold: window j = 0 is the +a step at
-    the nodes, window k the -a step.  Raises DomainExceeded when the +a
-    or the -a step leaves no node with its stencil inside.
-    """
+    the sup over x of |Delta_a^k s(x)|, s the interpolant of values, over
+    the x whose stencil stays in the grid.  It is taken at the breaks
+    x_i - j*a (j = 0..k), whose stencil points s(x_i + l*a), l = -j..k-j,
+    the rows of the steps +a and -a hold; Delta_{-a}^k has the same sup.
+    Raises DomainExceeded when the +a or the -a step leaves no node with
+    its stencil inside."""
     r = len(mags)
     steps = np.concatenate([mags, -mags])[:, None]
     x = like.axis_points()
@@ -230,73 +223,79 @@ def _difference_sups(like: FieldSample, k: int, mags: np.ndarray):
     return sups
 
 
-def _moduli(us, k: int, ts: np.ndarray, directions: int) -> np.ndarray:
-    """omega_k(u; t), a row per field u of us and a column per t of ts."""
+def _vertex_sups(values: np.ndarray, k: int, spacing: float, top: float):
+    """The vertex steps h = spacing*p/q <= top (gcd(p, q) = 1, q <= k) and
+    the sup over x of |Delta_h^k s(x)| at each, a row of sups per step
+    and a column per row of values.  The stencils of the breaks
+    x_i - j*h lie on the grid refined q times, where a step is a sum of
+    k + 1 slices of s, linear in between: the max there is the sup."""
+    coeffs = _difference_coeffs(k)
+    cells = values.shape[1] - 1
+    steps, sups = [], []
+    for q in range(1, k + 1):
+        fine = np.array([np.interp(np.arange(cells * q + 1) / q, np.arange(cells + 1), v)
+                         for v in values])
+        acc, term = np.empty_like(fine), np.empty_like(fine)   # reused: no page faults
+        for p in range(1, cells * q // k + 1):
+            if math.gcd(p, q) > 1 or spacing * p / q > top:
+                continue
+            size = cells * q + 1 - k * p
+            a = np.multiply(fine[:, :size], coeffs[0], out=acc[:, :size])
+            for l in range(1, k + 1):
+                a += np.multiply(fine[:, l * p:l * p + size], coeffs[l], out=term[:, :size])
+            steps.append(spacing * p / q)
+            sups.append(np.max(np.abs(a, out=a), axis=1))
+    return np.array(steps), np.reshape(sups, (len(steps), len(values)))
+
+
+def _moduli(us, k: int, ts: np.ndarray) -> np.ndarray:
+    """omega_k(u; t), a row per field u of us and a column per t of ts
+    (ascending): the running max over the steps h = t and vertex steps."""
     like = us[0]
+    if k * np.max(ts) > 2.0 * like.box_halfwidth:
+        raise DomainExceeded("stencil span exceeds the box")
     dx = np.diff(like.axis_points())
     fields = [(u.values, np.append(np.diff(u.values) / dx, 0.0)) for u in us]
-    mags = ts[:, None] * np.arange(1, directions + 1) / directions
-    out = np.empty((len(us), len(ts)))
-    # Below one cell (k*t < spacing) the stencil of a break x_i - j*h lies
-    # in the two cells around x_i, where s is linear on either side, so
-    # Delta_h^k s there is |h| times a combination of the two slopes, and
-    # which breaks keep their stencil inside does not depend on |h|: the
-    # sup over the sampled steps is at |h| = t, two rows per t.  The last
-    # column is t*J/J, rounded as the sampled steps are.
-    below = k * ts < like.spacing
-    if np.any(below):
-        sups = _difference_sups(like, k, mags[below, -1])
-        for row, field in zip(out, fields):
-            row[below] = sups(*field)
-    for i in np.flatnonzero(~below):
-        if k * ts[i] > 2.0 * like.box_halfwidth:
-            raise DomainExceeded("stencil span exceeds the box")
-        # one plan at a time: all t at once hold 10 MB at k = 2, N = 512
-        sups = _difference_sups(like, k, mags[i])
-        for row, field in zip(out, fields):
-            row[i] = np.max(sups(*field))
-    return out
+    # one plan alive at a time, 16 t (32 rows) each
+    plans = (_difference_sups(like, k, ts[lo:lo + 16]) for lo in range(0, len(ts), 16))
+    out = np.hstack([[sups(*field) for field in fields] for sups in plans])
+    steps, sups = _vertex_sups(np.array([u.values for u in us]), k, like.spacing, np.max(ts))
+    # a vertex step joins the max at the first t not below it
+    np.maximum.at(out.T, np.searchsorted(ts, steps), sups)
+    return np.maximum.accumulate(out, axis=1)
 
 
-def modulus_of_smoothness(u: FieldSample, k: int, t: float,
-                          directions: int = 16) -> float:
-    """omega_k(u; t): sup over sampled steps |h| <= t of the sup norm of
-    the k-th difference of the piecewise-linear interpolant s of u.
-
-    Samples h = +-t*j/J, j = 1..J (J = directions), including |h| = t
-    exactly.  For each step the sup over x is exact for s: it is taken
-    over the breaks x_i - j*h of x -> Delta_h^k s(x), where the whole
-    stencil stays inside the box.  Below the grid spacing the result
-    describes s, not u: it grows like t * spacing^(k-1), not t^k.
-    Raises DomainExceeded when some step leaves no grid point whose
-    stencil stays inside the box.
-    """
+def modulus_of_smoothness(u: FieldSample, k: int, t: float) -> float:
+    """omega_k(u; t): the sup over all steps |h| <= t and all x whose
+    stencil stays in the field's grid of |Delta_h^k s(x)|, s the
+    piecewise-linear interpolant of u, exact up to rounding from h = t and
+    the vertex steps spacing*p/q <= t (q <= k).  Below the grid spacing it
+    describes s, not u: it grows like t * spacing^(k-1), not t^k.  Raises
+    DomainExceeded when the span k*t exceeds the box or leaves no grid
+    point of the field."""
     if t <= 0:
         raise DomainError("t must be positive")
-    return float(_moduli([u], k, np.array([float(t)]), directions)[0, 0])
+    return float(_moduli([u], k, np.array([float(t)]))[0, 0])
 
 
-def modulus_curves(us, k: int, t_grid: LogGrid, n: int = 1,
-                   directions: int = 16) -> list[SampledFunction]:
-    """modulus_curve of each field of us, bit for bit, with one step
-    plan per t for all of them.  Raises DomainError for an empty list or
+def modulus_curves(us, k: int, t_grid: LogGrid, n: int = 1) -> list[SampledFunction]:
+    """modulus_curve of each field of us, bit for bit, sharing the step
+    plans and refined grids.  Raises DomainError for an empty list or
     fields whose origin, spacing, length or box differ."""
     if len({(u.origin, u.spacing, len(u.values), u.box_halfwidth) for u in us}) != 1:
         raise DomainError("modulus_curves needs a nonempty family on one grid")
     # scalar powers, as a caller of modulus_of_smoothness forms them: the
     # vectorised power can differ in the last bit
     ts = np.array([t ** (1.0 / n) for t in t_grid.points])
-    return [SampledFunction(grid=t_grid, values=np.maximum.accumulate(vals),
-                            extension="constant_beyond_T")
-            for vals in _moduli(us, k, ts, directions)]
+    return [SampledFunction(grid=t_grid, values=vals, extension="constant_beyond_T")
+            for vals in _moduli(us, k, ts)]
 
 
-def modulus_curve(u: FieldSample, k: int, t_grid: LogGrid, n: int = 1,
-                  directions: int = 16) -> SampledFunction:
-    """omega_k(u; t^(1/n)) over a grid of t values, forced nondecreasing
-    by a cumulative max (window nesting).  Every t below the grid
-    spacing is evaluated in one array pass."""
-    return modulus_curves([u], k, t_grid, n, directions)[0]
+def modulus_curve(u: FieldSample, k: int, t_grid: LogGrid, n: int = 1) -> SampledFunction:
+    """omega_k(u; t^(1/n)) over a grid of t values: at each t the max of
+    modulus_of_smoothness over the grid's t up to it, which is its own
+    value up to rounding.  Costs O(t_max/spacing * N) per q <= k."""
+    return modulus_curves([u], k, t_grid, n)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +401,7 @@ def calderon_norm(u: FieldSample, omega: SampledFunction, X, k: int, n: int) -> 
 # ---------------------------------------------------------------------------
 
 def bump_and_staircase_family(count: int = 10, resolution: int = 512,
-                              seed: int = DIRECTION_SEED):
+                              seed: int = FAMILY_SEED):
     """Seeded 1-d family on the box [-3, 3]: smooth compact bumps and
     decreasing staircases supported well inside it."""
     rng = np.random.default_rng(seed)

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -319,6 +320,20 @@ class TestScenarios:
         vals = rec.series["envelope"][1]
         assert len(vals) == 48
         assert np.all(np.isfinite(vals))
+
+    def test_envelope_infinite_head_fails_without_warning(self):
+        # the same config: its +inf values make NaN differences, which
+        # fails nondecreasing the same way whether or not RuntimeWarnings
+        # are errors
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rec = run(parse_config_text(
+                "scenario = envelope\nspace.q = 1\nspace.p = 2\nkernel.alpha = 0.5\n"
+                "k = 1\nn = 1\n"))
+        assert rec.error is None
+        assert np.any(np.isinf(rec.series["envelope"][1]))
+        assert {name: a["passed"] for name, a in rec.assertions.items()} == \
+            {"nondecreasing": False, "endpoint_factor_two": False}
 
     def test_equivalence_neither_condition(self):
         rec = run(parse_config_text(

@@ -56,52 +56,31 @@ POWER_LOG = KernelSpec(PowerSlowlyVarying(alpha=0.6, sv=SlowlyVaryingSpec(
     factors=(("log", 0.5),)), z1=1.0), n=1)
 
 
-def _modulus_by_steps(u, k, t, directions=16):
-    """omega_k(u; t) one step at a time, one interpolation per shift and
-    the terms summed in stencil order: the reference the array pass of
-    modulus_of_smoothness must reproduce bit for bit."""
-    if k * t > 2.0 * u.box_halfwidth:
-        raise DomainExceeded("stencil span exceeds the box")
+def _sup_at_breaks(u, k, steps):
+    """max over the steps h > 0 of the sup over x of |Delta_h^k s(x)|, s
+    the piecewise-linear interpolant of u: Delta_h^k s at every break
+    x_i - j*h (j = 0..k) whose whole stencil stays in the grid, one
+    np.interp per stencil point, 500 steps at a time."""
     x = u.axis_points()
     coeffs = [math.comb(k, j) * (-1.0) ** (k - j) for j in range(k + 1)]
     best = 0.0
-    for mag in t * np.arange(1, directions + 1) / directions:
-        for h in (mag, -mag):
-            acc = coeffs[0] * u.values
-            valid = np.ones(len(x), dtype=bool)
-            for j in range(1, k + 1):
-                shifted = np.interp(x + j * h, x, u.values, left=np.nan, right=np.nan)
-                valid &= ~np.isnan(shifted)
-                acc = acc + coeffs[j] * np.nan_to_num(shifted, nan=0.0)
-            if not np.any(valid):
-                raise DomainExceeded("no grid point keeps the whole stencil inside the box")
-            best = max(best, float(np.max(np.abs(acc[valid]))))
+    for chunk in np.array_split(steps, -(-len(steps) // 500)):
+        h = chunk[:, None, None]
+        breaks = x[None, :, None] - np.arange(k + 1) * h
+        inside = (breaks >= x[0]) & (breaks + k * h <= x[-1])
+        acc = 0.0
+        for l, c in enumerate(coeffs):
+            acc = acc + c * np.interp(breaks + l * h, x, u.values)
+        best = max(best, float(np.max(np.abs(acc), where=inside, initial=0.0)))
     return best
 
 
-def _modulus_at_breaks(u, k, t, directions=16, signs=(1.0,)):
-    """omega_k(u; t) for the piecewise-linear interpolant: for each
-    sampled step h, Delta_h^k at every break x_i - j*h (j = 0..k), one
-    interpolation per stencil point x_i + (l - j)*h, the terms summed in
-    stencil order.  With signs (1,) only the +h steps are evaluated:
-    Delta_-h^k s(x) = (-1)^k Delta_h^k s(x - k*h) has the same sup, and
-    the terms of the +h breaks are then the ones modulus_of_smoothness
-    sums, in its order, so the two agree bit for bit; the -h breaks sum
-    the same terms in mirrored order."""
-    x = u.axis_points()
-    coeffs = [math.comb(k, j) * (-1.0) ** (k - j) for j in range(k + 1)]
-    best = 0.0
-    for mag in t * np.arange(1, directions + 1) / directions:
-        for h in (sign * mag for sign in signs):
-            for j in range(k + 1):
-                acc = 0.0
-                valid = np.ones(len(x), dtype=bool)
-                for l in range(k + 1):
-                    v = np.interp(x + (l - j) * h, x, u.values, left=np.nan, right=np.nan)
-                    valid &= ~np.isnan(v)
-                    acc = acc + coeffs[l] * np.nan_to_num(v, nan=0.0)
-                best = max(best, float(np.max(np.abs(acc[valid]), initial=0.0)))
-    return best
+def _vertex_steps(u, k, t):
+    """t and the steps spacing*p/q <= t, q <= k, where lines of the
+    arrangement x + j*h = x_i meet."""
+    return np.array([t] + [u.spacing * p / q for q in range(1, k + 1)
+                           for p in range(1, int(t / u.spacing * q) + 2)
+                           if u.spacing * p / q <= t])
 
 
 class TestConvolve:
@@ -320,32 +299,49 @@ class TestModulus:
         for k in (1, 2, 3):
             assert modulus_of_smoothness(u, k, 0.8) <= 2 ** k * u.sup_norm() + 1e-12
 
-    @pytest.mark.parametrize("directions", [16, 5])
-    def test_matches_per_step_reference(self, directions):
-        # 0.3 spacing takes the pass that evaluates only |h| = t
-        fam = bump_and_staircase_family(count=2, resolution=128)
-        for name, f in fam:
-            u = convolve(BMD, f)
-            h = u.spacing
-            for k in (1, 2, 3):
-                span = 2.0 * u.box_halfwidth / k
-                for t in (0.3 * h, h, 2.5 * h, 0.05, 0.7, 0.999 * span, span):
-                    try:
-                        by_steps = _modulus_by_steps(u, k, t, directions)
-                    except DomainExceeded:
-                        with pytest.raises(DomainExceeded):
-                            modulus_of_smoothness(u, k, t, directions)
-                        continue
-                    got = modulus_of_smoothness(u, k, t, directions)
-                    assert got == _modulus_at_breaks(u, k, t, directions), (name, k, t)
-                    if k == 1:
-                        # the two breaks of a step are the nodes of the +h and
-                        # -h steps, so the nodes-only reference holds too
-                        assert got == by_steps, (name, t)
-                    # the -h steps have the same sup, summed in mirrored order
-                    both = _modulus_at_breaks(u, k, t, directions, signs=(1.0, -1.0))
-                    tol = k * 2 ** k * np.finfo(float).eps * u.sup_norm()
-                    assert abs(got - both) <= tol, (name, k, t)
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_brute_force_approaches_vertex_value(self, k):
+        # 20,000 sampled steps never beat the vertex value beyond rounding
+        # and come within the Lipschitz bound k*2^(k-1)*max|s'| of
+        # h -> Delta_h^k s(x) times their step; at k = 3 and t = 0.7
+        # spacing the sup sits at a vertex step below t, which 16 sampled
+        # steps h = t*j/16 miss by 3.75%
+        u = convolve(BMD, bump_and_staircase_family(count=1, resolution=64)[0][1])
+        floor = k * 2 ** k * np.finfo(float).eps * u.sup_norm()
+        lipschitz = k * 2 ** (k - 1) * np.max(np.abs(np.diff(u.values))) / u.spacing
+        for t in (0.7 * u.spacing, 2.5 * u.spacing):
+            exact = modulus_of_smoothness(u, k, t)
+            assert abs(exact - _sup_at_breaks(u, k, _vertex_steps(u, k, t))) <= floor, t
+            brute = _sup_at_breaks(u, k, t * np.arange(1, 20001) / 20000)
+            assert brute <= exact + floor, t
+            assert exact - brute <= lipschitz * t / 20000, t
+            if k == 3 and t < u.spacing:
+                assert _sup_at_breaks(u, k, t * np.arange(1, 17) / 16) < (1 - 0.03) * exact
+        # up to the box: at span 2H/k one node keeps its stencil inside
+        for t in (0.999 * 2 * u.box_halfwidth / k, 2 * u.box_halfwidth / k):
+            exact = modulus_of_smoothness(u, k, t)
+            assert abs(exact - _sup_at_breaks(u, k, _vertex_steps(u, k, t))) <= floor, t
+
+    def test_vertex_step_regression(self):
+        # the smoothness benchmark's seed 104, item 7 (Bessel kernel,
+        # alpha 0.79, k = 2, resolution 256), field 5 at t = 0.268, 11.4
+        # spacings: the 16 sampled steps read 0.9043505, 400 steps on
+        # 20,001 points 0.9045669, the vertex step h = 11 spacings 0.9046200
+        kernel = KernelSpec(BesselMcDonald(nu=(1 - 0.79) / 2.0), n=1)
+        fam = bump_and_staircase_family(count=10, resolution=256, seed=923687044)
+        u = convolve(kernel, fam[5][1])
+        t = make_log_grid(1e-6, 1.0, 64).points[57]
+        assert abs(t - 0.2682696) < 1e-7
+        exact = modulus_of_smoothness(u, 2, t)
+        sampled = _sup_at_breaks(u, 2, t * np.arange(1, 17) / 16)
+        x = np.linspace(u.origin, u.axis_points()[-1], 20001)
+        s = lambda y: np.interp(y, u.axis_points(), u.values)
+        brute = max(float(np.max(np.abs(s(x + 2 * h) - 2 * s(x + h) + s(x))[x + 2 * h <= x[-1]]))
+                    for h in t * np.arange(1, 401) / 400)
+        assert abs(sampled - 0.9043505) < 5e-8
+        assert abs(brute - 0.9045669) < 5e-8
+        assert abs(exact - 0.9046200) < 5e-8
+        assert sampled < brute < exact
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_curve_is_running_max_of_single_t(self, k):
@@ -362,13 +358,18 @@ class TestModulus:
         u = finite_difference(sample_field(np.sin, 2.0, 65), 2.5, 1)
         for k, t in ((1, 1.6), (2, 0.8), (3, 0.55)):
             with pytest.raises(DomainExceeded, match="no grid point"):
-                _modulus_by_steps(u, k, t)
-            with pytest.raises(DomainExceeded, match="no grid point"):
                 modulus_of_smoothness(u, k, t)
+            with pytest.raises(DomainExceeded, match="no grid point"):
+                modulus_curve(u, k, make_log_grid(1e-3, t, 8))
         with pytest.raises(DomainExceeded, match="span exceeds"):
             modulus_of_smoothness(u, 2, 2.1)
-        # inside the restricted domain the two still agree
-        assert modulus_of_smoothness(u, 1, 0.9) == _modulus_by_steps(u, 1, 0.9)
+        with pytest.raises(DomainExceeded, match="span exceeds"):
+            modulus_curve(u, 2, make_log_grid(1e-3, 2.1, 8))
+        # inside the restricted domain the vertex steps stay inside too
+        floor = 4 * np.finfo(float).eps * u.sup_norm()
+        for k, t in ((1, 0.9), (2, 0.7), (3, 0.45)):
+            exact = modulus_of_smoothness(u, k, t)
+            assert abs(exact - _sup_at_breaks(u, k, _vertex_steps(u, k, t))) <= k * floor
 
     def test_curve_nondecreasing(self):
         u = sample_field(lambda x: np.sin(4 * x), 4.0, 512)
@@ -399,27 +400,13 @@ class TestModulusCurves:
         fam = bump_and_staircase_family(count=4, resolution=128)
         conv = convolver(BMD, fam[0][1])
         us = [conv(f) for _, f in fam]
-        # t whole multiples of J cells, so that every sampled step t*j/J
-        # lands on nodes
-        J = 4
-        ts = J * us[0].spacing * np.arange(1, 127 // (k * J) + 1, dtype=float)
+        # t below and above the spacing, and t on whole cells
+        ts = us[0].spacing * np.arange(1, 127 // k + 1, dtype=float)
         on_nodes = LogGrid(ts[0], ts[-1], len(ts), ts)
-        curves = modulus_curves(us, k, on_nodes, directions=J)
-        for u, om in zip(us, curves):
-            assert np.array_equal(om.values, modulus_curve(u, k, on_nodes, directions=J).values)
-            breaks = [_modulus_at_breaks(u, k, t, J) for t in ts]
-            assert np.array_equal(om.values, np.maximum.accumulate(breaks))
-            nodes = np.maximum.accumulate([_modulus_by_steps(u, k, t, J) for t in ts])
-            if k == 1:
-                assert np.array_equal(om.values, nodes)
-            else:
-                # the nodes-only reference sums the stencil in another order
-                tol = k * 2 ** k * np.finfo(float).eps * u.sup_norm()
-                assert np.max(np.abs(om.values - nodes)) <= tol
-        # t below and above the spacing, n = 2
-        tg = make_log_grid(1e-6, 1.0, 48)
-        for u, om in zip(us, modulus_curves(us, k, tg, n=2)):
-            assert np.array_equal(om.values, modulus_curve(u, k, tg, n=2).values)
+        for tg, n in ((make_log_grid(1e-6, 1.0, 48), 1), (make_log_grid(1e-6, 1.0, 48), 2),
+                      (on_nodes, 1)):
+            for u, om in zip(us, modulus_curves(us, k, tg, n=n)):
+                assert np.array_equal(om.values, modulus_curve(u, k, tg, n=n).values)
 
     def test_fields_on_one_grid(self):
         tg = make_log_grid(1e-3, 1.0, 8)
