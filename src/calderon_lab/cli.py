@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigInvalid, NotEmbedded, ToolkitError
-from .gridfn import LogGrid, SampledFunction, make_log_grid, total_mass
+from .gridfn import LogGrid, SampledFunction, _map_row_blocks, make_log_grid, total_mass
 from .kernels import (
     BesselMcDonald,
     KernelSpec,
@@ -485,8 +485,8 @@ def _scenario_covering_sample(cfg: ExperimentConfig, rec: ReportRecord):
     _check(rec.assertions, "profile_in_associate_space", math.isfinite(c0), c0,
            "the profile must have finite associate norm")
     tg = np.geomspace(1e-6 * cfg.T, cfg.T, 16)
-    masses = np.array([total_mass(t, y)
-                       for y in cone_kernel(phi, cfg.k, cfg.n, tg[:, None], t)])
+    masses = _map_row_blocks(lambda block: total_mass(t, block),
+                             cone_kernel(phi, cfg.k, cfg.n, tg[:, None], t), len(t))
     rec.scalars["kernel_mass_min"] = float(np.min(masses))
     _check(rec.assertions, "kernel_mass_positive", bool(np.all(masses > 0)),
            float(np.min(masses)), "cone kernel mass positive at every scale")

@@ -185,49 +185,81 @@ def _local_power(t0, t1, v0, v1):
 # segment rules for sampled integrands
 # ---------------------------------------------------------------------------
 
+# Elements per row block in the callers that run a family of rows on one
+# grid through the grid rules (`_map_row_blocks`): 2^14 floats, 128 KB per
+# temporary.  Blocks of 2^13 to 2^15 ran a warm lattice pass fastest;
+# smaller ones pay the per-call overhead again, wider ones leave the
+# cache and lift the peak memory.
+_ROW_BLOCK_ELEMENTS = 2 ** 14
+
+
+def _map_row_blocks(fn, rows, width: int) -> np.ndarray:
+    """fn applied to consecutive blocks of `rows` (an F x width array or
+    a sequence of F rows of that width), each stacked into an array of
+    about _ROW_BLOCK_ELEMENTS elements; fn returns one value per row of
+    its block, and the F values come back in order."""
+    out = np.empty(len(rows))
+    step = max(1, _ROW_BLOCK_ELEMENTS // width)
+    for i in range(0, len(rows), step):
+        out[i:i + step] = fn(np.asarray(rows[i:i + step], dtype=float))
+    return out
+
+
 def segment_masses(t: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-segment integrals of a sampled function.
+    """Per-segment integrals of a sampled function, or of each row of an
+    F x N block of samples on the one grid t (the result then has F rows
+    of N - 1 segments).
 
     Each segment uses the power law through its endpoints (exact for
     t^p).  The power model is only trusted where its fitted exponent is
     stable across neighbouring segments; elsewhere (zeros, sign changes,
     steep non-power behaviour such as a function vanishing linearly)
     the trapezoid takes over, which is exact precisely in those spots.
+    The grid ratios and their logs are taken once for all rows; the
+    power-law mass is evaluated on every segment and kept where the
+    model is trusted, so a row's result does not depend on the block it
+    came in.  The power-law part raises no floating-point warnings: on
+    the discarded segments it may overflow or divide by zero.
     """
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
     t0, t1 = t[:-1], t[1:]
-    y0, y1 = y[:-1], y[1:]
+    y0, y1 = y[..., :-1], y[..., 1:]
     finite = np.isfinite(y)
-    fin = finite[:-1] & finite[1:]
+    fin = finite[..., :-1] & finite[..., 1:]
     pos = (y > 0) & finite
-    ok = pos[:-1] & pos[1:]
-    out = (y0 + y1) * 0.5
+    ok = pos[..., :-1] & pos[..., 1:]
+    out = np.add(y0, y1)
+    out *= 0.5
     out *= t1 - t0
     out[~fin] = np.inf
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r = t1 / t0
         log_r = np.log(r)
-        p = np.log(y1 / y0)
+        p = np.divide(y1, y0)
+        np.log(p, out=p)
         p /= log_r
-    p[~ok] = np.nan
-    if len(p) > 1:
-        dp = np.abs(np.diff(p))
-        drift = np.empty_like(p)
-        drift[0], drift[-1] = dp[0], dp[-1]
-        np.minimum(dp[:-1], dp[1:], out=drift[1:-1])
-        # a NaN drift (a neighbour without a power law) never vetoes
-        ok &= (~(drift >= 0.5) | np.isinf(drift)) & (np.abs(p) < 50.0)
-    # the power-law mass, only where the model is kept
-    idx = np.flatnonzero(ok)
-    p1 = p[idx] + 1.0
-    base = y0[idx] * t0[idx]
-    small = np.abs(p1) < 1e-12
-    p1[small] = 1.0
-    mass = (r[idx] ** p1 - 1.0) * base
-    mass /= p1
-    mass[small] = base[small] * log_r[idx[small]]
-    out[idx] = mass
+        p[~ok] = np.nan
+        if p.shape[-1] > 1:
+            dp = np.abs(np.diff(p))
+            drift = np.empty_like(p)
+            drift[..., 0], drift[..., -1] = dp[..., 0], dp[..., -1]
+            np.minimum(dp[..., :-1], dp[..., 1:], out=drift[..., 1:-1])
+            del dp      # block temporaries are freed once dead: they set the peak memory
+            # a NaN drift (a neighbour without a power law) never vetoes
+            ok &= (~(drift >= 0.5) | np.isinf(drift)) & (np.abs(p) < 50.0)
+            del drift
+        # the power-law mass, kept only where the model is kept
+        p1 = np.add(p, 1.0, out=p)
+        base = y0 * t0
+        small = np.flatnonzero(np.abs(p1) < 1e-12)
+        p1.flat[small] = 1.0
+        mass = r ** p1
+        mass -= 1.0
+        mass *= base
+        mass /= p1
+        mass.flat[small] = base.flat[small] * log_r[small % len(log_r)]
+    np.copyto(out, mass, where=ok)
     return out
 
 
@@ -244,34 +276,48 @@ def head_mass(t: np.ndarray, y: np.ndarray) -> float:
     return float(y[0] * t[0] / (p + 1.0))
 
 
-def total_mass(t, y) -> float:
+def _head_masses(t, y: np.ndarray) -> np.ndarray:
+    """head_mass of each row of y, shaped y.shape[:-1] (scalar logs, so
+    a row's head does not depend on the block it came in)."""
+    rows = y.reshape(-1, y.shape[-1])
+    return np.array([head_mass(t, row) for row in rows]).reshape(y.shape[:-1])
+
+
+def total_mass(t, y):
     """Estimated integral of y over (0, t[-1]]: the power-law head
-    below t[0] plus the segment rule, or +inf when the head diverges."""
-    head = head_mass(t, y)
-    if not math.isfinite(head):
-        return math.inf
-    return head + float(np.sum(segment_masses(t, y)))
+    below t[0] plus the segment rule, or +inf when the head diverges.
+    For an F x N block y, the array of its F row masses."""
+    y = np.asarray(y, dtype=float)
+    rows = y.reshape(-1, y.shape[-1])
+    heads = _head_masses(t, rows)
+    out = np.full(len(rows), math.inf)
+    finite = np.isfinite(heads)
+    out[finite] = heads[finite] + segment_masses(
+        t, rows if finite.all() else rows[finite]).sum(axis=-1)
+    return out if y.ndim == 2 else float(out[0])
 
 
 def cumulative_from_zero(t, y, head=None) -> np.ndarray:
     """I[i] = estimated integral of y over (0, t[i]]: the mass `head`
     below t[0] (by default `head_mass(t, y)`) plus the segment rule.
-    May be +inf."""
-    if head is None:
-        head = head_mass(t, y)
+    May be +inf.  For an F x N block y, each row's running integral;
+    `head` is then one value or one per row."""
+    y = np.asarray(y, dtype=float)
+    head = _head_masses(t, y) if head is None else np.asarray(head, dtype=float)
     seg = segment_masses(t, y)
-    out = np.empty(len(t))
-    out[0] = head
-    np.cumsum(seg, out=out[1:])
-    out[1:] += head
+    out = np.empty(y.shape)
+    out[..., 0] = head
+    np.cumsum(seg, axis=-1, out=out[..., 1:])
+    out[..., 1:] += head[..., None]
     return out
 
 
 def cumulative_tail(t, y) -> np.ndarray:
-    """J[i] = integral of y over [t[i], t[-1]]."""
+    """J[i] = integral of y over [t[i], t[-1]], for one row or for each
+    row of an F x N block."""
     seg = segment_masses(t, y)
-    out = np.zeros(len(t))
-    out[:-1] = np.cumsum(seg[::-1])[::-1]
+    out = np.zeros(np.shape(y))
+    out[..., :-1] = np.cumsum(seg[..., ::-1], axis=-1)[..., ::-1]
     return out
 
 

@@ -25,6 +25,7 @@ from .errors import DomainError, Inconclusive, NonConvergent, TrivialSpace
 from .gridfn import (
     LogGrid,
     SampledFunction,
+    _map_row_blocks,
     classify_boundedness,
     classify_zero_endpoint,
     cumulative_from_zero,
@@ -222,7 +223,7 @@ def embedding_criterion(space: LorentzSpace, phi: SampledFunction) -> dict:
 # associate norm (the dual evaluator used by envelopes and duality checks)
 # ---------------------------------------------------------------------------
 
-def _associate_norm_of_cumulative(space: LorentzSpace, cum: np.ndarray) -> float:
+def _associate_norm_of_cumulative(space: LorentzSpace, cum: np.ndarray):
     """The associate norm of a density h >= 0 on (0, T], zero beyond T,
     from its cumulative c = int_0^t h on the space's grid:
 
@@ -230,20 +231,37 @@ def _associate_norm_of_cumulative(space: LorentzSpace, cum: np.ndarray) -> float
       q > 1:  ( int_0^T c^(q') w + c(T)^(q') int_T^inf w )^(1/q'),
               +inf when the head below the grid diverges
 
-    The one rule behind associate_norm and the AssociateNormEngine
+    For an F x N block of cumulatives, the array of the F norms.  The
+    one rule behind associate_norm and the AssociateNormEngine
     functionals.
     """
-    if not np.isfinite(cum[0]):
-        return math.inf
+    cum = np.asarray(cum, dtype=float)
+    rows = cum.reshape(-1, cum.shape[-1])
+    out = np.full(len(rows), math.inf)
+    live = np.flatnonzero(np.isfinite(rows[:, 0]))
     if space.q == 1.0:
-        vals = cum / space.V.values
-        if classify_boundedness(space.grid, np.maximum(vals, 1e-300)).tag == "divergent":
-            return math.inf
-        return float(np.max(vals))
-    # total_mass is +inf on a divergent head, and the sum stays +inf
-    total = total_mass(space.grid.points, cum ** space.qp * space.w_vals)
-    total += cum[-1] ** space.qp * space.tail_w
-    return float(total ** (1.0 / space.qp))
+        for i in live:
+            vals = rows[i] / space.V.values
+            if classify_boundedness(space.grid, np.maximum(vals, 1e-300)).tag != "divergent":
+                out[i] = np.max(vals)
+    else:
+        # total_mass is +inf on a divergent head, and the sum stays +inf
+        y = rows ** space.qp
+        y *= space.w_vals
+        totals = total_mass(space.grid.points, y)
+        for i, total in zip(live, totals[live]):
+            # scalar powers, as for a single row
+            out[i] = (total + rows[i, -1] ** space.qp * space.tail_w) ** (1.0 / space.qp)
+    return out if cum.ndim == 2 else float(out[0])
+
+
+def _associate_norms(space: LorentzSpace, rows) -> np.ndarray:
+    """associate_norm of each row of `rows` (an F x N array or a sequence
+    of F rows, sampled on the space's grid and zero beyond T), run
+    through the grid rules in row blocks."""
+    t = space.grid.points
+    return _map_row_blocks(lambda block: _associate_norm_of_cumulative(
+        space, cumulative_from_zero(t, np.maximum(block, 0.0))), rows, len(t))
 
 
 def associate_norm(space: LorentzSpace, hstar: SampledFunction) -> float:
@@ -257,6 +275,4 @@ def associate_norm(space: LorentzSpace, hstar: SampledFunction) -> float:
     """
     if hstar.grid.t_max > space.T * (1 + 1e-12):
         raise DomainError("h* must live on (0, T]")
-    t = space.grid.points
-    return _associate_norm_of_cumulative(
-        space, cumulative_from_zero(t, np.maximum(hstar(t), 0.0)))
+    return float(_associate_norms(space, [hstar(space.grid.points)])[0])

@@ -34,6 +34,7 @@ from .errors import (
 from .gridfn import (
     LogGrid,
     SampledFunction,
+    _map_row_blocks,
     classify_boundedness,
     cumulative_from_zero,
     cumulative_tail,
@@ -237,7 +238,9 @@ class AssociateNormEngine:
     nonnegative, so any summation order keeps each psi0 entry to a few ulp;
     an FFT product is ruled out, as its error scales with the row maximum
     (4.5e-8 relative on tail entries at k/n = 2).  rho0 is the one-row
-    case.  The reduced functionals only need running integrals.
+    case, as rho_tilde is of rho_tilde_family; both families run their
+    rows through the grid rules in row blocks.  The reduced functionals
+    only need running integrals.
     """
 
     # Toeplitz columns copied per GEMM: 64 * N * 8 bytes, 2 MB at N = 4000;
@@ -282,10 +285,14 @@ class AssociateNormEngine:
     # -- the four functionals ----------------------------------------------
 
     def rho_tilde(self, g: np.ndarray) -> float:
-        g = self._checked(g)
+        return float(self.rho_tilde_family(self._checked(g)[None])[0])
+
+    def rho_tilde_family(self, G) -> np.ndarray:
+        """rho_tilde of each row of G, an F x N array or a list of F rows."""
         # the tail integral of g ends in 0, so the term beyond T adds exactly 0
-        return _associate_norm_of_cumulative(self.space,
-                                             self.iphi * cumulative_tail(self.t, g))
+        return _map_row_blocks(lambda block: _associate_norm_of_cumulative(
+            self.space, self.iphi * cumulative_tail(self.t, self._checked(block, ndim=2))),
+            G, len(self.t))
 
     def rho1(self, g: np.ndarray) -> float:
         g = self._checked(g)
@@ -330,8 +337,8 @@ class AssociateNormEngine:
 
     def rho0_family(self, G) -> np.ndarray:
         """rho0 of each row of G, an F x N array or a list of F rows."""
-        return np.array([_associate_norm_of_cumulative(
-            self.space, cumulative_from_zero(self.t, psi0)) for psi0 in self._psi0(G)])
+        return _map_row_blocks(lambda block: _associate_norm_of_cumulative(
+            self.space, cumulative_from_zero(self.t, block)), self._psi0(G), len(self.t))
 
     def rho0_hat(self, g: np.ndarray) -> float:
         """q = 1 only: the nested form sup_t V^-1 int_0^t phi(tau)
@@ -488,10 +495,10 @@ def equivalence_report(space: LorentzSpace, phi, k: int, n: int, family) -> dict
     eng = AssociateNormEngine(space, phi, k, n)
     rows = [eng._checked(g) for _, g in family]
     rho0s = eng.rho0_family(rows).tolist() if rows else []
+    rts = eng.rho_tilde_family(rows).tolist()
     ratios = {}
     infinite = 0
-    for (name, _), g, r0 in zip(family, rows, rho0s):
-        rt = eng.rho_tilde(g)
+    for (name, _), r0, rt in zip(family, rho0s, rts):
         if math.isinf(r0) and math.isinf(rt):
             ratios[name] = math.nan
             infinite += 1

@@ -40,12 +40,13 @@ from .errors import (
 from .gridfn import (
     LogGrid,
     SampledFunction,
+    _map_row_blocks,
     classify_zero_endpoint,
     integrate,
     total_mass,
 )
 from .kernels import KernelSpec, cone_kernel
-from .lorentz import LorentzSpace, associate_norm, embedding_function
+from .lorentz import LorentzSpace, _associate_norms, embedding_function
 from .optimal import OptimalNormSpec, _stieltjes_sum
 from .rearrange import MeasurableSample, decreasing_rearrangement
 
@@ -313,10 +314,7 @@ def envelope_bounds(space: LorentzSpace, phi, k: int, n: int,
         raise NotEmbedded("profile not in the associate space")
     # row i is the cone kernel at t_grid.points[i]
     cones = cone_kernel(phi, k, n, t_grid.points[:, None], space.grid.points)
-    vals = np.array([associate_norm(space, SampledFunction(
-        space.grid, om, monotonicity="none", extension="zero_beyond_T"))
-        for om in cones])
-    return SampledFunction(grid=t_grid, values=vals)
+    return SampledFunction(grid=t_grid, values=_associate_norms(space, cones))
 
 
 @dataclass
@@ -343,7 +341,8 @@ def upper_cone_check(space: LorentzSpace, kernel: KernelSpec, k: int,
     per_field = {}
     for (name, f), omega in zip(f_family, omegas):
         fstar = field_rearrangement(f, grid=space.grid)
-        denom = np.array([total_mass(tau, cone * fstar.values) for cone in cones])
+        denom = _map_row_blocks(lambda block: total_mass(tau, block * fstar.values),
+                                cones, len(tau))
         ratios = omega.values / denom
         per_field[name] = float(np.max(ratios))
     c1 = max(per_field.values())

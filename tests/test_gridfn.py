@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from calderon_lab.gridfn import (
     make_log_grid,
     sample,
     segment_masses,
+    total_mass,
 )
 
 
@@ -144,6 +146,60 @@ class TestRunningIntegral:
         g = make_log_grid(1e-8, 1.0, 128)
         r = cumulative_from_zero(g.points, 1.0 / g.points)
         assert np.all(np.isinf(r))
+
+
+def _row_block(count=300):
+    """Rows on one grid: powers, a divergent 1/t head, zeros, a sign
+    change, a steep jump, a non-finite sample and random data."""
+    g = make_log_grid(1e-8, 1.0, count)
+    t = g.points
+    rng = np.random.default_rng(21)
+    rows = [t ** -0.5, np.ones(count), 1.0 / t, np.zeros(count),
+            np.sin(40.0 * t), np.where(t < 1e-3, 1.0, 1e-40),
+            rng.random(count), t ** 2 * rng.uniform(0.5, 1.5, count)]
+    bad = t ** 0.3
+    bad[count // 2] = math.inf
+    rows.append(bad)
+    return t, np.array(rows)
+
+
+class TestRowBlocks:
+    """Each row of a block gives exactly what a one-row call gives."""
+
+    def test_cumulative_from_zero_default_head(self):
+        t, Y = _row_block()
+        got = cumulative_from_zero(t, Y)
+        assert got.shape == Y.shape
+        for row, y in zip(got, Y):
+            assert np.array_equal(row, cumulative_from_zero(t, y), equal_nan=True)
+        assert np.all(np.isinf(got[2]))
+
+    def test_cumulative_from_zero_explicit_head(self):
+        t, Y = _row_block()
+        heads = np.linspace(0.0, 2.0, len(Y))
+        got = cumulative_from_zero(t, Y, heads)
+        for row, y, head in zip(got, Y, heads):
+            assert np.array_equal(row, cumulative_from_zero(t, y, head), equal_nan=True)
+        # one head for every row
+        got = cumulative_from_zero(t, Y, 0.25)
+        for row, y in zip(got, Y):
+            assert np.array_equal(row, cumulative_from_zero(t, y, 0.25), equal_nan=True)
+
+    def test_cumulative_tail(self):
+        t, Y = _row_block()
+        got = cumulative_tail(t, Y)
+        for row, y in zip(got, Y):
+            assert np.array_equal(row, cumulative_tail(t, y), equal_nan=True)
+
+    def test_total_mass(self):
+        t, Y = _row_block()
+        got = total_mass(t, Y)
+        assert got.shape == (len(Y),)
+        want = [total_mass(t, y) for y in Y]
+        assert all(isinstance(w, float) for w in want)
+        assert np.array_equal(got, want, equal_nan=True)
+        # the 1/t row has a divergent head
+        assert got[2] == math.inf and math.isfinite(got[0])
 
 
 class TestSampledFunction:
@@ -285,9 +341,12 @@ def _reference_segment_masses(t: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _assert_same_bits(t, y):
+    """segment_masses of y (one row, or a block of rows on t) equals the
+    reference rule of each row, bit for bit."""
     with np.errstate(all="ignore"):
         new = segment_masses(t, y)
-        ref = _reference_segment_masses(t, y)
+        ref = np.array([_reference_segment_masses(t, row)
+                        for row in np.atleast_2d(y)]).reshape(new.shape)
     assert np.array_equal(new, ref, equal_nan=True)
     signed = ~np.isnan(ref)
     assert np.array_equal(np.signbit(new[signed]), np.signbit(ref[signed]))
@@ -313,6 +372,21 @@ def _segment_inputs(draw):
     for i in draw(st.lists(st.integers(0, n - 1), max_size=4)):
         y[i] = draw(_SPECIAL | st.floats(allow_nan=True, allow_infinity=True))
     return t, y
+
+
+@st.composite
+def _segment_blocks(draw):
+    """Several rows on one grid, drawn like _segment_inputs."""
+    t, y = draw(_segment_inputs())
+    n, rows = len(t), [y]
+    for _ in range(draw(st.integers(1, 4))):
+        power, scale = draw(st.floats(-60.0, 60.0)), draw(st.floats(1e-3, 1e3))
+        with np.errstate(over="ignore"):
+            row = scale * (t / t[0]) ** power
+        for i in draw(st.lists(st.integers(0, n - 1), max_size=4)):
+            row[i] = draw(_SPECIAL | st.floats(allow_nan=True, allow_infinity=True))
+        rows.append(row)
+    return t, np.array(rows)
 
 
 class TestSegmentMassesOracle:
@@ -374,6 +448,11 @@ class TestSegmentMassesOracle:
         # does not veto its neighbours
         _assert_same_bits(t, np.array([1e-160, 2e-160, 1e160, 1e160, 3e160, 1e160]))
 
+    @settings(max_examples=200, deadline=None)
+    @given(_segment_blocks())
+    def test_block_rows_match_reference(self, tY):
+        _assert_same_bits(*tY)
+
     @pytest.mark.parametrize("y", [[1.0, 2.0], [2.0, 1.0], [1.0, 1.0],
                                    [1e-300, 1e300], [1e300, 1e-300], [0.0, 1.0],
                                    [-1.0, 1.0], [math.inf, 1.0], [math.nan, 1.0],
@@ -382,3 +461,24 @@ class TestSegmentMassesOracle:
     def test_short_inputs(self, y):
         t = make_log_grid(0.1, 1.0, len(y)).points
         _assert_same_bits(t, np.array(y))
+        _assert_same_bits(t, np.array([y, y[::-1]]))
+
+    def test_no_warning_on_discarded_segments(self):
+        # the mass is evaluated on every segment, also where |p| >= 50 or
+        # the sample ratio is 1e+-300 vetoes the power model; none of that
+        # may warn (the oracle above runs with every error ignored)
+        t = make_log_grid(1e-3, 1.0, 12).points
+        jump = np.ones(12)
+        jump[6:] = 1e-40
+        spike = np.array([1.0, 1.0, 1e-300, 1e300, 1e-300, 1e300,
+                          1.0, 1.0, 1e300, 1e300, 1.0, 1.0])
+        wide = make_log_grid(1e-300, 1.0, 4).points
+        cases = [(t, jump), (t, 1.0 / jump), (t, spike), (t, np.array([jump, spike])),
+                 (wide, np.array([1.0, 1e-40, 1.0, 1e300]))]
+        with warnings.catch_warnings(), np.errstate(divide="warn", over="warn",
+                                                    invalid="warn", under="ignore"):
+            warnings.simplefilter("error")
+            for tt, y in cases:
+                got = segment_masses(tt, y)
+                assert got.shape == y.shape[:-1] + (len(tt) - 1,)
+                cumulative_tail(tt, y)

@@ -269,6 +269,26 @@ class TestAssociateNorm:
         got = associate_norm(sp, h)
         assert math.isfinite(got) and got == expected
 
+    @pytest.mark.parametrize("q", [1.0, 1.5, 4.0])
+    def test_block_of_cumulatives_matches_rows(self, q):
+        # each row's norm equals the one-row call, bit for bit; row 1 has
+        # cum[0] = +inf, row 2 a divergent head (q > 1) or an unbounded
+        # V^-1 c (q = 1)
+        g = make_log_grid(1e-8, 1.0, 300)
+        t = g.points
+        sp = LorentzSpace(q, power_weight(q, 2.0), g)
+        rng = np.random.default_rng(8)
+        H = [t ** -0.3, np.full(g.count, math.inf), t ** -0.999,
+             rng.random(g.count), np.where(t < 1e-2, 2.0, 0.5), np.zeros(g.count)]
+        C = cumulative_from_zero(t, np.array(H))
+        C[1] = math.inf
+        got = _associate_norm_of_cumulative(sp, C)
+        want = [_associate_norm_of_cumulative(sp, c) for c in C]
+        assert all(isinstance(w, float) for w in want)
+        assert np.array_equal(got, want)
+        assert got[1] == math.inf and got[2] == math.inf
+        assert np.all(np.isfinite(got[[0, 3, 4, 5]]))
+
     def test_domain_guard(self):
         g = default_grid()
         sp = LorentzSpace(2.0, FLAT, g)

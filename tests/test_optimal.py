@@ -16,6 +16,7 @@ from calderon_lab.errors import (
 from calderon_lab.gridfn import (
     SampledFunction,
     cumulative_from_zero,
+    cumulative_tail,
     default_grid,
     make_log_grid,
     sample,
@@ -331,12 +332,12 @@ class TestConeKernel:
 
     @pytest.mark.parametrize("length", [63, 65])
     @pytest.mark.parametrize("method", ["rho0", "rho_tilde", "rho1", "rho2",
-                                        "rho0_hat", "rho0_family"])
+                                        "rho0_hat", "rho0_family", "rho_tilde_family"])
     def test_wrong_length_rejected(self, method, length):
         g = default_grid(points=64)
         eng = AssociateNormEngine(LorentzSpace(1.0, FLAT, g), power_phi(g, 0.75),
                                   1, 1)
-        arg = np.ones((3, length)) if method == "rho0_family" else np.ones(length)
+        arg = np.ones((3, length)) if method.endswith("_family") else np.ones(length)
         with pytest.raises(DomainError):
             getattr(eng, method)(arg)
 
@@ -345,8 +346,26 @@ class TestConeKernel:
         g = default_grid(points=64)
         eng = AssociateNormEngine(LorentzSpace(1.0, FLAT, g), power_phi(g, 0.75),
                                   1, 1)
-        with pytest.raises(DomainError):
-            eng.rho0_family(np.ones(shape))
+        for family in (eng.rho0_family, eng.rho_tilde_family):
+            with pytest.raises(DomainError):
+                family(np.ones(shape))
+
+    @pytest.mark.parametrize("q,alpha,k,n", [(2.0, 1.5, 1, 2), (1.0, 0.75, 1, 1),
+                                             (2.0, 0.5, 1, 1), (4.0, 0.6, 2, 1)])
+    def test_rho_tilde_family_matches_per_g(self, q, alpha, k, n):
+        # row blocks of the 2000-point family against one call per g, and
+        # against the product rule on that single g
+        g = default_grid(points=2000)
+        t = g.points
+        sp = LorentzSpace(q, FLAT, g)
+        eng = AssociateNormEngine(sp, power_phi(g, alpha, n=n), k, n)
+        rows = [gv for _, gv in sample_family(g, count=50)]
+        got = eng.rho_tilde_family(rows)
+        assert np.array_equal(got, eng.rho_tilde_family(np.array(rows)))
+        want = [eng.rho_tilde(gv) for gv in rows]
+        assert np.array_equal(got, want)
+        assert np.array_equal(got, [_associate_norm_of_cumulative(
+            sp, eng.iphi * cumulative_tail(t, gv)) for gv in rows])
 
     def test_memory_linear_in_grid(self):
         # A dense 4000 x 4000 cone kernel and its ratio temporary take

@@ -459,6 +459,20 @@ class TestEnvelope:
         with pytest.raises(NotEmbedded):
             envelope_bounds(sp, phi, 1, 1, make_log_grid(1e-4, 1.0, 16))
 
+    @pytest.mark.parametrize("q,points", [(1.0, 300), (2.0, 4000), (4.0, 1000)])
+    def test_rows_match_per_row_associate_norm(self, q, points):
+        # the cone rows run through the grid rules in blocks; each value
+        # equals the associate norm of that row taken alone
+        g = default_grid(points=points)
+        # q = 1 needs V to grow slower than t for the profile to embed
+        sp = LorentzSpace(q, WeightSpec(power_exponent=-0.5) if q == 1.0 else FLAT, g)
+        phi = sample(lambda t: t ** -0.25, g, monotonicity="decreasing")
+        tg = make_log_grid(1e-6, 1.0, 48)
+        cones = cone_kernel(phi, 1, 1, tg.points[:, None], g.points)
+        want = [associate_norm(sp, SampledFunction(g, om, extension="zero_beyond_T"))
+                for om in cones]
+        assert np.array_equal(envelope_bounds(sp, phi, 1, 1, tg).values, want)
+
 
 class TestUpperCone:
     @pytest.mark.parametrize("kernel", [BMD, POWER_LOG], ids=["bessel", "power_log"])
