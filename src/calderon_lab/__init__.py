@@ -60,6 +60,7 @@ from .potentials import (
     FieldSample,
     bump_and_staircase_family,
     calderon_norm,
+    calderon_norms,
     convolve,
     convolver,
     envelope_bounds,

@@ -60,7 +60,7 @@ from .optimal import (
 )
 from .potentials import (
     bump_and_staircase_family,
-    calderon_norm,
+    calderon_norms,
     convolver,
     envelope_bounds,
     modulus_curves,
@@ -416,13 +416,12 @@ def _scenario_besov_case(cfg: ExperimentConfig, rec: ReportRecord):
     conv = convolver(kernel, fields[0][1])
     direct_norm = lambda om: power_modulus_norm(om, exponent, cfg.q)
     us = [conv(f) for _, f in fields]
-    factors = []
     # one modulus curve per field, shared by both norms
-    for u, omega in zip(us, modulus_curves(us, cfg.k, tg, n=cfg.n)):
-        opt = calderon_norm(u, omega, spec, cfg.k, cfg.n)
-        direct = calderon_norm(u, omega, direct_norm, cfg.k, cfg.n)
-        factors.append(opt / direct if direct > 0 else math.nan)
-    factors = np.array(factors)
+    omegas = modulus_curves(us, cfg.k, tg, n=cfg.n)
+    opts = calderon_norms(us, omegas, spec, cfg.k, cfg.n)
+    directs = calderon_norms(us, omegas, direct_norm, cfg.k, cfg.n)
+    factors = np.array([opt / direct if direct > 0 else math.nan
+                        for opt, direct in zip(opts, directs)])
     lo, hi = float(np.nanmin(factors)), float(np.nanmax(factors))
     rec.scalars["factor_min"] = lo
     rec.scalars["factor_max"] = hi

@@ -34,6 +34,7 @@ DEFAULT_QUAD_TOL = 1e-8
 
 _GAUSS_HI = np.polynomial.legendre.leggauss(16)
 _GAUSS_LO = np.polynomial.legendre.leggauss(8)
+_GAUSS_NODES = np.concatenate([_GAUSS_HI[0], _GAUSS_LO[0]])
 _ABS_FLOOR = 1e-300
 
 
@@ -333,23 +334,47 @@ def _call(f, x):
     return y
 
 
-def _gauss_panel(f, lo, hi):
+def _gauss_panels(f, lo, hi):
+    """Order-16 Gauss value of f on each panel [lo[i], hi[i]] and its
+    distance to the order-8 value, from one call of f on the flat array
+    of all their nodes.  Each panel's sums are one np.dot apiece: a
+    matrix-vector product sums in another order and moves the last bits.
+    An infinite value overflows or gives inf - inf, so the caller runs
+    this under np.errstate."""
     mid, rad = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    hi_val = rad * float(np.dot(_GAUSS_HI[1], _call(f, mid + rad * _GAUSS_HI[0])))
-    lo_val = rad * float(np.dot(_GAUSS_LO[1], _call(f, mid + rad * _GAUSS_LO[0])))
-    return hi_val, abs(hi_val - lo_val)
+    x = mid[:, None] + rad[:, None] * _GAUSS_NODES
+    y = _call(f, x.ravel()).reshape(x.shape)
+    hi_val = rad * [float(np.dot(_GAUSS_HI[1], row[:16])) for row in y]
+    lo_val = rad * [float(np.dot(_GAUSS_LO[1], row[16:])) for row in y]
+    return hi_val, np.abs(hi_val - lo_val)
 
 
-def _adaptive_panel(f, lo, hi, tol_abs, depth=0):
-    """Order-16 Gauss with order-8 error estimate, bisecting until the
-    estimate is below tol_abs (or negligible relative to the value)."""
-    val, err = _gauss_panel(f, lo, hi)
-    if err <= tol_abs or err <= 1e-14 * abs(val) or depth >= 14 or not np.isfinite(val):
-        return val, err
-    mid = 0.5 * (lo + hi)
-    v1, e1 = _adaptive_panel(f, lo, mid, tol_abs / 2, depth + 1)
-    v2, e2 = _adaptive_panel(f, mid, hi, tol_abs / 2, depth + 1)
-    return v1 + v2, e1 + e2
+def _adaptive_panel(f, lo, hi, tol_abs):
+    """Order-16 Gauss with order-8 error estimate, bisecting each panel
+    until its estimate is below its tolerance (halved per level) or
+    negligible relative to its value, at most 14 levels deep.  Each
+    level's panels are evaluated in one call of f; the halves' sums are
+    then added bottom up, left + right, as a depth-first recursion would."""
+    lo, hi = np.array([lo], dtype=float), np.array([hi], dtype=float)
+    levels = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for depth in range(15):
+            val, err = _gauss_panels(f, lo, hi)
+            # a NaN estimate of a finite value splits
+            split = ~((err <= tol_abs) | (err <= 1e-14 * np.abs(val)) | ~np.isfinite(val))
+            if depth == 14 or not split.any():
+                break
+            levels.append((val, err, split))
+            mid = 0.5 * (lo[split] + hi[split])
+            # each split panel's halves, side by side: [lo, mid], [mid, hi]
+            lo = np.ravel([lo[split], mid], order="F")
+            hi = np.ravel([mid, hi[split]], order="F")
+            tol_abs = tol_abs / 2
+    for parent_val, parent_err, split in reversed(levels):
+        parent_val[split] = val[0::2] + val[1::2]
+        parent_err[split] = err[0::2] + err[1::2]
+        val, err = parent_val, parent_err
+    return float(val[0]), float(err[0])
 
 
 def integrate(f, b: float, tol: float = DEFAULT_QUAD_TOL):

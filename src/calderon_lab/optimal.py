@@ -325,8 +325,11 @@ class AssociateNormEngine:
     def _psi0(self, G) -> np.ndarray:
         """Rows tau -> int Omega(xi, tau) g(xi) dxi for the rows g of G."""
         N, B = len(self.t), self._BLOCK
-        # Toeplitz column j is kernel_row[j:j + N] reversed: reverse G instead
-        a = self.xi_weights[::-1] * self._checked(G, ndim=2)[:, ::-1]
+        # Toeplitz column j is kernel_row[j:j + N] reversed: reverse G
+        # instead, weighting each row straight into one F x N array
+        a = np.empty((len(G), N))
+        for row, g in zip(a, G):
+            np.multiply(self.xi_weights[::-1], self._checked(g)[::-1], out=row)
         windows = sliding_window_view(self.kernel_row, N)
         buf, out = np.empty((B, N)), np.empty(a.shape)
         for j in range(0, N, B):
@@ -494,7 +497,7 @@ def equivalence_report(space: LorentzSpace, phi, k: int, n: int, family) -> dict
     equivalence constant is the spread C = max ratio / min ratio."""
     eng = AssociateNormEngine(space, phi, k, n)
     rows = [eng._checked(g) for _, g in family]
-    rho0s = eng.rho0_family(rows).tolist() if rows else []
+    rho0s = eng.rho0_family(rows).tolist()
     rts = eng.rho_tilde_family(rows).tolist()
     ratios = {}
     infinite = 0

@@ -377,6 +377,25 @@ def nontriviality_gate(spec: OptimalNormSpec, k: int, n: int) -> bool:
     return fit.p > 0.01
 
 
+def calderon_norms(us, omegas, X, k: int, n: int) -> list[float]:
+    """calderon_norm of each field of us with its modulus curve in omegas,
+    bit for bit, deciding the gate and sampling Psi once for the family.
+    Raises DomainError unless the curves are as many as the fields, at
+    least one, on one t grid."""
+    if not omegas or len(us) != len(omegas) or any(
+            not np.array_equal(omega.grid.points, omegas[0].grid.points) for omega in omegas):
+        raise DomainError("calderon_norms needs one modulus curve per field, on one t grid")
+    if not isinstance(X, OptimalNormSpec):
+        return [u.sup_norm() + float(X(omega)) for u, omega in zip(us, omegas)]
+    if not nontriviality_gate(X, k, n):
+        raise TrivialSpace("the modulus lattice is trivial for this aggregate")
+    if X.case == "sup":
+        return [u.sup_norm() + float(np.max(omega.values)) for u, omega in zip(us, omegas)]
+    psi = X.psi(omegas[0].grid.points)
+    return [u.sup_norm() + _stieltjes_sum(omega.values, psi, X.q)
+            for u, omega in zip(us, omegas)]
+
+
 def calderon_norm(u: FieldSample, omega: SampledFunction, X, k: int, n: int) -> float:
     """sup norm of u plus the lattice norm of omega, its modulus of
     smoothness omega_k(u; t^(1/n)) as modulus_curve computes it.
@@ -386,13 +405,7 @@ def calderon_norm(u: FieldSample, omega: SampledFunction, X, k: int, n: int) -> 
     modulus curve to a number.  Raises TrivialSpace when the lattice of
     an OptimalNormSpec only contains the zero modulus.
     """
-    if not isinstance(X, OptimalNormSpec):
-        return u.sup_norm() + float(X(omega))
-    if not nontriviality_gate(X, k, n):
-        raise TrivialSpace("the modulus lattice is trivial for this aggregate")
-    if X.case == "sup":
-        return u.sup_norm() + float(np.max(omega.values))
-    return u.sup_norm() + stieltjes_modulus_norm(X, omega)
+    return calderon_norms([u], [omega], X, k, n)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from calderon_lab.potentials import (
     FieldSample,
     bump_and_staircase_family,
     calderon_norm,
+    calderon_norms,
     convolve,
     convolver,
     envelope_bounds,
@@ -545,6 +546,39 @@ class TestFieldNorms:
             assert direct == u.sup_norm() + direct_norm(om)
             factor = max(opt / direct, direct / opt)
             assert factor <= 8.0
+
+    def test_family_matches_one_field_calls(self, monkeypatch):
+        # the gate is fitted once for the family; every norm is the
+        # one-field value bit for bit
+        g = default_grid()
+        sp = LorentzSpace(2.0, FLAT, g)
+        phi = sample(BMD.measure_profile_fn(), g, monotonicity="decreasing")
+        spec = make_optimal_norm_spec(sp, phi)
+        us = [convolve(BMD, f) for _, f in bump_and_staircase_family(count=4, resolution=128)]
+        oms = modulus_curves(us, 1, self.TG)
+        direct_norm = lambda om: power_modulus_norm(om, 0.25, 2.0)
+        for X in (spec, direct_norm):
+            want = [calderon_norm(u, om, X, 1, 1) for u, om in zip(us, oms)]
+            gates = []
+            real_gate = potentials.nontriviality_gate
+            monkeypatch.setattr(potentials, "nontriviality_gate",
+                                lambda *a: gates.append(a) or real_gate(*a))
+            got = calderon_norms(us, oms, X, 1, 1)
+            monkeypatch.undo()
+            assert got == want and all(type(v) is float for v in got)
+            assert len(gates) == (X is spec)
+
+    def test_family_needs_one_curve_per_field_on_one_grid(self):
+        g = default_grid()
+        sp = LorentzSpace(2.0, FLAT, g)
+        spec = make_optimal_norm_spec(sp, sample(lambda t: t ** -0.25, g,
+                                                 monotonicity="decreasing"))
+        u = sample_field(np.sin, 2.0, 64)
+        om = modulus_curve(u, 1, self.TG)
+        other = modulus_curve(u, 1, make_log_grid(1e-6, 1.0, 95))
+        for us, oms in (([], []), ([u, u], [om]), ([u, u], [om, other])):
+            with pytest.raises(DomainError):
+                calderon_norms(us, oms, spec, 1, 1)
 
     def test_sup_case_takes_max_modulus(self):
         # the sup case of the lattice norm is max omega, as in optimal_norm
