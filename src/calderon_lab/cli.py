@@ -143,6 +143,9 @@ class ExperimentConfig:
         if self.tmin_span < floor:
             bad("grid.tmin", f"span {self.tmin_span:g} is below {floor:.3g}: t^-{e:g}, "
                 "the largest power of t formed, must stay within half the float range")
+        if self.tmin_span >= 1e-4 and self.scenario in ("embedding_check",
+                                                        "lorentz_karamata_case"):
+            bad("grid.tmin", "the criterion refines from 1e4 times this span: must be below 1e-4")
         fields = self.scenario in _FIELD_SCENARIOS
         if fields and self.n != 1:
             bad("n", "fields are one-dimensional: must be 1 for this scenario")
@@ -312,7 +315,7 @@ def _space_and_profile(cfg: ExperimentConfig):
 def _scenario_embedding_check(cfg: ExperimentConfig, rec: ReportRecord):
     space, phi = _space_and_profile(cfg)
     crit = embedding_criterion(space, phi)
-    psi = embedding_function(space, phi)
+    psi = crit["psi"]
     rec.scalars["embeds"] = crit["embeds"]
     rec.scalars["psi_at_T"] = crit["psi_at_T"]
     rec.scalars["refinements"] = crit["refinements"]
@@ -326,14 +329,15 @@ def _scenario_embedding_check(cfg: ExperimentConfig, rec: ReportRecord):
 def _scenario_optimal_norm(cfg: ExperimentConfig, rec: ReportRecord):
     space, phi = _space_and_profile(cfg)
     spec = make_optimal_norm_spec(space, phi)
+    T1 = spec.T1            # raises NoSolution before any scalar is written
     rec.scalars["case"] = spec.case
     rec.scalars["psi_at_T"] = float(spec.psi.values[-1])
-    if spec.T1 is not None:
-        rec.scalars["T1"] = spec.T1
+    if T1 is not None:
+        rec.scalars["T1"] = T1
         target = 0.5 * spec.psi.values[-1]
         _check(rec.assertions, "half_level",
-               abs(spec.psi(spec.T1) - target) <= 1e-6 * spec.psi.values[-1],
-               spec.T1, "aggregate at T1 must be half its terminal value")
+               abs(spec.psi(T1) - target) <= 1e-6 * spec.psi.values[-1],
+               T1, "aggregate at T1 must be half its terminal value")
     probe = SampledFunction(space.grid, np.minimum(spec.psi.values, spec.psi.values[-1]) ** 1.5)
     small = SampledFunction(space.grid, 0.5 * probe.values)
     n_big, n_small = optimal_norm(spec, probe), optimal_norm(spec, small)
@@ -448,7 +452,7 @@ def _scenario_lorentz_karamata_case(cfg: ExperimentConfig, rec: ReportRecord):
         _check(rec.assertions, "criterion_matches_exponent_rule",
                crit["embeds"] == rec.scalars["expected_embeds"], crit["embeds"],
                "embedding classification matches the exponent rule")
-    psi = embedding_function(space, phi)
+    psi = crit["psi"]
     finite = np.isfinite(psi.values)
     rec.series["psi"] = (space.grid.points[finite], psi.values[finite])
     if crit["embeds"] and not borderline:

@@ -197,24 +197,26 @@ def embedding_function(space: LorentzSpace, phi: SampledFunction) -> SampledFunc
 def embedding_criterion(space: LorentzSpace, phi: SampledFunction) -> dict:
     """Finiteness classification of Psi_q(T) under grid refinement.
 
-    The aggregate is recomputed with the grid floor pushed down through
-    1e-4 T, 1e-6 T and 1e-8 T; growth by more than 10x per refinement (or a divergent
-    head) classifies the value as infinite.  An ambiguous trend raises
+    The aggregate is computed on grids with floors 1e4 and 1e2 times the
+    space's (which must lie below 1e-4 T), then on the space itself, as
+    "psi"; growth by more than 10x per refinement (or a divergent head)
+    classifies the value as infinite.  An ambiguous trend raises
     Inconclusive rather than deciding silently.
     """
-    T = space.T
     values = []
-    for span in (1e-4, 1e-6, 1e-8):
-        g = make_log_grid(span * T, T, space.grid.count)
-        psi = embedding_function(LorentzSpace(space.q, space.weight, g), phi)
+    for scale in (1e4, 1e2, 1.0):
+        sp = space if scale == 1.0 else LorentzSpace(space.q, space.weight, make_log_grid(
+            scale * space.grid.t_min, space.T, space.grid.count))
+        psi = embedding_function(sp, phi)
         values.append(float(psi.values[-1]))
+    out = {"embeds": False, "psi_at_T": math.inf, "refinements": values, "psi": psi}
     if any(not math.isfinite(v) for v in values):
-        return {"embeds": False, "psi_at_T": math.inf, "refinements": values}
+        return out
     growth = [values[i + 1] / values[i] for i in range(len(values) - 1)]
     if all(g > 10.0 for g in growth):
-        return {"embeds": False, "psi_at_T": math.inf, "refinements": values}
+        return out
     if all(g < 1.5 for g in growth):
-        return {"embeds": True, "psi_at_T": values[-1], "refinements": values}
+        return {**out, "embeds": True, "psi_at_T": values[-1]}
     raise Inconclusive(
         f"refinement trend ambiguous: values {values}")
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -173,8 +174,12 @@ class OptimalNormSpec:
     the aggregate at 0), else "weighted"."""
     case: str
     psi: SampledFunction
-    T1: float | None
     q: float
+
+    @cached_property
+    def T1(self) -> float | None:
+        """The half level point of psi, None in the sup case; bisected on first read."""
+        return None if self.case == "sup" else half_level_point(self.psi)
 
 
 def make_optimal_norm_spec(space: LorentzSpace, phi) -> OptimalNormSpec:
@@ -183,13 +188,10 @@ def make_optimal_norm_spec(space: LorentzSpace, phi) -> OptimalNormSpec:
     psi = embedding_function(space, phi)
     if not math.isfinite(psi.values[-1]):
         raise NotEmbedded("aggregate infinite at T; no optimal lattice")
-    if space.q == 1.0:
-        # positive limit at 0 iff the underlying density neither decays
-        # nor diverges; the aggregate is then essentially flat
-        if psi.values[0] > 0.5 * psi.values[-1]:
-            return OptimalNormSpec(case="sup", psi=psi, T1=None, q=1.0)
-    return OptimalNormSpec(case="weighted", psi=psi,
-                           T1=half_level_point(psi), q=space.q)
+    # at q = 1, a positive limit at 0 (the underlying density neither
+    # decays nor diverges) leaves the aggregate essentially flat
+    flat = space.q == 1.0 and psi.values[0] > 0.5 * psi.values[-1]
+    return OptimalNormSpec(case="sup" if flat else "weighted", psi=psi, q=space.q)
 
 
 def optimal_norm(spec: OptimalNormSpec, f: SampledFunction) -> float:

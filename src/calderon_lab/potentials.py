@@ -113,21 +113,18 @@ def convolver(kernel: KernelSpec, like: FieldSample):
     mass are built here, once per (kernel, grid); the returned function
     is one mat-vec, keeps f's origin, and raises DomainError when f's
     spacing or length differs from like's.  Raises ResolutionTooCoarse
-    when the singular cell carries more than half of the kernel mass
-    reachable inside the box."""
+    when the singular cell carries more than half of the table's sum,
+    the kernel mass the convolution applies."""
     if kernel.n != 1:
         raise DomainError("kernel and field dimension mismatch")
     h = like.spacing
-    phi_fn = kernel.measure_profile_fn()
-    cell_mass, _ = integrate(phi_fn, h, tol=1e-10)
-    box_mass, _ = integrate(phi_fn, 4.0 * like.box_halfwidth, tol=1e-8)
-    if cell_mass > 0.5 * box_mass:
-        raise ResolutionTooCoarse(
-            f"singular cell carries {cell_mass / box_mass:.1%} of the kernel mass")
-
+    cell_mass, _ = integrate(kernel.measure_profile_fn(), h, tol=1e-10)
     m = like.values.shape[0]
     table = kernel.profile(np.abs(h * np.arange(-(m - 1), m))) * h
     table[m - 1] = cell_mass
+    if cell_mass > 0.5 * table.sum():
+        raise ResolutionTooCoarse(
+            f"singular cell carries {cell_mass / table.sum():.1%} of the kernel mass")
     # row x holds table[x + m - 1 - i] for i = 0..m-1: the centred m
     # points of the full convolution, summed in index order
     window = sliding_window_view(table, m)[:, ::-1]

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from calderon_lab import cli
+from calderon_lab import cli, lorentz, optimal
 from calderon_lab.cli import (
     main,
     parse_config_text,
@@ -453,6 +453,93 @@ class TestGridSpanFloor:
         rec = run(parse_config_text(self.BASE + "grid.tmin = 5.7e-35\n"))
         assert rec.error is None
         assert rec.passed
+
+    # the embedding criterion refines from 1e4 times the span, so its
+    # scenarios need a span below 1e-4; at 0.00455 this config passed the
+    # float-range floor and ended in ScenarioFailed: RuntimeWarning: overflow
+    CRITERION = ("space.q = 1.02\nkernel.alpha = 0.8\nk = 1\ngrid.points = 256\n"
+                 "grid.tmin = 0.00455\n")
+
+    @pytest.mark.parametrize("scenario", ["embedding_check", "lorentz_karamata_case"])
+    def test_criterion_span_rejected(self, scenario, tmp_path):
+        text = f"scenario = {scenario}\nspace.b_log = 1\n" + self.CRITERION
+        with pytest.raises(ConfigInvalid, match=r"^grid\.tmin: .*below 1e-4"):
+            parse_config_text(text).validate()
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text)
+        assert main(["run", str(cfg)]) == 2
+        # at q = 2 the float-range floor is far lower, and 1e-4 is the bound;
+        # the other scenarios form no refinement grid and keep their spans
+        base = f"scenario = {scenario}\nspace.b_log = 1\n"
+        with pytest.raises(ConfigInvalid, match=r"^grid\.tmin: .*below 1e-4"):
+            parse_config_text(base + "grid.tmin = 1e-4\n").validate()
+        parse_config_text(base + "grid.tmin = 9.9e-5\n").validate()
+        parse_config_text(base.replace(scenario, "optimal_norm") + "grid.tmin = 1e-3\n").validate()
+
+
+class TestReuse:
+    """What a scenario builds once, it reads again instead of rebuilding."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"embedding_function": 0, "LorentzSpace": 0, "half_level_point": 0}
+        real_psi, real_half = lorentz.embedding_function, optimal.half_level_point
+
+        def psi(*args):
+            counts["embedding_function"] += 1
+            return real_psi(*args)
+
+        def half(*args):
+            counts["half_level_point"] += 1
+            return real_half(*args)
+
+        class CountedSpace(lorentz.LorentzSpace):
+            def __init__(self, *args):
+                counts["LorentzSpace"] += 1
+                super().__init__(*args)
+
+        for module in (cli, lorentz, optimal):
+            for name, fn in (("embedding_function", psi), ("LorentzSpace", CountedSpace)):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, fn)
+        monkeypatch.setattr(optimal, "half_level_point", half)
+        return counts
+
+    @pytest.mark.parametrize("scenario", ["embedding_check", "lorentz_karamata_case"])
+    def test_criterion_item_builds_three_aggregates(self, scenario, counts):
+        # the criterion's finest aggregate is the one the report shows
+        rec = run(parse_config_text(f"scenario = {scenario}\nspace.p = 2\n"
+                                    "space.b_log = 0.75\nkernel.alpha = 0.5\n" + FAST))
+        assert rec.passed
+        assert counts["embedding_function"] == 3
+        assert counts["LorentzSpace"] == 3
+
+    def test_optimal_norm_bisects_once(self, counts):
+        rec = run(parse_config_text("scenario = optimal_norm\nkernel.alpha = 0.75\n" + FAST))
+        assert rec.passed
+        assert counts["half_level_point"] == 1
+
+    # the space and kernel of lattice benchmark item 121 of seed 106: the
+    # aggregate exceeds half its terminal value on the whole grid (its half
+    # level point T1 lies below the grid floor), so T1 cannot be bisected
+    NO_HALF_LEVEL = ("space.q = 1.5\nspace.p = 1.365\nspace.b_log = 0.257\n"
+                     "kernel.alpha = 0.785\nkernel.lambda_log = 0.914\nk = 2\nn = 1\n"
+                     "grid.points = 512\nfield.resolution = 256\nseed = 176947100\n")
+
+    def test_besov_case_needs_no_half_level(self, counts):
+        # besov_case never reads T1; it used to end in NoSolution
+        rec = run(parse_config_text("scenario = besov_case\n" + self.NO_HALF_LEVEL))
+        assert rec.error is None
+        assert rec.passed
+        assert 1.5 < rec.scalars["factor_spread"] < 2.5
+        assert counts["half_level_point"] == 0
+
+    def test_optimal_norm_without_half_level_writes_no_scalar(self, counts):
+        rec = run(parse_config_text("scenario = optimal_norm\n" + self.NO_HALF_LEVEL))
+        assert rec.error == ("NoSolution: aggregate exceeds half its terminal value "
+                             "on the whole grid")
+        assert rec.scalars == {}
+        assert counts["half_level_point"] == 1
 
 
 class TestMain:

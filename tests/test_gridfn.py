@@ -266,9 +266,10 @@ class TestIntegrateOracle:
         assert depths == list(range(8))
 
     def test_convolver_calls_per_level(self, monkeypatch):
-        # a power-kernel convolver's two integrals cost 6 + 17 integrand
-        # calls, one per bisection level; panel at a time they were 22 + 78,
-        # on the same 1,200 points
+        # a power-kernel convolver's one integral, over the singular cell,
+        # costs 6 integrand calls, one per bisection level, on 264 points;
+        # the same profile over the box's reach (0, 4H] costs 17 calls on
+        # 936 points.  Panel at a time they were 22 and 78 calls.
         calls = []
 
         def counted(f, b, tol):
@@ -280,8 +281,12 @@ class TestIntegrateOracle:
         monkeypatch.setattr(potentials, "integrate", counted)
         f = potentials.bump_and_staircase_family(count=1, resolution=128)[0][1]
         potentials.convolver(_POWER_TAIL, f)
-        assert len(calls) <= 25
-        assert sum(calls) == 24 * 50
+        assert len(calls) <= 6
+        assert sum(calls) == 11 * 24
+        calls.clear()
+        counted(_POWER_TAIL.measure_profile_fn(), 4.0 * f.box_halfwidth, 1e-8)
+        assert len(calls) <= 17
+        assert sum(calls) == 39 * 24
 
 
 class TestRunningIntegral:

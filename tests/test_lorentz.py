@@ -186,23 +186,28 @@ class TestEmbeddingCriterion:
                      monotonicity="decreasing")
         assert embedding_criterion(sp, phi)["embeds"] is expected
 
-    # Psi_q(T) at the grid floors 1e-4 T, 1e-6 T and 1e-8 T
+    # Psi_q(T) at the grid floors 1e-4 T, 1e-6 T and 1e-8 T of a space on
+    # [1e-8 T, T], or at the floors a dict names: the criterion refines
+    # from 1e4 times the space's own floor
     @pytest.mark.parametrize("refinements,embeds", [
         ([1.0, 11.0, 121.0], False),        # grows more than 10x at each step
         ([1.0, 1.4, 1.96], True),           # grows less than 1.5x at each step
         ([1.0, 9.0, 81.0], None),           # in between: Inconclusive
         ([1.0, 1.6, 2.56], None),
         ([1.0, 20.0, 21.0], None),          # one step of each kind
+        pytest.param({-6: 1.0, -8: 1.4, -10: 1.96}, True, id="floor_1e-10"),
     ])
     def test_three_span_rule(self, refinements, embeds, monkeypatch):
-        by_floor = dict(zip((-4, -6, -8), refinements))
+        by_floor = (refinements if isinstance(refinements, dict)
+                    else dict(zip((-4, -6, -8), refinements)))
+        refinements = list(by_floor.values())
 
         def fake_psi(space, phi):
             value = by_floor[round(math.log10(space.grid.t_min / space.T))]
             return SampledFunction(space.grid, np.full(space.grid.count, value))
 
         monkeypatch.setattr(lorentz, "embedding_function", fake_psi)
-        g = make_log_grid(1e-8, 1.0, 64)
+        g = make_log_grid(10.0 ** min(by_floor), 1.0, 64)
         sp = LorentzSpace(2.0, FLAT, g)
         phi = sample(lambda t: t ** -0.5, g, monotonicity="decreasing")
         if embeds is None:

@@ -184,8 +184,8 @@ class TestConvolve:
                 conv(other)
 
     def test_integrals_once_per_family(self, monkeypatch):
-        # the two kernel integrals are the per-grid build; a family on one
-        # grid must not repeat them per field
+        # the singular cell's integral is the per-grid build; a family on
+        # one grid must not repeat it per field
         calls = []
         def counting(*args, **kwargs):
             calls.append(args[1])
@@ -194,13 +194,13 @@ class TestConvolve:
         sp = LorentzSpace(2.0, FLAT, default_grid())
         upper_cone_check(sp, BMD, 1, bump_and_staircase_family(count=3, resolution=256),
                          t_grid=make_log_grid(1e-4, 1.0, 8))
-        assert len(calls) == 2
+        assert len(calls) == 1
         calls.clear()
         rec = cli.run(cli.parse_config_text(
             "scenario = besov_case\nkernel.variant = bessel_mcdonald\n"
             "kernel.alpha = 0.75\nfield.resolution = 128\ngrid.points = 256\n"))
         assert rec.error is None
-        assert len(calls) == 2
+        assert len(calls) == 1
 
 
 class TestFiniteDifference:
@@ -584,7 +584,7 @@ class TestFieldNorms:
         # the sup case of the lattice norm is max omega, as in optimal_norm
         g = default_grid()
         psi = sample(lambda t: 1.0 + 0.0 * t, g)
-        spec = OptimalNormSpec(case="sup", psi=psi, T1=None, q=1.0)
+        spec = OptimalNormSpec(case="sup", psi=psi, q=1.0)
         u = sample_field(np.sin, 2.0, 64)
         om = modulus_curve(u, 1, self.TG)
         got = calderon_norm(u, om, spec, 1, 1)
