@@ -49,6 +49,7 @@ from .lorentz import (
     power_weight,
 )
 from .optimal import (
+    FAMILY_SEED,
     check_condition_a,
     check_condition_b,
     equivalence_report,
@@ -88,7 +89,7 @@ class ExperimentConfig:
     grid_points: int = 512
     tmin_span: float = 1e-8
     field_resolution: int = 256
-    seed: int = 0x5EED
+    seed: int = FAMILY_SEED
 
     @property
     def weight_p(self) -> float:

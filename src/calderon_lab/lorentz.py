@@ -198,11 +198,14 @@ def embedding_criterion(space: LorentzSpace, phi: SampledFunction) -> dict:
     """Finiteness classification of Psi_q(T) under grid refinement.
 
     The aggregate is computed on grids with floors 1e4 and 1e2 times the
-    space's (which must lie below 1e-4 T), then on the space itself, as
-    "psi"; growth by more than 10x per refinement (or a divergent head)
-    classifies the value as infinite.  An ambiguous trend raises
-    Inconclusive rather than deciding silently.
+    space's (DomainError unless it lies below 1e-4 T), then on the space
+    itself, as "psi"; growth by more than 10x per refinement (or a
+    divergent head) classifies the value as infinite.  An ambiguous trend
+    raises Inconclusive rather than deciding silently.
     """
+    if space.grid.t_min >= 1e-4 * space.T:
+        raise DomainError(f"the criterion refines from 1e4 times the grid floor "
+                          f"{space.grid.t_min:g}: it must be below 1e-4 T = {1e-4 * space.T:g}")
     values = []
     for scale in (1e4, 1e2, 1.0):
         sp = space if scale == 1.0 else LorentzSpace(space.q, space.weight, make_log_grid(

@@ -146,14 +146,16 @@ def half_level_point(psi: SampledFunction) -> float:
     """The point T1 where the nondecreasing aggregate reaches half its
     terminal value (to 1e-6 of that value), by bisection on the
     interpolated grid function.
-    Raises NoSolution when the aggregate never drops below half (e.g.
-    when its limit at 0 is already at least half)."""
+    Raises NoSolution when the aggregate is at least half at the grid
+    floor t_min: the half level then lies below t_min, when the limit at
+    0 is below half (it is 0 for q > 1), or nowhere."""
     vals = psi.values
     target = 0.5 * vals[-1]
     if not math.isfinite(target):
         raise NoSolution("aggregate is infinite at T")
     if vals[0] >= target:
-        raise NoSolution("aggregate exceeds half its terminal value on the whole grid")
+        raise NoSolution("aggregate exceeds half its terminal value on the whole grid: "
+                         f"the half level lies below t_min = {psi.grid.t_min:g}")
     lo, hi = psi.grid.t_min, psi.grid.t_max
     for _ in range(200):
         mid = math.sqrt(lo * hi)

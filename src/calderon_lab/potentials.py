@@ -15,8 +15,9 @@ integral there, which the toolkit does not have.
 The modulus omega_k(u; t) is the exact sup over |h| <= t and x of
 |Delta_h^k s(x)|, s the piecewise-linear interpolant of the samples: it
 is attained at h = t or at a vertex step h = spacing*p/q, q <= k, where
-lines x + j*h = x_i of the arrangement meet.  Step plans, one per block
-of t, evaluate the steps h = t for a whole family; each vertex step is a
+lines x + j*h = x_i of the arrangement meet.  Up to the least vertex
+step h0 = spacing/k it is (t/h0) omega_k(u; h0); above h0 the steps h = t
+are one np.interp per field and block of 16 t, and each vertex step is a
 slice sum on the q-refined grid, O(t_max/spacing * N) per q.  The cone
 kernel's profile factor phi(tau) depends neither on t nor on the field,
 so the cone checks build all t rows of the kernel once.
@@ -47,10 +48,8 @@ from .gridfn import (
 )
 from .kernels import KernelSpec, cone_kernel
 from .lorentz import LorentzSpace, _associate_norms, embedding_function
-from .optimal import OptimalNormSpec, _stieltjes_sum
+from .optimal import FAMILY_SEED, OptimalNormSpec, _stieltjes_sum
 from .rearrange import MeasurableSample, decreasing_rearrangement
-
-FAMILY_SEED = 0x5EED
 
 
 @dataclass
@@ -168,57 +167,33 @@ def finite_difference(u: FieldSample, h: float, k: int) -> FieldSample:
                        values=out, origin=origin)
 
 
-def _interp_intervals(x: np.ndarray, spacing: float, pos: np.ndarray):
-    """np.interp's interval j of each position on the uniform grid x and
-    the offset d = pos - x_j, 0 at the last node and outside the box: with
-    slope = diff(u)/diff(x) and a last 0, slope[j]*d + u[j] is
-    np.interp(pos, x, u) bit for bit."""
-    pos = np.clip(pos, x[0], x[-1])
-    j = np.minimum(((pos - x[0]) / spacing).astype(np.intp), len(x) - 2)
-    j += x[j + 1] <= pos
-    j -= x[j] > pos
-    return j, pos - x[j]
-
-
-def _difference_sups(like: FieldSample, k: int, mags: np.ndarray):
-    """The step plan of mags on like's grid, for every field on it: a
-    function (values, slope as in _interp_intervals) -> for each a of mags
-    the sup over x of |Delta_a^k s(x)|, s the interpolant of values, over
+def _step_sups(us, k: int, mags: np.ndarray) -> np.ndarray:
+    """For each field u of us (one grid), a row of the sups over x of
+    |Delta_a^k s(x)|, s the interpolant of u, one per step a of mags, over
     the x whose stencil stays in the grid.  It is taken at the breaks
-    x_i - j*a (j = 0..k), whose stencil points s(x_i + l*a), l = -j..k-j,
-    the rows of the steps +a and -a hold; Delta_{-a}^k has the same sup.
-    Raises DomainExceeded when the +a or the -a step leaves no node with
-    its stencil inside."""
-    r = len(mags)
-    steps = np.concatenate([mags, -mags])[:, None]
-    x = like.axis_points()
+    x_i - j*a (j = 0..k), whose stencil points are s(x_i + m*a),
+    m = -j..k-j; Delta_{-a}^k has the same sup.  Raises DomainExceeded
+    when the +a or the -a step leaves no node with its stencil inside."""
+    x = us[0].axis_points()
     coeffs = _difference_coeffs(k)
-    shifts, inside = [], {0: True}
-    for m in range(1, k + 1):
-        pos = x + m * steps
+    out = np.zeros((len(us), len(mags)))
+    for lo in range(0, len(mags), 16):
+        # pos[k + m] holds x_i + m*a, a row per a: built once per 16 steps
+        pos = x + np.arange(-k, k + 1)[:, None, None] * mags[lo:lo + 16, None]
         good = (x[0] <= pos) & (pos <= x[-1])
-        shifts.append(_interp_intervals(x, like.spacing, pos))
-        inside[m], inside[-m] = good[:r], good[r:]
-    if not np.all(np.any(good, axis=1)):
-        raise DomainExceeded("no grid point keeps the whole stencil inside the box")
-    windows = [inside[-j] & inside[k - j] for j in range(k + 1)]
-
-    def sups(values: np.ndarray, slope: np.ndarray) -> np.ndarray:
-        # row[m] holds s(x_i + m*a) at the nodes x_i, one row per a; the
-        # values outside are clamped and never reach the max
-        row = {0: np.broadcast_to(values, (r, len(x)))}
-        for m, (j, d) in enumerate(shifts, 1):
-            vals = slope.take(j) * d + values.take(j)
-            row[m], row[-m] = vals[:r], vals[r:]
-        best = np.zeros(r)
-        for j, window in enumerate(windows):
-            acc = coeffs[0] * row[-j]
-            for l in range(1, k + 1):
-                acc += coeffs[l] * row[l - j]
-            np.abs(acc, out=acc)
-            best = np.maximum(best, np.max(acc, axis=1, initial=0.0, where=window))
-        return best
-    return sups
+        if not np.all(np.any(good[[0, -1]], axis=2)):
+            raise DomainExceeded("no grid point keeps the whole stencil inside the box")
+        windows = [good[k - j] & good[2 * k - j] for j in range(k + 1)]
+        for best, u in zip(out[:, lo:lo + 16], us):
+            # clamped outside the box, where no window reaches
+            vals = np.interp(pos, x, u.values)
+            for j, window in enumerate(windows):
+                acc = coeffs[0] * vals[k - j]
+                for l in range(1, k + 1):
+                    acc += coeffs[l] * vals[k + l - j]
+                np.abs(acc, out=acc)
+                np.maximum(best, np.max(acc, axis=1, initial=0.0, where=window), out=best)
+    return out
 
 
 def _vertex_sups(values: np.ndarray, k: int, spacing: float, top: float):
@@ -226,13 +201,15 @@ def _vertex_sups(values: np.ndarray, k: int, spacing: float, top: float):
     the sup over x of |Delta_h^k s(x)| at each, a row of sups per step
     and a column per row of values.  The stencils of the breaks
     x_i - j*h lie on the grid refined q times, where a step is a sum of
-    k + 1 slices of s, linear in between: the max there is the sup."""
+    k + 1 slices of s, linear in between: the max there is the sup.  s is
+    sampled there from the in-cell fractions r/q, whose rounding, unlike
+    that of the positions (q*i + r)/q, does not grow with the node i."""
     coeffs = _difference_coeffs(k)
     cells = values.shape[1] - 1
     steps, sups = [], []
     for q in range(1, k + 1):
-        fine = np.array([np.interp(np.arange(cells * q + 1) / q, np.arange(cells + 1), v)
-                         for v in values])
+        i, r = np.divmod(np.arange(cells * q), q)
+        fine = np.hstack([values[:, i] + r / q * np.diff(values)[:, i], values[:, -1:]])
         acc, term = np.empty_like(fine), np.empty_like(fine)   # reused: no page faults
         for p in range(1, cells * q // k + 1):
             if math.gcd(p, q) > 1 or spacing * p / q > top:
@@ -248,18 +225,26 @@ def _vertex_sups(values: np.ndarray, k: int, spacing: float, top: float):
 
 def _moduli(us, k: int, ts: np.ndarray) -> np.ndarray:
     """omega_k(u; t), a row per field u of us and a column per t of ts
-    (ascending): the running max over the steps h = t and vertex steps."""
+    (ascending): the running max over the steps h = t and vertex steps,
+    and (t/h0) omega_k(u; h0) for t <= h0 = spacing/k."""
     like = us[0]
-    if k * np.max(ts) > 2.0 * like.box_halfwidth:
+    t_max = np.max(ts)
+    if k * t_max > 2.0 * like.box_halfwidth:
         raise DomainExceeded("stencil span exceeds the box")
-    dx = np.diff(like.axis_points())
-    fields = [(u.values, np.append(np.diff(u.values) / dx, 0.0)) for u in us]
-    # one plan alive at a time, 16 t (32 rows) each
-    plans = (_difference_sups(like, k, ts[lo:lo + 16]) for lo in range(0, len(ts), 16))
-    out = np.hstack([[sups(*field) for field in fields] for sups in plans])
-    steps, sups = _vertex_sups(np.array([u.values for u in us]), k, like.spacing, np.max(ts))
-    # a vertex step joins the max at the first t not below it
-    np.maximum.at(out.T, np.searchsorted(ts, steps), sups)
+    if len(like.values) < 2:    # one node keeps no stencil of a step h > 0
+        raise DomainExceeded("no grid point keeps the whole stencil inside the box")
+    h0 = like.spacing / k
+    steps, sups = _vertex_sups(np.array([u.values for u in us]), k, like.spacing, max(t_max, h0))
+    # for |h| <= h0 each stencil point x_i + m*h (|m| <= k) stays in a cell
+    # next to x_i, so each break value Delta_h^k s(x_i - j*h) is linear in h
+    # and 0 at h = 0, and the breaks whose stencil stays in the grid are
+    # the same for every h in (0, h0]: the sup over |h| <= t is taken at
+    # h = t and is (t/h0) omega(h0), h0 being the least vertex step
+    n = np.searchsorted(ts, h0, side="right")     # ts[:n] <= h0
+    out = np.hstack([np.outer(sups[np.argmin(steps)], ts[:n] / h0), _step_sups(us, k, ts[n:])])
+    # a vertex step up to t_max joins the max at the first t not below it
+    keep = steps <= t_max
+    np.maximum.at(out.T, np.searchsorted(ts, steps[keep]), sups[keep])
     return np.maximum.accumulate(out, axis=1)
 
 
@@ -267,8 +252,9 @@ def modulus_of_smoothness(u: FieldSample, k: int, t: float) -> float:
     """omega_k(u; t): the sup over all steps |h| <= t and all x whose
     stencil stays in the field's grid of |Delta_h^k s(x)|, s the
     piecewise-linear interpolant of u, exact up to rounding from h = t and
-    the vertex steps spacing*p/q <= t (q <= k).  Below the grid spacing it
-    describes s, not u: it grows like t * spacing^(k-1), not t^k.  Raises
+    the vertex steps spacing*p/q <= t (q <= k).  Up to the least vertex
+    step h0 = spacing/k it is (t/h0) omega_k(u; h0): there it describes
+    s, not u, and grows like t * spacing^(k-1), not t^k.  Raises
     DomainExceeded when the span k*t exceeds the box or leaves no grid
     point of the field."""
     if t <= 0:
@@ -278,7 +264,7 @@ def modulus_of_smoothness(u: FieldSample, k: int, t: float) -> float:
 
 def modulus_curves(us, k: int, t_grid: LogGrid, n: int = 1) -> list[SampledFunction]:
     """modulus_curve of each field of us, bit for bit, sharing the step
-    plans and refined grids.  Raises DomainError for an empty list or
+    positions and refined grids.  Raises DomainError for an empty list or
     fields whose origin, spacing, length or box differ."""
     if len({(u.origin, u.spacing, len(u.values), u.box_halfwidth) for u in us}) != 1:
         raise DomainError("modulus_curves needs a nonempty family on one grid")

@@ -16,6 +16,7 @@ from calderon_lab.cli import (
 )
 from calderon_lab.errors import ConfigInvalid
 from calderon_lab.optimal import equivalence_report, sample_family
+from test_golden import _mismatches
 
 DATA = Path(__file__).resolve().parent / "data"
 FAST = "grid.points = 256\n"
@@ -401,6 +402,14 @@ class TestScenarios:
         assert rec.scalars["factor_min"] > 0
         assert rec.assertions["two_sided_factor"]["passed"]
 
+    @pytest.mark.parametrize("name", ["besov_k2", "besov_k3"])
+    def test_higher_order_besov_reports_pinned(self, name):
+        # the second- and third-order modulus checked end to end against
+        # the report next to the config, floats to the goldens' tolerance
+        got = json.loads(run(parse_config_text((DATA / f"{name}.cfg").read_text())).to_json())
+        del got["wall_time_s"]
+        assert _mismatches(got, json.loads((DATA / f"{name}.json").read_text())) == []
+
     def test_besov_zero_factor(self, monkeypatch):
         # an infinite direct norm gives a zero factor; the spread is then
         # infinite, without a division by zero, and the check fails
@@ -519,25 +528,22 @@ class TestReuse:
         assert rec.passed
         assert counts["half_level_point"] == 1
 
-    # the space and kernel of lattice benchmark item 121 of seed 106: the
-    # aggregate exceeds half its terminal value on the whole grid (its half
-    # level point T1 lies below the grid floor), so T1 cannot be bisected
-    NO_HALF_LEVEL = ("space.q = 1.5\nspace.p = 1.365\nspace.b_log = 0.257\n"
-                     "kernel.alpha = 0.785\nkernel.lambda_log = 0.914\nk = 2\nn = 1\n"
-                     "grid.points = 512\nfield.resolution = 256\nseed = 176947100\n")
+    # an optimal_norm config whose half level point T1 lies below the
+    # grid floor, so T1 cannot be bisected
+    NO_HALF_LEVEL = (DATA / "optimal_norm_no_half_level.cfg").read_text()
 
     def test_besov_case_needs_no_half_level(self, counts):
         # besov_case never reads T1; it used to end in NoSolution
-        rec = run(parse_config_text("scenario = besov_case\n" + self.NO_HALF_LEVEL))
+        rec = run(parse_config_text(self.NO_HALF_LEVEL + "scenario = besov_case\n"))
         assert rec.error is None
         assert rec.passed
         assert 1.5 < rec.scalars["factor_spread"] < 2.5
         assert counts["half_level_point"] == 0
 
     def test_optimal_norm_without_half_level_writes_no_scalar(self, counts):
-        rec = run(parse_config_text("scenario = optimal_norm\n" + self.NO_HALF_LEVEL))
+        rec = run(parse_config_text(self.NO_HALF_LEVEL))
         assert rec.error == ("NoSolution: aggregate exceeds half its terminal value "
-                             "on the whole grid")
+                             "on the whole grid: the half level lies below t_min = 1e-08")
         assert rec.scalars == {}
         assert counts["half_level_point"] == 1
 

@@ -219,6 +219,18 @@ class TestEmbeddingCriterion:
         assert verdict["refinements"] == refinements
         assert verdict["psi_at_T"] == (refinements[-1] if embeds else math.inf)
 
+    def test_floor_at_or_above_1e_4_T(self, monkeypatch):
+        # the first refinement would start at 1e4 times the floor, above
+        # T: the rule is stated before any grid is built
+        g = make_log_grid(1e-3, 1.0, 64)
+        sp = LorentzSpace(2.0, FLAT, g)
+        phi = sample(lambda t: t ** -0.5, g, monotonicity="decreasing")
+        monkeypatch.setattr(lorentz, "make_log_grid",
+                            lambda *args: pytest.fail("the criterion built a grid"))
+        with pytest.raises(DomainError, match=r"1e4 times the grid floor 0\.001: "
+                                              r"it must be below 1e-4 T = 0\.0001"):
+            embedding_criterion(sp, phi)
+
 
 class TestAssociateNorm:
     def test_holder_duality_spot_check(self):

@@ -366,6 +366,10 @@ class TestModulus:
             modulus_of_smoothness(u, 2, 2.1)
         with pytest.raises(DomainExceeded, match="span exceeds"):
             modulus_curve(u, 2, make_log_grid(1e-3, 2.1, 8))
+        # one node left: not even a step below the spacing fits
+        one_node = finite_difference(sample_field(np.sin, 2.0, 65), 4.0, 1)
+        with pytest.raises(DomainExceeded, match="no grid point"):
+            modulus_of_smoothness(one_node, 1, 1e-3)
         # inside the restricted domain the vertex steps stay inside too
         floor = 4 * np.finfo(float).eps * u.sup_norm()
         for k, t in ((1, 0.9), (2, 0.7), (3, 0.45)):
@@ -380,22 +384,6 @@ class TestModulus:
 
 
 class TestModulusCurves:
-    @pytest.mark.parametrize("box, resolution", [(2.0, 64), (3.0, 512), (4.0, 129)])
-    def test_interp_intervals_reproduce_np_interp(self, box, resolution):
-        # node hits, the last node, both sides of the box, whole and
-        # fractional cell shifts of the nodes, and random points between
-        u = sample_field(lambda x: np.sin(3 * x) + 0.2 * x, box, resolution)
-        x, h = u.axis_points(), u.spacing
-        rng = np.random.default_rng(resolution)
-        outside = np.array([1e-12, h, 2 * box])
-        pos = np.concatenate([x, x[-1:], x[0] - outside, x[-1] + outside,
-                              x + 3 * h, x - 7 * h, x + 0.5 * h, x - (1 - 1e-13) * h,
-                              rng.uniform(x[0], x[-1], 1000)])
-        j, d = potentials._interp_intervals(x, h, pos)
-        slope = np.append(np.diff(u.values) / np.diff(x), 0.0)
-        assert np.array_equal(slope[j] * d + u.values[j], np.interp(pos, x, u.values))
-        assert np.all(d[:len(x) + 1] == 0.0)
-
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_family_matches_single_field(self, k):
         fam = bump_and_staircase_family(count=4, resolution=128)
@@ -408,6 +396,39 @@ class TestModulusCurves:
                       (on_nodes, 1)):
             for u, om in zip(us, modulus_curves(us, k, tg, n=n)):
                 assert np.array_equal(om.values, modulus_curve(u, k, tg, n=n).values)
+
+    @pytest.mark.parametrize("kernel", [BMD, POWER_LOG], ids=["bessel", "power"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_linear_up_to_least_vertex_step(self, kernel, k):
+        # for t <= h0 = spacing/k each stencil sits in the two cells around
+        # one node: omega_k(t) = t * max|slope| at k = 1 and t * max|slope
+        # jump| at k = 2, 3, slope = diff(u)/spacing; the curve meets it
+        # within the rounding floor of omega_k(h0), scaled by t/h0
+        fam = bump_and_staircase_family(count=10, resolution=256)
+        conv = convolver(kernel, fam[0][1])
+        us = [conv(f) for _, f in fam]
+        tg = make_log_grid(1e-6, 1.0, 64)
+        h0 = us[0].spacing / k
+        t = tg.points[tg.points <= h0]
+        for u, om in zip(us, modulus_curves(us, k, tg)):
+            closed = t / u.spacing * np.max(np.abs(np.diff(u.values, n=min(k, 2))))
+            floor = t / h0 * k * 2 ** k * np.finfo(float).eps * u.sup_norm()
+            assert np.all(np.abs(om.values[:len(t)] - closed) <= floor)
+
+    def test_steps_above_least_vertex_step_only(self, monkeypatch):
+        # besov_case at resolution 256 and k = 1: 46 of its 64 t lie at or
+        # below the spacing and are read off the vertex step there
+        real, seen = potentials._step_sups, []
+        def spy(us, k, mags):
+            seen.append(mags)
+            return real(us, k, mags)
+        monkeypatch.setattr(potentials, "_step_sups", spy)
+        rec = cli.run(cli.parse_config_text("scenario = besov_case\nspace.q = 2\nk = 1\n"
+                                            "field.resolution = 256\ngrid.points = 256\n"))
+        assert rec.error is None
+        ts = make_log_grid(1e-6, 1.0, 64).points
+        assert [len(mags) for mags in seen] == [18]
+        assert np.array_equal(seen[0], ts[ts > 6.0 / 255])
 
     def test_fields_on_one_grid(self):
         tg = make_log_grid(1e-3, 1.0, 8)
