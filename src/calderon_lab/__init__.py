@@ -9,7 +9,6 @@ from .gridfn import (
     LogGrid,
     SampledFunction,
     default_grid,
-    integrate,
     make_log_grid,
     sample,
 )

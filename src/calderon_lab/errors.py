@@ -22,9 +22,8 @@ class DomainError(ToolkitError):
 
 
 class NonConvergent(ToolkitError):
-    """Quadrature or a derived quantity failed to converge; the error
-    estimate stalled above the requested tolerance, or the integrand is
-    not integrable at the singular endpoint."""
+    """An integral that must be finite diverges: its integrand is not
+    integrable at the singular endpoint."""
 
 
 class EmptySample(ToolkitError):

@@ -12,9 +12,9 @@ Two families are supported:
 K_nu has one evaluator, `bessel_k`: the trapezoid rule on the cosh
 integral representation, vectorized over rho and 0 past rho = 700.
 Both families expose the profile in measure coordinates,
-phi(tau) = Phi((tau / V_n)^(1/n)), the cone kernel
-phi(tau) / (1 + (tau/t)^(k/n)), and checkers for the derivative bounds
-that the smoothness estimates require.  Both families are differentiated
+phi(tau) = Phi((tau / V_n)^(1/n)), its n = 1 singular-cell mass in closed
+form, the cone kernel phi(tau) / (1 + (tau/t)^(k/n)), and checkers for
+the derivative bounds that the smoothness estimates require.  Both families are differentiated
 in closed form, to any order: the power family through its iterated-log
 terms, the Bessel family through K'_mu = -K_(mu+1) + (mu/z) K_mu, which
 makes every derivative a short sum of c z^m K_(nu+j)(z) terms.
@@ -28,8 +28,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError
-from .gridfn import LogGrid, SampledFunction, sample
+from .errors import DomainError, ResolutionTooCoarse
+from .gridfn import LogGrid, SampledFunction, power_log_mass, sample
 
 
 def unit_ball_volume(n: int) -> float:
@@ -127,21 +127,45 @@ def _bessel_k_batch(nu: float, rho: np.ndarray) -> np.ndarray:
         if not np.any(tier):
             continue
         r = rho[tier]
-        # one past where rho_min 2 sinh^2(t/2) reaches 45 (finite for any rho)
-        t_end = 2.0 * math.asinh(math.sqrt(22.5) / math.sqrt(r.min())) + 1.0
-        t = h * np.arange(int(t_end / h) + 1)
+        # each rho's own nodes, to one past where rho 2 sinh^2(t/2) reaches 45
+        # (finite for any rho), summed in order: the same bits in any batch
+        count = ((2.0 * np.arcsinh(math.sqrt(22.5) / np.sqrt(r)) + 1.0) // h).astype(int) + 1
+        t = h * np.arange(count.max())
         # the integrand exp(-rho 2 sinh^2(t/2)) cosh(nu t) in logs, so that
         # cosh(nu t) cannot overflow against a vanishing exponential; the
         # product is formed as (rho 2^60) (2 (2^-30 sinh(t/2))^2), the same
         # bit for bit, but finite out to the t_end of a subnormal rho (> 710)
         half = 2.0 ** -30 * np.sinh(0.5 * t)
         with np.errstate(over="ignore", under="ignore"):
-            log_f = np.multiply.outer(-2.0 ** 60 * r, 2.0 * half * half)
-            log_f += np.logaddexp(nu * t, -nu * t) - math.log(2.0)
-            # the trapezoid sum: f = 1 at the node t = 0, which has half weight
-            f_sum = np.exp(log_f, out=log_f).sum(axis=1)
-        out[tier] = h * (f_sum - 0.5) * np.exp(-r)
+            log_f = np.multiply.outer(2.0 * half * half, -2.0 ** 60 * r)
+            log_f += (np.logaddexp(nu * t, -nu * t) - math.log(2.0))[:, None]
+            f_sums = np.cumsum(np.exp(log_f, out=log_f), axis=0, out=log_f)
+        # the trapezoid sum: f = 1 at the node t = 0, which has half weight
+        out[tier] = h * (f_sums[count - 1, np.arange(len(r))] - 0.5) * np.exp(-r)
     return out
+
+
+# gamma, zeta(3), ..., zeta(9): the odd series of log Gamma(1+nu) (DLMF 5.7.3)
+_ODD_ZETA = (0.5772156649015329, 1.2020569031595942, 1.0369277551433699,
+             1.0083492773819228, 1.0020083928260822)
+
+
+def _bessel_head_mass(nu: float, x: float) -> float:
+    """int_0^x z^-nu K_nu(z) dz for 0 < nu < 1/2 and 0 < x <= 5: the
+    series of z^-nu K_nu = pi/(2 sin(nu pi)) z^-nu (I_-nu - I_nu) (DLMF
+    10.27.4), integrated, each pair of terms b_k expm1(L_k); below
+    nu = 0.03 the odd series gives L_0 where math.gamma's bits would not.
+    Within 1e-13 relative of mpmath (about 1e-15 below x = 0.1)."""
+    L = (-2.0 * sum(z * nu ** (2 * m + 1) / (2 * m + 1) for m, z in enumerate(_ODD_ZETA))
+         if nu < 0.03 else math.log(math.gamma(1.0 + nu) / math.gamma(1.0 - nu)))
+    L -= 2.0 * nu * math.log(0.5 * x)
+    y, b, k, total = 0.25 * x * x, 1.0, 0, 0.0
+    while b * (1.0 + math.exp(L)) > 1e-17 * abs(total):   # both series' next terms
+        total += b / (2 * k + 1) * math.expm1(L - math.log1p(-2.0 * nu / (2 * k + 1)))
+        k += 1
+        b *= y / (k * (k + nu))
+        L += math.log1p(2.0 * nu / (k - nu))
+    return math.pi / (2.0 * math.sin(nu * math.pi)) * x * 2.0 ** -nu / math.gamma(1.0 + nu) * total
 
 
 @dataclass(frozen=True)
@@ -194,6 +218,28 @@ class KernelSpec:
         # inf * 0 = nan for a decaying log factor, as is 0^-nu * 0
         out[z == 0] = np.inf
         return float(out[0]) if scalar else out
+
+    def cell_mass(self, h: float) -> float:
+        """int_0^h phi = 2 int_0^(h/2) Phi, the singular cell's mass, in
+        closed form for n = 1 (else DomainError): `power_log_mass` with the
+        log exponents summed plus the tail past z1 (a loglog factor raises
+        DomainError), or the Bessel series, which raises ResolutionTooCoarse
+        past h/2 = 5, where the cell holds over 99.7% of the kernel mass."""
+        if self.n != 1:
+            raise DomainError(f"the singular-cell mass needs n = 1, got n = {self.n}")
+        half, v = 0.5 * h, self.variant
+        if isinstance(v, BesselMcDonald):
+            if half > 5.0:
+                raise ResolutionTooCoarse(f"singular cell of half-width {half:g} > 5 "
+                                          "carries more than 99.7% of the kernel mass")
+            return 2.0 * _bessel_head_mass(v.nu, half)
+        if any(kind != "log" for kind, _ in v.sv.factors):
+            raise DomainError("no closed-form singular-cell mass for a loglog kernel factor")
+        lam = sum(e for _, e in v.sv.factors)
+        mass = power_log_mass(v.alpha - 1.0, lam, v.sv.scale, min(half, v.z1))
+        if half > v.z1:
+            mass -= self.profile(v.z1) * math.expm1(-v.tail_rate * (half - v.z1)) / v.tail_rate
+        return 2.0 * mass
 
     def measure_profile_fn(self):
         """phi(tau) = Phi((tau / V_n)^(1/n)) as a callable."""

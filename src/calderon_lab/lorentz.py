@@ -30,8 +30,8 @@ from .gridfn import (
     classify_zero_endpoint,
     cumulative_from_zero,
     head_mass,
-    integrate,
     make_log_grid,
+    power_log_mass,
     total_mass,
 )
 from .kernels import SlowlyVaryingSpec
@@ -156,14 +156,10 @@ def _profile_integral(t, phi_values) -> np.ndarray:
 def _fitted_head_integral(grid: LogGrid, y: np.ndarray, fit) -> float:
     """Integral over (0, t_min) of the fitted model C t^p L^e matching
     the first sample (used when the two-point power rule is too crude,
-    i.e. for log-borderline heads)."""
+    i.e. for log-borderline heads), in closed form."""
     t0 = grid.points[0]
-    L0 = math.log(math.e * grid.t_max / t0)
-    C = y[0] / (t0 ** fit.p * L0 ** fit.e)
-    val, _ = integrate(
-        lambda s: C * s ** fit.p * np.log(math.e * grid.t_max / s) ** fit.e,
-        t0, tol=1e-8)
-    return val
+    C = y[0] / (t0 ** fit.p * math.log(math.e * grid.t_max / t0) ** fit.e)
+    return C * power_log_mass(fit.p, fit.e, grid.t_max, t0)
 
 
 def embedding_function(space: LorentzSpace, phi: SampledFunction) -> SampledFunction:

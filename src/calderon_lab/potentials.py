@@ -43,7 +43,6 @@ from .gridfn import (
     SampledFunction,
     _map_row_blocks,
     classify_zero_endpoint,
-    integrate,
     total_mass,
 )
 from .kernels import KernelSpec, cone_kernel
@@ -108,16 +107,14 @@ def field_rearrangement(f: FieldSample, grid: LogGrid) -> SampledFunction:
 def convolver(kernel: KernelSpec, like: FieldSample):
     """f -> u(x) = int G(x - y) f(y) dy for fields on like's grid, by
     direct midpoint summation, the singular (zero-offset) cell replaced
-    by the kernel's exact integral over that cell.  The table and that
+    by the kernel's exact integral over that cell, `kernel.cell_mass`
+    (DomainError for n >= 2 or a loglog factor).  The table and that
     mass are built here, once per (kernel, grid); the returned function
     is one mat-vec, keeps f's origin, and raises DomainError when f's
     spacing or length differs from like's.  Raises ResolutionTooCoarse
-    when the singular cell carries more than half of the table's sum,
-    the kernel mass the convolution applies."""
-    if kernel.n != 1:
-        raise DomainError("kernel and field dimension mismatch")
+    when the singular cell carries more than half of the table's sum."""
     h = like.spacing
-    cell_mass, _ = integrate(kernel.measure_profile_fn(), h, tol=1e-10)
+    cell_mass = kernel.cell_mass(h)
     m = like.values.shape[0]
     table = kernel.profile(np.abs(h * np.arange(-(m - 1), m))) * h
     table[m - 1] = cell_mass

@@ -1,16 +1,23 @@
 """The benchmark's tracer wraps the package's functions and methods by
-name.  Renaming or deleting one of them breaks `run.py --trace 1`, so
-this test loads `perfbench/tracer.py` (without importing it as a
-package module, and without writing anything next to it), installs it
-on the package and checks that every name it relies on resolves."""
+name.  Renaming or deleting a traced method breaks `run.py --trace 1`,
+and a renamed function silently zeroes its per-layer metrics, so this
+test loads `perfbench/tracer.py` (without importing it as a package
+module, and without writing anything next to it), installs it on the
+package and checks that every name it relies on resolves."""
 
 import inspect
 import types
 from pathlib import Path
 
+import pytest
+
 import calderon_lab
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+# span names of functions deleted on purpose: their metrics read 0 until
+# the benchmark's own files drop them (the closed-form masses replaced
+# the adaptive quadrature)
+RETIRED = {"gridfn.integrate"}
 
 
 def _load_tracer():
@@ -50,7 +57,10 @@ def test_tracer_names_resolve():
             assert inspect.ismodule(getattr(calderon_lab, names)), metric
             continue
         for name in names:
-            if name not in method_spans:
+            if name in RETIRED:
+                with pytest.raises(AttributeError):
+                    _resolve(name)
+            elif name not in method_spans:
                 assert callable(_resolve(name)), f"{metric}: {name}"
     for name in tracer.COUNTERS:
         if name not in method_spans:

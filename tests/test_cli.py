@@ -286,6 +286,15 @@ class TestSweep:
 
 
 class TestScenarios:
+    def test_fitted_head_log_growth_not_nonconvergent(self):
+        # lattice item whose first-span head is the fitted model with
+        # p = -0.977: finite, so the criterion may stay undecided but must
+        # not call the head divergent
+        rec = run(parse_config_text((DATA / "fitted_head_log_growth.cfg").read_text()))
+        assert rec.error is None or rec.error.startswith("Inconclusive: "), rec.error
+        if rec.error is None:
+            assert rec.scalars["embeds"]
+
     def test_optimal_norm(self):
         rec = run(parse_config_text(
             "scenario = optimal_norm\nkernel.alpha = 0.75\n" + FAST))

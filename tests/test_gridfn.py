@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from calderon_lab import gridfn, potentials
+from calderon_lab import gridfn
 from calderon_lab.errors import (
     DegenerateRange,
     DomainError,
@@ -18,17 +18,12 @@ from calderon_lab.gridfn import (
     SampledFunction,
     cumulative_from_zero,
     cumulative_tail,
-    integrate,
     make_log_grid,
+    power_log_mass,
     sample,
     segment_masses,
     total_mass,
-)
-from calderon_lab.kernels import (
-    BesselMcDonald,
-    KernelSpec,
-    PowerSlowlyVarying,
-    SlowlyVaryingSpec,
+    upper_gamma,
 )
 
 
@@ -64,229 +59,62 @@ class TestMakeLogGrid:
         assert np.allclose(b.points, c * a.points, rtol=1e-13)
 
 
-class TestIntegrate:
-    def test_inverse_sqrt(self):
-        v, e = integrate(lambda x: x ** -0.5, 1.0)
-        assert abs(v - 2.0) <= max(e, 1e-10)
+class TestUpperGamma:
+    def test_against_mpmath(self):
+        # a <= 0 included, with the integers where (1 - x^(a+k))/(a+k) is
+        # its limit -log x; every branch: series, continued fraction, and
+        # Gamma(a, 1) plus the expanded int_x^1
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(0x5EED)
+        pts = [(a, x) for a in np.arange(-3.0, 40.25, 0.25)
+               for x in (1e-3, 0.1, 0.5, 0.999, 1.0, 1.7, 10.0, 41.5, 500.0)]
+        pts += zip(rng.uniform(-3.0, 40.0, 400), np.exp(rng.uniform(math.log(1e-3),
+                                                                   math.log(500.0), 400)))
+        with mpmath.workdps(30):
+            for a, x in pts:
+                ref = float(mpmath.gammainc(mpmath.mpf(a), mpmath.mpf(x)))
+                assert abs(upper_gamma(a, x) - ref) <= 1e-13 * ref, (a, x)
 
-    def test_power_alpha_over_n(self):
-        # alpha = 1/2, n = 1: integral of t^(alpha/n - 1) over (0,1) is n/alpha
-        v, _ = integrate(lambda x: x ** (0.5 - 1.0), 1.0)
-        assert abs(v - 2.0) < 1e-8
+    def test_domain(self):
+        for x in (0.0, -1.0, math.nan):
+            with pytest.raises(DomainError):
+                upper_gamma(0.5, x)
 
+
+class TestPowerLogMass:
     @pytest.mark.parametrize("p", [-0.5, -0.9, -0.99, -0.999])
     def test_pure_power(self, p):
-        # the mass below the float floor is the geometric continuation of
-        # the panel masses, exact for x^p however slowly they decay
-        v, _ = integrate(lambda x: x ** p, 1.0, tol=1e-12)
-        assert abs(v * (1.0 + p) - 1.0) <= 1e-12
+        # the integral of t^p over (0, 1) is 1/(1+p), however slowly it decays
+        assert abs(power_log_mass(p, 0.0, 1.0, 1.0) * (1.0 + p) - 1.0) <= 1e-14
 
     def test_log_power(self):
-        # substitution u = log(e/x) turns this into the integral of u^-2
-        # on (1, inf); the mass beyond the float floor (~1/670) is
-        # log-type, so it is refused, not extrapolated
-        for tol in (1e-4, 1e-8):
-            with pytest.raises(NonConvergent, match="ratio drifts"):
-                integrate(lambda x: np.log(np.e / x) ** -2.0 / x, 1.0, tol=tol)
+        # u = log(e/x) turns log(e/x)^-2 / x on (0, 1] into u^-2 on (1, inf)
+        assert power_log_mass(-1.0, -2.0, 1.0, 1.0) == 1.0
+        assert power_log_mass(-1.0, -1.1, 1.0, 1.0) == pytest.approx(10.0, rel=1e-14)
 
-    @pytest.mark.parametrize("tol", [1e-4, 1e-8])
-    @pytest.mark.parametrize("fn", [
-        lambda x: 1.0 / (x * np.log(np.e / x) ** 1.1),
-        lambda x: x ** -0.99 * np.log(np.e / x) ** -0.8,
-    ], ids=["inv_L1.1", "power_L-0.8"])
-    def test_log_type_endpoint_raises(self, fn, tol):
-        # a log factor makes the panel-mass ratio drift toward 1, so no
-        # geometric continuation is valid past the float floor
-        with pytest.raises(NonConvergent, match="ratio drifts"):
-            integrate(fn, 1.0, tol=tol)
+    @pytest.mark.parametrize("p, e, scale, t0", [
+        (-0.4, 0.5, 1.0, 0.02), (-0.99, -0.8, 1.0, 1.0), (-0.2, -2.5, 0.01, 1e-3),
+        (0.7, 3.0, 2.0, 5.0)])
+    def test_against_mpmath(self, p, e, scale, t0):
+        # u = log(e*scale/t): e^(-(p+1) u) u^e on (L0, inf), an independent form
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            L0 = mpmath.log(mpmath.e * scale / mpmath.mpf(t0))
+            ref = (mpmath.e * scale) ** (p + 1) * mpmath.quad(
+                lambda u: mpmath.exp(-(p + 1) * u) * u ** e,
+                [L0, L0 + 10, L0 + 100, L0 + 1000, L0 + 10000, mpmath.inf])
+        assert abs(power_log_mass(p, e, scale, t0) - float(ref)) <= 1e-13 * float(ref)
 
-    def test_err_estimate_bounds_true_error(self):
-        for fn, b, truth in [
-            (lambda x: np.sin(x), math.pi, 2.0),
-            (lambda x: np.exp(-x), 30.0, -math.expm1(-30.0)),
-            (lambda x: x ** -0.25, 1.0, 4.0 / 3.0),
-        ]:
-            v, e = integrate(fn, b)
-            assert abs(v - truth) <= max(2 * e, 1e-9 * abs(truth))
-
-    def test_divergent_raises(self):
-        for fn in (lambda x: 1.0 / x, lambda x: x ** -1.3):
-            with pytest.raises(NonConvergent):
-                integrate(fn, 1.0)
+    @pytest.mark.parametrize("p, e", [(-1.0, -1.0), (-1.0, 0.0), (-1.3, -5.0), (-1.01, 2.0)])
+    def test_divergent_raises(self, p, e):
+        with pytest.raises(NonConvergent, match="not integrable"):
+            power_log_mass(p, e, 1.0, 0.5)
 
     def test_domain_error(self):
-        with pytest.raises(DomainError):
-            integrate(lambda x: x, 0.0)
-        with pytest.raises(DomainError):
-            integrate(lambda x: x, -1.0)
-        with pytest.raises(DomainError):
-            integrate(lambda x: np.exp(-x), np.inf)
-
-
-def _reference_gauss_panel(f, lo, hi):
-    mid, rad = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    hi_val = rad * float(np.dot(gridfn._GAUSS_HI[1],
-                                gridfn._call(f, mid + rad * gridfn._GAUSS_HI[0])))
-    lo_val = rad * float(np.dot(gridfn._GAUSS_LO[1],
-                                gridfn._call(f, mid + rad * gridfn._GAUSS_LO[0])))
-    return hi_val, abs(hi_val - lo_val)
-
-
-def _reference_adaptive_panel(f, lo, hi, tol_abs, depth=0):
-    val, err = _reference_gauss_panel(f, lo, hi)
-    if err <= tol_abs or err <= 1e-14 * abs(val) or depth >= 14 or not np.isfinite(val):
-        return val, err
-    mid = 0.5 * (lo + hi)
-    v1, e1 = _reference_adaptive_panel(f, lo, mid, tol_abs / 2, depth + 1)
-    v2, e2 = _reference_adaptive_panel(f, mid, hi, tol_abs / 2, depth + 1)
-    return v1 + v2, e1 + e2
-
-
-def _reference_log_panel_limit(f, c, tol):
-    U = math.log(c)
-    g = lambda u: gridfn._call(f, np.exp(u)) * np.exp(u)
-    span = abs(gridfn._FLOOR_U - U)
-    n_panels = max(8, int(math.ceil(span / gridfn._PANEL_WIDTH)))
-    width = span / n_panels
-    masses = []
-    total, err = 0.0, 0.0
-    edge = U
-    scale = gridfn._ABS_FLOOR
-    for _ in range(n_panels):
-        nxt = edge - width
-        val, e = _reference_adaptive_panel(g, nxt, edge, tol * scale / 64)
-        if not np.isfinite(val):
-            raise NonConvergent(
-                "integrand overflow near endpoint; integral appears divergent")
-        masses.append(val)
-        total += val
-        err += e
-        scale = max(scale, abs(total))
-        edge = nxt
-        if len(masses) >= 3:
-            last, prev = abs(masses[-1]), abs(masses[-2])
-            if last <= 0.05 * tol * scale and prev <= 0.05 * tol * scale:
-                return total, err + last
-            if prev > 0 and last / prev < 0.2:
-                r = last / prev
-                tail = last * r / (1.0 - r)
-                if tail <= 0.5 * tol * scale:
-                    return total, err + tail
-    am = np.abs(masses)
-    if np.any(am[1:] >= am[:-1] * (1 - 1e-12)):
-        raise NonConvergent(
-            "endpoint mass does not decay; integral appears divergent")
-    r, r_prev = am[-1] / am[-2], am[-2] / am[-3]
-    if abs(r - r_prev) > tol * (1.0 - r):
-        raise NonConvergent(
-            f"panel-mass ratio drifts ({r_prev:.6g} -> {r:.6g}) toward the "
-            "endpoint; log-type mass beyond the float range is not computed")
-    tail = masses[-1] * r / (1.0 - r)
-    total += tail
-    err += am[-1] * abs(r - r_prev) / (1.0 - r) ** 2
-    return total, err
-
-
-def _reference_integrate(f, b, tol=gridfn.DEFAULT_QUAD_TOL):
-    """integrate as it was while it bisected one panel at a time, depth
-    first, with two calls of f per panel; the level-at-a-time form must
-    agree with it bit for bit."""
-    total, err = _reference_log_panel_limit(f, b, tol)
-    if err > 10 * tol * max(abs(total), gridfn._ABS_FLOOR) + gridfn._ABS_FLOOR:
-        raise NonConvergent(
-            f"error estimate {err:.3e} above tolerance for value {total:.6e}")
-    return total, err
-
-
-# the exp tail past z1 = 1 leaves a kink inside (0, 4H]: the deep-tree case
-_POWER_TAIL = KernelSpec(PowerSlowlyVarying(alpha=0.6, sv=SlowlyVaryingSpec(
-    factors=(("log", 0.5),)), z1=1.0), n=1)
-_BESSEL = KernelSpec(BesselMcDonald(nu=0.125), n=1)
-
-# (integrand, b, tol); each is elementwise, so its error estimate must
-# agree too
-_ELEMENTWISE_CASES = {
-    **{f"power{p}_tol{tol:g}": (lambda x, p=p: x ** p, 1.0, tol)
-       for p in (-0.5, -0.9, -0.99) for tol in (1e-8, 1e-12)},
-    "power_log": (lambda x: x ** -0.7 * np.log(np.e * 2.0 / x) ** 1.5, 0.5, 1e-8),
-    "sin": (np.sin, math.pi, 1e-8),
-    "exp": (lambda x: np.exp(-x), 30.0, 1e-8),
-    "kernel_cell": (_POWER_TAIL.measure_profile_fn(), 6.0 / 127, 1e-10),
-    "kernel_box": (_POWER_TAIL.measure_profile_fn(), 12.0, 1e-8),
-}
-
-
-class TestIntegrateOracle:
-    """integrate against a verbatim copy of its depth-first form."""
-
-    @pytest.mark.parametrize("case", sorted(_ELEMENTWISE_CASES))
-    def test_matches_reference(self, case):
-        f, b, tol = _ELEMENTWISE_CASES[case]
-        got = integrate(f, b, tol)
-        assert got == _reference_integrate(f, b, tol)
-
-    @pytest.mark.parametrize("b, tol", [(6.0 / 127, 1e-10), (6.0 / 511, 1e-10),
-                                        (12.0, 1e-8)])
-    def test_bessel_values_match_reference(self, b, tol):
-        # the Bessel trapezoid is sized by the smallest rho of its batch,
-        # so only the value, not the error estimate, is the same bits
-        f = _BESSEL.measure_profile_fn()
-        assert integrate(f, b, tol)[0] == _reference_integrate(f, b, tol)[0]
-
-    @pytest.mark.parametrize("f, b, tol, match", [
-        (lambda x: np.log(np.e / x) ** -2.0 / x, 1.0, 1e-4, "ratio drifts"),
-        (lambda x: x ** -0.99 * np.log(np.e / x) ** -0.8, 1.0, 1e-8, "ratio drifts"),
-        (lambda x: 1.0 / x, 1.0, 1e-8, "does not decay"),
-        (lambda x: x ** -1.3, 1.0, 1e-8, "overflow"),
-        # the kink at z1 still stalls above 1e-12 at depth 14
-        (_POWER_TAIL.measure_profile_fn(), 12.0, 1e-12, "error estimate"),
-    ], ids=["log_power", "power_L-0.8", "inverse", "power-1.3", "kernel_box_tight"])
-    def test_nonconvergent_messages_match_reference(self, f, b, tol, match):
-        with pytest.raises(NonConvergent, match=match) as want:
-            _reference_integrate(f, b, tol)
-        with pytest.raises(NonConvergent) as got:
-            integrate(f, b, tol)
-        assert str(got.value) == str(want.value)
-
-    def test_tolerance_halved_level_by_level(self, monkeypatch):
-        # the first log panel's tolerance, tol * 1e-300 / 64, is subnormal:
-        # six halvings round it below tol / 2**6, which the depth-6
-        # estimate here sits on, so that level still splits
-        tol = 1e-8 * 1e-300 / 64
-        depths = []
-
-        def panels(f, lo, hi):
-            depth = round(-math.log2(hi[0] - lo[0]))
-            depths.append(depth)
-            err = {6: tol / 2 ** 6, 7: 0.0}.get(depth, 1.0)
-            return np.zeros(len(lo)), np.full(len(lo), err)
-
-        monkeypatch.setattr(gridfn, "_gauss_panels", panels)
-        gridfn._adaptive_panel(None, 0.0, 1.0, tol)
-        assert depths == list(range(8))
-
-    def test_convolver_calls_per_level(self, monkeypatch):
-        # a power-kernel convolver's one integral, over the singular cell,
-        # costs 6 integrand calls, one per bisection level, on 264 points;
-        # the same profile over the box's reach (0, 4H] costs 17 calls on
-        # 936 points.  Panel at a time they were 22 and 78 calls.
-        calls = []
-
-        def counted(f, b, tol):
-            def g(x):
-                calls.append(x.size)
-                return f(x)
-            return integrate(g, b, tol)
-
-        monkeypatch.setattr(potentials, "integrate", counted)
-        f = potentials.bump_and_staircase_family(count=1, resolution=128)[0][1]
-        potentials.convolver(_POWER_TAIL, f)
-        assert len(calls) <= 6
-        assert sum(calls) == 11 * 24
-        calls.clear()
-        counted(_POWER_TAIL.measure_profile_fn(), 4.0 * f.box_halfwidth, 1e-8)
-        assert len(calls) <= 17
-        assert sum(calls) == 39 * 24
+        # the log factor must stay positive on (0, t0]
+        for t0 in (math.e, 10.0):
+            with pytest.raises(DomainError):
+                power_log_mass(-0.5, 1.0, 1.0, t0)
 
 
 class TestRunningIntegral:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import kv as scipy_kv
 
-from calderon_lab.errors import DomainError
+from calderon_lab.errors import DomainError, ResolutionTooCoarse
 from calderon_lab.gridfn import default_grid, make_log_grid
 from calderon_lab.kernels import (
     BesselMcDonald,
@@ -78,6 +78,18 @@ class TestBesselK:
             pair = bessel_k(nu, np.array([rho, 1.0]))
             assert pair[0] == pytest.approx(value, rel=1e-14)
 
+    @pytest.mark.parametrize("nu", [0.05, 0.25, 1.45, 6.45])
+    def test_batch_matches_scalar_bitwise(self, nu):
+        # each rho's nodes and their sum follow rho, not its batch: every
+        # tier, the tier edges, octave edges below 1 and subnormals
+        rng = np.random.default_rng(0x5EED)
+        rho = np.concatenate([rng.uniform(0.01, 1.0, 200), rng.uniform(1.0, 8.0, 40),
+                              rng.uniform(8.0, 64.0, 40), rng.uniform(64.0, 700.0, 40),
+                              [5e-324, 1e-300, 1e-12, 0.25, 0.5, 1.0, 8.0, 64.0, 700.0, 701.0]])
+        batch = bessel_k(nu, rho)
+        assert np.array_equal(batch, [bessel_k(nu, r) for r in rho])
+        assert np.array_equal(batch[::-1], bessel_k(nu, rho[::-1]))
+
 
 class TestKernelSpec:
     def test_bessel_profile_two_sided(self):
@@ -148,6 +160,55 @@ class TestKernelSpec:
             KernelSpec(BesselMcDonald(nu=0.8), n=1)       # nu >= n/2
         with pytest.raises(DomainError):
             KernelSpec(PowerSlowlyVarying(alpha=1.5, sv=SlowlyVaryingSpec()), n=1)
+
+
+class TestCellMass:
+    """KernelSpec.cell_mass: int_0^h phi = 2 int_0^(h/2) Phi for n = 1."""
+
+    @pytest.mark.parametrize("nu", [0.005, 0.03, 0.125, 0.25, 0.4, 0.49, 0.499])
+    def test_bessel_against_mpmath(self, nu):
+        # z = x w^m with m = 1/(1 - 2 nu) makes the z^(-2 nu) endpoint a
+        # bounded integrand in w: an independent route to the same mass
+        mpmath = pytest.importorskip("mpmath")
+        kernel = KernelSpec(BesselMcDonald(nu=nu), n=1)
+        with mpmath.workdps(30):
+            m = 1 / (1 - 2 * mpmath.mpf(nu))
+            for x in np.geomspace(1e-5, 5.0, 8):
+                xm = mpmath.mpf(x)
+                ref = 2 * mpmath.quad(lambda w: (xm * w ** m) ** -nu * mpmath.besselk(
+                    nu, xm * w ** m) * xm * m * w ** (m - 1), [0, 1])
+                assert abs(kernel.cell_mass(2 * x) - float(ref)) <= 1e-13 * float(ref), x
+
+    @pytest.mark.parametrize("factors, half", [
+        ((), 0.004), ((("log", 0.5),), 0.004), ((("log", 0.5),), 0.03),
+        ((("log", 0.7), ("log", -0.4)), 0.004), ((("log", 0.7), ("log", -0.4)), 0.5)],
+        ids=["plain", "log_below_z1", "log_past_z1", "two_logs_below_z1", "two_logs_past_z1"])
+    def test_power_against_mpmath(self, factors, half):
+        # the head z^(alpha-1) l^lambda below z1 = 0.01, the exponential
+        # tail past it; two log factors multiply into one exponent sum
+        mpmath = pytest.importorskip("mpmath")
+        kernel = KernelSpec(PowerSlowlyVarying(alpha=0.6, sv=SlowlyVaryingSpec(
+            factors=factors, scale=0.01), z1=0.01), n=1)
+        with mpmath.workdps(30):
+            def phi(z):
+                zh = min(z, mpmath.mpf("0.01"))
+                lam = mpmath.fprod(mpmath.log(mpmath.e * mpmath.mpf("0.01") / zh) ** e
+                                   for _, e in factors)
+                return zh ** (mpmath.mpf("0.6") - 1) * lam * mpmath.exp(-max(z - zh, 0))
+            ref = 2 * mpmath.quad(phi, [0, min(half, 0.01), half])
+        assert abs(kernel.cell_mass(2 * half) - float(ref)) <= 1e-13 * float(ref)
+
+    def test_rejections(self):
+        loglog = KernelSpec(PowerSlowlyVarying(alpha=0.6, sv=SlowlyVaryingSpec(
+            factors=(("loglog", 1.0),))), n=1)
+        with pytest.raises(DomainError, match="loglog"):
+            loglog.cell_mass(0.01)
+        with pytest.raises(DomainError, match="n = 1"):
+            KernelSpec(BesselMcDonald(nu=0.4), n=2).cell_mass(0.01)
+        bessel = KernelSpec(BesselMcDonald(nu=0.25), n=1)
+        assert bessel.cell_mass(10.0) > 0
+        with pytest.raises(ResolutionTooCoarse, match="99.7%"):
+            bessel.cell_mass(10.0 * (1 + 1e-15))
 
 
 class TestConeKernel:

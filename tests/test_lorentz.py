@@ -159,6 +159,22 @@ class TestEmbeddingFunction:
         ratio = psi.values / model
         assert ratio.max() / ratio.min() < 10.0
 
+    def test_fitted_head_log_growth(self):
+        # the first-span head of tests/data/fitted_head_log_growth.cfg: the
+        # model C t^p log(e/t)^e with p just above -1, whose mass is finite
+        mpmath = pytest.importorskip("mpmath")
+        C, p, e, t0 = 44.2579, -0.97733, 0.91394, 1e-4
+        g = make_log_grid(t0, 1.0, 64)
+        y = np.array([C * t0 ** p * math.log(math.e / t0) ** e])
+        got = lorentz._fitted_head_integral(g, y, gridfn.EndpointFit(p=p, e=e, tag="convergent"))
+        with mpmath.workdps(30):
+            # u = log(e/t): C e^(p+1) int_L0^inf e^(-(p+1) u) u^e du
+            L0 = mpmath.log(mpmath.e / mpmath.mpf(t0))
+            ref = C * mpmath.e ** (p + 1) * mpmath.quad(
+                lambda u: mpmath.exp(-(p + 1) * u) * u ** e,
+                [L0, L0 + 100, L0 + 1000, L0 + 10000, mpmath.inf])
+        assert abs(got - float(ref)) <= 1e-13 * float(ref)
+
 
 class TestEmbeddingCriterion:
     @pytest.mark.parametrize("alpha,expected", [(0.75, True), (0.9, True),

@@ -17,7 +17,6 @@ from calderon_lab.gridfn import (
     LogGrid,
     SampledFunction,
     default_grid,
-    integrate,
     make_log_grid,
     sample,
 )
@@ -99,10 +98,11 @@ class TestConvolve:
         phi_fn = BMD.measure_profile_fn()
         phi_assoc = associate_norm(sp, SampledFunction(g, phi_fn(g.points),
                                                        extension="zero_beyond_T"))
-        head, _ = integrate(phi_fn, 1.0, tol=1e-8)
+        quad = pytest.importorskip("scipy.integrate").quad
+        head = BMD.cell_mass(1.0)
         # phi decays like exp(-tau/2), so its mass beyond tau = 80 is
         # below 1e-15 of the total
-        tail = integrate(phi_fn, 80.0, tol=1e-8)[0] - head
+        tail = quad(phi_fn, 1.0, 80.0, epsabs=0.0, epsrel=1e-12)[0]
         c0 = 1.0 + tail / head
         rng = np.random.default_rng(0x5EED)
         for _ in range(10):
@@ -134,6 +134,19 @@ class TestConvolve:
         with pytest.raises(ResolutionTooCoarse):
             convolve(steep, f)
 
+    def test_bessel_cell_past_series_range(self):
+        # spacing 40/3: the cell's half-width 6.7 is past the series' 5,
+        # where the cell would hold more than 99.7% of the kernel mass
+        f = sample_field(lambda x: (np.abs(x) < 50).astype(float), 100.0, 16)
+        with pytest.raises(ResolutionTooCoarse, match="99.7%"):
+            convolver(BMD, f)
+
+    def test_loglog_kernel_rejected(self):
+        loglog = KernelSpec(PowerSlowlyVarying(alpha=0.6, sv=SlowlyVaryingSpec(
+            factors=(("loglog", 0.5),))), n=1)
+        with pytest.raises(DomainError, match="loglog"):
+            convolver(loglog, sample_field(np.cos, 3.0, 256))
+
     def test_dimension_mismatch(self):
         f = sample_field(lambda x: x * 0 + 1.0, 1.0, 32)
         with pytest.raises(DomainError):
@@ -153,7 +166,7 @@ class TestConvolve:
                 m = f.resolution
                 h = f.spacing
                 table = kernel.profile(np.abs(h * np.arange(-(m - 1), m))) * h
-                table[m - 1] = integrate(kernel.measure_profile_fn(), h, tol=1e-10)[0]
+                table[m - 1] = kernel.cell_mass(h)
                 ref = signal.convolve(f.values, table, mode="same", method="direct")
                 assert np.array_equal(u.values, ref), name
 
@@ -186,11 +199,11 @@ class TestConvolve:
     def test_integrals_once_per_family(self, monkeypatch):
         # the singular cell's integral is the per-grid build; a family on
         # one grid must not repeat it per field
-        calls = []
-        def counting(*args, **kwargs):
-            calls.append(args[1])
-            return integrate(*args, **kwargs)
-        monkeypatch.setattr(potentials, "integrate", counting)
+        calls, cell_mass = [], KernelSpec.cell_mass
+        def counting(kernel, h):
+            calls.append(h)
+            return cell_mass(kernel, h)
+        monkeypatch.setattr(KernelSpec, "cell_mass", counting)
         sp = LorentzSpace(2.0, FLAT, default_grid())
         upper_cone_check(sp, BMD, 1, bump_and_staircase_family(count=3, resolution=256),
                          t_grid=make_log_grid(1e-4, 1.0, 8))
@@ -665,6 +678,7 @@ class TestEnvelopeSandwich:
         # integral collapse to the kernel mass over (0, L)
         from calderon_lab.gridfn import head_mass, segment_masses
         from calderon_lab.kernels import cone_kernel
+        quad = pytest.importorskip("scipy.integrate").quad
         L = 0.5
         f = sample_field(lambda x: (np.abs(x) < L / 2).astype(float), 3.0, 512)
         g = default_grid()
@@ -673,5 +687,5 @@ class TestEnvelopeSandwich:
         for t in (0.01, 0.3):
             y = cone_kernel(phi_fn, 1, 1, t, g.points) * fstar.values
             got = head_mass(g.points, y) + float(np.sum(segment_masses(g.points, y)))
-            val, _ = integrate(lambda s: cone_kernel(phi_fn, 1, 1, t, s), L, tol=1e-8)
+            val = quad(lambda s: cone_kernel(phi_fn, 1, 1, t, s), 0.0, L)[0]
             assert abs(got - val) < 0.02 * val
