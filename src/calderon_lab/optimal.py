@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DomainError,
@@ -225,6 +224,28 @@ def _stieltjes_sum(v: np.ndarray, psi: np.ndarray, q: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# the exponential sum for 1/z
+# ---------------------------------------------------------------------------
+
+# Step in u = log s of the trapezoid rule for 1/z = int exp(u - z e^u) du.
+# Its aliasing error is at most 2 |Gamma(1 + 2 pi i / h)|, 1.8e-16
+# relative at h = 1/4, for every z > 0.
+_EXP_SUM_STEP = 0.25
+
+
+def exp_sum_nodes(z_min: float, z_max: float) -> np.ndarray:
+    """Nodes s_m with 1/z = h sum_m s_m exp(-s_m z) to double precision
+    for z in [z_min, z_max], h = _EXP_SUM_STEP: the trapezoid rule in
+    u = log s from log(eps / z_max) - 1, where the cut head holds below
+    eps / e of 1/z, to log(40 / z_min), where the cut tail holds below
+    exp(-40).  Every term is positive."""
+    lo = math.log(np.finfo(float).eps / z_max) - 1.0
+    hi = math.log(40.0 / z_min)
+    count = math.ceil((hi - lo) / _EXP_SUM_STEP) + 1
+    return np.exp(lo + _EXP_SUM_STEP * np.arange(count))
+
+
+# ---------------------------------------------------------------------------
 # the four associate functionals
 # ---------------------------------------------------------------------------
 
@@ -233,23 +254,23 @@ class AssociateNormEngine:
     nonnegative g on one grid.
 
     The double-integral functional needs the cone kernel
-    phi(tau) / (1 + (tau/xi)^(k/n)).  It relies on the geometric grid,
-    where tau/xi = r^(j-i): the logistic factor depends on j - i alone and
-    is stored as one Toeplitz row of length 2N - 1 (O(grid) memory, no
-    N x N matrix).  rho0_family evaluates a family as one GEMM
-    (F x N) . Toeplitz, copying _BLOCK Toeplitz columns at a time into one
-    reused buffer: about _BLOCK * N + 2 F * N floats.  Every term is
-    nonnegative, so any summation order keeps each psi0 entry to a few ulp;
-    an FFT product is ruled out, as its error scales with the row maximum
-    (4.5e-8 relative on tail entries at k/n = 2).  rho0 is the one-row
-    case, as rho_tilde is of rho_tilde_family; both families run their
-    rows through the grid rules in row blocks.  The reduced functionals
-    only need running integrals.
+    phi(tau) / (1 + (tau/xi)^(k/n)).  With y = t^(k/n), its logistic
+    factor is y(xi) / (y(tau) + y(xi)), and 1/z is the positive
+    exponential sum of exp_sum_nodes, so the kernel splits into
+    exp(-s_m y(tau)) exp(-s_m y(xi)) over M nodes (189 to 312 on a 1e-8
+    span, 459 at 1e-16): no N x N matrix and no particular grid.
+    rho0_family makes two passes over column blocks of the M x N table
+    exp(-s y), first for the F x M node coefficients of the family, then
+    for the product, written over the weighted family: about
+    F * N + 64 * N + F * M floats and 2 ceil(M / 64) GEMMs.  Every term is
+    nonnegative, so each psi0 entry keeps the rule's 1.8e-16 relative
+    accuracy up to a few ulp of rounding; an FFT product is ruled out, as
+    its error scales with the row maximum (4.5e-8 relative on tail
+    entries at k/n = 2).  rho0 is the one-row case, as rho_tilde is of
+    rho_tilde_family; both families run their rows through the grid
+    rules in row blocks.  The reduced functionals only need running
+    integrals.
     """
-
-    # Toeplitz columns copied per GEMM: 64 * N * 8 bytes, 2 MB at N = 4000;
-    # wider blocks run faster but lift the peak memory
-    _BLOCK = 64
 
     def __init__(self, space: LorentzSpace, phi, k: int, n: int):
         self.space = space
@@ -267,10 +288,11 @@ class AssociateNormEngine:
         du[0] = 0.5 * (u[1] - u[0])
         du[-1] = 0.5 * (u[-1] - u[-2])
         self.xi_weights = t * du
-        # logistic factor of the cone kernel, kernel_row[d + N - 1] =
-        # 1 / (1 + r^(kn d)) for d = j - i in 1-N .. N-1
-        self.kernel_row = 1.0 / (1.0 + np.concatenate(
-            ((t[0] / t[:0:-1]) ** self.kn, (t / t[0]) ** self.kn)))
+        # y = t^(k/n) scaled to y(T) = 1, the nodes of 1/(y(tau) + y(xi)),
+        # and the weights w y that turn g into the kernel's coefficients
+        self.y = (t / t[-1]) ** self.kn
+        self.nodes = exp_sum_nodes(2.0 * self.y[0], 2.0 * self.y[-1])
+        self.cone_weights = self.xi_weights * self.y
         # smooth factors multiplying g in the reduced functionals, with
         # their below-grid head masses (g itself is treated as locally
         # constant below the grid: a two-point power fit on staircase or
@@ -328,19 +350,35 @@ class AssociateNormEngine:
 
     def _psi0(self, G) -> np.ndarray:
         """Rows tau -> int Omega(xi, tau) g(xi) dxi for the rows g of G."""
-        N, B = len(self.t), self._BLOCK
-        # Toeplitz column j is kernel_row[j:j + N] reversed: reverse G
-        # instead, weighting each row straight into one F x N array
+        N, s = len(self.t), self.nodes
         a = np.empty((len(G), N))
         for row, g in zip(a, G):
-            np.multiply(self.xi_weights[::-1], self._checked(g)[::-1], out=row)
-        windows = sliding_window_view(self.kernel_row, N)
-        buf, out = np.empty((B, N)), np.empty(a.shape)
-        for j in range(0, N, B):
-            block = buf[:min(B, N - j)]
-            np.copyto(block, windows[j:j + B])
-            np.matmul(a, block.T, out=out[:, j:j + B])
-        return np.multiply(out, self.phi_vals, out=out)
+            np.multiply(self.cone_weights, self._checked(g), out=row)
+        # a row with an infinite or NaN coefficient has that sum in every
+        # entry (the kernel is positive); the product would turn inf * 0
+        # into NaN where exp(-s y) underflows, so it runs on zeros instead
+        bad = ~np.all(np.isfinite(a), axis=1)
+        totals = np.sum(a[bad], axis=1)
+        a[bad] = 0.0
+        # column blocks of the M x N table exp(-s y) in one buffer of about
+        # 64 N floats
+        B = math.ceil(64 * N / len(s))
+        buf, coef = np.empty((len(s), B)), np.zeros((len(G), len(s)))
+        blocks = [slice(j, min(j + B, N)) for j in range(0, N, B)]
+        for cols in blocks:
+            table = self._exp_table(buf, cols)
+            coef += a[:, cols] @ table.T
+        coef *= _EXP_SUM_STEP * s
+        for cols in blocks:
+            np.matmul(coef, self._exp_table(buf, cols), out=a[:, cols])
+        a[bad] = totals[:, None]
+        return np.multiply(a, self.phi_vals, out=a)
+
+    def _exp_table(self, buf: np.ndarray, cols: slice) -> np.ndarray:
+        """exp(-s_m y_j) for every node m and the grid columns j in cols."""
+        table = buf[:, :cols.stop - cols.start]
+        np.multiply.outer(-self.nodes, self.y[cols], out=table)
+        return np.exp(table, out=table)
 
     def rho0_family(self, G) -> np.ndarray:
         """rho0 of each row of G, an F x N array or a list of F rows."""

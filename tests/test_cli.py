@@ -419,6 +419,15 @@ class TestScenarios:
         del got["wall_time_s"]
         assert _mismatches(got, json.loads((DATA / f"{name}.json").read_text())) == []
 
+    def test_equivalence_4000_report_pinned(self):
+        # the family product of AssociateNormEngine at the largest grid the
+        # lattice benchmark runs (its seed 104, item 107), checked end to
+        # end against the report next to the config
+        got = json.loads(run(parse_config_text(
+            (DATA / "equivalence_4000.cfg").read_text())).to_json())
+        del got["wall_time_s"]
+        assert _mismatches(got, json.loads((DATA / "equivalence_4000.json").read_text())) == []
+
     def test_besov_zero_factor(self, monkeypatch):
         # an infinite direct norm gives a zero factor; the spread is then
         # infinite, without a division by zero, and the check fails

@@ -34,6 +34,7 @@ from calderon_lab.optimal import (
     check_condition_a,
     check_condition_b,
     equivalence_report,
+    exp_sum_nodes,
     half_level_point,
     hardy_constants,
     largest_monotone_exponent,
@@ -274,11 +275,11 @@ class TestConeKernel:
     @pytest.mark.parametrize("points", [64, 700])
     @pytest.mark.parametrize("k,n", [(1, 3), (1, 2), (1, 1), (2, 1)])
     def test_rho0_matches_dense_matrix(self, k, n, points):
-        # The grid is geometric only to rounding, so the Toeplitz row and
-        # the dense (t_j/t_i)^(k/n) differ by <= 4.3e-15 relative per psi0
-        # entry.  The two-point power fit of head_mass divides that by
-        # log r and by the fitted exponent's distance from -1: measured up
-        # to 6.6e-14 relative in rho0 at 700 points, 1.5e-12 at 4000.
+        # The exponential sum and the dense (t_j/t_i)^(k/n) differ by
+        # <= 2.8e-15 relative per psi0 entry.  The two-point power fit of
+        # head_mass divides that by log r and by the fitted exponent's
+        # distance from -1: measured up to 1.3e-13 relative in rho0 at 700
+        # points, 8.9e-13 at 4000.
         g = default_grid(points=points)
         t = g.points
         phi = power_phi(g, 0.75)
@@ -304,13 +305,14 @@ class TestConeKernel:
     @pytest.mark.parametrize("points", [64, 700])
     @pytest.mark.parametrize("k,n", [(1, 3), (1, 2), (1, 1), (2, 1)])
     def test_family_psi0_matches_dense_matrix(self, k, n, points):
-        # Every term w g Omega is nonnegative, so the blocked GEMM keeps
-        # each psi0 entry within a few ulp of the dense product (4.7e-15
-        # seen), down to the head-indicator tail entries below 1e-12 of the
-        # row maximum at k/n = 2.  A batched rfft product does not: its
-        # error scales with the row maximum, measured at 4.5e-8 relative on
-        # such entries at k/n = 2 (1e-8 span, 1000 and 4000 points) and
-        # 1.0e-7 in the 700-point case here, so it must fail this test.
+        # Every term of the exponential sum is nonnegative, so each psi0
+        # entry keeps its relative accuracy against the dense product
+        # (2.2e-15 seen), down to the head-indicator tail entries below
+        # 1e-12 of the row maximum at k/n = 2.  A batched rfft product
+        # does not: its error scales with the row maximum, measured at
+        # 4.5e-8 relative on such entries at k/n = 2 (1e-8 span, 1000 and
+        # 4000 points) and 1.0e-7 in the 700-point case here, so it must
+        # fail this test.
         g = default_grid(points=points)
         t = g.points
         phi = power_phi(g, 0.25)
@@ -329,6 +331,59 @@ class TestConeKernel:
         if k == 2 * n:
             assert np.any(want < 1e-12 * want.max(axis=1, keepdims=True))
         assert np.max(np.abs(got - want) / want) <= 1e-13
+
+    @pytest.mark.parametrize("span", [1e-8, 1e-16])
+    @pytest.mark.parametrize("kn", [1 / 3, 2 / 3, 1.0, 2.0])
+    def test_exp_sum_nodes_reproduce_reciprocal(self, span, kn):
+        # h sum s exp(-s z) = 1/z over the engine's range z = y(tau) + y(xi),
+        # y = (t/T)^(k/n), each sum taken exactly: 3.3e-16 seen
+        z_min = 2.0 * span ** kn
+        s = exp_sum_nodes(z_min, 2.0)
+        for z in np.geomspace(z_min, 2.0, 2001):
+            total = 0.25 * math.fsum(s * np.exp(-s * z))
+            assert abs(total * z - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize("span", [1e-8, 1e-16])
+    @pytest.mark.parametrize("k,n", [(1, 3), (2, 3), (1, 1), (2, 1)])
+    def test_family_psi0_matches_dense_columns_at_4000_points(self, k, n, span):
+        # 50 columns tau of the dense product, never an N x N matrix: the
+        # node count and the column blocks at the size the lattice runs
+        g = make_log_grid(span, 1.0, 4000)
+        t = g.points
+        phi = power_phi(g, 0.25)
+        cols = np.linspace(0, len(t) - 1, 50).astype(int)
+        omega = (np.asarray(phi(t))[None, cols]
+                 / (1.0 + (t[None, cols] / t[:, None]) ** (k / n)))
+        G = np.array([gv for _, gv in sample_family(g)])
+        eng = AssociateNormEngine(LorentzSpace(2.0, FLAT, g), phi, k, n)
+        want = (eng.xi_weights * G) @ omega
+        got = eng._psi0(G)[:, cols]
+        assert np.all(got[want == 0] == 0.0)
+        pos = want > 0
+        assert np.max(np.abs(got[pos] - want[pos]) / want[pos]) <= 1e-13
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("where", [0, 3, 698, 699])
+    def test_infinite_entry_gives_infinite_rho0(self, where):
+        # exp(-s y) underflows to 0 for large s, so an inf entry must not
+        # reach the product, where inf * 0 would be NaN and warn
+        g = default_grid(points=700)
+        eng = AssociateNormEngine(LorentzSpace(2.0, FLAT, g), power_phi(g, 0.75), 1, 2)
+        bad, good = np.ones(700), np.linspace(1.0, 2.0, 700)
+        bad[where] = math.inf
+        assert eng.rho0(bad) == math.inf
+        got = eng.rho0_family([good, bad, good])
+        assert got[1] == math.inf
+        assert math.isfinite(got[0])
+        for value in (got[2], eng.rho0(good)):
+            assert abs(value - got[0]) <= 1e-12 * got[0]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_empty_family(self):
+        g = default_grid(points=64)
+        eng = AssociateNormEngine(LorentzSpace(2.0, FLAT, g), power_phi(g, 0.75), 1, 2)
+        assert eng.rho0_family(np.empty((0, 64))).shape == (0,)
+        assert eng.rho0_family([]).shape == (0,)
 
     @pytest.mark.parametrize("length", [63, 65])
     @pytest.mark.parametrize("method", ["rho0", "rho_tilde", "rho1", "rho2",
@@ -371,8 +426,9 @@ class TestConeKernel:
         # A dense 4000 x 4000 cone kernel and its ratio temporary take
         # 256 MB.  RSS, not tracemalloc: numpy's internal copy of a strided
         # matmul operand does not show in tracemalloc.  Measured growth:
-        # 5.9 MiB with the family product (a 2 MB column-block buffer, the
-        # weighted family and the result, 1.6 MB each), 0.8 MiB with the
+        # 5.3 MiB with the family product (the weighted family, 1.6 MB,
+        # overwritten by the result, a 2 MB column block of the exponential
+        # table and the family's node coefficients), 0.8 MiB with the
         # earlier per-g np.convolve loop.
         code = (
             "import resource, sys\n"
