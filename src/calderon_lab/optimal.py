@@ -227,22 +227,36 @@ def _stieltjes_sum(v: np.ndarray, psi: np.ndarray, q: float) -> float:
 # the exponential sum for 1/z
 # ---------------------------------------------------------------------------
 
-# Step in u = log s of the trapezoid rule for 1/z = int exp(u - z e^u) du.
-# Its aliasing error is at most 2 |Gamma(1 + 2 pi i / h)|, 1.8e-16
+# Step of the trapezoid rule for 1/z = int exp(u - z e^u) du.  In u = log s
+# its aliasing error is at most 2 |Gamma(1 + 2 pi i / h)|, 1.8e-16
 # relative at h = 1/4, for every z > 0.
 _EXP_SUM_STEP = 0.25
+# exp(-x) is exactly 0.0 for x > 746 (the least subnormal is exp(-744.4))
+_EXP_UNDERFLOW = 746.0
+# grid columns per block of the exponential table: a block of a few hundred
+# KB (384 to 768 columns time alike at 4000 points)
+_COLUMN_BLOCK = 512
 
 
-def exp_sum_nodes(z_min: float, z_max: float) -> np.ndarray:
-    """Nodes s_m with 1/z = h sum_m s_m exp(-s_m z) to double precision
-    for z in [z_min, z_max], h = _EXP_SUM_STEP: the trapezoid rule in
-    u = log s from log(eps / z_max) - 1, where the cut head holds below
-    eps / e of 1/z, to log(40 / z_min), where the cut tail holds below
-    exp(-40).  Every term is positive."""
-    lo = math.log(np.finfo(float).eps / z_max) - 1.0
-    hi = math.log(40.0 / z_min)
-    count = math.ceil((hi - lo) / _EXP_SUM_STEP) + 1
-    return np.exp(lo + _EXP_SUM_STEP * np.arange(count))
+def exp_sum_nodes(z_min: float, z_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending nodes s_m and positive weights w_m with
+    1/z = sum_m w_m exp(-s_m z) to double precision for z in
+    [z_min, z_max]: the trapezoid rule of step h = _EXP_SUM_STEP in v,
+    where u = log s = v - exp(v0 - v).
+
+    Below v0 = h floor((log(1 / z_max) - 3) / h), where exp(-s z) is
+    about 1, the substitution makes the integrand decay double
+    exponentially: 15 nodes below v0 hold the head that takes a node per
+    h over 37 units of u in u itself.  The rule ends at the first lattice
+    point past log(40 / z_min), where the cut tail holds below exp(-40).
+    The nodes lie on the h-lattice, so v0 - v is exact: off it, the
+    rounding of v doubles the error (8.9e-16 against 4.4e-16 relative).
+    Every weight is positive."""
+    j0 = math.floor((math.log(1.0 / z_max) - 3.0) / _EXP_SUM_STEP)
+    j = np.arange(j0 - 15, math.ceil(math.log(40.0 / z_min) / _EXP_SUM_STEP) + 1)
+    e = np.exp(_EXP_SUM_STEP * (j0 - j))
+    s = np.exp(_EXP_SUM_STEP * j) * np.exp(-e)
+    return s, _EXP_SUM_STEP * s * (1.0 + e)
 
 
 # ---------------------------------------------------------------------------
@@ -257,19 +271,20 @@ class AssociateNormEngine:
     phi(tau) / (1 + (tau/xi)^(k/n)).  With y = t^(k/n), its logistic
     factor is y(xi) / (y(tau) + y(xi)), and 1/z is the positive
     exponential sum of exp_sum_nodes, so the kernel splits into
-    exp(-s_m y(tau)) exp(-s_m y(xi)) over M nodes (189 to 312 on a 1e-8
-    span, 459 at 1e-16): no N x N matrix and no particular grid.
-    rho0_family makes two passes over column blocks of the M x N table
-    exp(-s y), first for the F x M node coefficients of the family, then
-    for the product, written over the weighted family: about
-    F * N + 64 * N + F * M floats and 2 ceil(M / 64) GEMMs.  Every term is
-    nonnegative, so each psi0 entry keeps the rule's 1.8e-16 relative
-    accuracy up to a few ulp of rounding; an FFT product is ruled out, as
-    its error scales with the row maximum (4.5e-8 relative on tail
-    entries at k/n = 2).  rho0 is the one-row case, as rho_tilde is of
-    rho_tilde_family; both families run their rows through the grid
-    rules in row blocks.  The reduced functionals only need running
-    integrals.
+    exp(-s_m y(tau)) exp(-s_m y(xi)) over M nodes (68 to 191 on a 1e-8
+    span, 338 at 1e-16): no N x N matrix and no particular grid.
+    rho0_family builds the M x N table exp(-s y) once, in column blocks
+    cut short where its entries are exactly 0.0, and makes two passes
+    over it: first for the F x M node coefficients of the family, then
+    for the product, written over the weighted family.  That holds
+    F * N + table + F * M floats, the table at most M * N, and makes
+    2 ceil(N / _COLUMN_BLOCK) GEMMs.  Every term is nonnegative, so each
+    psi0 entry keeps the rule's relative accuracy up to a few ulp of
+    rounding; an FFT product is ruled out, as its error scales with the
+    row maximum (4.5e-8 relative on tail entries at k/n = 2).  rho0 is
+    the one-row case, as rho_tilde is of rho_tilde_family; both families
+    run their rows through the grid rules in row blocks.  The reduced
+    functionals only need running integrals.
     """
 
     def __init__(self, space: LorentzSpace, phi, k: int, n: int):
@@ -291,7 +306,7 @@ class AssociateNormEngine:
         # y = t^(k/n) scaled to y(T) = 1, the nodes of 1/(y(tau) + y(xi)),
         # and the weights w y that turn g into the kernel's coefficients
         self.y = (t / t[-1]) ** self.kn
-        self.nodes = exp_sum_nodes(2.0 * self.y[0], 2.0 * self.y[-1])
+        self.nodes, self.node_weights = exp_sum_nodes(2.0 * self.y[0], 2.0 * self.y[-1])
         self.cone_weights = self.xi_weights * self.y
         # smooth factors multiplying g in the reduced functionals, with
         # their below-grid head masses (g itself is treated as locally
@@ -350,8 +365,7 @@ class AssociateNormEngine:
 
     def _psi0(self, G) -> np.ndarray:
         """Rows tau -> int Omega(xi, tau) g(xi) dxi for the rows g of G."""
-        N, s = len(self.t), self.nodes
-        a = np.empty((len(G), N))
+        a = np.empty((len(G), len(self.t)))
         for row, g in zip(a, G):
             np.multiply(self.cone_weights, self._checked(g), out=row)
         # a row with an infinite or NaN coefficient has that sum in every
@@ -360,25 +374,30 @@ class AssociateNormEngine:
         bad = ~np.all(np.isfinite(a), axis=1)
         totals = np.sum(a[bad], axis=1)
         a[bad] = 0.0
-        # column blocks of the M x N table exp(-s y) in one buffer of about
-        # 64 N floats
-        B = math.ceil(64 * N / len(s))
-        buf, coef = np.empty((len(s), B)), np.zeros((len(G), len(s)))
-        blocks = [slice(j, min(j + B, N)) for j in range(0, N, B)]
-        for cols in blocks:
-            table = self._exp_table(buf, cols)
-            coef += a[:, cols] @ table.T
-        coef *= _EXP_SUM_STEP * s
-        for cols in blocks:
-            np.matmul(coef, self._exp_table(buf, cols), out=a[:, cols])
+        blocks = self._exp_blocks()
+        coef = np.zeros((len(G), len(self.nodes)))
+        for cols, table in blocks:
+            coef[:, :len(table)] += a[:, cols] @ table.T
+        coef *= self.node_weights
+        for cols, table in blocks:
+            np.matmul(coef[:, :len(table)], table, out=a[:, cols])
         a[bad] = totals[:, None]
         return np.multiply(a, self.phi_vals, out=a)
 
-    def _exp_table(self, buf: np.ndarray, cols: slice) -> np.ndarray:
-        """exp(-s_m y_j) for every node m and the grid columns j in cols."""
-        table = buf[:, :cols.stop - cols.start]
-        np.multiply.outer(-self.nodes, self.y[cols], out=table)
-        return np.exp(table, out=table)
+    def _exp_blocks(self) -> list:
+        """The M x N table exp(-s_m y_j) as (cols, table) column blocks of
+        _COLUMN_BLOCK columns, without its exact zeros: s and y ascend, so
+        a block keeps only the nodes with s y(first column) <=
+        _EXP_UNDERFLOW, and every entry it drops is exactly 0.0 (numpy's
+        exp is slowest on those)."""
+        s, y = self.nodes, self.y
+        blocks = []
+        for j in range(0, len(y), _COLUMN_BLOCK):
+            cols = slice(j, j + _COLUMN_BLOCK)
+            m = np.searchsorted(s * y[j], _EXP_UNDERFLOW, side="right")
+            table = np.multiply.outer(-s[:m], y[cols])
+            blocks.append((cols, np.exp(table, out=table)))
+        return blocks
 
     def rho0_family(self, G) -> np.ndarray:
         """rho0 of each row of G, an F x N array or a list of F rows."""

@@ -421,12 +421,13 @@ class TestScenarios:
 
     def test_equivalence_4000_report_pinned(self):
         # the family product of AssociateNormEngine at the largest grid the
-        # lattice benchmark runs (its seed 104, item 107), checked end to
-        # end against the report next to the config
-        got = json.loads(run(parse_config_text(
-            (DATA / "equivalence_4000.cfg").read_text())).to_json())
-        del got["wall_time_s"]
-        assert _mismatches(got, json.loads((DATA / "equivalence_4000.json").read_text())) == []
+        # lattice benchmark runs, checked end to end against the report
+        # next to each config: its seed 104, item 107 (k/n = 1/3) and item
+        # 75 (k/n = 2, where the table exp(-s y) has the most exact zeros)
+        for name in ("equivalence_4000", "equivalence_k2_4000"):
+            got = json.loads(run(parse_config_text((DATA / f"{name}.cfg").read_text())).to_json())
+            del got["wall_time_s"]
+            assert _mismatches(got, json.loads((DATA / f"{name}.json").read_text())) == [], name
 
     def test_besov_zero_factor(self, monkeypatch):
         # an infinite direct norm gives a zero factor; the spread is then

@@ -307,7 +307,7 @@ class TestConeKernel:
     def test_family_psi0_matches_dense_matrix(self, k, n, points):
         # Every term of the exponential sum is nonnegative, so each psi0
         # entry keeps its relative accuracy against the dense product
-        # (2.2e-15 seen), down to the head-indicator tail entries below
+        # (2.3e-15 seen), down to the head-indicator tail entries below
         # 1e-12 of the row maximum at k/n = 2.  A batched rfft product
         # does not: its error scales with the row maximum, measured at
         # 4.5e-8 relative on such entries at k/n = 2 (1e-8 span, 1000 and
@@ -335,13 +335,40 @@ class TestConeKernel:
     @pytest.mark.parametrize("span", [1e-8, 1e-16])
     @pytest.mark.parametrize("kn", [1 / 3, 2 / 3, 1.0, 2.0])
     def test_exp_sum_nodes_reproduce_reciprocal(self, span, kn):
-        # h sum s exp(-s z) = 1/z over the engine's range z = y(tau) + y(xi),
-        # y = (t/T)^(k/n), each sum taken exactly: 3.3e-16 seen
+        # sum w exp(-s z) = 1/z over the engine's range z = y(tau) + y(xi),
+        # y = (t/T)^(k/n), each sum taken exactly: 4.4e-16 seen
         z_min = 2.0 * span ** kn
-        s = exp_sum_nodes(z_min, 2.0)
+        s, w = exp_sum_nodes(z_min, 2.0)
         for z in np.geomspace(z_min, 2.0, 2001):
-            total = 0.25 * math.fsum(s * np.exp(-s * z))
+            total = math.fsum(w * np.exp(-s * z))
             assert abs(total * z - 1.0) <= 1e-15
+        assert np.all(w > 0) and np.all(np.diff(s) > 0)
+        # s = exp(v - e), w = h s (1 + e): v = log s + w / (h s) - 1 lies
+        # on the h-lattice, one step apart
+        j = (np.log(s) + w / (0.25 * s) - 1.0) / 0.25
+        assert np.max(np.abs(j - np.round(j))) <= 1e-9
+        assert np.all(np.diff(np.round(j)) == 1)
+        # the trapezoid rule in u = log s took 189-312 and 214-459 nodes
+        most = {1e-8: {1 / 3: 68, 2 / 3: 93, 1.0: 117, 2.0: 191},
+                1e-16: {1 / 3: 93, 2 / 3: 142, 1.0: 191, 2.0: 338}}
+        assert len(s) <= most[span][kn]
+
+    def test_exp_table_cut_drops_only_zeros(self):
+        # k/n = 2 on a 1e-16 span: the blocks keep the leading rows of the
+        # full table exp(-s y), bit for bit, and every entry they drop is
+        # exactly 0.0
+        g = make_log_grid(1e-16, 1.0, 4000)
+        eng = AssociateNormEngine(LorentzSpace(2.0, FLAT, g), power_phi(g, 0.25), 2, 1)
+        full = np.exp(np.multiply.outer(-eng.nodes, eng.y))
+        kept = 0
+        blocks = eng._exp_blocks()
+        covered = np.concatenate([np.arange(4000)[cols] for cols, _ in blocks])
+        assert np.array_equal(covered, np.arange(4000))
+        for cols, table in blocks:
+            assert np.array_equal(table, full[:len(table), cols])
+            assert np.all(full[len(table):, cols] == 0.0)
+            kept += table.size
+        assert kept < 0.9 * full.size
 
     @pytest.mark.parametrize("span", [1e-8, 1e-16])
     @pytest.mark.parametrize("k,n", [(1, 3), (2, 3), (1, 1), (2, 1)])
@@ -426,10 +453,11 @@ class TestConeKernel:
         # A dense 4000 x 4000 cone kernel and its ratio temporary take
         # 256 MB.  RSS, not tracemalloc: numpy's internal copy of a strided
         # matmul operand does not show in tracemalloc.  Measured growth:
-        # 5.3 MiB with the family product (the weighted family, 1.6 MB,
-        # overwritten by the result, a 2 MB column block of the exponential
-        # table and the family's node coefficients), 0.8 MiB with the
-        # earlier per-g np.convolve loop.
+        # 6.0 MiB with the family product (the weighted family, 1.6 MB,
+        # overwritten by the result, the exponential table, at most 3.7 MB
+        # for its 117 nodes, and the family's node coefficients), 5.3 MiB
+        # when each pass rebuilt the table in a 2 MB buffer, 0.8 MiB with
+        # the earlier per-g np.convolve loop.
         code = (
             "import resource, sys\n"
             "from calderon_lab.gridfn import default_grid, sample\n"
