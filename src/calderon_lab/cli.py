@@ -496,7 +496,7 @@ def _scenario_covering_sample(cfg: ExperimentConfig, rec: ReportRecord):
            float(np.min(masses)), "cone kernel mass positive at every scale")
     fam = bump_and_staircase_family(count=3, resolution=cfg.field_resolution,
                                     seed=cfg.seed)
-    cone = upper_cone_check(space, kernel, cfg.k, fam,
+    cone = upper_cone_check(space, kernel, phi, cfg.k, fam,
                             t_grid=make_log_grid(1e-4 * cfg.T, cfg.T, 32))
     rec.scalars["empirical_c1"] = cone.c1
     rec.scalars["covering_ratios"] = cone.per_field

@@ -340,8 +340,8 @@ def _term_levels(k: int, start, children) -> list:
     return levels
 
 
-def _power_derivative_fns(kernel: KernelSpec, k: int):
-    """Callables z -> Phi^(i)(z), i = 0..k, in closed form.
+def _power_derivatives(kernel: KernelSpec, k: int):
+    """The callable z -> [Phi^(i)(z) for i = 0..k], in closed form.
 
     With a = alpha - n, l1 = log(e*scale/z) and l2 = log(e*l1), so that
     l1' = -1/z and l2' = -1/(z l1), the head z^a l1^p1 l2^p2 has i-th
@@ -364,31 +364,34 @@ def _power_derivative_fns(kernel: KernelSpec, k: int):
 
     levels = _term_levels(k, (0, 0), children)
 
-    def fn(zz, i):
+    def derivs(zz):
         zz = np.asarray(zz, dtype=float)
         zh = np.minimum(zz, v.z1)
         l1 = _iterated_log(zh, 1, v.sv.scale)
         l2 = np.log(math.e * l1) if p2 else 1.0
-        logs = sum(c * l1 ** (p1 - j1) * l2 ** (p2 - j2)
-                   for (j1, j2), c in levels[i].items())
         tail = np.exp(-v.tail_rate * (np.maximum(zz, v.z1) - v.z1))
-        return np.where(zz <= v.z1, zh ** (a - i) * logs,
-                        cap * (-v.tail_rate) ** i * tail)
+        out = []
+        for i, level in enumerate(levels):
+            logs = sum(c * l1 ** (p1 - j1) * l2 ** (p2 - j2) for (j1, j2), c in level.items())
+            out.append(np.where(zz <= v.z1, zh ** (a - i) * logs,
+                                cap * (-v.tail_rate) ** i * tail))
+        return out
 
-    return [lambda zz, i=i: fn(zz, i) for i in range(k + 1)]
+    return derivs
 
 
-def _phi_derivative_fns(kernel: KernelSpec, k: int):
-    """Callables z -> Phi^(i)(z), i = 0..k, in closed form for both
-    kernel families and any k.
+def _phi_derivatives(kernel: KernelSpec, k: int):
+    """The callable z -> [Phi^(i)(z) for i = 0..k], in closed form for
+    both kernel families and any k, each term evaluated once per z.
 
     Bessel family: Phi = z^(-nu) K_nu(z), and K'_mu = -K_(mu+1) +
     (mu/z) K_mu (DLMF 10.29.2) gives d/dz [z^m K_mu] = (m + mu) z^(m-1)
     K_mu - z^m K_(mu+1), so a term c z^(-nu-j1) K_(nu+j2) at (j1, j2)
-    goes to (j2-j1) c at (j1+1, j2) and -c at (j1, j2+1).
+    goes to (j2-j1) c at (j1+1, j2) and -c at (j1, j2+1); the orders
+    K_nu, ..., K_(nu+k) are each evaluated once.
     """
     if isinstance(kernel.variant, PowerSlowlyVarying):
-        return _power_derivative_fns(kernel, k)
+        return _power_derivatives(kernel, k)
     nu = kernel.variant.nu
 
     def children(key, i):
@@ -397,12 +400,13 @@ def _phi_derivative_fns(kernel: KernelSpec, k: int):
 
     levels = _term_levels(k, (0, 0), children)
 
-    def fn(zz, i):
+    def derivs(zz):
         zz = np.asarray(zz, dtype=float)
-        return sum(c * zz ** (-nu - j1) * bessel_k(nu + j2, zz)
-                   for (j1, j2), c in levels[i].items())
+        kv = [bessel_k(nu + j, zz) for j in range(k + 1)]
+        return [sum(c * zz ** (-nu - j1) * kv[j2] for (j1, j2), c in level.items())
+                for level in levels]
 
-    return [lambda zz, i=i: fn(zz, i) for i in range(k + 1)]
+    return derivs
 
 
 def check_derivative_conditions(kernel: KernelSpec, k: int) -> DerivativeConditionReport:
@@ -417,13 +421,12 @@ def check_derivative_conditions(kernel: KernelSpec, k: int) -> DerivativeConditi
         raise DomainError("k must be a positive integer")
     z1 = (kernel.variant.z1 if isinstance(kernel.variant, PowerSlowlyVarying)
           else auto_z1(kernel))
-    derivs = _phi_derivative_fns(kernel, k)
+    derivs = _phi_derivatives(kernel, k)
 
     z_in = np.geomspace(z1 * 1e-5, z1, 96)
     z_out = np.geomspace(z1 * 1.02, max(10.0 * z1, z1 + 30.0), 96)
 
-    def radial_ratios(z, denom):
-        d_vals = [np.asarray(derivs[i](z), dtype=float) for i in range(k + 1)]
+    def radial_ratios(z, d_vals, denom):
         worst = np.zeros_like(z)
         for j in range(1, k + 1):
             coeffs = _radial_derivative_coeffs(j)
@@ -432,17 +435,15 @@ def check_derivative_conditions(kernel: KernelSpec, k: int) -> DerivativeConditi
                 if a != 0.0:
                     phi_j += a * z ** (i - 2 * j) * d_vals[i]
             worst = np.maximum(worst, z ** (2 * j) * np.abs(phi_j) / denom)
-        return worst, d_vals
+        return worst
 
-    phi_in = np.asarray(derivs[0](z_in), dtype=float)
-    ratios_in, d_in = radial_ratios(z_in, phi_in)
-    a1 = float(np.max(ratios_in))
+    d_in = derivs(z_in)
+    a1 = float(np.max(radial_ratios(z_in, d_in, d_in[0])))
 
-    phi_out = np.asarray(derivs[0](z_out), dtype=float)
-    ratios_out, _ = radial_ratios(z_out, z_out ** k * phi_out)
-    a2 = float(np.max(ratios_out))
+    d_out = derivs(z_out)
+    a2 = float(np.max(radial_ratios(z_out, d_out, z_out ** k * d_out[0])))
 
-    delta1 = float(np.min((-1.0) ** k * z_in ** k * d_in[k] / phi_in))
+    delta1 = float(np.min((-1.0) ** k * z_in ** k * d_in[k] / d_in[0]))
 
     return DerivativeConditionReport(
         a1=a1, a2=a2, delta1=delta1, z1=float(z1),

@@ -18,7 +18,10 @@ is attained at h = t or at a vertex step h = spacing*p/q, q <= k, where
 lines x + j*h = x_i of the arrangement meet.  Up to the least vertex
 step h0 = spacing/k it is (t/h0) omega_k(u; h0); above h0 the steps h = t
 are one np.interp per field and block of 16 t, and each vertex step is a
-slice sum on the q-refined grid, O(t_max/spacing * N) per q.  The cone
+slice sum on the q-refined grid, O(t_max/spacing * N) per q.  The vertex
+steps of one residue class mod q go 16 at a time, each slice a strided
+view of that grid, which carries NaN columns on the right for the
+longer steps' stencils; np.fmax leaves those out of each sup.  The cone
 kernel's profile factor phi(tau) depends neither on t nor on the field,
 so the cone checks build all t rows of the kernel once.
 """
@@ -116,7 +119,9 @@ def convolver(kernel: KernelSpec, like: FieldSample):
     h = like.spacing
     cell_mass = kernel.cell_mass(h)
     m = like.values.shape[0]
-    table = kernel.profile(np.abs(h * np.arange(-(m - 1), m))) * h
+    # |h*(-d)| is the float h*d: the profile at the m distances, mirrored
+    half = kernel.profile(h * np.arange(m)) * h
+    table = np.concatenate([half[:0:-1], half])
     table[m - 1] = cell_mass
     if cell_mass > 0.5 * table.sum():
         raise ResolutionTooCoarse(
@@ -193,31 +198,54 @@ def _step_sups(us, k: int, mags: np.ndarray) -> np.ndarray:
     return out
 
 
+_VERTEX_BLOCK = 16     # vertex steps evaluated together
+
+
 def _vertex_sups(values: np.ndarray, k: int, spacing: float, top: float):
     """The vertex steps h = spacing*p/q <= top (gcd(p, q) = 1, q <= k) and
     the sup over x of |Delta_h^k s(x)| at each, a row of sups per step
-    and a column per row of values.  The stencils of the breaks
-    x_i - j*h lie on the grid refined q times, where a step is a sum of
-    k + 1 slices of s, linear in between: the max there is the sup.  s is
-    sampled there from the in-cell fractions r/q, whose rounding, unlike
-    that of the positions (q*i + r)/q, does not grow with the node i."""
+    and a column per row of values; the steps of one q come grouped by
+    p mod q.  The stencils of the breaks x_i - j*h lie on the grid
+    refined q times, where a step is a sum of k + 1 slices of s, linear
+    in between: the max there is the sup.  s is sampled there from the
+    in-cell fractions r/q, whose rounding, unlike that of the positions
+    (q*i + r)/q, does not grow with the node i.
+
+    The steps p0, p0 + q, ..., p_last of one residue class mod q go
+    _VERTEX_BLOCK at a time: slice l of each is a strided view of the
+    refined grid, the node axis as long as p0's, so the refined grid
+    carries k*q*(_VERTEX_BLOCK - 1) NaN columns on the right, and np.fmax
+    drops the nodes whose stencil runs into them.  The terms are summed
+    in the order c1*slice1 + c0*slice0 + c2*slice2 + ..., the bits of
+    c0*slice0 + c1*slice1 + ...."""
     coeffs = _difference_coeffs(k)
     cells = values.shape[1] - 1
     steps, sups = [], []
     for q in range(1, k + 1):
+        width = cells * q + 1
         i, r = np.divmod(np.arange(cells * q), q)
-        fine = np.hstack([values[:, i] + r / q * np.diff(values)[:, i], values[:, -1:]])
-        acc, term = np.empty_like(fine), np.empty_like(fine)   # reused: no page faults
-        for p in range(1, cells * q // k + 1):
-            if math.gcd(p, q) > 1 or spacing * p / q > top:
+        fine = np.full((len(values), width + k * q * (_VERTEX_BLOCK - 1)), np.nan)
+        fine[:, :width - 1] = values[:, i] + r / q * np.diff(values)[:, i]
+        fine[:, width - 1] = values[:, -1]
+        ps = np.arange(1, cells * q // k + 1)
+        ps = ps[spacing * ps / q <= top]     # a prefix: spacing*p/q grows with p
+        for p0 in range(1, min(q, len(ps)) + 1):
+            if math.gcd(p0, q) > 1:
                 continue
-            size = cells * q + 1 - k * p
-            a = np.multiply(fine[:, :size], coeffs[0], out=acc[:, :size])
-            for l in range(1, k + 1):
-                a += np.multiply(fine[:, l * p:l * p + size], coeffs[l], out=term[:, :size])
-            steps.append(spacing * p / q)
-            sups.append(np.max(np.abs(a, out=a), axis=1))
-    return np.array(steps), np.reshape(sups, (len(steps), len(values)))
+            for lo in range(p0 - 1, len(ps), q * _VERTEX_BLOCK):
+                block = ps[lo:lo + q * _VERTEX_BLOCK:q]
+                first, last = block[0], block[-1]
+                # slice l of step p starts at column l*p; every step of the
+                # block takes the width - k*first nodes of the longest
+                win = sliding_window_view(fine[:, :width + k * (last - first)],
+                                          width - k * first, axis=1)
+                acc = np.multiply(win[:, first:last + 1:q], coeffs[1])
+                acc += coeffs[0] * win[:, :1]
+                for l in range(2, k + 1):
+                    acc += coeffs[l] * win[:, l * first:l * last + 1:l * q]
+                steps.append(spacing * block / q)
+                sups.append(np.fmax.reduce(np.abs(acc, out=acc), axis=2))
+    return np.concatenate(steps), np.concatenate(sups, axis=1).T
 
 
 def _moduli(us, k: int, ts: np.ndarray) -> np.ndarray:
@@ -306,16 +334,18 @@ class ConeCheckReport:
     per_field: dict
 
 
-def upper_cone_check(space: LorentzSpace, kernel: KernelSpec, k: int,
+def upper_cone_check(space: LorentzSpace, kernel: KernelSpec, phi, k: int,
                      f_family, t_grid: LogGrid) -> ConeCheckReport:
     """Run the upper estimate over a family of fields, reporting the
-    family maximum of the per-field ratio maxima (all fields on one grid)."""
+    family maximum of the per-field ratio maxima (all fields on one grid).
+    phi is the kernel's measure profile, as envelope_bounds takes it:
+    sampled on space.grid, it is read there, not evaluated again."""
     if not f_family:
         raise DomainError("empty field family")
     n = kernel.n
     tau = space.grid.points
     # row i is the cone kernel at t_grid.points[i]
-    cones = cone_kernel(kernel.measure_profile_fn(), k, n, t_grid.points[:, None], tau)
+    cones = cone_kernel(phi, k, n, t_grid.points[:, None], tau)
     conv = convolver(kernel, f_family[0][1])
     omegas = modulus_curves([conv(f) for _, f in f_family], k, t_grid, n=n)
     per_field = {}

@@ -289,10 +289,11 @@ def test_criterion_11_upper_cone_estimate():
     sp = LorentzSpace(2.0, FLAT, g)
     kern = KernelSpec(BesselMcDonald(nu=0.125), n=1)   # alpha = 0.75
     tg = make_log_grid(1e-4, 1.0, 48)
+    phi = sample(kern.measure_profile_fn(), g, monotonicity="decreasing")
     c1 = {}
     for res in (256, 512):
         fam = bump_and_staircase_family(count=10, resolution=res)
-        c1[res] = upper_cone_check(sp, kern, 1, fam, t_grid=tg).c1
+        c1[res] = upper_cone_check(sp, kern, phi, 1, fam, t_grid=tg).c1
     drift = abs(c1[512] - c1[256]) / c1[256]
     ok = math.isfinite(c1[512]) and drift < 0.20
     report(11, ok,

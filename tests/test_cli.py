@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -44,6 +45,10 @@ class TestConfigParsing:
     def test_unknown_key(self, key):
         with pytest.raises(ConfigInvalid, match="unknown key"):
             parse_config_text(f"scenario = embedding_check\n{key} = 1\n")
+
+    def test_line_without_equals(self):
+        with pytest.raises(ConfigInvalid, match="line 2: expected 'key = value'"):
+            parse_config_text("scenario = embedding_check\nk 2\n")
 
     def test_bad_value(self):
         with pytest.raises(ConfigInvalid):
@@ -111,10 +116,16 @@ class TestValidationBounds:
         ("embedding_check", "kernel.lambda_log", "nan", "0.5"),
         ("embedding_check", "T", "nan", "1"),
         ("embedding_check", "grid.tmin", "-inf", "1e-6"),
+        ("embedding_check", "space.p", "1", "4"),
+        ("embedding_check", "kernel.variant", "gauss", "bessel_mcdonald"),
+        ("embedding_check", "k", "0", "1"),
+        ("embedding_check", "n", "4", "1"),
+        ("embedding_check", "T", "0", "1"),
+        ("embedding_check", "grid.tmin", "1", "1e-6"),
     ])
     def test_both_sides(self, tmp_path, scenario, key, bad, good):
         base = f"scenario = {scenario}\n{FAST}"
-        with pytest.raises(ConfigInvalid, match=key):
+        with pytest.raises(ConfigInvalid, match=f"^{re.escape(key)}: "):
             parse_config_text(base + f"{key} = {bad}\n").validate()
         cfg = parse_config_text(base + f"{key} = {good}\n")
         cfg.validate()

@@ -311,7 +311,7 @@ class TestPowerDerivatives:
         # exponential tail; evaluated at 40 digits
         sp = pytest.importorskip("sympy")
         import mpmath
-        from calderon_lab.kernels import _phi_derivative_fns
+        from calderon_lab.kernels import _phi_derivatives
         alpha, n, z1, rate = sp.Rational(3, 5), 1, sp.Rational(1, 2), 1
         kern = KernelSpec(PowerSlowlyVarying(
             alpha=float(alpha), sv=SlowlyVaryingSpec(factors=factors, scale=float(z1)),
@@ -326,13 +326,13 @@ class TestPowerDerivatives:
         tail = head.subs(z, z1) * sp.exp(-rate * (z - z1))
         z_in = np.geomspace(1e-5 * float(z1), float(z1), 25)
         z_out = np.geomspace(1.02 * float(z1), 30.0, 10)
-        fns = _phi_derivative_fns(kern, 3)
+        derivs = _phi_derivatives(kern, 3)
         with mpmath.workdps(40):
             for k in range(4):
                 for expr, zz in ((head, z_in), (tail, z_out)):
                     exact = sp.lambdify(z, sp.diff(expr, z, k), "mpmath")
                     ref = np.array([float(exact(mpmath.mpf(float(x)))) for x in zz])
-                    got = fns[k](zz)
+                    got = derivs(zz)[k]
                     assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-12, k
 
 
@@ -346,7 +346,7 @@ class TestBesselDerivatives:
         # and outer grids, both ends included.
         sp = pytest.importorskip("sympy")
         import mpmath
-        from calderon_lab.kernels import _phi_derivative_fns
+        from calderon_lab.kernels import _phi_derivatives
         nu = sp.Rational(nu)
         kern = KernelSpec(BesselMcDonald(nu=float(nu)), n=1)
         z1 = auto_z1(kern)
@@ -358,7 +358,7 @@ class TestBesselDerivatives:
         ks = sp.symbols(f"k0:{len(orders)}")
         subs = {sp.besselk(o, z): s for o, s in zip(orders, ks)}
         exact = [sp.lambdify((z, *ks), e.xreplace(subs), "mpmath") for e in exprs]
-        fns = _phi_derivative_fns(kern, 6)
+        derivs = _phi_derivatives(kern, 6)
         ref = np.empty((7, len(zz)))
         with mpmath.workdps(40):
             for col, x in enumerate(zz):
@@ -366,5 +366,5 @@ class TestBesselDerivatives:
                 kv = [mpmath.besselk(o, xm) for o in orders]
                 ref[:, col] = [float(f(xm, *kv)) for f in exact]
         for k in range(7):
-            got = fns[k](zz)
+            got = derivs(zz)[k]
             assert np.max(np.abs(got - ref[k]) / np.abs(ref[k])) <= 1e-11, k

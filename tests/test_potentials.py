@@ -83,6 +83,37 @@ def _vertex_steps(u, k, t):
                            if u.spacing * p / q <= t])
 
 
+def _reference_vertex_sups(values, k, spacing, top):
+    """The vertex-step rule as it was before the steps went in blocks,
+    one step at a time in ascending p; the block rule must give the same
+    steps and, step by step, the same sups bit for bit.
+
+    The vertex steps h = spacing*p/q <= top (gcd(p, q) = 1, q <= k) and
+    the sup over x of |Delta_h^k s(x)| at each, a row of sups per step
+    and a column per row of values.  The stencils of the breaks
+    x_i - j*h lie on the grid refined q times, where a step is a sum of
+    k + 1 slices of s, linear in between: the max there is the sup.  s is
+    sampled there from the in-cell fractions r/q, whose rounding, unlike
+    that of the positions (q*i + r)/q, does not grow with the node i."""
+    coeffs = potentials._difference_coeffs(k)
+    cells = values.shape[1] - 1
+    steps, sups = [], []
+    for q in range(1, k + 1):
+        i, r = np.divmod(np.arange(cells * q), q)
+        fine = np.hstack([values[:, i] + r / q * np.diff(values)[:, i], values[:, -1:]])
+        acc, term = np.empty_like(fine), np.empty_like(fine)   # reused: no page faults
+        for p in range(1, cells * q // k + 1):
+            if math.gcd(p, q) > 1 or spacing * p / q > top:
+                continue
+            size = cells * q + 1 - k * p
+            a = np.multiply(fine[:, :size], coeffs[0], out=acc[:, :size])
+            for l in range(1, k + 1):
+                a += np.multiply(fine[:, l * p:l * p + size], coeffs[l], out=term[:, :size])
+            steps.append(spacing * p / q)
+            sups.append(np.max(np.abs(a, out=a), axis=1))
+    return np.array(steps), np.reshape(sups, (len(steps), len(values)))
+
+
 class TestConvolve:
     def test_positive_kernel_positive_output(self):
         rng = np.random.default_rng(3)
@@ -204,8 +235,10 @@ class TestConvolve:
             calls.append(h)
             return cell_mass(kernel, h)
         monkeypatch.setattr(KernelSpec, "cell_mass", counting)
-        sp = LorentzSpace(2.0, FLAT, default_grid())
-        upper_cone_check(sp, BMD, 1, bump_and_staircase_family(count=3, resolution=256),
+        g = default_grid()
+        sp = LorentzSpace(2.0, FLAT, g)
+        upper_cone_check(sp, BMD, measure_profile(BMD, g), 1,
+                         bump_and_staircase_family(count=3, resolution=256),
                          t_grid=make_log_grid(1e-4, 1.0, 8))
         assert len(calls) == 1
         calls.clear()
@@ -249,8 +282,18 @@ class TestFiniteDifference:
         with pytest.raises(DomainExceeded):
             finite_difference(u, 2.0, 3)
 
+    def test_step_off_the_grid(self):
+        u = sample_field(lambda x: x, 2.0, 65)     # spacing 1/16
+        with pytest.raises(DomainError, match="whole number of grid cells"):
+            finite_difference(u, 0.1, 1)
+
 
 class TestModulus:
+    def test_nonpositive_t(self):
+        u = sample_field(np.sin, 2.0, 65)
+        with pytest.raises(DomainError, match="t must be positive"):
+            modulus_of_smoothness(u, 1, 0.0)
+
     def test_constant_field(self):
         u = sample_field(lambda x: np.ones_like(x), 2.0, 64)
         assert modulus_of_smoothness(u, 1, 0.5) == 0.0
@@ -460,6 +503,30 @@ class TestModulusCurves:
                               modulus_curve(u, 1, tg).values)
 
 
+class TestVertexBlocks:
+    @pytest.mark.parametrize("kernel", [BMD, POWER_LOG], ids=["bessel", "power"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_blocks_match_per_step_rule(self, kernel, k):
+        # tops: the least step alone, 17.5 spacings (at q = 1 a block of
+        # 16 steps and one cut short at 1), a few generic ones, and the
+        # whole box, whose last step, p = cells at q = k, keeps a single
+        # node of the refined grid
+        for resolution in (64, 128, 256, 512):
+            fam = bump_and_staircase_family(count=4, resolution=resolution)
+            conv = convolver(kernel, fam[0][1])
+            values = np.array([conv(f).values for _, f in fam])
+            spacing, cells = fam[0][1].spacing, resolution - 1
+            for top in (spacing / k, 17.5 * spacing, 0.05, 0.3, 1.0, cells * spacing / k):
+                top = max(top, spacing / k)
+                want_steps, want = _reference_vertex_sups(values, k, spacing, top)
+                steps, got = potentials._vertex_sups(values, k, spacing, top)
+                order, want_order = np.argsort(steps), np.argsort(want_steps)
+                assert np.array_equal(steps[order], want_steps[want_order]), (resolution, top)
+                assert np.array_equal(got[order], want[want_order]), (resolution, top)
+                if top == cells * spacing / k:
+                    assert steps.max() == spacing * cells / k
+
+
 class TestEnvelope:
     def test_endpoint_within_factor_two(self):
         g = default_grid()
@@ -525,20 +592,23 @@ class TestUpperCone:
         g = default_grid()
         sp = LorentzSpace(2.0, FLAT, g)
         fam = bump_and_staircase_family(count=3, resolution=256)
-        rep = upper_cone_check(sp, BMD, 1, fam,
+        phi = measure_profile(BMD, g)
+        rep = upper_cone_check(sp, BMD, phi, 1, fam,
                                t_grid=make_log_grid(1e-4, 1.0, 24))
         assert math.isfinite(rep.c1) and rep.c1 > 0
         scaled = [(name, FieldSample(f.box_halfwidth, f.resolution,
                                      5.0 * f.values)) for name, f in fam]
-        rep2 = upper_cone_check(sp, BMD, 1, scaled,
+        rep2 = upper_cone_check(sp, BMD, phi, 1, scaled,
                                 t_grid=make_log_grid(1e-4, 1.0, 24))
         for name in rep.per_field:
             assert np.isclose(rep.per_field[name], rep2.per_field[name], rtol=1e-9)
 
     def test_empty_family(self):
-        sp = LorentzSpace(2.0, FLAT, default_grid())
+        g = default_grid()
+        sp = LorentzSpace(2.0, FLAT, g)
         with pytest.raises(DomainError, match="empty field family"):
-            upper_cone_check(sp, BMD, 1, [], make_log_grid(1e-4, 1.0, 8))
+            upper_cone_check(sp, BMD, measure_profile(BMD, g), 1, [],
+                             make_log_grid(1e-4, 1.0, 8))
 
     def test_modulus_vanishes_at_small_scale(self):
         fam = bump_and_staircase_family(count=3, resolution=512)
@@ -662,10 +732,9 @@ class TestEnvelopeSandwich:
         sp = LorentzSpace(2.0, FLAT, g)
         fam = bump_and_staircase_family(count=4, resolution=256)
         tg = make_log_grid(1e-4, 1.0, 24)
-        rep = upper_cone_check(sp, BMD, 1, fam, t_grid=tg)
-        upper = envelope_bounds(
-            sp, sample(BMD.measure_profile_fn(), g, monotonicity="decreasing"),
-            1, 1, tg)
+        phi = sample(BMD.measure_profile_fn(), g, monotonicity="decreasing")
+        rep = upper_cone_check(sp, BMD, phi, 1, fam, t_grid=tg)
+        upper = envelope_bounds(sp, phi, 1, 1, tg)
         for name, f in fam:
             u = convolve(BMD, f)
             om = modulus_curve(u, 1, tg)
