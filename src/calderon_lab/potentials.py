@@ -20,8 +20,8 @@ step h0 = spacing/k it is (t/h0) omega_k(u; h0); above h0 the steps h = t
 are one np.interp per field and block of 16 t, and each vertex step is a
 slice sum on the q-refined grid, O(t_max/spacing * N) per q.  The vertex
 steps of one residue class mod q go 16 at a time, each slice a strided
-view of that grid, which carries NaN columns on the right for the
-longer steps' stencils; np.fmax leaves those out of each sup.  The cone
+view of that grid, padded on the right for the longer steps' stencils;
+one np.maximum.reduceat takes each step's sup over its own nodes.  The cone
 kernel's profile factor phi(tau) depends neither on t nor on the field,
 so the cone checks build all t rows of the kernel once.
 """
@@ -214,17 +214,18 @@ def _vertex_sups(values: np.ndarray, k: int, spacing: float, top: float):
     The steps p0, p0 + q, ..., p_last of one residue class mod q go
     _VERTEX_BLOCK at a time: slice l of each is a strided view of the
     refined grid, the node axis as long as p0's, so the refined grid
-    carries k*q*(_VERTEX_BLOCK - 1) NaN columns on the right, and np.fmax
-    drops the nodes whose stencil runs into them.  The terms are summed
-    in the order c1*slice1 + c0*slice0 + c2*slice2 + ..., the bits of
-    c0*slice0 + c1*slice1 + ...."""
+    carries k*q*(_VERTEX_BLOCK - 1) zero columns on the right.  The
+    terms are summed in the order c1*slice1 + c0*slice0 + c2*slice2 + ...,
+    the bits of c0*slice0 + c1*slice1 + ..., and np.maximum.reduceat
+    takes each step's max over its own nodes only, so a NaN or inf of an
+    overflowing difference counts as it did one step at a time."""
     coeffs = _difference_coeffs(k)
     cells = values.shape[1] - 1
     steps, sups = [], []
     for q in range(1, k + 1):
         width = cells * q + 1
         i, r = np.divmod(np.arange(cells * q), q)
-        fine = np.full((len(values), width + k * q * (_VERTEX_BLOCK - 1)), np.nan)
+        fine = np.zeros((len(values), width + k * q * (_VERTEX_BLOCK - 1)))
         fine[:, :width - 1] = values[:, i] + r / q * np.diff(values)[:, i]
         fine[:, width - 1] = values[:, -1]
         ps = np.arange(1, cells * q // k + 1)
@@ -243,8 +244,14 @@ def _vertex_sups(values: np.ndarray, k: int, spacing: float, top: float):
                 acc += coeffs[0] * win[:, :1]
                 for l in range(2, k + 1):
                     acc += coeffs[l] * win[:, l * first:l * last + 1:l * q]
+                # each step's max over its own nodes, the rest of its row
+                # a separate segment, dropped
+                starts = acc.shape[2] * np.arange(len(block))
+                bounds = np.column_stack([starts, starts + width - k * block]).ravel()
+                flat = np.abs(acc, out=acc).reshape(len(values), -1)
                 steps.append(spacing * block / q)
-                sups.append(np.fmax.reduce(np.abs(acc, out=acc), axis=2))
+                sups.append(np.maximum.reduceat(flat, bounds[bounds < flat.shape[1]],
+                                                axis=1)[:, ::2])
     return np.concatenate(steps), np.concatenate(sups, axis=1).T
 
 

@@ -526,6 +526,24 @@ class TestVertexBlocks:
                 if top == cells * spacing / k:
                     assert steps.max() == spacing * cells / k
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_overflowing_differences_as_per_step(self, k):
+        # adjacent samples +-1.7e308 make the refined grid NaN (0 * inf),
+        # and at k >= 2 samples 1e308 two nodes apart overflow the stencil
+        # sums: the per-step rule's NaN and inf sups must not be dropped
+        values = np.zeros((3, 64))
+        values[0, 30:32] = 1.7e308, -1.7e308
+        values[1, [30, 32]] = 1e308
+        values[2] = np.sin(np.arange(64.0))
+        spacing = 6.0 / 63
+        with np.errstate(all="ignore"):
+            want_steps, want = _reference_vertex_sups(values, k, spacing, 3.0)
+            steps, got = potentials._vertex_sups(values, k, spacing, 3.0)
+        order, want_order = np.argsort(steps), np.argsort(want_steps)
+        assert np.array_equal(steps[order], want_steps[want_order])
+        assert np.array_equal(got[order], want[want_order], equal_nan=True)
+        assert np.any(np.isnan(want[:, 0]))
+
 
 class TestEnvelope:
     def test_endpoint_within_factor_two(self):
