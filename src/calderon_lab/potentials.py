@@ -248,9 +248,9 @@ def _vertex_sups(values: np.ndarray, k: int, spacing: float, top: float):
                 # a separate segment, dropped
                 starts = acc.shape[2] * np.arange(len(block))
                 bounds = np.column_stack([starts, starts + width - k * block]).ravel()
-                flat = np.abs(acc, out=acc).reshape(len(values), -1)
+                acc = np.abs(acc, out=acc).reshape(len(values), -1)
                 steps.append(spacing * block / q)
-                sups.append(np.maximum.reduceat(flat, bounds[bounds < flat.shape[1]],
+                sups.append(np.maximum.reduceat(acc, bounds[bounds < acc.shape[1]],
                                                 axis=1)[:, ::2])
     return np.concatenate(steps), np.concatenate(sups, axis=1).T
 
