@@ -237,7 +237,7 @@ def _vertex_sups(values: np.ndarray, k: int, spacing: float, top: float):
                 block = ps[lo:lo + q * _VERTEX_BLOCK:q]
                 first, last = block[0], block[-1]
                 # slice l of step p starts at column l*p; every step of the
-                # block takes the width - k*first nodes of the longest
+                # block takes the width - k*first nodes of the shortest step
                 win = sliding_window_view(fine[:, :width + k * (last - first)],
                                           width - k * first, axis=1)
                 acc = np.multiply(win[:, first:last + 1:q], coeffs[1])
@@ -245,7 +245,8 @@ def _vertex_sups(values: np.ndarray, k: int, spacing: float, top: float):
                 for l in range(2, k + 1):
                     acc += coeffs[l] * win[:, l * first:l * last + 1:l * q]
                 # each step's max over its own nodes, the rest of its row
-                # a separate segment, dropped
+                # a separate segment, dropped; a lone step ends at the end
+                # of the row, which reduceat takes without an index
                 starts = acc.shape[2] * np.arange(len(block))
                 bounds = np.column_stack([starts, starts + width - k * block]).ravel()
                 acc = np.abs(acc, out=acc).reshape(len(values), -1)
