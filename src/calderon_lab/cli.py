@@ -23,7 +23,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -396,9 +396,7 @@ def _scenario_envelope(cfg: ExperimentConfig, rec: ReportRecord):
         _check(rec.assertions, "nondecreasing",
                bool(np.all(np.diff(upper.values) >= -1e-10 * upper.values[:-1])),
                float(upper.values[-1]), "envelope curve must be nondecreasing")
-    profile_norm = associate_norm(
-        space, SampledFunction(space.grid, phi(space.grid.points),
-                               extension="zero_beyond_T"))
+    profile_norm = associate_norm(space, phi)
     ratio = upper.values[-1] / profile_norm
     rec.scalars["value_at_T_over_profile_norm"] = ratio
     _check(rec.assertions, "endpoint_factor_two",
@@ -483,8 +481,7 @@ def _scenario_covering_sample(cfg: ExperimentConfig, rec: ReportRecord):
     t = space.grid.points
     # sufficiency pair for the associate construction: the profile lies in
     # the associate space and the kernel sees every scale
-    c0 = associate_norm(space, SampledFunction(
-        space.grid, phi(t), extension="zero_beyond_T"))
+    c0 = associate_norm(space, phi)
     rec.scalars["c0_profile_norm"] = c0
     _check(rec.assertions, "profile_in_associate_space", math.isfinite(c0), c0,
            "the profile must have finite associate norm")
@@ -597,9 +594,6 @@ def selftest(out_dir=None) -> list[ReportRecord]:
 
 def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--grid-points", type=int, default=None)
-    common.add_argument("--tmin", type=float, default=None)
-    common.add_argument("--seed", type=int, default=None)
     common.add_argument("--out", type=str, default=None)
     parser = argparse.ArgumentParser(prog="calderon-lab",
                                      description="numerical experiments on "
@@ -616,22 +610,16 @@ def main(argv=None) -> int:
                    help="fast built-in scenario exercise")
     args = parser.parse_args(argv)
 
-    # options given on the command line replace the file's values, and run
-    # validates them together
-    overrides = {attr: value for attr, value in (
-        ("grid_points", args.grid_points), ("tmin_span", args.tmin),
-        ("seed", args.seed)) if value is not None}
-
     try:
         if args.command == "run":
-            cfg = replace(parse_config_text(Path(args.config).read_text()), **overrides)
+            cfg = parse_config_text(Path(args.config).read_text())
             labelled = [(cfg.scenario, run(cfg, out_dir=args.out))]
         elif args.command == "sweep":
             paths = sorted(Path(args.config_dir).glob("*.cfg"))
             if not paths:
                 raise ConfigInvalid(f"no .cfg files in {args.config_dir}")
             # run validates: sweep rejects an invalid item in its own report
-            configs = [replace(parse_config_text(p.read_text()), **overrides) for p in paths]
+            configs = [parse_config_text(p.read_text()) for p in paths]
             labelled = [(p.name, rec)
                         for p, rec in zip(paths, sweep(configs, out_dir=args.out))]
         else:

@@ -29,10 +29,6 @@ from .errors import (
     TooFewPoints,
 )
 
-DEFAULT_GRID_POINTS = 512
-DEFAULT_GRID_SPAN = 1e-8       # t_min = span * T
-
-
 # ---------------------------------------------------------------------------
 # grids and sampled functions
 # ---------------------------------------------------------------------------
@@ -64,26 +60,24 @@ def make_log_grid(t_min: float, t_max: float, count: int) -> LogGrid:
     return LogGrid(t_min=t_min, t_max=t_max, count=count, points=pts)
 
 
-def default_grid(T: float = 1.0, points: int = DEFAULT_GRID_POINTS,
-                 span: float = DEFAULT_GRID_SPAN) -> LogGrid:
-    """The standard working grid: `points` geometric points on [span*T, T]."""
-    return make_log_grid(span * T, T, points)
+def default_grid(points: int = 512) -> LogGrid:
+    """The standard working grid: `points` geometric points on [1e-8, 1]."""
+    return make_log_grid(1e-8, 1.0, points)
 
 
 @dataclass
 class SampledFunction:
     """Values of a real function on a LogGrid, plus monotonicity metadata.
 
-    `extension` governs evaluation beyond t_max:
+    Called with its own `grid.points` (the same array object), it returns
+    a copy of its samples.  A sample with `fn` evaluates every other
+    point through `fn`.  Without `fn`, `extension` governs evaluation
+    beyond t_max:
       zero_beyond_T     -- 0 for t > t_max
       constant_beyond_T -- frozen at the last sample
-      analytic          -- delegate to `fn` (which must then be set; it is
-                           also used below t_min and between grid points)
-    Called with its own `grid.points` (the same array object), it returns
-    a copy of its samples, whatever the extension.  Below t_min (without
-    `fn`) the first segment's local power law is extrapolated.  Between
-    grid points, positive values are interpolated by the power law
-    through the bracketing samples (exact for pure powers); otherwise
+    below t_min the first segment's local power law is extrapolated, and
+    between grid points positive values are interpolated by the power
+    law through the bracketing samples (exact for pure powers); otherwise
     linearly in log t.
     """
 
@@ -91,7 +85,7 @@ class SampledFunction:
     values: np.ndarray
     monotonicity: str = "none"          # "decreasing" | "none"
     extension: str = "constant_beyond_T"
-    fn: object = None                   # callable, required by extension="analytic"
+    fn: object = None                   # vectorized callable the samples came from
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -100,10 +94,8 @@ class SampledFunction:
                 f"{len(self.values)} values on a grid of {self.grid.count} points")
         if self.monotonicity not in ("none", "decreasing"):
             raise DomainError(f"unknown monotonicity tag {self.monotonicity!r}")
-        if self.extension not in ("zero_beyond_T", "constant_beyond_T", "analytic"):
+        if self.extension not in ("zero_beyond_T", "constant_beyond_T"):
             raise DomainError(f"unknown extension tag {self.extension!r}")
-        if self.extension == "analytic" and self.fn is None:
-            raise DomainError('extension "analytic" needs fn')
         if self.monotonicity == "decreasing":
             v = self.values
             finite = np.isfinite(v[:-1])
@@ -122,7 +114,7 @@ class SampledFunction:
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
         t = np.atleast_1d(t)
-        if self.extension == "analytic":
+        if self.fn is not None:
             out = np.asarray(self.fn(t), dtype=float)
             return float(out[0]) if scalar else out
 
@@ -148,11 +140,10 @@ class SampledFunction:
 
 
 def sample(fn, grid: LogGrid, monotonicity="none") -> SampledFunction:
-    """Sample a vectorized callable on a grid, keeping it for evaluation
-    (extension "analytic")."""
+    """Sample a vectorized callable on a grid, keeping it to evaluate
+    every point off the grid."""
     vals = np.asarray(fn(grid.points), dtype=float)
-    return SampledFunction(grid=grid, values=vals, monotonicity=monotonicity,
-                           extension="analytic", fn=fn)
+    return SampledFunction(grid=grid, values=vals, monotonicity=monotonicity, fn=fn)
 
 
 def _interp_loglog(t, g, v):
@@ -384,10 +375,28 @@ class EndpointFit:
 
 
 _P_TOL = 0.02      # half-width of the power exponent's borderline band
+_E_TOL = 0.05      # half-width of the log exponent's borderline band
 
 
-def classify_zero_endpoint(grid: LogGrid, values: np.ndarray,
-                           e_tol: float = 0.05) -> EndpointFit:
+def _endpoint_exponents(grid: LogGrid, values: np.ndarray) -> tuple[float, float]:
+    """(p, e) of the least-squares model y ~ C * t^p * log(e*t_max/t)^e
+    over the lower half of the grid, or (nan, nan) when fewer than 8 of
+    its samples are positive and finite."""
+    t = grid.points
+    y = np.asarray(values, dtype=float)
+    n = max(8, len(t) // 2)
+    t, y = t[:n], y[:n]
+    good = (y > 0) & np.isfinite(y)
+    if good.sum() < 8:
+        return math.nan, math.nan
+    t, y = t[good], y[good]
+    L = np.log(math.e * grid.t_max / t)
+    A = np.vstack([np.ones_like(t), np.log(t), np.log(L)]).T
+    coef, *_ = np.linalg.lstsq(A, np.log(y), rcond=None)
+    return float(coef[1]), float(coef[2])
+
+
+def classify_zero_endpoint(grid: LogGrid, values: np.ndarray) -> EndpointFit:
     """Decide whether the integral of a positive sampled function
     converges at 0, by fitting a power and a log-power exponent over the
     lower half of the grid.
@@ -396,25 +405,16 @@ def classify_zero_endpoint(grid: LogGrid, values: np.ndarray,
     fit is essentially exact; genuinely borderline cases come back
     "ambiguous" rather than being silently decided.
     """
-    t = grid.points
-    y = np.asarray(values, dtype=float)
-    n = max(8, len(t) // 2)
-    t, y = t[:n], y[:n]
-    good = (y > 0) & np.isfinite(y)
-    if good.sum() < 8:
-        return EndpointFit(p=math.nan, e=math.nan, tag="ambiguous")
-    t, y = t[good], y[good]
-    L = np.log(math.e * grid.t_max / t)
-    A = np.vstack([np.ones_like(t), np.log(t), np.log(L)]).T
-    coef, *_ = np.linalg.lstsq(A, np.log(y), rcond=None)
-    p, e = float(coef[1]), float(coef[2])
-    if p > -1.0 + _P_TOL:
+    p, e = _endpoint_exponents(grid, values)
+    if math.isnan(p):
+        tag = "ambiguous"
+    elif p > -1.0 + _P_TOL:
         tag = "convergent"
     elif p < -1.0 - _P_TOL:
         tag = "divergent"
-    elif e < -1.0 - e_tol:
+    elif e < -1.0 - _E_TOL:
         tag = "convergent"
-    elif e > -1.0 + e_tol:
+    elif e > -1.0 + _E_TOL:
         tag = "divergent"
     else:
         tag = "ambiguous"
@@ -422,14 +422,14 @@ def classify_zero_endpoint(grid: LogGrid, values: np.ndarray,
 
 
 def classify_boundedness(grid: LogGrid, values: np.ndarray,
-                         e_tol: float = 0.05) -> EndpointFit:
+                         e_tol: float = _E_TOL) -> EndpointFit:
     """Decide whether a positive sampled function stays bounded as
-    t -> 0 (tag "convergent" = bounded, "divergent" = blows up)."""
-    fit = classify_zero_endpoint(grid, values, e_tol=e_tol)
-    p, e = fit.p, fit.e
+    t -> 0 (tag "convergent" = bounded, "divergent" = blows up); a flat
+    power is unbounded when its log exponent exceeds e_tol."""
+    p, e = _endpoint_exponents(grid, values)
     if math.isnan(p):
-        return EndpointFit(p=p, e=e, tag="ambiguous")
-    if p > _P_TOL:
+        tag = "ambiguous"
+    elif p > _P_TOL:
         tag = "convergent"
     elif p < -_P_TOL:
         tag = "divergent"

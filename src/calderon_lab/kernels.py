@@ -250,7 +250,7 @@ class KernelSpec:
 
 def measure_profile(kernel: KernelSpec, grid: LogGrid) -> SampledFunction:
     """Sample phi(tau) = Phi((tau/V_n)^(1/n)) on a grid; positive and
-    decreasing, kept evaluable everywhere via the analytic extension."""
+    decreasing, evaluated off the grid through its callable."""
     return sample(kernel.measure_profile_fn(), grid, monotonicity="decreasing")
 
 

@@ -84,7 +84,6 @@ def largest_monotone_exponent(t: np.ndarray, vals: np.ndarray) -> float:
 
 @dataclass
 class ConditionWitness:
-    which: str              # "A" | "B"
     d: float                # the dominance constant (inf when unbounded)
     d_grid: float           # raw grid supremum of the defining ratio
     epsilon: float          # monotonicity exponent witness (0 when none)
@@ -110,7 +109,7 @@ def check_condition_a(phi, V: SampledFunction, k: int, n: int,
     unbounded = tag == "divergent"
     eps = largest_monotone_exponent(t, 1.0 / V.values)
     holds = (not unbounded) and eps > 0.0
-    return ConditionWitness(which="A", d=(math.inf if unbounded else d_grid),
+    return ConditionWitness(d=(math.inf if unbounded else d_grid),
                             d_grid=d_grid, epsilon=eps, holds=holds)
 
 
@@ -133,7 +132,7 @@ def check_condition_b(phi, u_q: SampledFunction, k: int, n: int,
         unbounded = classify_boundedness(grid, ratio, e_tol=0.4).tag == "divergent"
     eps = largest_monotone_exponent(t, u_q.values)
     holds = (not unbounded) and math.isfinite(d_grid) and eps > 0.0
-    return ConditionWitness(which="B", d=(math.inf if unbounded else d_grid),
+    return ConditionWitness(d=(math.inf if unbounded else d_grid),
                             d_grid=d_grid, epsilon=eps, holds=holds)
 
 
@@ -289,7 +288,6 @@ class AssociateNormEngine:
 
     def __init__(self, space: LorentzSpace, phi, k: int, n: int):
         self.space = space
-        self.k, self.n = k, n
         t = space.grid.points
         self.t = t
         self.kn = k / float(n)
@@ -510,7 +508,6 @@ def hardy_constants(space: LorentzSpace, delta: float = 0.0) -> dict:
         "within_bound": bool(b_delta <= bound * (1 + 1e-9)),
         "c3_bound": b_delta * q ** (1.0 / q) * qp ** (1.0 / qp),
         "epsilon": eps,
-        "argmax_t": float(t[int(np.argmax(b_vals))]),
     }
 
 
@@ -557,7 +554,7 @@ def equivalence_report(space: LorentzSpace, phi, k: int, n: int, family) -> dict
     """Ratios rho0/rho_tilde over the sample family; the two-sided
     equivalence constant is the spread C = max ratio / min ratio."""
     eng = AssociateNormEngine(space, phi, k, n)
-    rows = [eng._checked(g) for _, g in family]
+    rows = [g for _, g in family]
     rho0s = eng.rho0_family(rows).tolist()
     rts = eng.rho_tilde_family(rows).tolist()
     ratios = {}

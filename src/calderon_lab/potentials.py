@@ -207,9 +207,10 @@ def _vertex_sups(values: np.ndarray, k: int, spacing: float, top: float):
     and a column per row of values; the steps of one q come grouped by
     p mod q.  The stencils of the breaks x_i - j*h lie on the grid
     refined q times, where a step is a sum of k + 1 slices of s, linear
-    in between: the max there is the sup.  s is sampled there from the
-    in-cell fractions r/q, whose rounding, unlike that of the positions
-    (q*i + r)/q, does not grow with the node i.
+    in between: the max there is the sup.  Every q-th node there takes
+    its sample as it is; the nodes between are s at the in-cell fractions
+    r/q, whose rounding, unlike that of the positions (q*i + r)/q, does
+    not grow with the node i.
 
     The steps p0, p0 + q, ..., p_last of one residue class mod q go
     _VERTEX_BLOCK at a time: slice l of each is a strided view of the
@@ -224,10 +225,10 @@ def _vertex_sups(values: np.ndarray, k: int, spacing: float, top: float):
     steps, sups = [], []
     for q in range(1, k + 1):
         width = cells * q + 1
-        i, r = np.divmod(np.arange(cells * q), q)
         fine = np.zeros((len(values), width + k * q * (_VERTEX_BLOCK - 1)))
-        fine[:, :width - 1] = values[:, i] + r / q * np.diff(values)[:, i]
-        fine[:, width - 1] = values[:, -1]
+        fine[:, :width:q] = values
+        for r in range(1, q):
+            fine[:, r:width - 1:q] = values[:, :-1] + r / q * np.diff(values)
         ps = np.arange(1, cells * q // k + 1)
         ps = ps[spacing * ps / q <= top]     # a prefix: spacing*p/q grows with p
         for p0 in range(1, min(q, len(ps)) + 1):

@@ -85,18 +85,13 @@ class TestConfigContract:
         assert capsys.readouterr().err == "config error: space.q: must be >= 1\n"
 
     def test_override_validated_with_file(self, tmp_path, capsys):
-        # grid.points = 8 is out of range in the file, and the command
-        # line's value replaces it before anything is validated
+        # grid.points = 8 is out of range in the file
         path = tmp_path / "small.cfg"
         path.write_text("scenario = embedding_check\nkernel.alpha = 0.75\n"
                         "grid.points = 8\n")
         assert main(["run", str(path)]) == 2
         assert capsys.readouterr().err == \
             "config error: grid.points: must be at least 16\n"
-        out = tmp_path / "out"
-        assert main(["run", str(path), "--grid-points", "256", "--out", str(out)]) == 0
-        doc = json.loads((out / "report.json").read_text())
-        assert doc["inputs"]["grid_points"] == 256
 
 
 class TestValidationBounds:
@@ -481,10 +476,10 @@ class TestGridSpanFloor:
         # NonConvergent: lower Hardy integral diverges at 0
         with pytest.raises(ConfigInvalid, match=r"span 1e-200 is below 5\.62e-35: t\^-4\.5"):
             parse_config_text(self.BASE + "grid.tmin = 1e-200\n").validate()
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text(self.BASE)
-        assert main(["run", str(cfg), "--tmin", "1e-200"]) == 2
-        assert main(["run", str(cfg), "--tmin", "5.5e-35"]) == 2
+        for tmin in ("1e-200", "5.5e-35"):
+            cfg = tmp_path / f"{tmin}.cfg"
+            cfg.write_text(self.BASE + f"grid.tmin = {tmin}\n")
+            assert main(["run", str(cfg)]) == 2
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_span_inside_floor_runs_clean(self):
@@ -590,14 +585,19 @@ class TestMain:
         broken.write_text("scenario = what\n")
         assert main(["run", str(broken)]) == 2
 
-    def test_overrides(self, tmp_path):
+    # the config file is the one spelling of every run input: the
+    # command line takes only --out (and sweep's ignored --workers)
+    @pytest.mark.parametrize("flag, value", [("--grid-points", "128"),
+                                             ("--tmin", "1e-6"), ("--seed", "3")])
+    @pytest.mark.parametrize("command", ["run", "sweep", "selftest"])
+    def test_config_keys_are_not_flags(self, tmp_path, capsys, command, flag, value):
         cfg = tmp_path / "c.cfg"
-        cfg.write_text("scenario = embedding_check\nkernel.alpha = 0.75\n")
-        out = tmp_path / "out"
-        assert main(["run", str(cfg), "--grid-points", "128",
-                     "--out", str(out)]) == 0
-        doc = json.loads((out / "report.json").read_text())
-        assert doc["inputs"]["grid_points"] == 128
+        cfg.write_text("scenario = embedding_check\nkernel.alpha = 0.75\n" + FAST)
+        target = {"run": [str(cfg)], "sweep": [str(tmp_path)], "selftest": []}[command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *target, flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
     def test_sweep_directory(self, tmp_path):
         d = tmp_path / "cfgs"

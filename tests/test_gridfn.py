@@ -16,8 +16,11 @@ from calderon_lab.errors import (
 )
 from calderon_lab.gridfn import (
     SampledFunction,
+    classify_boundedness,
+    classify_zero_endpoint,
     cumulative_from_zero,
     cumulative_tail,
+    default_grid,
     make_log_grid,
     power_log_mass,
     sample,
@@ -270,6 +273,25 @@ class TestSampledFunction:
         with pytest.raises(DomainError):
             SampledFunction(g, np.ones(16), extension=extension)
 
+    def test_fn_evaluates_every_point_off_the_grid(self):
+        # below, between and beyond the samples, whatever the extension;
+        # the extension governs only samples without fn
+        g = make_log_grid(1e-2, 1.0, 16)
+        fn = lambda x: np.exp(-x) / x
+        t = np.array([1e-3, 0.05, 2.0])
+        for extension in ("zero_beyond_T", "constant_beyond_T"):
+            f = SampledFunction(g, fn(g.points), extension=extension, fn=fn)
+            assert np.array_equal(f(t), fn(t))
+        f = sample(fn, g)
+        assert f.fn is fn
+        assert np.array_equal(f(t), fn(t))
+        assert f(2.0) == fn(2.0)
+
+    def test_default_grid(self):
+        g = default_grid()
+        assert (g.t_min, g.t_max, g.count) == (1e-8, 1.0, 512)
+        assert default_grid(points=64).count == 64
+
     def test_analytic_own_grid_reads_samples(self, monkeypatch):
         # the samples are fn(grid.points), so that call returns a copy of
         # them without evaluating fn again
@@ -302,6 +324,34 @@ class TestSampledFunction:
         assert np.array_equal(out, np.exp(-g.points))
         out[:] = -1.0
         assert np.array_equal(h.values, np.exp(-g.points))
+
+
+class TestEndpointClassifiers:
+    # power x log probes, L = log(e/t) on the grid of [1e-8, 1]
+    G = default_grid()
+    L = np.log(math.e / G.points)
+
+    @pytest.mark.parametrize("values, tag", [
+        (G.points ** -1.1, "divergent"),
+        (G.points ** -0.9, "convergent"),
+        (1.0 / G.points, "divergent"),
+        (1.0 / G.points * L ** -1.5, "convergent"),
+    ], ids=["t^-1.1", "t^-0.9", "1/t", "L^-1.5/t"])
+    def test_zero_endpoint(self, values, tag):
+        assert classify_zero_endpoint(self.G, values).tag == tag
+
+    def test_boundedness_log_band(self):
+        # L^0.2 grows without bound, too slowly to leave the wide band
+        assert classify_boundedness(self.G, self.L ** 0.2, 0.05).tag == "divergent"
+        assert classify_boundedness(self.G, self.L ** 0.2, 0.4).tag == "convergent"
+
+    def test_few_positive_samples_ambiguous(self):
+        values = np.zeros(self.G.count)
+        values[:7] = 1.0 / self.G.points[:7]
+        zero = classify_zero_endpoint(self.G, values)
+        bounded = classify_boundedness(self.G, values, 0.05)
+        assert zero.tag == bounded.tag == "ambiguous"
+        assert math.isnan(zero.p) and math.isnan(bounded.e)
 
 
 def _reference_segment_masses(t: np.ndarray, y: np.ndarray) -> np.ndarray:

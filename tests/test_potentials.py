@@ -92,15 +92,18 @@ def _reference_vertex_sups(values, k, spacing, top):
     the sup over x of |Delta_h^k s(x)| at each, a row of sups per step
     and a column per row of values.  The stencils of the breaks
     x_i - j*h lie on the grid refined q times, where a step is a sum of
-    k + 1 slices of s, linear in between: the max there is the sup.  s is
-    sampled there from the in-cell fractions r/q, whose rounding, unlike
-    that of the positions (q*i + r)/q, does not grow with the node i."""
+    k + 1 slices of s, linear in between: the max there is the sup.  Every
+    q-th node there takes its sample as it is; the nodes between are s at
+    the in-cell fractions r/q, whose rounding, unlike that of the
+    positions (q*i + r)/q, does not grow with the node i."""
     coeffs = potentials._difference_coeffs(k)
     cells = values.shape[1] - 1
     steps, sups = [], []
     for q in range(1, k + 1):
-        i, r = np.divmod(np.arange(cells * q), q)
-        fine = np.hstack([values[:, i] + r / q * np.diff(values)[:, i], values[:, -1:]])
+        fine = np.empty((len(values), cells * q + 1))
+        fine[:, ::q] = values
+        for r in range(1, q):
+            fine[:, r::q] = values[:, :-1] + r / q * np.diff(values)
         acc, term = np.empty_like(fine), np.empty_like(fine)   # reused: no page faults
         for p in range(1, cells * q // k + 1):
             if math.gcd(p, q) > 1 or spacing * p / q > top:
@@ -528,9 +531,9 @@ class TestVertexBlocks:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_overflowing_differences_as_per_step(self, k):
-        # adjacent samples +-1.7e308 make the refined grid NaN (0 * inf),
-        # and at k >= 2 samples 1e308 two nodes apart overflow the stencil
-        # sums: the per-step rule's NaN and inf sups must not be dropped
+        # adjacent samples +-1.7e308 differ by inf, and at k >= 2 samples
+        # 1e308 two nodes apart overflow the stencil sums: the per-step
+        # rule's NaN and inf sups must not be dropped
         values = np.zeros((3, 64))
         values[0, 30:32] = 1.7e308, -1.7e308
         values[1, [30, 32]] = 1e308
@@ -542,7 +545,11 @@ class TestVertexBlocks:
         order, want_order = np.argsort(steps), np.argsort(want_steps)
         assert np.array_equal(steps[order], want_steps[want_order])
         assert np.array_equal(got[order], want[want_order], equal_nan=True)
-        assert np.any(np.isnan(want[:, 0]))
+        if k == 1:
+            # the samples themselves are nodes of the refined grid, so
+            # only the step across the two +-1.7e308 samples is infinite
+            assert not np.any(np.isnan(want))
+            assert np.count_nonzero(np.isinf(want)) == 1
 
 
 class TestEnvelope:
