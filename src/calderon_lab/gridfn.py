@@ -71,20 +71,16 @@ class SampledFunction:
 
     Called with its own `grid.points` (the same array object), it returns
     a copy of its samples.  A sample with `fn` evaluates every other
-    point through `fn`.  Without `fn`, `extension` governs evaluation
-    beyond t_max:
-      zero_beyond_T     -- 0 for t > t_max
-      constant_beyond_T -- frozen at the last sample
-    below t_min the first segment's local power law is extrapolated, and
-    between grid points positive values are interpolated by the power
-    law through the bracketing samples (exact for pure powers); otherwise
-    linearly in log t.
+    point through `fn`.  Without `fn`, positive values between grid
+    points are interpolated by the power law through the bracketing
+    samples (exact for pure powers), others linearly in log t; below
+    t_min the first segment's power law is extrapolated, and past t_max
+    the last sample holds.
     """
 
     grid: LogGrid
     values: np.ndarray
     monotonicity: str = "none"          # "decreasing" | "none"
-    extension: str = "constant_beyond_T"
     fn: object = None                   # vectorized callable the samples came from
 
     def __post_init__(self):
@@ -94,8 +90,6 @@ class SampledFunction:
                 f"{len(self.values)} values on a grid of {self.grid.count} points")
         if self.monotonicity not in ("none", "decreasing"):
             raise DomainError(f"unknown monotonicity tag {self.monotonicity!r}")
-        if self.extension not in ("zero_beyond_T", "constant_beyond_T"):
-            raise DomainError(f"unknown extension tag {self.extension!r}")
         if self.monotonicity == "decreasing":
             v = self.values
             finite = np.isfinite(v[:-1])
@@ -135,7 +129,7 @@ class SampledFunction:
             else:
                 out[below] = v[0]
         if np.any(above):
-            out[above] = 0.0 if self.extension == "zero_beyond_T" else v[-1]
+            out[above] = v[-1]
         return float(out[0]) if scalar else out
 
 

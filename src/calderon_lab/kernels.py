@@ -7,7 +7,7 @@ Two families are supported:
     near 0 and decay like y^(-nu-1/2) e^(-y);
   * power profiles with a slowly varying correction,
     Phi(z) = z^(alpha - n) * Lambda(z) on (0, z1], continued past z1 by
-    an exponential tail.
+    the exponential tail Phi(z1) e^-(z - z1).
 
 K_nu has one evaluator, `bessel_k`: the trapezoid rule on the cosh
 integral representation, vectorized over rho and 0 past rho = 700.
@@ -91,11 +91,11 @@ class BesselMcDonald:
 
 @dataclass(frozen=True)
 class PowerSlowlyVarying:
-    """Profile z^(alpha-n) Lambda(z) on (0, z1], exponential tail after."""
+    """Profile z^(alpha-n) Lambda(z) on (0, z1], continued past z1 by
+    the tail Phi(z1) e^-(z - z1)."""
     alpha: float
     sv: SlowlyVaryingSpec
     z1: float = 1.0
-    tail_rate: float = 1.0
 
 
 def bessel_k(nu: float, rho):
@@ -188,8 +188,8 @@ class KernelSpec:
             if not (0.0 < self.variant.alpha < self.n):
                 raise DomainError(
                     f"alpha must lie in (0, n) = (0, {self.n}), got {self.variant.alpha}")
-            if self.variant.z1 <= 0 or self.variant.tail_rate <= 0:
-                raise DomainError("z1 and tail_rate must be positive")
+            if self.variant.z1 <= 0:
+                raise DomainError("z1 must be positive")
         else:
             raise DomainError(f"unknown kernel variant {type(self.variant)}")
 
@@ -213,7 +213,7 @@ class KernelSpec:
             head = zz ** (v.alpha - self.n) * lam
             cap = v.z1 ** (v.alpha - self.n) * v.sv(v.z1)
             out = np.where(z <= v.z1, head,
-                           cap * np.exp(-v.tail_rate * (z - v.z1)))
+                           cap * np.exp(-(z - v.z1)))
         # Phi(0) = +inf is set directly: 0^(alpha-n) * Lambda(0) warns and is
         # inf * 0 = nan for a decaying log factor, as is 0^-nu * 0
         out[z == 0] = np.inf
@@ -238,7 +238,7 @@ class KernelSpec:
         lam = sum(e for _, e in v.sv.factors)
         mass = power_log_mass(v.alpha - 1.0, lam, v.sv.scale, min(half, v.z1))
         if half > v.z1:
-            mass -= self.profile(v.z1) * math.expm1(-v.tail_rate * (half - v.z1)) / v.tail_rate
+            mass -= self.profile(v.z1) * math.expm1(-(half - v.z1))
         return 2.0 * mass
 
     def measure_profile_fn(self):
@@ -348,7 +348,7 @@ def _power_derivatives(kernel: KernelSpec, k: int):
     derivative z^(a-i) * sum of c l1^(p1-j1) l2^(p2-j2); one more
     derivative sends each term c at (j1, j2) to (a-i) c at (j1, j2),
     -(p1-j1) c at (j1+1, j2) and -(p2-j2) c at (j1+1, j2+1).  The tail
-    cap exp(-rate (z - z1)) has i-th derivative cap (-rate)^i exp(...).
+    cap exp(-(z - z1)) has i-th derivative cap (-1)^i exp(...).
     """
     v = kernel.variant
     a = v.alpha - kernel.n
@@ -369,12 +369,12 @@ def _power_derivatives(kernel: KernelSpec, k: int):
         zh = np.minimum(zz, v.z1)
         l1 = _iterated_log(zh, 1, v.sv.scale)
         l2 = np.log(math.e * l1) if p2 else 1.0
-        tail = np.exp(-v.tail_rate * (np.maximum(zz, v.z1) - v.z1))
+        tail = np.exp(-(np.maximum(zz, v.z1) - v.z1))
         out = []
         for i, level in enumerate(levels):
             logs = sum(c * l1 ** (p1 - j1) * l2 ** (p2 - j2) for (j1, j2), c in level.items())
             out.append(np.where(zz <= v.z1, zh ** (a - i) * logs,
-                                cap * (-v.tail_rate) ** i * tail))
+                                cap * (-1.0) ** i * tail))
         return out
 
     return derivs

@@ -1,7 +1,7 @@
 """Weighted Lorentz norms, their associates and the embedding criterion.
 
 A weight v(t) = t^a * (iterated-log factors) determines the Lorentz
-functional  ( int (f*)^q v )^(1/q)  and, through its cumulative V and
+functional  ( int_0^T (f*)^q v )^(1/q)  and, through its cumulative V and
 the dual weight w = V^(-q') v, the associate-norm evaluators.  The
 aggregate
 
@@ -125,20 +125,18 @@ class LorentzSpace:
 
 
 def lorentz_norm(space: LorentzSpace, fstar: SampledFunction) -> float:
-    """( int_0^inf (f*)^q v )^(1/q) for a nonincreasing f* >= 0.
+    """Norm of a nonincreasing f* >= 0 on (0, T] in the Lorentz space:
 
-    The extension tag of f* governs t beyond its grid; +inf is a legal
-    return value (never an error).
+      ( int_0^T (f*)^q v )^(1/q)
+
+    f* is read on the space's grid and treated as zero beyond T; +inf is
+    a legal return value (never an error).
     """
-    t = fstar.grid.points
-    y = np.abs(fstar.values) ** space.q * space.weight(t)
-    total = total_mass(t, y)
-    if fstar.extension != "zero_beyond_T" and fstar.values[-1] > 0:
-        # the weight's power continuation (exponent > -1) has infinite
-        # total mass, so any nonvanishing constant continuation of f*
-        # costs an infinite norm
-        total = math.inf
-    return float(total ** (1.0 / space.q))
+    if fstar.grid.t_max > space.T * (1 + 1e-12):
+        raise DomainError("f* must live on (0, T]")
+    t = space.grid.points
+    y = np.abs(fstar(t)) ** space.q * space.v_vals
+    return float(total_mass(t, y) ** (1.0 / space.q))
 
 
 # ---------------------------------------------------------------------------

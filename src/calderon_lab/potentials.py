@@ -305,8 +305,7 @@ def modulus_curves(us, k: int, t_grid: LogGrid, n: int = 1) -> list[SampledFunct
     # scalar powers, as a caller of modulus_of_smoothness forms them: the
     # vectorised power can differ in the last bit
     ts = np.array([t ** (1.0 / n) for t in t_grid.points])
-    return [SampledFunction(grid=t_grid, values=vals, extension="constant_beyond_T")
-            for vals in _moduli(us, k, ts)]
+    return [SampledFunction(grid=t_grid, values=vals) for vals in _moduli(us, k, ts)]
 
 
 def modulus_curve(u: FieldSample, k: int, t_grid: LogGrid, n: int = 1) -> SampledFunction:
@@ -396,7 +395,7 @@ def nontriviality_gate(spec: OptimalNormSpec, k: int, n: int) -> bool:
     return fit.p > 0.01
 
 
-def calderon_norms(us, omegas, X, k: int, n: int) -> list[float]:
+def calderon_norms(us, omegas, spec: OptimalNormSpec, k: int, n: int) -> list[float]:
     """calderon_norm of each field of us with its modulus curve in omegas,
     bit for bit, deciding the gate and sampling Psi once for the family.
     Raises DomainError unless the curves are as many as the fields, at
@@ -404,27 +403,23 @@ def calderon_norms(us, omegas, X, k: int, n: int) -> list[float]:
     if not omegas or len(us) != len(omegas) or any(
             not np.array_equal(omega.grid.points, omegas[0].grid.points) for omega in omegas):
         raise DomainError("calderon_norms needs one modulus curve per field, on one t grid")
-    if not isinstance(X, OptimalNormSpec):
-        return [u.sup_norm() + float(X(omega)) for u, omega in zip(us, omegas)]
-    if not nontriviality_gate(X, k, n):
+    if not nontriviality_gate(spec, k, n):
         raise TrivialSpace("the modulus lattice is trivial for this aggregate")
-    if X.case == "sup":
+    if spec.case == "sup":
         return [u.sup_norm() + float(np.max(omega.values)) for u, omega in zip(us, omegas)]
-    psi = X.psi(omegas[0].grid.points)
-    return [u.sup_norm() + _stieltjes_sum(omega.values, psi, X.q)
+    psi = spec.psi(omegas[0].grid.points)
+    return [u.sup_norm() + _stieltjes_sum(omega.values, psi, spec.q)
             for u, omega in zip(us, omegas)]
 
 
-def calderon_norm(u: FieldSample, omega: SampledFunction, X, k: int, n: int) -> float:
+def calderon_norm(u: FieldSample, omega: SampledFunction, spec: OptimalNormSpec,
+                  k: int, n: int) -> float:
     """sup norm of u plus the lattice norm of omega, its modulus of
-    smoothness omega_k(u; t^(1/n)) as modulus_curve computes it.
-
-    X is either an OptimalNormSpec (max omega in the sup case, the
-    Stieltjes form in the weighted case) or a callable mapping the
-    modulus curve to a number.  Raises TrivialSpace when the lattice of
-    an OptimalNormSpec only contains the zero modulus.
+    smoothness omega_k(u; t^(1/n)) as modulus_curve computes it: max
+    omega in the sup case, the Stieltjes form in the weighted case.
+    Raises TrivialSpace when the lattice only contains the zero modulus.
     """
-    return calderon_norms([u], [omega], X, k, n)[0]
+    return calderon_norms([u], [omega], spec, k, n)[0]
 
 
 # ---------------------------------------------------------------------------

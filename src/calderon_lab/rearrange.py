@@ -16,6 +16,7 @@ from .gridfn import (
     LogGrid,
     SampledFunction,
     cumulative_from_zero,
+    sample,
 )
 
 
@@ -64,20 +65,23 @@ def step_evaluate(steps: np.ndarray, cell: float, t) -> np.ndarray:
 
 def decreasing_rearrangement(f: MeasurableSample, grid: LogGrid) -> SampledFunction:
     """Nonincreasing, right-continuous function on (0, domain_measure)
-    equimeasurable with |f|, resampled onto a geometric grid.
+    equimeasurable with |f|, sampled on a geometric grid.
 
-    Resampling uses right-continuous step interpolation, so grid values
-    agree with the exact sorted-step rearrangement at every grid point.
+    The sample keeps the exact sorted-step rearrangement as its `fn`, so
+    it reads that step function at every point, on the grid or off it,
+    and 0 past the domain.
     """
     steps = rearrangement_steps(f)
     cell = f.cell_measure
-    vals = step_evaluate(steps, cell, grid.points)
-    # a grid point sitting exactly at the domain end reads the last cell
-    at_end = grid.points >= f.domain_measure
-    vals[at_end] = 0.0
-    vals[grid.points == f.domain_measure] = steps[-1]
-    return SampledFunction(grid=grid, values=vals, monotonicity="decreasing",
-                           extension="zero_beyond_T")
+
+    def fstar(t):
+        vals = step_evaluate(steps, cell, t)
+        # a point sitting exactly at the domain end reads the last cell
+        vals[t >= f.domain_measure] = 0.0
+        vals[t == f.domain_measure] = steps[-1]
+        return vals
+
+    return sample(fstar, grid, "decreasing")
 
 
 def maximal_function(fstar: SampledFunction) -> SampledFunction:
@@ -94,6 +98,4 @@ def maximal_function(fstar: SampledFunction) -> SampledFunction:
     # running averages of a decreasing function can pick up ~1e-15 noise
     vals = np.maximum(vals, fstar.values)
     vals = np.minimum.accumulate(vals)
-    return SampledFunction(grid=fstar.grid, values=vals,
-                           monotonicity="decreasing",
-                           extension="constant_beyond_T")
+    return SampledFunction(grid=fstar.grid, values=vals, monotonicity="decreasing")

@@ -258,30 +258,21 @@ class TestSampledFunction:
             # a copy of the points, so that the interpolant is evaluated
             assert np.array_equal(f(g.points.copy()), values)
 
-    def test_extension_rules(self):
+    def test_continuation_without_fn(self):
+        # below t_min the first segment's power law, past t_max the last
+        # sample holds
         g = make_log_grid(1e-2, 1.0, 16)
-        z = SampledFunction(g, np.ones(16), extension="zero_beyond_T")
-        c = SampledFunction(g, np.ones(16), extension="constant_beyond_T")
-        assert z(2.0) == 0.0
-        assert c(2.0) == 1.0
-
-    # a misspelt tag would read 1.0 past T; "analytic" without fn would
-    # interpolate and freeze the last sample
-    @pytest.mark.parametrize("extension", ["zero_beyond_t", "analytic"])
-    def test_bad_extension_rejected(self, extension):
-        g = make_log_grid(1e-2, 1.0, 16)
-        with pytest.raises(DomainError):
-            SampledFunction(g, np.ones(16), extension=extension)
+        f = SampledFunction(g, g.points ** -0.5)
+        assert f(1e-4) == pytest.approx(100.0, rel=1e-12)
+        assert f(2.0) == 1.0 and f(1e3) == 1.0
 
     def test_fn_evaluates_every_point_off_the_grid(self):
-        # below, between and beyond the samples, whatever the extension;
-        # the extension governs only samples without fn
+        # below, between and beyond the samples
         g = make_log_grid(1e-2, 1.0, 16)
         fn = lambda x: np.exp(-x) / x
         t = np.array([1e-3, 0.05, 2.0])
-        for extension in ("zero_beyond_T", "constant_beyond_T"):
-            f = SampledFunction(g, fn(g.points), extension=extension, fn=fn)
-            assert np.array_equal(f(t), fn(t))
+        f = SampledFunction(g, fn(g.points), fn=fn)
+        assert np.array_equal(f(t), fn(t))
         f = sample(fn, g)
         assert f.fn is fn
         assert np.array_equal(f(t), fn(t))
@@ -319,7 +310,7 @@ class TestSampledFunction:
             raise AssertionError("_interp_loglog called")
 
         monkeypatch.setattr(gridfn, "_interp_loglog", no_interp)
-        h = SampledFunction(g, np.exp(-g.points), extension="zero_beyond_T")
+        h = SampledFunction(g, np.exp(-g.points))
         out = h(g.points)
         assert np.array_equal(out, np.exp(-g.points))
         out[:] = -1.0

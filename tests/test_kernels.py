@@ -312,10 +312,10 @@ class TestPowerDerivatives:
         sp = pytest.importorskip("sympy")
         import mpmath
         from calderon_lab.kernels import _phi_derivatives
-        alpha, n, z1, rate = sp.Rational(3, 5), 1, sp.Rational(1, 2), 1
+        alpha, n, z1 = sp.Rational(3, 5), 1, sp.Rational(1, 2)
         kern = KernelSpec(PowerSlowlyVarying(
             alpha=float(alpha), sv=SlowlyVaryingSpec(factors=factors, scale=float(z1)),
-            z1=float(z1), tail_rate=float(rate)), n=n)
+            z1=float(z1)), n=n)
         z = sp.symbols("z", positive=True)
         head = z ** (alpha - n)
         for kind, expo in factors:
@@ -323,7 +323,7 @@ class TestPowerDerivatives:
             if kind == "loglog":
                 inner = sp.log(sp.E * inner)
             head *= inner ** sp.Rational(expo)
-        tail = head.subs(z, z1) * sp.exp(-rate * (z - z1))
+        tail = head.subs(z, z1) * sp.exp(-(z - z1))
         z_in = np.geomspace(1e-5 * float(z1), float(z1), 25)
         z_out = np.geomspace(1.02 * float(z1), 30.0, 10)
         derivs = _phi_derivatives(kern, 3)

@@ -32,8 +32,7 @@ FLAT = WeightSpec(power_exponent=0.0)
 
 
 def indicator_fstar(grid, a):
-    return SampledFunction(grid, (grid.points < a).astype(float),
-                           monotonicity="decreasing", extension="zero_beyond_T")
+    return SampledFunction(grid, (grid.points < a).astype(float), monotonicity="decreasing")
 
 
 class TestCumulativeWeight:
@@ -72,8 +71,7 @@ class TestLorentzNorm:
     def test_ramp_q1(self):
         g = default_grid()
         sp = LorentzSpace(1.0, FLAT, g)
-        f = SampledFunction(g, np.maximum(1.0 - g.points, 0.0),
-                            monotonicity="decreasing", extension="zero_beyond_T")
+        f = SampledFunction(g, np.maximum(1.0 - g.points, 0.0), monotonicity="decreasing")
         # the ramp is not a power law, so the segment rule is O(h^2) here
         assert abs(lorentz_norm(sp, f) - 0.5) < 5e-4
 
@@ -93,24 +91,26 @@ class TestLorentzNorm:
         for _ in range(20):
             f = np.sort(rng.random(g.count))[::-1]
             h = f + np.sort(rng.random(g.count))[::-1]
-            nf = lorentz_norm(sp, SampledFunction(g, f, extension="zero_beyond_T"))
-            nh = lorentz_norm(sp, SampledFunction(g, h, extension="zero_beyond_T"))
+            nf = lorentz_norm(sp, SampledFunction(g, f))
+            nh = lorentz_norm(sp, SampledFunction(g, h))
             assert nf <= nh * (1 + 1e-12)
 
     def test_homogeneity(self):
         g = default_grid()
         sp = LorentzSpace(2.0, FLAT, g)
-        f = SampledFunction(g, np.sort(np.random.default_rng(2).random(g.count))[::-1],
-                            extension="zero_beyond_T")
-        f3 = SampledFunction(g, 3.0 * f.values, extension="zero_beyond_T")
+        f = SampledFunction(g, np.sort(np.random.default_rng(2).random(g.count))[::-1])
+        f3 = SampledFunction(g, 3.0 * f.values)
         assert np.isclose(lorentz_norm(sp, f3), 3.0 * lorentz_norm(sp, f), rtol=1e-12)
 
-    def test_constant_extension_costs_infinity(self):
+    def test_sample_with_fn_reads_as_its_values(self):
+        # the indicator of (0, 1] has norm (int_0^1 1)^(1/2) up to the
+        # head rule; reading fn or the samples gives the same value
         g = default_grid()
-        sp = LorentzSpace(2.0, FLAT, g)
-        f = SampledFunction(g, np.ones(g.count), monotonicity="decreasing",
-                            extension="constant_beyond_T")
-        assert lorentz_norm(sp, f) == math.inf
+        sp = LorentzSpace(2.0, power_weight(2.0, 2.0), g)
+        f = sample(lambda t: (t <= 1.0) * 1.0, g, "decreasing")
+        got = lorentz_norm(sp, f)
+        assert math.isfinite(got) and got == pytest.approx(1.0, rel=1e-6)
+        assert got == lorentz_norm(sp, SampledFunction(g, f.values, "decreasing"))
 
 
 class TestEmbeddingFunction:
@@ -257,10 +257,8 @@ class TestAssociateNorm:
             for _ in range(50 if q == 2.0 and weight is FLAT else 10):
                 fv = np.sort(rng.random(g.count))[::-1]
                 gv = np.sort(rng.random(g.count))[::-1]
-                f = SampledFunction(g, fv, monotonicity="decreasing",
-                                    extension="zero_beyond_T")
-                h = SampledFunction(g, gv, monotonicity="decreasing",
-                                    extension="zero_beyond_T")
+                f = SampledFunction(g, fv, monotonicity="decreasing")
+                h = SampledFunction(g, gv, monotonicity="decreasing")
                 y = fv * gv
                 inner = head_mass(g.points, y) + float(np.sum(segment_masses(g.points, y)))
                 bound = lorentz_norm(sp, f) * associate_norm(sp, h)
@@ -276,8 +274,7 @@ class TestAssociateNorm:
         sp = LorentzSpace(1.0, FLAT, g)
         h = lambda t: t ** power
         if functional == "associate_norm":
-            got = associate_norm(sp, SampledFunction(g, h(g.points),
-                                                     extension="zero_beyond_T"))
+            got = associate_norm(sp, SampledFunction(g, h(g.points)))
         else:
             # phi = h and g = 1: the nested density phi(t) (T - t) behaves
             # like h at 0
@@ -291,7 +288,7 @@ class TestAssociateNorm:
         sp = LorentzSpace(q, FLAT, g)
         rng = np.random.default_rng(3)
         v = g.points ** -0.4 * rng.uniform(0.5, 1.5, g.count) - 0.2
-        h = SampledFunction(g, v, extension="zero_beyond_T")
+        h = SampledFunction(g, v)
         expected = _associate_norm_of_cumulative(
             sp, cumulative_from_zero(g.points, np.maximum(v, 0.0)))
 
@@ -326,8 +323,9 @@ class TestAssociateNorm:
         g = default_grid()
         sp = LorentzSpace(2.0, FLAT, g)
         wide = make_log_grid(1e-8, 2.0, 64)
-        with pytest.raises(DomainError):
-            associate_norm(sp, SampledFunction(wide, np.ones(64)))
+        for norm in (associate_norm, lorentz_norm):
+            with pytest.raises(DomainError):
+                norm(sp, SampledFunction(wide, np.ones(64)))
 
 
 class TestWeightSpec:

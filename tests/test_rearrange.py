@@ -46,6 +46,17 @@ class TestDecreasingRearrangement:
         idx = np.minimum((g.points * cells).astype(int), cells - 1)
         assert np.allclose(fstar.values[:-1], oracle[idx[:-1]])
 
+    def test_reads_steps_off_the_grid_and_last_cell_at_domain_end(self):
+        # a point between grid nodes reads the exact step, not an
+        # interpolant; the domain end reads the last cell, past it 0
+        ms = MeasurableSample(0.5, np.array([4.0, 1.0, 3.0, 2.0]))
+        g = make_log_grid(1e-3, 0.5, 32)
+        fstar = decreasing_rearrangement(ms, g)
+        assert fstar.values[-1] == 1.0
+        # 0.13 lies between the nodes 0.1228 (read 4) and 0.1501 (read 3)
+        assert fstar(np.array([0.1, 0.13, 0.3, 0.5, 0.75])).tolist() == \
+            [4.0, 3.0, 2.0, 1.0, 0.0]
+
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=200),
            st.floats(0.1, 7.0))
@@ -100,8 +111,7 @@ class TestMaximalFunction:
     def test_indicator(self):
         a = 0.25
         g = make_log_grid(1e-6, 1.0, 512)
-        f = SampledFunction(g, (g.points < a).astype(float),
-                            monotonicity="decreasing", extension="zero_beyond_T")
+        f = SampledFunction(g, (g.points < a).astype(float), monotonicity="decreasing")
         m = maximal_function(f)
         expected = np.minimum(1.0, a / g.points)
         # the jump at a lands inside one grid cell
