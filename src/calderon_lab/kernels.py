@@ -265,17 +265,14 @@ def cone_kernel(phi, k: int, n: int, t, tau):
 
 def auto_z1(kernel: KernelSpec) -> float:
     """Largest point of a 256-point geometric grid on [1e-6, 20] where
-    the small-argument two-sided bound still holds within a factor 4:
-    the ratio Phi(y) * y^(2 nu) (power variants: Phi(z) * z^(n-alpha) /
-    Lambda) must stay within [1/4, 4] times its value at the smallest
-    grid point."""
+    the small-argument two-sided bound of a Bessel kernel still holds
+    within a factor 4: the ratio Phi(y) * y^(2 nu) must stay within
+    [1/4, 4] times its value at the smallest grid point.  A power kernel
+    carries its own z1 (DomainError)."""
+    if not isinstance(kernel.variant, BesselMcDonald):
+        raise DomainError("a power kernel carries its own z1")
     z_grid = np.geomspace(1e-6, 20.0, 256)
-    if isinstance(kernel.variant, BesselMcDonald):
-        ratio = kernel.profile(z_grid) * z_grid ** (2.0 * kernel.variant.nu)
-    else:
-        v = kernel.variant
-        lam = v.sv(np.minimum(z_grid, v.z1))
-        ratio = kernel.profile(z_grid) * z_grid ** (kernel.n - v.alpha) / lam
+    ratio = kernel.profile(z_grid) * z_grid ** (2.0 * kernel.variant.nu)
     rhat = ratio / ratio[0]
     ok = (rhat >= 0.25) & (rhat <= 4.0)
     if not ok[0]:

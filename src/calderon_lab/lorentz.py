@@ -39,8 +39,7 @@ from .kernels import SlowlyVaryingSpec
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """v(t) = t^power_exponent * sv(t) on (0, T], continued beyond T by
-    its leading power t^power_exponent * sv(T).
+    """v(t) = t^power_exponent * sv(t) on (0, T].
 
     The slowly varying part, when present, already carries any q-th
     power (build it with SlowlyVaryingSpec.powered).  Integrability at 0
@@ -57,16 +56,7 @@ class WeightSpec:
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
-        inside = t <= self.T
-        tt = np.where(inside, t, self.T)
-        lam = self.sv(tt) if self.sv is not None else np.ones_like(tt)
-        out = tt ** self.power_exponent * lam
-        if np.any(~inside):
-            sv_T = float(self.sv(self.T)) if self.sv is not None else 1.0
-            out[~inside] = t[~inside] ** self.power_exponent * sv_T
-        return float(out[0]) if scalar else out
+        return t ** self.power_exponent * (self.sv(t) if self.sv is not None else 1.0)
 
 
 def power_weight(q: float, p: float, T: float = 1.0,

@@ -34,6 +34,7 @@ from .errors import (
 from .gridfn import (
     LogGrid,
     SampledFunction,
+    _loglog_crossing,
     _map_row_blocks,
     classify_boundedness,
     cumulative_from_zero,
@@ -142,29 +143,20 @@ def check_condition_b(phi, u_q: SampledFunction, k: int, n: int,
 
 def half_level_point(psi: SampledFunction) -> float:
     """The point T1 where the nondecreasing aggregate reaches half its
-    terminal value (to 1e-6 of that value), by bisection on the
-    interpolated grid function.
+    terminal value, solved on the segment of its samples that brackets
+    the half level (`_loglog_crossing`).
     Raises NoSolution when the aggregate is at least half at the grid
     floor t_min: the half level then lies below t_min, when the limit at
     0 is below half (it is 0 for q > 1), or nowhere."""
-    vals = psi.values
+    t, vals = psi.grid.points, psi.values
     target = 0.5 * vals[-1]
     if not math.isfinite(target):
         raise NoSolution("aggregate is infinite at T")
     if vals[0] >= target:
         raise NoSolution("aggregate exceeds half its terminal value on the whole grid: "
                          f"the half level lies below t_min = {psi.grid.t_min:g}")
-    lo, hi = psi.grid.t_min, psi.grid.t_max
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        val = float(psi(mid))
-        if abs(val - target) <= 1e-6 * vals[-1]:
-            return mid
-        if val < target:
-            lo = mid
-        else:
-            hi = mid
-    raise NoSolution("bisection failed to localize the half level")
+    i = int(np.searchsorted(vals, target))
+    return _loglog_crossing(t[i - 1], t[i], vals[i - 1], vals[i], target)
 
 
 @dataclass
@@ -178,7 +170,7 @@ class OptimalNormSpec:
 
     @cached_property
     def T1(self) -> float | None:
-        """The half level point of psi, None in the sup case; bisected on first read."""
+        """The half level point of psi, None in the sup case; solved on first read."""
         return None if self.case == "sup" else half_level_point(self.psi)
 
 
@@ -419,22 +411,14 @@ class AssociateNormEngine:
 
 def _rightmost_crossing(grid: LogGrid, env: np.ndarray, level: float) -> float:
     """sup{ t : env(t) >= level } for a nonincreasing envelope sampled on
-    the grid, refined by bisection between the bracketing samples."""
+    the grid, solved on the segment of samples that brackets the level."""
     t = grid.points
     if env[0] < level:
         raise Exhausted(f"level {level} above the envelope maximum {env[0]}")
     idx = int(np.nonzero(env >= level)[0][-1])
     if idx == len(t) - 1:
         return float(t[-1])
-    f = SampledFunction(grid, env)
-    lo, hi = float(t[idx]), float(t[idx + 1])
-    for _ in range(80):
-        mid = math.sqrt(lo * hi)
-        if f(mid) >= level:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return _loglog_crossing(t[idx], t[idx + 1], env[idx], env[idx + 1], level)
 
 
 def level_discretization(u1: SampledFunction, count: int = 20) -> np.ndarray:

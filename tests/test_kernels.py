@@ -105,6 +105,12 @@ class TestKernelSpec:
         big = kern.profile(ys) / (ys ** (-nu - 0.5) * np.exp(-ys))
         assert big.max() / big.min() < 4.0
 
+    def test_auto_z1_serves_the_bessel_family_only(self):
+        kern = KernelSpec(PowerSlowlyVarying(alpha=0.5, sv=SlowlyVaryingSpec(),
+                                             z1=4.0), n=1)
+        with pytest.raises(DomainError, match="its own z1"):
+            auto_z1(kern)
+
     def test_power_profile_measure_coordinates(self):
         # n = 1, Phi(z) = z^(-1/2) on (0, z1]: phi(tau) = (tau/2)^(-1/2)
         kern = KernelSpec(PowerSlowlyVarying(alpha=0.5, sv=SlowlyVaryingSpec(),

@@ -329,11 +329,6 @@ class TestAssociateNorm:
 
 
 class TestWeightSpec:
-    def test_continuation_rules(self):
-        # beyond T the weight continues by its leading power
-        w_pow = WeightSpec(power_exponent=0.5)
-        assert np.isclose(w_pow(4.0), 2.0)
-
     def test_grid_must_end_at_T(self):
         with pytest.raises(DomainError):
             LorentzSpace(2.0, FLAT, make_log_grid(1e-8, 2.0, 64))

@@ -134,12 +134,16 @@ class TestHalfLevel:
         psi = embedding_function(sp, power_phi(g, 0.75))
         T1 = half_level_point(psi)
         # Psi ~ t^0.25, so the half level sits at 2^(-4)
-        assert abs(psi(T1) - 0.5 * psi.values[-1]) <= 1e-6 * psi.values[-1]
+        assert abs(psi(T1) - 0.5 * psi.values[-1]) <= 1e-14 * psi.values[-1]
         assert abs(T1 - 2.0 ** -4) < 1e-4
 
     def test_constant_has_no_solution(self):
         g = default_grid()
         psi = SampledFunction(g, np.ones(g.count))
+        with pytest.raises(NoSolution):
+            half_level_point(psi)
+        # an aggregate infinite at T has no half level either
+        psi = SampledFunction(g, np.r_[np.ones(g.count - 1), np.inf])
         with pytest.raises(NoSolution):
             half_level_point(psi)
 
@@ -599,6 +603,20 @@ class TestDiscretization:
         u1 = SampledFunction(g, g.points ** -0.5)
         with pytest.raises(Exhausted):
             level_discretization(u1, count=12)
+        # U = t^-1/2 on [2^-8, 1] reaches 2^4 exactly at t_min
+        g = make_log_grid(2.0 ** -8, 1.0, 64)
+        u1 = SampledFunction(g, g.points ** -0.5)
+        assert np.allclose(level_discretization(u1, count=4), 2.0 ** (-2.0 * np.arange(4)))
+        with pytest.raises(Exhausted, match="grid floor"):
+            level_discretization(u1, count=5)
+
+    def test_two_sided_guards(self):
+        g = make_log_grid(0.25, 1.0, 3)
+        with pytest.raises(DomainError):
+            two_sided_level_discretization(SampledFunction(g, g.points ** -0.5))
+        # 10 t_min lies past T, so the top level is 2^0, reached only at t_min
+        with pytest.raises(Exhausted, match="grid floor"):
+            two_sided_level_discretization(SampledFunction(g, [1.0, 0.5, 0.0]))
 
     def test_two_sided_levels_against_fine_oracle(self):
         gc = default_grid(points=512)
