@@ -67,20 +67,18 @@ def default_grid(points: int = 512) -> LogGrid:
 
 @dataclass
 class SampledFunction:
-    """Values of a real function on a LogGrid, plus monotonicity metadata.
+    """Values of a real function on a LogGrid.
 
     Called with its own `grid.points` (the same array object), it returns
     a copy of its samples.  A sample with `fn` evaluates every other
-    point through `fn`.  Without `fn`, positive values between grid
-    points are interpolated by the power law through the bracketing
-    samples (exact for pure powers), others linearly in log t; below
-    t_min the first segment's power law is extrapolated, and past t_max
-    the last sample holds.
+    point through `fn`.  Without `fn`, it is read on [t_min, t_max]
+    only (DomainError outside): positive values between grid points by
+    the power law through the bracketing samples (exact for pure
+    powers), others linearly in log t.
     """
 
     grid: LogGrid
     values: np.ndarray
-    monotonicity: str = "none"          # "decreasing" | "none"
     fn: object = None                   # vectorized callable the samples came from
 
     def __post_init__(self):
@@ -88,17 +86,6 @@ class SampledFunction:
         if len(self.values) != self.grid.count:
             raise DomainError(
                 f"{len(self.values)} values on a grid of {self.grid.count} points")
-        if self.monotonicity not in ("none", "decreasing"):
-            raise DomainError(f"unknown monotonicity tag {self.monotonicity!r}")
-        if self.monotonicity == "decreasing":
-            v = self.values
-            finite = np.isfinite(v[:-1])
-            slack = 1e-9 * np.abs(np.where(finite, v[:-1], 0.0))
-            bad = finite & (v[1:] > v[:-1] + slack)
-            if np.any(bad):
-                i = int(np.argmax(bad))
-                raise DomainError(
-                    f"values tagged decreasing increase at grid index {i}")
 
     # -- evaluation --------------------------------------------------------
 
@@ -110,34 +97,19 @@ class SampledFunction:
         t = np.atleast_1d(t)
         if self.fn is not None:
             out = np.asarray(self.fn(t), dtype=float)
-            return float(out[0]) if scalar else out
-
-        g, v = self.grid.points, self.values
-        out = np.empty_like(t)
-
-        below = t < g[0]
-        above = t > g[-1]
-        inside = ~(below | above)
-
-        if np.any(inside):
-            out[inside] = _interp_loglog(t[inside], g, v)
-        if np.any(below):
-            p = _local_power(g[0], g[1], v[0], v[1])
-            tt = t[below]
-            if v[0] > 0 and np.isfinite(p):
-                out[below] = v[0] * (tt / g[0]) ** p
-            else:
-                out[below] = v[0]
-        if np.any(above):
-            out[above] = v[-1]
+        else:
+            g = self.grid.points
+            if not np.all((t >= g[0]) & (t <= g[-1])):
+                raise DomainError(
+                    f"a sample without fn is read on [{g[0]:g}, {g[-1]:g}] only")
+            out = _interp_loglog(t, g, self.values)
         return float(out[0]) if scalar else out
 
 
-def sample(fn, grid: LogGrid, monotonicity="none") -> SampledFunction:
+def sample(fn, grid: LogGrid) -> SampledFunction:
     """Sample a vectorized callable on a grid, keeping it to evaluate
     every point off the grid."""
-    vals = np.asarray(fn(grid.points), dtype=float)
-    return SampledFunction(grid=grid, values=vals, monotonicity=monotonicity, fn=fn)
+    return SampledFunction(grid=grid, values=fn(grid.points), fn=fn)
 
 
 def _interp_loglog(t, g, v):
@@ -169,12 +141,6 @@ def _loglog_crossing(t0, t1, v0, v1, level) -> float:
     else:
         w = (level - v0) / (v1 - v0)
     return float(min(max(t0 * (t1 / t0) ** w, t0), t1))
-
-
-def _local_power(t0, t1, v0, v1):
-    if v0 > 0 and v1 > 0 and np.isfinite(v0) and np.isfinite(v1):
-        return math.log(v1 / v0) / math.log(t1 / t0)
-    return math.nan
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +230,9 @@ def head_mass(t: np.ndarray, y: np.ndarray) -> float:
     the first segment.  Returns +inf when the local power is <= -1
     (with a whisker of slack so an exact 1/t integrand, whose fitted
     power carries ~1e-16 of rounding, is still flagged divergent)."""
-    p = _local_power(t[0], t[1], y[0], y[1])
-    if math.isnan(p):
+    if not (y[0] > 0 and y[1] > 0 and np.isfinite(y[0]) and np.isfinite(y[1])):
         return float(y[0] * t[0]) if np.isfinite(y[0]) else math.inf
+    p = math.log(y[1] / y[0]) / math.log(t[1] / t[0])
     if p <= -1.0 + 1e-6:
         return math.inf
     return float(y[0] * t[0] / (p + 1.0))

@@ -65,7 +65,7 @@ def tail_embedding_function(space: LorentzSpace, phi, k: int, n: int):
         vals = np.maximum.accumulate(wt[::-1])[::-1]
     else:
         vals = cumulative_tail(t, wt ** space.qp * space.v_vals) ** (1.0 / space.qp)
-    uq = SampledFunction(space.grid, vals, monotonicity="decreasing")
+    uq = SampledFunction(space.grid, vals)
     return wtilde, uq
 
 
@@ -438,20 +438,19 @@ def level_discretization(u1: SampledFunction, count: int = 20) -> np.ndarray:
 
 def two_sided_level_discretization(uq: SampledFunction, m_minus: int = 5):
     """delta_m = sup{ tau : U_q(tau) = 2^m } for m in [-m_minus, m_plus];
-    requires U_q(T) = 0 and U_q blowing up at 0.  m_plus is the largest
-    level found above 10x the grid floor."""
+    requires U_q(T) = 0, U_q blowing up at 0 and 10 t_min < T.  m_plus
+    is the largest level the envelope reaches at 10 t_min, so every
+    delta_m lies at or above 10 t_min."""
     env = np.maximum.accumulate(uq.values[::-1])[::-1]
     if uq.values[-1] > 1e-12 * env[0]:
         raise DomainError("tail aggregate must vanish at T")
+    if not 10.0 * uq.grid.t_min < uq.grid.t_max:
+        raise DomainError(f"two-sided levels need 10 t_min below T, got t_min = "
+                          f"{uq.grid.t_min:g}, T = {uq.grid.t_max:g}")
     f10 = SampledFunction(uq.grid, env)(10.0 * uq.grid.t_min)
     m_plus = int(math.floor(math.log2(f10))) if f10 > 0 else 0
     ms = np.arange(-m_minus, m_plus + 1)
-    deltas = np.empty(len(ms))
-    for i, m in enumerate(ms):
-        deltas[i] = _rightmost_crossing(uq.grid, env, 2.0 ** m)
-        if deltas[i] <= uq.grid.t_min * (1 + 1e-9):
-            raise Exhausted(f"grid floor reached at level index {m}")
-    return ms, deltas
+    return ms, np.array([_rightmost_crossing(uq.grid, env, 2.0 ** m) for m in ms])
 
 
 # ---------------------------------------------------------------------------

@@ -81,7 +81,7 @@ def decreasing_rearrangement(f: MeasurableSample, grid: LogGrid) -> SampledFunct
         vals[t == f.domain_measure] = steps[-1]
         return vals
 
-    return sample(fstar, grid, "decreasing")
+    return sample(fstar, grid)
 
 
 def maximal_function(fstar: SampledFunction) -> SampledFunction:
@@ -98,4 +98,4 @@ def maximal_function(fstar: SampledFunction) -> SampledFunction:
     # running averages of a decreasing function can pick up ~1e-15 noise
     vals = np.maximum(vals, fstar.values)
     vals = np.minimum.accumulate(vals)
-    return SampledFunction(grid=fstar.grid, values=vals, monotonicity="decreasing")
+    return SampledFunction(grid=fstar.grid, values=vals)

@@ -89,7 +89,7 @@ def test_criterion_02_maximal_function_laws():
     ok = True
     for _ in range(50):
         vals = np.sort(rng.random(300) ** rng.uniform(0.5, 2.0))[::-1]
-        f = SampledFunction(g, vals, monotonicity="decreasing")
+        f = SampledFunction(g, vals)
         m = maximal_function(f)
         ok &= bool(np.all(m.values >= vals - 1e-10))
         ok &= bool(np.all(np.diff(m.values) <= 1e-10))
@@ -125,8 +125,7 @@ def test_criterion_04_embedding_classifier():
     ]:
         sp = LorentzSpace(q, FLAT, g)
         for alpha in alphas:
-            phi = sample(lambda t, a=alpha: t ** (a - 1.0), g,
-                         monotonicity="decreasing")
+            phi = sample(lambda t, a=alpha: t ** (a - 1.0), g)
             results[(q, alpha)] = embedding_criterion(sp, phi)["embeds"] is expected
     report(4, all(results.values()),
            "q=2 embeds exactly for alpha in {0.6, 0.75, 0.9}; q=1 never embeds "
@@ -137,7 +136,7 @@ def test_criterion_05_aggregate_closed_form():
     alpha, q = 0.75, 2.0
     g = default_grid()
     sp = LorentzSpace(q, FLAT, g)
-    phi = sample(lambda t: t ** (alpha - 1.0), g, monotonicity="decreasing")
+    phi = sample(lambda t: t ** (alpha - 1.0), g)
     psi = embedding_function(sp, phi)
     c = (1.0 / alpha) * ((alpha - 1.0) * 2.0 + 1.0) ** -0.5
     expected = c * g.points ** (alpha - 0.5)
@@ -289,7 +288,7 @@ def test_criterion_11_upper_cone_estimate():
     sp = LorentzSpace(2.0, FLAT, g)
     kern = KernelSpec(BesselMcDonald(nu=0.125), n=1)   # alpha = 0.75
     tg = make_log_grid(1e-4, 1.0, 48)
-    phi = sample(kern.measure_profile_fn(), g, monotonicity="decreasing")
+    phi = sample(kern.measure_profile_fn(), g)
     c1 = {}
     for res in (256, 512):
         fam = bump_and_staircase_family(count=10, resolution=res)
@@ -305,7 +304,7 @@ def test_criterion_12_besov_specialization():
     g = default_grid()
     sp = LorentzSpace(2.0, FLAT, g)
     kern = KernelSpec(BesselMcDonald(nu=0.125), n=1)
-    phi = sample(kern.measure_profile_fn(), g, monotonicity="decreasing")
+    phi = sample(kern.measure_profile_fn(), g)
     spec = make_optimal_norm_spec(sp, phi)
     tg = make_log_grid(1e-6, 1.0, 64)
     factors = []

@@ -211,40 +211,11 @@ class TestSampledFunction:
         with pytest.raises(DomainError):
             SampledFunction(g, np.ones(15))
 
-    def test_decreasing_tag_enforced(self):
-        g = make_log_grid(1e-2, 1.0, 16)
-        vals = np.ones(16)
-        vals[7] = 2.0
-        with pytest.raises(DomainError):
-            SampledFunction(g, vals, monotonicity="decreasing")
-
-    def test_unknown_monotonicity_rejected(self):
-        g = make_log_grid(1e-2, 1.0, 16)
-        with pytest.raises(DomainError, match="increasing"):
-            SampledFunction(g, np.arange(16.0), monotonicity="increasing")
-
     def test_power_interpolation_exact(self):
         g = make_log_grid(1e-4, 1.0, 64)
         f = SampledFunction(g, g.points ** -0.5)
         ts = np.geomspace(2e-4, 0.9, 50)
         assert np.allclose(f(ts), ts ** -0.5, rtol=1e-12)
-
-    def test_power_extrapolation_below_grid(self):
-        # below t_min the first segment's power law continues: exact for t^p
-        g = make_log_grid(1e-4, 1.0, 64)
-        f = SampledFunction(g, g.points ** -0.7)
-        ts = np.array([1e-12, 3e-8, 9e-5])
-        assert np.allclose(f(ts), ts ** -0.7, rtol=1e-12)
-        assert f(1e-9) == pytest.approx(1e-9 ** -0.7, rel=1e-12)
-
-    def test_extrapolation_falls_back_to_first_sample(self):
-        # no power law through a first sample <= 0: hold that sample
-        g = make_log_grid(1e-4, 1.0, 64)
-        for first in (0.0, -2.0):
-            vals = np.ones(64)
-            vals[0] = first
-            f = SampledFunction(g, vals)
-            assert np.array_equal(f(np.array([1e-9, 5e-5])), [first, first])
 
     def test_grid_nodes_return_their_samples(self):
         # at the last node the interpolant's weight is 1, and
@@ -253,18 +224,19 @@ class TestSampledFunction:
         rng = np.random.default_rng(5)
         for _ in range(600):
             values = np.exp(-np.cumsum(rng.exponential(size=64)))
-            f = SampledFunction(g, values, monotonicity="decreasing")
+            f = SampledFunction(g, values)
             assert f(g.points[-1]) == values[-1]
             # a copy of the points, so that the interpolant is evaluated
             assert np.array_equal(f(g.points.copy()), values)
 
     def test_continuation_without_fn(self):
-        # below t_min the first segment's power law, past t_max the last
-        # sample holds
+        # without fn a sample is read on [t_min, t_max] only
         g = make_log_grid(1e-2, 1.0, 16)
         f = SampledFunction(g, g.points ** -0.5)
-        assert f(1e-4) == pytest.approx(100.0, rel=1e-12)
-        assert f(2.0) == 1.0 and f(1e3) == 1.0
+        assert f(g.t_min) == f.values[0] and f(g.t_max) == f.values[-1]
+        for t in (1e-4, 0.0099, 1.01, 2.0, np.array([0.5, 2.0])):
+            with pytest.raises(DomainError, match="without fn"):
+                f(t)
 
     def test_fn_evaluates_every_point_off_the_grid(self):
         # below, between and beyond the samples

@@ -111,6 +111,13 @@ class TestKernelSpec:
         with pytest.raises(DomainError, match="its own z1"):
             auto_z1(kern)
 
+    def test_measure_profile_rejects_increasing_samples(self):
+        # Phi(z) = z^-1/2 log(e/z)^-3 increases for z in (e^-5, z1]
+        sv = SlowlyVaryingSpec((("log", -3.0),), scale=1.0)
+        kern = KernelSpec(PowerSlowlyVarying(alpha=0.5, sv=sv, z1=1.0), n=1)
+        with pytest.raises(DomainError, match="grid index 392"):
+            measure_profile(kern, default_grid())
+
     def test_power_profile_measure_coordinates(self):
         # n = 1, Phi(z) = z^(-1/2) on (0, z1]: phi(tau) = (tau/2)^(-1/2)
         kern = KernelSpec(PowerSlowlyVarying(alpha=0.5, sv=SlowlyVaryingSpec(),

@@ -32,7 +32,7 @@ FLAT = WeightSpec(power_exponent=0.0)
 
 
 def indicator_fstar(grid, a):
-    return SampledFunction(grid, (grid.points < a).astype(float), monotonicity="decreasing")
+    return SampledFunction(grid, (grid.points < a).astype(float))
 
 
 class TestCumulativeWeight:
@@ -71,7 +71,7 @@ class TestLorentzNorm:
     def test_ramp_q1(self):
         g = default_grid()
         sp = LorentzSpace(1.0, FLAT, g)
-        f = SampledFunction(g, np.maximum(1.0 - g.points, 0.0), monotonicity="decreasing")
+        f = SampledFunction(g, np.maximum(1.0 - g.points, 0.0))
         # the ramp is not a power law, so the segment rule is O(h^2) here
         assert abs(lorentz_norm(sp, f) - 0.5) < 5e-4
 
@@ -107,10 +107,10 @@ class TestLorentzNorm:
         # head rule; reading fn or the samples gives the same value
         g = default_grid()
         sp = LorentzSpace(2.0, power_weight(2.0, 2.0), g)
-        f = sample(lambda t: (t <= 1.0) * 1.0, g, "decreasing")
+        f = sample(lambda t: (t <= 1.0) * 1.0, g)
         got = lorentz_norm(sp, f)
         assert math.isfinite(got) and got == pytest.approx(1.0, rel=1e-6)
-        assert got == lorentz_norm(sp, SampledFunction(g, f.values, "decreasing"))
+        assert got == lorentz_norm(sp, SampledFunction(g, f.values))
 
 
 class TestEmbeddingFunction:
@@ -118,7 +118,7 @@ class TestEmbeddingFunction:
         # flat weight, q = 1: W ~ t^(alpha-1) blows up for alpha < 1
         g = default_grid()
         sp = LorentzSpace(1.0, FLAT, g)
-        phi = sample(lambda t: t ** (0.6 - 1.0), g, monotonicity="decreasing")
+        phi = sample(lambda t: t ** (0.6 - 1.0), g)
         psi = embedding_function(sp, phi)
         assert np.all(np.isinf(psi.values))
 
@@ -128,7 +128,7 @@ class TestEmbeddingFunction:
         g = default_grid()
         sp = LorentzSpace(2.0, FLAT, g)
         alpha = 0.75
-        phi = sample(lambda t: t ** (alpha - 1.0), g, monotonicity="decreasing")
+        phi = sample(lambda t: t ** (alpha - 1.0), g)
         psi = embedding_function(sp, phi)
         c = (1 / alpha) * ((alpha - 1) * 2 + 1) ** -0.5
         expected = c * g.points ** (alpha - 0.5)
@@ -138,7 +138,7 @@ class TestEmbeddingFunction:
         g = default_grid()
         for q in (1.0, 2.0, 3.0):
             sp = LorentzSpace(q, power_weight(max(q, 1.5), 1.2) if q > 1 else FLAT, g)
-            phi = sample(lambda t: t ** -0.25, g, monotonicity="decreasing")
+            phi = sample(lambda t: t ** -0.25, g)
             psi = embedding_function(sp, phi)
             finite = np.isfinite(psi.values)
             assert np.all(np.diff(psi.values[finite]) >= -1e-12)
@@ -152,7 +152,7 @@ class TestEmbeddingFunction:
         w = power_weight(q, 2.0, sv=sv)
         g = default_grid()
         sp = LorentzSpace(q, w, g)
-        phi = sample(lambda t: t ** (0.5 - 1.0), g, monotonicity="decreasing")
+        phi = sample(lambda t: t ** (0.5 - 1.0), g)
         psi = embedding_function(sp, phi)
         L = np.log(np.e / g.points)
         model = (L ** (1 - beta * qp) / (beta * qp - 1.0)) ** (1 / qp)
@@ -182,15 +182,14 @@ class TestEmbeddingCriterion:
     def test_flat_q2(self, alpha, expected):
         g = default_grid()
         sp = LorentzSpace(2.0, FLAT, g)
-        phi = sample(lambda t, a=alpha: t ** (a - 1.0), g, monotonicity="decreasing")
+        phi = sample(lambda t, a=alpha: t ** (a - 1.0), g)
         assert embedding_criterion(sp, phi)["embeds"] is expected
 
     def test_q1_never_embeds_for_powers(self):
         g = default_grid()
         sp = LorentzSpace(1.0, FLAT, g)
         for alpha in (0.3, 0.6, 0.9):
-            phi = sample(lambda t, a=alpha: t ** (a - 1.0), g,
-                         monotonicity="decreasing")
+            phi = sample(lambda t, a=alpha: t ** (a - 1.0), g)
             assert embedding_criterion(sp, phi)["embeds"] is False
 
     @pytest.mark.parametrize("beta,expected", [(0.75, True), (0.25, False)])
@@ -198,8 +197,7 @@ class TestEmbeddingCriterion:
         # alpha = n/p: embeds iff beta * q' > 1
         sv = SlowlyVaryingSpec(factors=(("log", beta),), scale=1.0)
         sp = LorentzSpace(2.0, power_weight(2.0, 2.0, sv=sv), default_grid())
-        phi = sample(lambda t: t ** (0.5 - 1.0), default_grid(),
-                     monotonicity="decreasing")
+        phi = sample(lambda t: t ** (0.5 - 1.0), default_grid())
         assert embedding_criterion(sp, phi)["embeds"] is expected
 
     # Psi_q(T) at the grid floors 1e-4 T, 1e-6 T and 1e-8 T of a space on
@@ -225,7 +223,7 @@ class TestEmbeddingCriterion:
         monkeypatch.setattr(lorentz, "embedding_function", fake_psi)
         g = make_log_grid(10.0 ** min(by_floor), 1.0, 64)
         sp = LorentzSpace(2.0, FLAT, g)
-        phi = sample(lambda t: t ** -0.5, g, monotonicity="decreasing")
+        phi = sample(lambda t: t ** -0.5, g)
         if embeds is None:
             with pytest.raises(Inconclusive):
                 embedding_criterion(sp, phi)
@@ -240,7 +238,7 @@ class TestEmbeddingCriterion:
         # T: the rule is stated before any grid is built
         g = make_log_grid(1e-3, 1.0, 64)
         sp = LorentzSpace(2.0, FLAT, g)
-        phi = sample(lambda t: t ** -0.5, g, monotonicity="decreasing")
+        phi = sample(lambda t: t ** -0.5, g)
         monkeypatch.setattr(lorentz, "make_log_grid",
                             lambda *args: pytest.fail("the criterion built a grid"))
         with pytest.raises(DomainError, match=r"1e4 times the grid floor 0\.001: "
@@ -257,8 +255,8 @@ class TestAssociateNorm:
             for _ in range(50 if q == 2.0 and weight is FLAT else 10):
                 fv = np.sort(rng.random(g.count))[::-1]
                 gv = np.sort(rng.random(g.count))[::-1]
-                f = SampledFunction(g, fv, monotonicity="decreasing")
-                h = SampledFunction(g, gv, monotonicity="decreasing")
+                f = SampledFunction(g, fv)
+                h = SampledFunction(g, gv)
                 y = fv * gv
                 inner = head_mass(g.points, y) + float(np.sum(segment_masses(g.points, y)))
                 bound = lorentz_norm(sp, f) * associate_norm(sp, h)

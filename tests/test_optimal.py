@@ -581,6 +581,14 @@ class TestDiscretization:
         u1 = SampledFunction(g, g.points ** -0.5)
         nu = level_discretization(u1, count=8)
         assert np.max(np.abs(nu - 2.0 ** (-2.0 * np.arange(8)))) < 1e-10
+        # U = 1/t, +inf on its first two points: the levels above U(t_2)
+        # stop at t_1, where the first finite segment starts
+        g = make_log_grid(1e-3, 1.0, 32)
+        vals = 1.0 / g.points
+        vals[:2] = np.inf
+        nu = level_discretization(SampledFunction(g, vals), count=12)
+        assert np.allclose(nu[:10], 2.0 ** -np.arange(10.0), rtol=1e-12, atol=0.0)
+        assert nu[10] == nu[11] == g.points[1] == 0.0012496091412919868
 
     def test_ratio_bound_with_witness(self):
         g = default_grid()
@@ -612,10 +620,10 @@ class TestDiscretization:
 
     def test_two_sided_guards(self):
         g = make_log_grid(0.25, 1.0, 3)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="vanish at T"):
             two_sided_level_discretization(SampledFunction(g, g.points ** -0.5))
-        # 10 t_min lies past T, so the top level is 2^0, reached only at t_min
-        with pytest.raises(Exhausted, match="grid floor"):
+        # 10 t_min lies past T, where U_q is not sampled
+        with pytest.raises(DomainError, match="10 t_min below T"):
             two_sided_level_discretization(SampledFunction(g, [1.0, 0.5, 0.0]))
 
     def test_two_sided_levels_against_fine_oracle(self):

@@ -566,7 +566,7 @@ class TestEnvelope:
     def test_endpoint_within_factor_two(self):
         g = default_grid()
         sp = LorentzSpace(2.0, FLAT, g)
-        phi = sample(lambda t: t ** -0.25, g, monotonicity="decreasing")
+        phi = sample(lambda t: t ** -0.25, g)
         tg = make_log_grid(1e-6, 1.0, 32)
         upper = envelope_bounds(sp, phi, 1, 1, tg)
         from calderon_lab.gridfn import SampledFunction
@@ -580,8 +580,7 @@ class TestEnvelope:
         g = default_grid()
         sp = LorentzSpace(2.0, FLAT, g)
         for alpha in (0.6, 0.75, 0.9):
-            phi = sample(lambda t, a=alpha: t ** (a - 1.0), g,
-                         monotonicity="decreasing")
+            phi = sample(lambda t, a=alpha: t ** (a - 1.0), g)
             tg = make_log_grid(1e-6, 1e-2, 24)
             upper = envelope_bounds(sp, phi, 1, 1, tg)
             A = np.vstack([np.ones(tg.count), np.log(tg.points)]).T
@@ -591,7 +590,7 @@ class TestEnvelope:
     def test_not_embedded(self):
         g = default_grid()
         sp = LorentzSpace(2.0, FLAT, g)
-        phi = sample(lambda t: t ** -0.7, g, monotonicity="decreasing")
+        phi = sample(lambda t: t ** -0.7, g)
         with pytest.raises(NotEmbedded):
             envelope_bounds(sp, phi, 1, 1, make_log_grid(1e-4, 1.0, 16))
 
@@ -602,7 +601,7 @@ class TestEnvelope:
         g = default_grid(points=points)
         # q = 1 needs V to grow slower than t for the profile to embed
         sp = LorentzSpace(q, WeightSpec(power_exponent=-0.5) if q == 1.0 else FLAT, g)
-        phi = sample(lambda t: t ** -0.25, g, monotonicity="decreasing")
+        phi = sample(lambda t: t ** -0.25, g)
         tg = make_log_grid(1e-6, 1.0, 48)
         cones = cone_kernel(phi, 1, 1, tg.points[:, None], g.points)
         want = [associate_norm(sp, SampledFunction(g, om)) for om in cones]
@@ -659,8 +658,7 @@ class TestFieldNorms:
     def test_constant_field_gives_sup_norm(self):
         g = default_grid()
         sp = LorentzSpace(2.0, FLAT, g)
-        spec = make_optimal_norm_spec(sp, sample(lambda t: t ** -0.25, g,
-                                                 monotonicity="decreasing"))
+        spec = make_optimal_norm_spec(sp, sample(lambda t: t ** -0.25, g))
         u = sample_field(lambda x: 0.7 * np.ones_like(x), 2.0, 64)
         om = modulus_curve(u, 1, self.TG)
         assert abs(calderon_norm(u, om, spec, 1, 1) - 0.7) < 1e-12
@@ -670,7 +668,7 @@ class TestFieldNorms:
         # within a modest two-sided factor on convolved fields
         g = default_grid()
         sp = LorentzSpace(2.0, FLAT, g)
-        phi = sample(BMD.measure_profile_fn(), g, monotonicity="decreasing")
+        phi = sample(BMD.measure_profile_fn(), g)
         spec = make_optimal_norm_spec(sp, phi)
         tg = make_log_grid(1e-6, 1.0, 48)
         direct_norm = lambda om: power_modulus_norm(om, 0.75 - 0.5, 2.0)
@@ -688,7 +686,7 @@ class TestFieldNorms:
         # one-field value bit for bit
         g = default_grid()
         sp = LorentzSpace(2.0, FLAT, g)
-        phi = sample(BMD.measure_profile_fn(), g, monotonicity="decreasing")
+        phi = sample(BMD.measure_profile_fn(), g)
         spec = make_optimal_norm_spec(sp, phi)
         us = [convolve(BMD, f) for _, f in bump_and_staircase_family(count=4, resolution=128)]
         oms = modulus_curves(us, 1, self.TG)
@@ -704,8 +702,7 @@ class TestFieldNorms:
     def test_family_needs_one_curve_per_field_on_one_grid(self):
         g = default_grid()
         sp = LorentzSpace(2.0, FLAT, g)
-        spec = make_optimal_norm_spec(sp, sample(lambda t: t ** -0.25, g,
-                                                 monotonicity="decreasing"))
+        spec = make_optimal_norm_spec(sp, sample(lambda t: t ** -0.25, g))
         u = sample_field(np.sin, 2.0, 64)
         om = modulus_curve(u, 1, self.TG)
         other = modulus_curve(u, 1, make_log_grid(1e-6, 1.0, 95))
@@ -729,7 +726,7 @@ class TestFieldNorms:
         # has finite lattice norm at k/n = 1, and not at k/n = 1/8
         g = default_grid()
         sp = LorentzSpace(2.0, FLAT, g)
-        phi = sample(lambda t: t ** -0.25, g, monotonicity="decreasing")
+        phi = sample(lambda t: t ** -0.25, g)
         spec = make_optimal_norm_spec(sp, phi)
         u = sample_field(np.sin, 2.0, 64)
         assert nontriviality_gate(spec, 1, 1)
@@ -761,7 +758,7 @@ class TestEnvelopeSandwich:
         sp = LorentzSpace(2.0, FLAT, g)
         fam = bump_and_staircase_family(count=4, resolution=256)
         tg = make_log_grid(1e-4, 1.0, 24)
-        phi = sample(BMD.measure_profile_fn(), g, monotonicity="decreasing")
+        phi = sample(BMD.measure_profile_fn(), g)
         rep = upper_cone_check(sp, BMD, phi, 1, fam, t_grid=tg)
         upper = envelope_bounds(sp, phi, 1, 1, tg)
         for name, f in fam:

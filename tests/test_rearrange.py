@@ -104,14 +104,14 @@ class TestDecreasingRearrangement:
 class TestMaximalFunction:
     def test_constant(self):
         g = make_log_grid(1e-6, 1.0, 128)
-        f = SampledFunction(g, np.ones(128), monotonicity="decreasing")
+        f = SampledFunction(g, np.ones(128))
         m = maximal_function(f)
         assert np.allclose(m.values, 1.0)
 
     def test_indicator(self):
         a = 0.25
         g = make_log_grid(1e-6, 1.0, 512)
-        f = SampledFunction(g, (g.points < a).astype(float), monotonicity="decreasing")
+        f = SampledFunction(g, (g.points < a).astype(float))
         m = maximal_function(f)
         expected = np.minimum(1.0, a / g.points)
         # the jump at a lands inside one grid cell
@@ -119,7 +119,7 @@ class TestMaximalFunction:
 
     def test_inverse_sqrt(self):
         g = make_log_grid(1e-8, 1.0, 256)
-        f = sample(lambda s: s ** -0.5, g, monotonicity="decreasing")
+        f = sample(lambda s: s ** -0.5, g)
         m = maximal_function(f)
         assert np.allclose(m.values, 2.0 * g.points ** -0.5, rtol=1e-12)
 
@@ -128,7 +128,7 @@ class TestMaximalFunction:
         g = make_log_grid(1e-6, 1.0, 200)
         for _ in range(50):
             vals = np.sort(rng.random(200))[::-1]
-            f = SampledFunction(g, vals, monotonicity="decreasing")
+            f = SampledFunction(g, vals)
             m = maximal_function(f)
             assert np.all(m.values >= vals - 1e-10)
             assert np.all(np.diff(m.values) <= 1e-10)
@@ -137,6 +137,6 @@ class TestMaximalFunction:
 
     def test_nonintegrable(self):
         g = make_log_grid(1e-8, 1.0, 128)
-        f = sample(lambda s: 1.0 / s, g, monotonicity="decreasing")
+        f = sample(lambda s: 1.0 / s, g)
         with pytest.raises(NonConvergent):
             maximal_function(f)
