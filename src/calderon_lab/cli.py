@@ -147,6 +147,9 @@ class ExperimentConfig:
         if self.tmin_span >= 1e-4 and self.scenario in ("embedding_check",
                                                         "lorentz_karamata_case"):
             bad("grid.tmin", "the criterion refines from 1e4 times this span: must be below 1e-4")
+        if self.tmin_span > _MODULUS_SPAN and self.scenario == "besov_case":
+            bad("grid.tmin", f"the aggregate is read on the modulus grid from {_MODULUS_SPAN:g} "
+                f"times T: must be at most {_MODULUS_SPAN:g}")
         fields = self.scenario in _FIELD_SCENARIOS
         if fields and self.n != 1:
             bad("n", "fields are one-dimensional: must be 1 for this scenario")
@@ -408,6 +411,11 @@ def _scenario_envelope(cfg: ExperimentConfig, rec: ReportRecord):
     rec.scalars["small_t_slope"] = slope
 
 
+# besov_case's modulus grid starts at this span of T; the aggregate,
+# a sample without fn on the space's grid, is read there
+_MODULUS_SPAN = 1e-6
+
+
 def _scenario_besov_case(cfg: ExperimentConfig, rec: ReportRecord):
     space, phi = _space_and_profile(cfg)
     spec = make_optimal_norm_spec(space, phi)
@@ -415,7 +423,7 @@ def _scenario_besov_case(cfg: ExperimentConfig, rec: ReportRecord):
     fields = bump_and_staircase_family(count=10, resolution=cfg.field_resolution,
                                        seed=cfg.seed)
     exponent = cfg.alpha / cfg.n - 1.0 / cfg.weight_p
-    tg = make_log_grid(1e-6 * cfg.T, cfg.T, 64)
+    tg = make_log_grid(_MODULUS_SPAN * cfg.T, cfg.T, 64)
     conv = convolver(kernel, fields[0][1])
     us = [conv(f) for _, f in fields]
     # one modulus curve per field, shared by both norms

@@ -119,8 +119,9 @@ def lorentz_norm(space: LorentzSpace, fstar: SampledFunction) -> float:
 
       ( int_0^T (f*)^q v )^(1/q)
 
-    f* is read on the space's grid and treated as zero beyond T; +inf is
-    a legal return value (never an error).
+    f* is read at the space's grid points, so a sample without fn must
+    cover that grid (DomainError otherwise); +inf is a legal return
+    value (never an error).
     """
     if fstar.grid.t_max > space.T * (1 + 1e-12):
         raise DomainError("f* must live on (0, T]")
@@ -259,8 +260,9 @@ def associate_norm(space: LorentzSpace, hstar: SampledFunction) -> float:
       q = 1:  sup_t V(t)^(-1) int_0^t h*
       q > 1:  ( int_0^inf (int_0^t h*)^(q') w dt )^(1/q')
 
-    h* is treated as zero beyond T; +inf when the sup blows up or the
-    integral diverges at 0.
+    h* is read at the space's grid points, so a sample without fn must
+    cover that grid (DomainError otherwise); +inf when the sup blows up
+    or the integral diverges at 0.
     """
     if hstar.grid.t_max > space.T * (1 + 1e-12):
         raise DomainError("h* must live on (0, T]")

@@ -503,12 +503,29 @@ class TestGridSpanFloor:
         cfg.write_text(text)
         assert main(["run", str(cfg)]) == 2
         # at q = 2 the float-range floor is far lower, and 1e-4 is the bound;
-        # the other scenarios form no refinement grid and keep their spans
+        # the scenarios with neither a refinement grid nor a modulus grid
+        # keep their spans
         base = f"scenario = {scenario}\nspace.b_log = 1\n"
         with pytest.raises(ConfigInvalid, match=r"^grid\.tmin: .*below 1e-4"):
             parse_config_text(base + "grid.tmin = 1e-4\n").validate()
         parse_config_text(base + "grid.tmin = 9.9e-5\n").validate()
         parse_config_text(base.replace(scenario, "optimal_norm") + "grid.tmin = 1e-3\n").validate()
+
+    def test_besov_span_rejected(self, tmp_path):
+        # besov_case reads the aggregate, sampled on the space's grid only,
+        # on its modulus grid from 1e-6 T; at 1e-3 that read ended in
+        # DomainError: a sample without fn is read on [0.001, 1] only
+        base = ("scenario = besov_case\nspace.q = 2\ngrid.points = 128\n"
+                "field.resolution = 64\n")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(base + "grid.tmin = 1e-3\n")
+        with pytest.raises(ConfigInvalid, match=r"^grid\.tmin: .*at most 1e-06$"):
+            parse_config_text(cfg.read_text()).validate()
+        assert main(["run", str(cfg)]) == 2
+        # at 1e-6 both grids start at the same point
+        rec = run(parse_config_text(base + "grid.tmin = 1e-6\n"))
+        assert rec.error is None
+        assert rec.passed
 
 
 class TestReuse:

@@ -35,22 +35,32 @@ ROOT = Path(__file__).resolve().parents[2]
 SEEDS = range(101, 111)
 WORKLOADS = ("lattice", "smoothness", "cli_sweep")
 
-# run in each side's subprocess: argv holds that side's src/, a JSON
-# list of config texts and the file for the JSON list of report texts
+# run in each side's subprocess: argv holds this file, that side's src/,
+# a JSON list of config texts and the file for the JSON list of reports
 _RUNNER = """
-import json, sys
+import importlib.util, json, sys
 from pathlib import Path
-sys.path.insert(0, sys.argv[1])
-from calderon_lab import cli
-from calderon_lab.errors import ToolkitError
-out = []
-for text in json.loads(Path(sys.argv[2]).read_text()):
-    try:
-        out.append(cli.run(cli.parse_config_text(text)).to_json())
-    except ToolkitError as exc:
-        out.append(f"raised {type(exc).__name__}: {exc}")
-Path(sys.argv[3]).write_text(json.dumps(out))
+spec = importlib.util.spec_from_file_location("report_diff", sys.argv[1])
+report_diff = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(report_diff)
+texts = json.loads(Path(sys.argv[3]).read_text())
+Path(sys.argv[4]).write_text(json.dumps(report_diff.run_items(sys.argv[2], texts)))
 """
+
+
+def run_items(src: str, texts: list[str]) -> list[str]:
+    """The report text of each config text, run by the package under
+    `src`, or the text of the error when the program rejects it."""
+    sys.path.insert(0, src)
+    from calderon_lab import cli
+    from calderon_lab.errors import ToolkitError
+    out = []
+    for text in texts:
+        try:
+            out.append(cli.run(cli.parse_config_text(text)).to_json())
+        except ToolkitError as exc:
+            out.append(f"raised {type(exc).__name__}: {exc}")
+    return out
 
 
 def configs() -> list[tuple[str, str]]:
@@ -114,7 +124,7 @@ def run_sides(trees: list[Path], texts: list[str], tmp: Path) -> list[list[str]]
     configs_file = tmp / "configs.json"
     configs_file.write_text(json.dumps(texts))
     outs = [tmp / f"reports_{i}.json" for i in range(len(trees))]
-    procs = [subprocess.Popen([sys.executable, "-c", _RUNNER, str(tree / "src"),
+    procs = [subprocess.Popen([sys.executable, "-c", _RUNNER, __file__, str(tree / "src"),
                                str(configs_file), str(out)])
              for tree, out in zip(trees, outs)]
     if any([proc.wait() for proc in procs]):
