@@ -139,6 +139,9 @@ def _bessel_k_batch(nu: float, rho: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", under="ignore"):
             log_f = np.multiply.outer(2.0 * half * half, -2.0 ** 60 * r)
             log_f += (np.logaddexp(nu * t, -nu * t) - math.log(2.0))[:, None]
+            # every sum starts at the t = 0 node's exact 1, so no entry below
+            # e^-700 moves it; the clamp keeps exp off its slow underflow path
+            np.maximum(log_f, -700.0, out=log_f)
             f_sums = np.cumsum(np.exp(log_f, out=log_f), axis=0, out=log_f)
         # the trapezoid sum: f = 1 at the node t = 0, which has half weight
         out[tier] = h * (f_sums[count - 1, np.arange(len(r))] - 0.5) * np.exp(-r)

@@ -500,13 +500,101 @@ def hardy_constants(space: LorentzSpace, delta: float = 0.0) -> dict:
 
 FAMILY_SEED = 0x5EED
 
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+
+def _seed_hash(mult: int, step: int):
+    """SeedSequence's 32-bit hash; its multiplier advances by `step` on
+    every call."""
+    def hash32(value: int) -> int:
+        nonlocal mult
+        value ^= mult
+        mult = mult * step & _M32
+        value = value * mult & _M32
+        return value ^ value >> 16
+    return hash32
+
+
+def _seed_mix(x: int, y: int) -> int:
+    r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+    return r ^ r >> 16
+
+
+class _FamilyRng:
+    """The draws of numpy's `default_rng(seed)` (SeedSequence seeding
+    PCG64) for the two calls the families make, bit for bit, in pure
+    Python: importing numpy's random module costs about 6 MB, and numpy
+    may change Generator streams between releases; these stay fixed."""
+
+    def __init__(self, seed: int):
+        # SeedSequence: the seed's little-endian 32-bit words hashed into a
+        # pool of 4, then 8 words drawn from the pool
+        entropy = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+        mix_hash = _seed_hash(0x43B0D7E5, 0x931E8875)
+        pool = [mix_hash(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = _seed_mix(pool[dst], mix_hash(pool[src]))
+        for word in entropy[4:]:
+            for dst in range(4):
+                pool[dst] = _seed_mix(pool[dst], mix_hash(word))
+        out_hash = _seed_hash(0x8B51F9DD, 0x58F38DED)
+        out = [out_hash(pool[i % 4]) for i in range(8)]
+        u = [out[i] | out[i + 1] << 32 for i in range(0, 8, 2)]
+        # PCG64: state 0, one step, add the initial state, one more step
+        self._inc = ((u[2] << 64 | u[3]) << 1 | 1) & _M128
+        self._state = self._inc + (u[0] << 64 | u[1])
+        self._next64()
+        self._high = None     # the unused upper half of a 64-bit draw
+
+    def _next64(self) -> int:
+        s = self._state = (self._state * 0x2360ED051FC65DA44385DF649FCCF645
+                           + self._inc) & _M128
+        x, rot = (s >> 64 ^ s) & _M64, s >> 122
+        return (x >> rot | x << (64 - rot)) & _M64
+
+    def _next32(self) -> int:
+        if self._high is not None:
+            x, self._high = self._high, None
+            return x
+        x = self._next64()
+        self._high = x >> 32
+        return x & _M32
+
+    def _bounded(self, r: int) -> int:
+        """Uniform on {0, ..., r} for 0 < r < 2^32 - 1: Lemire's method."""
+        m = self._next32() * (r + 1)
+        while m & _M32 < (1 << 32) % (r + 1):
+            m = self._next32() * (r + 1)
+        return m >> 32
+
+    def uniform(self, low: float, high: float, size: int | None = None):
+        """A float, or an array of `size` floats, uniform on [low, high)."""
+        low, span = float(low), float(high) - float(low)
+        draws = [low + span * ((self._next64() >> 11) * 2.0 ** -53)
+                 for _ in range(1 if size is None else size)]
+        return draws[0] if size is None else np.array(draws)
+
+    def choice(self, n: int, size: int) -> np.ndarray:
+        """numpy's `choice(n, size, replace=False)` for size < n where
+        n <= 10000 or size <= n // 50: Floyd's sample, then shuffled."""
+        taken = []
+        for j in range(n - size, n):
+            v = self._bounded(j)
+            taken.append(j if v in taken else v)
+        for i in range(size - 1, 0, -1):
+            j = self._bounded(i)
+            taken[i], taken[j] = taken[j], taken[i]
+        return np.array(taken)
+
 
 def sample_family(grid: LogGrid, count: int = 50, seed: int = FAMILY_SEED):
     """The fixed experiment family of nonnegative g on a grid:
     10 head indicators, 10 band indicators, 15 powers t^s with
     s in (-1/2, 2), and decreasing staircases for the remainder.
     Deterministic for a given seed and grid."""
-    rng = np.random.default_rng(seed)
+    rng = _FamilyRng(seed)
     t = grid.points
     T = grid.t_max
     family = []
@@ -522,7 +610,7 @@ def sample_family(grid: LogGrid, count: int = 50, seed: int = FAMILY_SEED):
     for s in np.linspace(-0.45, 2.0, n_pow):
         family.append((f"power_{s:+.2f}", (t / T) ** s))
     while len(family) < count:
-        breaks = np.sort(rng.choice(len(t) - 2, size=4, replace=False)) + 1
+        breaks = np.sort(rng.choice(len(t) - 2, 4)) + 1
         levels = np.sort(rng.uniform(0.1, 2.0, size=5))[::-1]
         vals = np.empty_like(t)
         prev = 0

@@ -50,7 +50,7 @@ from .gridfn import (
 )
 from .kernels import KernelSpec, cone_kernel
 from .lorentz import LorentzSpace, _associate_norms, embedding_function
-from .optimal import FAMILY_SEED, OptimalNormSpec, _stieltjes_sum
+from .optimal import FAMILY_SEED, OptimalNormSpec, _FamilyRng, _stieltjes_sum
 from .rearrange import MeasurableSample, decreasing_rearrangement
 
 
@@ -430,7 +430,7 @@ def bump_and_staircase_family(count: int = 10, resolution: int = 512,
                               seed: int = FAMILY_SEED):
     """Seeded 1-d family on the box [-3, 3]: smooth compact bumps and
     decreasing staircases supported well inside it."""
-    rng = np.random.default_rng(seed)
+    rng = _FamilyRng(seed)
     family = []
     for i in range(count):
         if i % 2 == 0:

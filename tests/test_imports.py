@@ -19,10 +19,12 @@ def _python(*args):
 
 def test_package_imports_only_numpy():
     # scipy and sympy are test oracles, never runtime dependencies, and
-    # sweeps need no thread pool
+    # sweeps need no thread pool; the selftest's equivalence_sweep and
+    # besov_case draw the seeded families without numpy.random
     code = ("import sys, calderon_lab.cli\n"
+            "calderon_lab.cli.selftest()\n"
             "heavy = sorted(m for m in sys.modules\n"
-            "               if m.startswith(('scipy', 'sympy', 'concurrent')))\n"
+            "               if m.startswith(('scipy', 'sympy', 'concurrent', 'numpy.random')))\n"
             "print(','.join(heavy))\n")
     assert _python("-c", code).stdout.strip() == ""
 
