@@ -15,7 +15,6 @@ from .gridfn import (
 from .rearrange import (
     MeasurableSample,
     decreasing_rearrangement,
-    maximal_function,
     rearrangement_steps,
 )
 from .kernels import (
@@ -48,23 +47,19 @@ from .optimal import (
     equivalence_report,
     half_level_point,
     hardy_constants,
-    level_discretization,
     make_optimal_norm_spec,
     optimal_norm,
     sample_family,
     tail_embedding_function,
-    two_sided_level_discretization,
 )
 from .potentials import (
     FieldSample,
     bump_and_staircase_family,
-    calderon_norm,
     calderon_norms,
     convolve,
     convolver,
     envelope_bounds,
     field_rearrangement,
-    finite_difference,
     modulus_curve,
     modulus_curves,
     modulus_of_smoothness,

@@ -44,11 +44,6 @@ class NoSolution(ToolkitError):
     """A root/bisection problem has no solution in the admissible range."""
 
 
-class Exhausted(ToolkitError):
-    """A discretizing sequence hit the grid floor before the requested
-    number of terms."""
-
-
 class WitnessMissing(ToolkitError):
     """No monotonicity exponent witness could be found."""
 

@@ -132,10 +132,7 @@ def _loglog_crossing(t0, t1, v0, v1, level) -> float:
     """The t in [t0, t1] where the `_interp_loglog` segment through
     (t0, v0) and (t1, v1) equals `level`, for v0 != v1 with `level`
     between them: the power law's inverse where both samples are
-    positive and finite, the linear one in log t otherwise, and t0 when
-    v0 is infinite."""
-    if math.isinf(v0):
-        return float(t0)
+    positive and finite, the linear one in log t otherwise."""
     if v0 > 0 and v1 > 0 and math.isfinite(v1):
         w = math.log(level / v0) / math.log(v1 / v0)
     else:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -297,22 +296,6 @@ def auto_z1(kernel: KernelSpec) -> float:
 # derivative condition checker
 # ---------------------------------------------------------------------------
 
-# coefficients a[j][i] in (z^-1 d/dz)^j Phi = sum_i a[j][i] z^(i-2j) Phi^(i)
-@lru_cache(maxsize=None)
-def _radial_derivative_coeffs(j: int) -> tuple:
-    if j == 1:
-        return (0.0, 1.0)
-    prev = _radial_derivative_coeffs(j - 1)
-    out = [0.0] * (j + 1)
-    for i, a in enumerate(prev):
-        if a == 0.0:
-            continue
-        # z^-1 d/dz [z^(i-2(j-1)) Phi^(i)] contributes to orders i and i+1
-        out[i] += a * (i - 2 * (j - 1))
-        out[i + 1] += a
-    return tuple(out)
-
-
 @dataclass
 class DerivativeConditionReport:
     """Constants of the derivative bounds a kernel profile satisfies.
@@ -433,15 +416,16 @@ def check_derivative_conditions(kernel: KernelSpec, k: int) -> DerivativeConditi
 
     z_in = np.geomspace(z1 * 1e-5, z1, 96)
     z_out = np.geomspace(z1 * 1.02, max(10.0 * z1, z1 + 30.0), 96)
+    # Phi_j = sum_i a[j][i] z^(i-2j) Phi^(i): z^-1 d/dz sends the term a at
+    # order i of Phi_j to (i - 2j) a at order i and a at order i + 1
+    radial_levels = _term_levels(k, 0, lambda i, j: ((i, i - 2 * j), (i + 1, 1.0)))
 
     def radial_ratios(z, d_vals, denom):
         worst = np.zeros_like(z)
         for j in range(1, k + 1):
-            coeffs = _radial_derivative_coeffs(j)
             phi_j = np.zeros_like(z)
-            for i, a in enumerate(coeffs):
-                if a != 0.0:
-                    phi_j += a * z ** (i - 2 * j) * d_vals[i]
+            for i, a in radial_levels[j].items():
+                phi_j += a * z ** (i - 2 * j) * d_vals[i]
             worst = np.maximum(worst, z ** (2 * j) * np.abs(phi_j) / denom)
         return worst
 

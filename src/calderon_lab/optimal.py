@@ -10,9 +10,8 @@ dominance conditions on phi, to the product functional
     rho_tilde(g) built from (int_0^t phi) * (int_t^T g),
 
 and this module computes all four candidate associate functionals, the
-dominance conditions with their exponent witnesses, the dyadic
-discretization sequences used to compare them, and the Hardy-inequality
-constants that control the q > 1 comparison.
+dominance conditions with their exponent witnesses, and the
+Hardy-inequality constants that control the q > 1 comparison.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ import numpy as np
 
 from .errors import (
     DomainError,
-    Exhausted,
     NonConvergent,
     NoSolution,
     NotEmbedded,
@@ -403,54 +401,6 @@ class AssociateNormEngine:
         nested = self.phi_vals * cumulative_tail(self.t, g)
         return _associate_norm_of_cumulative(self.space,
                                              cumulative_from_zero(self.t, nested))
-
-
-# ---------------------------------------------------------------------------
-# dyadic level discretizations
-# ---------------------------------------------------------------------------
-
-def _rightmost_crossing(grid: LogGrid, env: np.ndarray, level: float) -> float:
-    """sup{ t : env(t) >= level } for a nonincreasing envelope sampled on
-    the grid, solved on the segment of samples that brackets the level."""
-    t = grid.points
-    if env[0] < level:
-        raise Exhausted(f"level {level} above the envelope maximum {env[0]}")
-    idx = int(np.nonzero(env >= level)[0][-1])
-    if idx == len(t) - 1:
-        return float(t[-1])
-    return _loglog_crossing(t[idx], t[idx + 1], env[idx], env[idx + 1], level)
-
-
-def level_discretization(u1: SampledFunction, count: int = 20) -> np.ndarray:
-    """nu_m = sup{ t : U(t) = 2^m } for a positive decreasing U
-    normalized so U(T) = 1; nu_0 = T, strictly decreasing toward 0.
-    Raises Exhausted when the grid floor is reached before `count`."""
-    env = np.maximum.accumulate(u1.values[::-1])[::-1]
-    env = env / env[-1]
-    out = np.empty(count)
-    out[0] = u1.grid.t_max
-    for m in range(1, count):
-        out[m] = _rightmost_crossing(u1.grid, env, 2.0 ** m)
-        if out[m] <= u1.grid.t_min * (1 + 1e-9):
-            raise Exhausted(f"grid floor reached at index {m}")
-    return out
-
-
-def two_sided_level_discretization(uq: SampledFunction, m_minus: int = 5):
-    """delta_m = sup{ tau : U_q(tau) = 2^m } for m in [-m_minus, m_plus];
-    requires U_q(T) = 0, U_q blowing up at 0 and 10 t_min < T.  m_plus
-    is the largest level the envelope reaches at 10 t_min, so every
-    delta_m lies at or above 10 t_min."""
-    env = np.maximum.accumulate(uq.values[::-1])[::-1]
-    if uq.values[-1] > 1e-12 * env[0]:
-        raise DomainError("tail aggregate must vanish at T")
-    if not 10.0 * uq.grid.t_min < uq.grid.t_max:
-        raise DomainError(f"two-sided levels need 10 t_min below T, got t_min = "
-                          f"{uq.grid.t_min:g}, T = {uq.grid.t_max:g}")
-    f10 = SampledFunction(uq.grid, env)(10.0 * uq.grid.t_min)
-    m_plus = int(math.floor(math.log2(f10))) if f10 > 0 else 0
-    ms = np.arange(-m_minus, m_plus + 1)
-    return ms, np.array([_rightmost_crossing(uq.grid, env, 2.0 ** m) for m in ms])
 
 
 # ---------------------------------------------------------------------------

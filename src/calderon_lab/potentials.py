@@ -1,7 +1,8 @@
-"""Convolution against singular radial kernels, finite differences,
-moduli of smoothness, and the lattice norms built on them.
+"""Convolution against singular radial kernels, moduli of smoothness,
+and the lattice norms built on them.
 
-Fields are one-dimensional, sampled on a uniform grid over [-H, H].
+A field is one-dimensional: its samples on the inclusive uniform grid
+of [-H, H].
 Convolution never uses Fourier transforms: it is a direct midpoint
 summation in which the singular cell is replaced by the kernel's exact
 integral over that cell, which keeps the near-origin mass honest.
@@ -58,33 +59,29 @@ from .rearrange import MeasurableSample, decreasing_rearrangement
 class FieldSample:
     """Values of a function on the uniform grid of [-H, H].
 
-    The grid is inclusive: x_i = origin + i * spacing with resolution
-    points; by default origin = -box_halfwidth.  Restricted domains
-    produced by differencing keep their own origin.
+    The grid is inclusive: x_i = -H + i * spacing for the len(values)
+    points, spacing = 2H / (len(values) - 1).
     """
 
     n = 1   # fields are one-dimensional; perfbench/tracer.py _modulus_steps reads u.n
     box_halfwidth: float
-    resolution: int
     values: np.ndarray
-    origin: float | None = None
 
     def __post_init__(self):
-        if self.resolution < 16:
-            raise DomainError("resolution must be at least 16")
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 1:
             raise DomainError("values must be a one-dimensional array")
+        if len(self.values) < 16:
+            raise DomainError("a field needs at least 16 values")
         if not np.all(np.isfinite(self.values)):
             raise DomainError("field values must be finite")
-        self.origin = float(-self.box_halfwidth if self.origin is None else self.origin)
 
     @property
     def spacing(self) -> float:
-        return 2.0 * self.box_halfwidth / (self.resolution - 1)
+        return 2.0 * self.box_halfwidth / (len(self.values) - 1)
 
     def axis_points(self) -> np.ndarray:
-        return self.origin + self.spacing * np.arange(len(self.values))
+        return -self.box_halfwidth + self.spacing * np.arange(len(self.values))
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
@@ -93,7 +90,7 @@ class FieldSample:
 def sample_field(fn, box_halfwidth: float, resolution: int) -> FieldSample:
     """fn evaluated on the grid points of [-H, H]."""
     x = -box_halfwidth + 2.0 * box_halfwidth / (resolution - 1) * np.arange(resolution)
-    return FieldSample(box_halfwidth=box_halfwidth, resolution=resolution, values=fn(x))
+    return FieldSample(box_halfwidth=box_halfwidth, values=fn(x))
 
 
 def field_rearrangement(f: FieldSample, grid: LogGrid) -> SampledFunction:
@@ -113,9 +110,9 @@ def convolver(kernel: KernelSpec, like: FieldSample):
     by the kernel's exact integral over that cell, `kernel.cell_mass`
     (DomainError for n >= 2 or a loglog factor).  The table and that
     mass are built here, once per (kernel, grid); the returned function
-    is one mat-vec, keeps f's origin, and raises DomainError when f's
-    spacing or length differs from like's.  Raises ResolutionTooCoarse
-    when the singular cell carries more than half of the table's sum."""
+    is one mat-vec and raises DomainError when f's spacing or length
+    differs from like's.  Raises ResolutionTooCoarse when the singular
+    cell carries more than half of the table's sum."""
     h = like.spacing
     cell_mass = kernel.cell_mass(h)
     m = like.values.shape[0]
@@ -132,8 +129,7 @@ def convolver(kernel: KernelSpec, like: FieldSample):
     def apply(f: FieldSample) -> FieldSample:
         if f.spacing != h or len(f.values) != m:
             raise DomainError("field grid differs from the convolver's grid")
-        return FieldSample(box_halfwidth=f.box_halfwidth, resolution=f.resolution,
-                           values=window @ f.values, origin=f.origin)
+        return FieldSample(box_halfwidth=f.box_halfwidth, values=window @ f.values)
     return apply
 
 
@@ -143,30 +139,11 @@ def convolve(kernel: KernelSpec, f: FieldSample) -> FieldSample:
 
 
 # ---------------------------------------------------------------------------
-# finite differences and moduli of smoothness
+# moduli of smoothness
 # ---------------------------------------------------------------------------
 
 def _difference_coeffs(k: int) -> np.ndarray:
     return np.array([math.comb(k, j) * (-1.0) ** (k - j) for j in range(k + 1)])
-
-
-def finite_difference(u: FieldSample, h: float, k: int) -> FieldSample:
-    """The k-th forward difference along a grid-aligned step h, on the
-    restricted domain where all k shifts stay inside the box."""
-    steps = float(h) / u.spacing
-    m = int(np.rint(steps))
-    if abs(steps - m) > 1e-9 * max(abs(steps), 1.0):
-        raise DomainError("step must be a whole number of grid cells")
-    if k * abs(m) >= len(u.values):
-        raise DomainExceeded("difference stencil leaves the box")
-    size = len(u.values) - k * abs(m)
-    out = np.zeros(size)
-    for j, c in enumerate(_difference_coeffs(k)):
-        start = j * m if m >= 0 else (k - j) * (-m)
-        out += c * u.values[start:start + size]
-    origin = u.origin + (k * abs(m) * u.spacing if m < 0 else 0.0)
-    return FieldSample(box_halfwidth=u.box_halfwidth, resolution=u.resolution,
-                       values=out, origin=origin)
 
 
 def _step_sups(us, k: int, mags: np.ndarray) -> np.ndarray:
@@ -265,8 +242,6 @@ def _moduli(us, k: int, ts: np.ndarray) -> np.ndarray:
     t_max = np.max(ts)
     if k * t_max > 2.0 * like.box_halfwidth:
         raise DomainExceeded("stencil span exceeds the box")
-    if len(like.values) < 2:    # one node keeps no stencil of a step h > 0
-        raise DomainExceeded("no grid point keeps the whole stencil inside the box")
     h0 = like.spacing / k
     steps, sups = _vertex_sups(np.array([u.values for u in us]), k, like.spacing, max(t_max, h0))
     # for |h| <= h0 each stencil point x_i + m*h (|m| <= k) stays in a cell
@@ -289,8 +264,9 @@ def modulus_of_smoothness(u: FieldSample, k: int, t: float) -> float:
     the vertex steps spacing*p/q <= t (q <= k).  Up to the least vertex
     step h0 = spacing/k it is (t/h0) omega_k(u; h0): there it describes
     s, not u, and grows like t * spacing^(k-1), not t^k.  Raises
-    DomainExceeded when the span k*t exceeds the box or leaves no grid
-    point of the field."""
+    DomainExceeded when the span k*t exceeds the box, or when no grid
+    point keeps the whole stencil inside it (at k*t = 2H, where the last
+    node rounds below H)."""
     if t <= 0:
         raise DomainError("t must be positive")
     return float(_moduli([u], k, np.array([float(t)]))[0, 0])
@@ -299,8 +275,8 @@ def modulus_of_smoothness(u: FieldSample, k: int, t: float) -> float:
 def modulus_curves(us, k: int, t_grid: LogGrid, n: int = 1) -> list[SampledFunction]:
     """modulus_curve of each field of us, bit for bit, sharing the step
     positions and refined grids.  Raises DomainError for an empty list or
-    fields whose origin, spacing, length or box differ."""
-    if len({(u.origin, u.spacing, len(u.values), u.box_halfwidth) for u in us}) != 1:
+    fields whose length or box differ."""
+    if len({(len(u.values), u.box_halfwidth) for u in us}) != 1:
         raise DomainError("modulus_curves needs a nonempty family on one grid")
     # scalar powers, as a caller of modulus_of_smoothness forms them: the
     # vectorised power can differ in the last bit
@@ -396,10 +372,14 @@ def nontriviality_gate(spec: OptimalNormSpec, k: int, n: int) -> bool:
 
 
 def calderon_norms(us, omegas, spec: OptimalNormSpec, k: int, n: int) -> list[float]:
-    """calderon_norm of each field of us with its modulus curve in omegas,
-    bit for bit, deciding the gate and sampling Psi once for the family.
-    Raises DomainError unless the curves are as many as the fields, at
-    least one, on one t grid."""
+    """The Calderon norm of each field of us with its modulus curve in
+    omegas: the sup norm of u plus the lattice norm of omega, its modulus
+    of smoothness omega_k(u; t^(1/n)) as modulus_curve computes it (max
+    omega in the sup case, the Stieltjes form in the weighted case).  The
+    gate is decided and Psi sampled once for the family.  Raises
+    TrivialSpace when the lattice only contains the zero modulus, and
+    DomainError unless the curves are as many as the fields, at least
+    one, on one t grid."""
     if not omegas or len(us) != len(omegas) or any(
             not np.array_equal(omega.grid.points, omegas[0].grid.points) for omega in omegas):
         raise DomainError("calderon_norms needs one modulus curve per field, on one t grid")
@@ -410,16 +390,6 @@ def calderon_norms(us, omegas, spec: OptimalNormSpec, k: int, n: int) -> list[fl
     psi = spec.psi(omegas[0].grid.points)
     return [u.sup_norm() + _stieltjes_sum(omega.values, psi, spec.q)
             for u, omega in zip(us, omegas)]
-
-
-def calderon_norm(u: FieldSample, omega: SampledFunction, spec: OptimalNormSpec,
-                  k: int, n: int) -> float:
-    """sup norm of u plus the lattice norm of omega, its modulus of
-    smoothness omega_k(u; t^(1/n)) as modulus_curve computes it: max
-    omega in the sup case, the Stieltjes form in the weighted case.
-    Raises TrivialSpace when the lattice only contains the zero modulus.
-    """
-    return calderon_norms([u], [omega], spec, k, n)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Decreasing rearrangement and the running-average maximal function.
+"""Decreasing rearrangement.
 
 The input model is a list of values of |f| on equal-measure cells of a
 domain of known total measure.  In that model the rearrangement is an
@@ -11,13 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySample, NonConvergent
-from .gridfn import (
-    LogGrid,
-    SampledFunction,
-    cumulative_from_zero,
-    sample,
-)
+from .errors import EmptySample
+from .gridfn import LogGrid, SampledFunction, sample
 
 
 @dataclass
@@ -82,20 +77,3 @@ def decreasing_rearrangement(f: MeasurableSample, grid: LogGrid) -> SampledFunct
         return vals
 
     return sample(fstar, grid)
-
-
-def maximal_function(fstar: SampledFunction) -> SampledFunction:
-    """Running average t -> (1/t) * integral of fstar over (0, t).
-
-    Requires fstar nonincreasing and integrable at 0.  The output is
-    nonincreasing, dominates fstar, and t * output(t) is nondecreasing.
-    """
-    t = fstar.grid.points
-    cum = cumulative_from_zero(t, fstar.values)
-    if not np.isfinite(cum[0]):
-        raise NonConvergent("rearrangement is not integrable at 0")
-    vals = cum / t
-    # running averages of a decreasing function can pick up ~1e-15 noise
-    vals = np.maximum(vals, fstar.values)
-    vals = np.minimum.accumulate(vals)
-    return SampledFunction(grid=fstar.grid, values=vals)

@@ -11,7 +11,6 @@ import calderon_lab.optimal as optimal
 import calderon_lab.potentials as potentials
 from calderon_lab.errors import (
     DomainError,
-    Exhausted,
     NoSolution,
     NotEmbedded,
 )
@@ -42,12 +41,10 @@ from calderon_lab.optimal import (
     half_level_point,
     hardy_constants,
     largest_monotone_exponent,
-    level_discretization,
     make_optimal_norm_spec,
     optimal_norm,
     sample_family,
     tail_embedding_function,
-    two_sided_level_discretization,
 )
 
 FLAT = WeightSpec(power_exponent=0.0)
@@ -577,99 +574,6 @@ class TestEquivalence:
         assert not ca.holds and not cb.holds
         rep = equivalence_report(sp, phi, 1, 1, sample_family(g, count=20))
         assert "spread" in rep    # still evaluated, never asserted
-
-
-class TestDiscretization:
-    def test_exact_power_levels(self):
-        g = default_grid()
-        u1 = SampledFunction(g, g.points ** -0.5)
-        nu = level_discretization(u1, count=8)
-        assert np.max(np.abs(nu - 2.0 ** (-2.0 * np.arange(8)))) < 1e-10
-        # U = 1/t, +inf on its first two points: the levels above U(t_2)
-        # stop at t_1, where the first finite segment starts
-        g = make_log_grid(1e-3, 1.0, 32)
-        vals = 1.0 / g.points
-        vals[:2] = np.inf
-        nu = level_discretization(SampledFunction(g, vals), count=12)
-        assert np.allclose(nu[:10], 2.0 ** -np.arange(10.0), rtol=1e-12, atol=0.0)
-        assert nu[10] == nu[11] == g.points[1] == 0.0012496091412919868
-
-    def test_ratio_bound_with_witness(self):
-        g = default_grid()
-        u1 = SampledFunction(g, g.points ** -0.5)
-        eps = largest_monotone_exponent(g.points, u1.values)
-        nu = level_discretization(u1, count=8)
-        assert np.all(nu[:-1] <= 2.0 ** (1.0 / eps) * nu[1:] * (1 + 1e-9))
-        assert np.all(np.diff(nu) < 0)
-
-    def test_plateau_returns_rightmost(self):
-        g = make_log_grid(1e-6, 1.0, 400)
-        vals = np.where(g.points < 1e-3, 16.0, np.where(g.points < 0.25, 2.0, 1.0))
-        env = SampledFunction(g, vals)
-        nu = level_discretization(env, count=2)
-        # level 2 is attained on (1e-3-ish, 0.25): rightmost point wins
-        assert abs(nu[1] - 0.25) < 0.25 * (g.ratio - 1.0) * 1.1
-
-    def test_exhausted(self):
-        g = make_log_grid(1e-2, 1.0, 64)
-        u1 = SampledFunction(g, g.points ** -0.5)
-        with pytest.raises(Exhausted):
-            level_discretization(u1, count=12)
-        # U = t^-1/2 on [2^-8, 1] reaches 2^4 exactly at t_min
-        g = make_log_grid(2.0 ** -8, 1.0, 64)
-        u1 = SampledFunction(g, g.points ** -0.5)
-        assert np.allclose(level_discretization(u1, count=4), 2.0 ** (-2.0 * np.arange(4)))
-        with pytest.raises(Exhausted, match="grid floor"):
-            level_discretization(u1, count=5)
-
-    def test_two_sided_guards(self):
-        g = make_log_grid(0.25, 1.0, 3)
-        with pytest.raises(DomainError, match="vanish at T"):
-            two_sided_level_discretization(SampledFunction(g, g.points ** -0.5))
-        # 10 t_min lies past T, where U_q is not sampled
-        with pytest.raises(DomainError, match="10 t_min below T"):
-            two_sided_level_discretization(SampledFunction(g, [1.0, 0.5, 0.0]))
-
-    def test_two_sided_levels_against_fine_oracle(self):
-        gc = default_grid(points=512)
-        gf = default_grid(points=5120)
-        spc = LorentzSpace(2.0, FLAT, gc)
-        spf = LorentzSpace(2.0, FLAT, gf)
-        _, uq_c = tail_embedding_function(spc, power_phi(gc, 1.5, n=2), 1, 2)
-        _, uq_f = tail_embedding_function(spf, power_phi(gf, 1.5, n=2), 1, 2)
-        ms_c, d_c = two_sided_level_discretization(uq_c, m_minus=5)
-        ms_f, d_f = two_sided_level_discretization(uq_f, m_minus=5)
-        shared = min(len(d_c), len(d_f))
-        for i in range(shared):
-            assert abs(math.log(d_c[i] / d_f[i])) <= math.log(gc.ratio) + 1e-9
-
-    def test_two_sided_window_and_ratio(self):
-        g = default_grid()
-        sp = LorentzSpace(2.0, FLAT, g)
-        _, uq = tail_embedding_function(sp, power_phi(g, 1.5, n=2), 1, 2)
-        eps = largest_monotone_exponent(g.points, uq.values)
-        ms, deltas = two_sided_level_discretization(uq, m_minus=5)
-        assert ms[0] == -5
-        d0 = deltas[list(ms).index(0)]
-        assert 0.0 < d0 < 1.0
-        assert np.all(np.diff(deltas) < 0)
-        assert np.all(deltas[:-1] <= deltas[1:] * 2.0 ** (1.0 / eps) * (1 + 1e-9))
-        # delta_m approaches T from below as m -> -infinity
-        tail5 = deltas[:5]
-        assert np.all(np.diff(tail5) < 0) and tail5[0] > 0.5
-
-    def test_doubling_shifts_index(self):
-        g = default_grid()
-        sp = LorentzSpace(2.0, FLAT, g)
-        _, uq = tail_embedding_function(sp, power_phi(g, 1.5, n=2), 1, 2)
-        ms1, d1 = two_sided_level_discretization(uq, m_minus=4)
-        uq2 = SampledFunction(g, 2.0 * uq.values)
-        ms2, d2 = two_sided_level_discretization(uq2, m_minus=4)
-        # levels of 2 U at index m+1 match levels of U at index m
-        lookup = dict(zip(ms2, d2))
-        for m, d in zip(ms1, d1):
-            if m + 1 in lookup:
-                assert np.isclose(lookup[m + 1], d, rtol=1e-6)
 
 
 class TestHardy:

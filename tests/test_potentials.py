@@ -33,13 +33,11 @@ from calderon_lab.optimal import OptimalNormSpec, make_optimal_norm_spec, optima
 from calderon_lab.potentials import (
     FieldSample,
     bump_and_staircase_family,
-    calderon_norm,
     calderon_norms,
     convolve,
     convolver,
     envelope_bounds,
     field_rearrangement,
-    finite_difference,
     modulus_curve,
     modulus_curves,
     modulus_of_smoothness,
@@ -151,7 +149,7 @@ class TestConvolve:
         rng = np.random.default_rng(0x5EED)
         for _ in range(10):
             vals = rng.random(256) * (np.abs(np.linspace(-3, 3, 256)) < 1.2)
-            f = FieldSample(3.0, 256, vals)
+            f = FieldSample(3.0, vals)
             u = convolve(BMD, f)
             fstar = field_rearrangement(f, grid=g)
             bound = c0 * phi_assoc * lorentz_norm(sp, fstar)
@@ -207,7 +205,7 @@ class TestConvolve:
         for resolution in (128, 256):
             for name, f in bump_and_staircase_family(count=4, resolution=resolution):
                 u = convolve(kernel, f)
-                m = f.resolution
+                m = len(f.values)
                 h = f.spacing
                 table = kernel.profile(np.abs(h * np.arange(-(m - 1), m))) * h
                 table[m - 1] = kernel.cell_mass(h)
@@ -232,11 +230,11 @@ class TestConvolve:
     def test_convolver_rejects_other_grid(self):
         f = sample_field(np.cos, 3.0, 256)
         conv = convolver(BMD, f)
-        shifted = FieldSample(3.0, 256, f.values, origin=-2.5)
-        assert conv(shifted).origin == -2.5
+        longer = sample_field(np.cos, 6.0, 511)
+        assert longer.spacing == f.spacing
         for other in (sample_field(np.cos, 4.0, 256),     # box halfwidth
                       sample_field(np.cos, 3.0, 512),     # resolution
-                      finite_difference(f, f.spacing, 1)):   # length
+                      longer):                            # length
             with pytest.raises(DomainError):
                 conv(other)
 
@@ -260,45 +258,6 @@ class TestConvolve:
             "kernel.alpha = 0.75\nfield.resolution = 128\ngrid.points = 256\n"))
         assert rec.error is None
         assert len(calls) == 1
-
-
-class TestFiniteDifference:
-    def test_linear_gives_constant_h(self):
-        u = sample_field(lambda x: x, 2.0, 65)
-        d = finite_difference(u, 0.25, 1)
-        assert np.allclose(d.values, 0.25)
-
-    def test_quadratic_second_difference(self):
-        u = sample_field(lambda x: x ** 2, 2.0, 65)
-        d = finite_difference(u, 0.25, 2)
-        assert np.allclose(d.values, 2 * 0.25 ** 2)
-
-    def test_annihilates_low_degree(self):
-        u = sample_field(lambda x: 3 * x ** 2 - 2 * x + 7, 2.0, 65)
-        d = finite_difference(u, 0.125, 3)
-        assert np.max(np.abs(d.values)) < 1e-12
-
-    def test_iterative_identity(self):
-        rng = np.random.default_rng(5)
-        u = FieldSample(2.0, 65, rng.normal(size=65))
-        once_then_twice = finite_difference(finite_difference(u, 0.125, 2), 0.125, 1)
-        threefold = finite_difference(u, 0.125, 3)
-        assert np.allclose(once_then_twice.values, threefold.values, atol=1e-12)
-
-    def test_negative_step(self):
-        u = sample_field(lambda x: x, 2.0, 65)
-        d = finite_difference(u, -0.25, 1)
-        assert np.allclose(d.values, -0.25)
-
-    def test_domain_exceeded(self):
-        u = sample_field(lambda x: x, 2.0, 65)
-        with pytest.raises(DomainExceeded):
-            finite_difference(u, 2.0, 3)
-
-    def test_step_off_the_grid(self):
-        u = sample_field(lambda x: x, 2.0, 65)     # spacing 1/16
-        with pytest.raises(DomainError, match="whole number of grid cells"):
-            finite_difference(u, 0.1, 1)
 
 
 class TestModulus:
@@ -359,7 +318,7 @@ class TestModulus:
         rng = np.random.default_rng(2)
         a = sample_field(lambda x: np.sin(3 * x), 4.0, 512)
         b = sample_field(lambda x: np.cos(7 * x) * 0.5, 4.0, 512)
-        both = FieldSample(4.0, 512, a.values + b.values)
+        both = FieldSample(4.0, a.values + b.values)
         for t in (0.2, 0.7):
             assert modulus_of_smoothness(both, 1, t) <= \
                 modulus_of_smoothness(a, 1, t) + modulus_of_smoothness(b, 1, t) + 1e-12
@@ -404,7 +363,7 @@ class TestModulus:
         assert abs(t - 0.2682696) < 1e-7
         exact = modulus_of_smoothness(u, 2, t)
         sampled = _sup_at_breaks(u, 2, t * np.arange(1, 17) / 16)
-        x = np.linspace(u.origin, u.axis_points()[-1], 20001)
+        x = np.linspace(u.axis_points()[0], u.axis_points()[-1], 20001)
         s = lambda y: np.interp(y, u.axis_points(), u.values)
         brute = max(float(np.max(np.abs(s(x + 2 * h) - 2 * s(x + h) + s(x))[x + 2 * h <= x[-1]]))
                     for h in t * np.arange(1, 401) / 400)
@@ -422,28 +381,13 @@ class TestModulus:
             assert np.array_equal(modulus_curve(u, k, tg, n=n).values,
                                   np.maximum.accumulate(per_t)), n
 
-    def test_stencil_outside_restricted_domain(self):
-        # a differenced field covers less than its box: steps that pass
-        # the box check can still leave no point with the whole stencil
-        u = finite_difference(sample_field(np.sin, 2.0, 65), 2.5, 1)
-        for k, t in ((1, 1.6), (2, 0.8), (3, 0.55)):
-            with pytest.raises(DomainExceeded, match="no grid point"):
-                modulus_of_smoothness(u, k, t)
-            with pytest.raises(DomainExceeded, match="no grid point"):
-                modulus_curve(u, k, make_log_grid(1e-3, t, 8))
+    def test_span_exceeds_box(self):
+        # k = 2 at t = 2.1 spans 4.2, past the box [-2, 2]
+        u = sample_field(np.sin, 2.0, 65)
         with pytest.raises(DomainExceeded, match="span exceeds"):
             modulus_of_smoothness(u, 2, 2.1)
         with pytest.raises(DomainExceeded, match="span exceeds"):
             modulus_curve(u, 2, make_log_grid(1e-3, 2.1, 8))
-        # one node left: not even a step below the spacing fits
-        one_node = finite_difference(sample_field(np.sin, 2.0, 65), 4.0, 1)
-        with pytest.raises(DomainExceeded, match="no grid point"):
-            modulus_of_smoothness(one_node, 1, 1e-3)
-        # inside the restricted domain the vertex steps stay inside too
-        floor = 4 * np.finfo(float).eps * u.sup_norm()
-        for k, t in ((1, 0.9), (2, 0.7), (3, 0.45)):
-            exact = modulus_of_smoothness(u, k, t)
-            assert abs(exact - _sup_at_breaks(u, k, _vertex_steps(u, k, t))) <= k * floor
 
     def test_curve_nondecreasing(self):
         u = sample_field(lambda x: np.sin(4 * x), 4.0, 512)
@@ -504,12 +448,10 @@ class TestModulusCurves:
         u = sample_field(np.sin, 2.0, 65)
         with pytest.raises(DomainError, match="one grid"):
             modulus_curves([], 1, tg)
-        shifted = FieldSample(2.0, 65, u.values, origin=-1.5)
-        wider = FieldSample(2.5, 65, u.values)
-        shorter = finite_difference(u, u.spacing, 1)
-        larger_box = FieldSample(4.0, 129, u.values, origin=-2.0)  # same spacing
+        wider = FieldSample(2.5, u.values)
+        larger_box = sample_field(np.sin, 4.0, 129)     # same spacing, more values
         assert larger_box.spacing == u.spacing
-        for other in (shifted, wider, shorter, larger_box):
+        for other in (wider, larger_box):
             with pytest.raises(DomainError, match="one grid"):
                 modulus_curves([u, other], 1, tg)
         assert np.array_equal(modulus_curves([u, u], 1, tg)[1].values,
@@ -628,8 +570,7 @@ class TestUpperCone:
         rep = upper_cone_check(sp, BMD, phi, 1, fam,
                                t_grid=make_log_grid(1e-4, 1.0, 24))
         assert math.isfinite(rep.c1) and rep.c1 > 0
-        scaled = [(name, FieldSample(f.box_halfwidth, f.resolution,
-                                     5.0 * f.values)) for name, f in fam]
+        scaled = [(name, FieldSample(f.box_halfwidth, 5.0 * f.values)) for name, f in fam]
         rep2 = upper_cone_check(sp, BMD, phi, 1, scaled,
                                 t_grid=make_log_grid(1e-4, 1.0, 24))
         for name in rep.per_field:
@@ -661,7 +602,7 @@ class TestFieldNorms:
         spec = make_optimal_norm_spec(sp, sample(lambda t: t ** -0.25, g))
         u = sample_field(lambda x: 0.7 * np.ones_like(x), 2.0, 64)
         om = modulus_curve(u, 1, self.TG)
-        assert abs(calderon_norm(u, om, spec, 1, 1) - 0.7) < 1e-12
+        assert abs(calderon_norms([u], [om], spec, 1, 1)[0] - 0.7) < 1e-12
 
     def test_besov_shape_agreement(self):
         # the optimal Stieltjes form and the direct power form agree
@@ -675,7 +616,7 @@ class TestFieldNorms:
         for name, f in bump_and_staircase_family(count=3, resolution=256):
             u = convolve(BMD, f)
             om = modulus_curve(u, 1, tg)
-            opt = calderon_norm(u, om, spec, 1, 1)
+            opt = calderon_norms([u], [om], spec, 1, 1)[0]
             direct = u.sup_norm() + direct_norm(om)
             assert opt == u.sup_norm() + stieltjes_modulus_norm(spec, om)
             factor = max(opt / direct, direct / opt)
@@ -690,7 +631,7 @@ class TestFieldNorms:
         spec = make_optimal_norm_spec(sp, phi)
         us = [convolve(BMD, f) for _, f in bump_and_staircase_family(count=4, resolution=128)]
         oms = modulus_curves(us, 1, self.TG)
-        want = [calderon_norm(u, om, spec, 1, 1) for u, om in zip(us, oms)]
+        want = [calderon_norms([u], [om], spec, 1, 1)[0] for u, om in zip(us, oms)]
         gates = []
         real_gate = potentials.nontriviality_gate
         monkeypatch.setattr(potentials, "nontriviality_gate",
@@ -717,7 +658,7 @@ class TestFieldNorms:
         spec = OptimalNormSpec(case="sup", psi=psi, q=1.0)
         u = sample_field(np.sin, 2.0, 64)
         om = modulus_curve(u, 1, self.TG)
-        got = calderon_norm(u, om, spec, 1, 1)
+        got = calderon_norms([u], [om], spec, 1, 1)[0]
         assert got == u.sup_norm() + float(np.max(om.values))
         assert got == u.sup_norm() + optimal_norm(spec, om)
 
@@ -732,21 +673,22 @@ class TestFieldNorms:
         assert nontriviality_gate(spec, 1, 1)
         assert not nontriviality_gate(spec, 1, 8)
         with pytest.raises(TrivialSpace):
-            calderon_norm(u, modulus_curve(u, 1, self.TG, n=8), spec, 1, 8)
+            calderon_norms([u], [modulus_curve(u, 1, self.TG, n=8)], spec, 1, 8)
 
 
 class TestFieldSampleValidation:
     def test_resolution_floor(self):
-        with pytest.raises(DomainError):
-            FieldSample(1.0, 8, np.zeros(8))
+        with pytest.raises(DomainError, match="at least 16"):
+            FieldSample(1.0, np.zeros(15))
+        assert FieldSample(1.0, np.zeros(16)).spacing == 2.0 / 15
 
     def test_finite_values(self):
-        with pytest.raises(DomainError):
-            FieldSample(1.0, 32, np.full(32, np.nan))
+        with pytest.raises(DomainError, match="finite"):
+            FieldSample(1.0, np.full(32, np.nan))
 
     def test_dimension_shape(self):
-        with pytest.raises(DomainError):
-            FieldSample(1.0, 32, np.zeros((32, 32)))
+        with pytest.raises(DomainError, match="one-dimensional"):
+            FieldSample(1.0, np.zeros((32, 32)))
 
 
 class TestEnvelopeSandwich:

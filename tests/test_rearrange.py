@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from calderon_lab.errors import EmptySample, NonConvergent
-from calderon_lab.gridfn import SampledFunction, make_log_grid, sample
+from calderon_lab.errors import EmptySample
+from calderon_lab.gridfn import make_log_grid
 from calderon_lab.rearrange import (
     MeasurableSample,
     decreasing_rearrangement,
-    maximal_function,
     rearrangement_steps,
     step_evaluate,
 )
@@ -99,44 +98,3 @@ class TestDecreasingRearrangement:
             MeasurableSample(0.0, np.array([1.0]))
         with pytest.raises(EmptySample):
             MeasurableSample(1.0, np.array([np.inf]))
-
-
-class TestMaximalFunction:
-    def test_constant(self):
-        g = make_log_grid(1e-6, 1.0, 128)
-        f = SampledFunction(g, np.ones(128))
-        m = maximal_function(f)
-        assert np.allclose(m.values, 1.0)
-
-    def test_indicator(self):
-        a = 0.25
-        g = make_log_grid(1e-6, 1.0, 512)
-        f = SampledFunction(g, (g.points < a).astype(float))
-        m = maximal_function(f)
-        expected = np.minimum(1.0, a / g.points)
-        # the jump at a lands inside one grid cell
-        assert np.max(np.abs(m.values - expected)) < 1.1 * (g.ratio - 1.0)
-
-    def test_inverse_sqrt(self):
-        g = make_log_grid(1e-8, 1.0, 256)
-        f = sample(lambda s: s ** -0.5, g)
-        m = maximal_function(f)
-        assert np.allclose(m.values, 2.0 * g.points ** -0.5, rtol=1e-12)
-
-    def test_laws_on_random_decreasing(self):
-        rng = np.random.default_rng(9)
-        g = make_log_grid(1e-6, 1.0, 200)
-        for _ in range(50):
-            vals = np.sort(rng.random(200))[::-1]
-            f = SampledFunction(g, vals)
-            m = maximal_function(f)
-            assert np.all(m.values >= vals - 1e-10)
-            assert np.all(np.diff(m.values) <= 1e-10)
-            tm = g.points * m.values
-            assert np.all(np.diff(tm) >= -1e-10)
-
-    def test_nonintegrable(self):
-        g = make_log_grid(1e-8, 1.0, 128)
-        f = sample(lambda s: 1.0 / s, g)
-        with pytest.raises(NonConvergent):
-            maximal_function(f)
