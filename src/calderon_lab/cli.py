@@ -359,7 +359,7 @@ def _scenario_equivalence_sweep(cfg: ExperimentConfig, rec: ReportRecord):
     space, phi = _space_and_profile(cfg)
     if not math.isfinite(embedding_function(space, phi).values[-1]):
         raise NotEmbedded("aggregate infinite at T; no equivalence to measure")
-    wt, uq = tail_embedding_function(space, phi, cfg.k, cfg.n)
+    uq = tail_embedding_function(space, phi, cfg.k, cfg.n)
     ca = check_condition_a(phi, space.V, cfg.k, cfg.n, space.grid)
     cb = check_condition_b(phi, uq, cfg.k, cfg.n, space.grid)
     condition = "A" if ca.holds else ("B" if cb.holds else "neither")
@@ -368,18 +368,17 @@ def _scenario_equivalence_sweep(cfg: ExperimentConfig, rec: ReportRecord):
     rec.scalars["d2"] = cb.d
     rec.scalars["epsilon_a"] = ca.epsilon
     rec.scalars["epsilon_b"] = cb.epsilon
-    fam = sample_family(space.grid, count=50, seed=cfg.seed)
-    rep = equivalence_report(space, phi, cfg.k, cfg.n, fam)
+    rep = equivalence_report(space, phi, cfg.k, cfg.n, sample_family(space.grid, cfg.seed))
     rec.scalars["ratio_min"] = rep["min_ratio"]
     rec.scalars["ratio_max"] = rep["max_ratio"]
     rec.scalars["ratio_spread"] = rep["spread"]
     rec.series["uq"] = (space.grid.points, uq.values)
     if cfg.q > 1.0:
-        h = hardy_constants(space, delta=0.0)
-        rec.scalars["hardy_B0"] = h["B_delta"]
+        h = hardy_constants(space)
+        rec.scalars["hardy_B0"] = h["B0"]
         rec.scalars["hardy_bound"] = h["bound"]
         _check(rec.assertions, "hardy_within_bound", h["within_bound"],
-               h["B_delta"], "Hardy constant sits below its theoretical bound")
+               h["B0"], "Hardy constant sits below its theoretical bound")
     if condition == "neither":
         rec.scalars["equivalence_unverified"] = True
         _check(rec.assertions, "spread_recorded", True, rep["spread"],

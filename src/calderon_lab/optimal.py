@@ -48,9 +48,8 @@ from .lorentz import (LorentzSpace, _associate_norm_of_cumulative, _profile_inte
 # tail aggregate and the two dominance conditions
 # ---------------------------------------------------------------------------
 
-def tail_embedding_function(space: LorentzSpace, phi, k: int, n: int):
-    """(Wtilde, U_q): the tail density Wtilde(t) = V(t)^-1 t^(1-k/n) phi(t)
-    and its tail aggregate
+def tail_embedding_function(space: LorentzSpace, phi, k: int, n: int) -> SampledFunction:
+    """U_q, the tail aggregate of Wtilde(t) = V(t)^-1 t^(1-k/n) phi(t):
 
         U_1(t) = sup_{[t,T]} Wtilde,
         U_q(t) = ( int_t^T Wtilde^(q') v )^(1/q'),   q > 1,
@@ -58,13 +57,11 @@ def tail_embedding_function(space: LorentzSpace, phi, k: int, n: int):
     with U_q(T) = 0 for q > 1."""
     t = space.grid.points
     wt = t ** (1.0 - k / float(n)) * np.asarray(phi(t), dtype=float) / space.V.values
-    wtilde = SampledFunction(space.grid, wt)
     if space.q == 1.0:
         vals = np.maximum.accumulate(wt[::-1])[::-1]
     else:
         vals = cumulative_tail(t, wt ** space.qp * space.v_vals) ** (1.0 / space.qp)
-    uq = SampledFunction(space.grid, vals)
-    return wtilde, uq
+    return SampledFunction(space.grid, vals)
 
 
 def largest_monotone_exponent(t: np.ndarray, vals: np.ndarray) -> float:
@@ -317,11 +314,11 @@ class AssociateNormEngine:
         return float(self.rho_tilde_family(self._checked(g)[None])[0])
 
     def rho_tilde_family(self, G) -> np.ndarray:
-        """rho_tilde of each row of G, an F x N array or a list of F rows."""
+        """rho_tilde of each row of G, an F x N array."""
         # the tail integral of g ends in 0, so the term beyond T adds exactly 0
         return _map_row_blocks(lambda block: _associate_norm_of_cumulative(
-            self.space, self.iphi * cumulative_tail(self.t, self._checked(block, ndim=2))),
-            G, len(self.t))
+            self.space, self.iphi * cumulative_tail(self.t, block)),
+            self._checked(G, ndim=2), len(self.t))
 
     def rho1(self, g: np.ndarray) -> float:
         g = self._checked(g)
@@ -353,9 +350,7 @@ class AssociateNormEngine:
 
     def _psi0(self, G) -> np.ndarray:
         """Rows tau -> int Omega(xi, tau) g(xi) dxi for the rows g of G."""
-        a = np.empty((len(G), len(self.t)))
-        for row, g in zip(a, G):
-            np.multiply(self.cone_weights, self._checked(g), out=row)
+        a = np.multiply(self.cone_weights, G)
         # a row with an infinite or NaN coefficient has that sum in every
         # entry (the kernel is positive); the product would turn inf * 0
         # into NaN where exp(-s y) underflows, so it runs on zeros instead
@@ -388,9 +383,10 @@ class AssociateNormEngine:
         return blocks
 
     def rho0_family(self, G) -> np.ndarray:
-        """rho0 of each row of G, an F x N array or a list of F rows."""
+        """rho0 of each row of G, an F x N array."""
         return _map_row_blocks(lambda block: _associate_norm_of_cumulative(
-            self.space, cumulative_from_zero(self.t, block)), self._psi0(G), len(self.t))
+            self.space, cumulative_from_zero(self.t, block)),
+            self._psi0(self._checked(G, ndim=2)), len(self.t))
 
     def rho0_hat(self, g: np.ndarray) -> float:
         """q = 1 only: the nested form sup_t V^-1 int_0^t phi(tau)
@@ -407,15 +403,14 @@ class AssociateNormEngine:
 # Hardy constants
 # ---------------------------------------------------------------------------
 
-def hardy_constants(space: LorentzSpace, delta: float = 0.0) -> dict:
+def hardy_constants(space: LorentzSpace) -> dict:
     """The weighted-Hardy constant
 
-      B_delta = sup_t ( int_t^T w tau^(delta q') )^(1/q')
-                      ( int_0^t w^(-q/q') tau^(-(delta+1) q) )^(1/q)
+      B0 = sup_t ( int_t^T w )^(1/q') ( int_0^t w^(-q/q') tau^(-q) )^(1/q)
 
-    together with the theoretical bound (q/q')^(1/q') / (eps - delta q)
-    and the induced bound on the best inequality constant,
-    c3 <= B_delta q^(1/q) q'^(1/q').  eps is the largest exponent making
+    together with the theoretical bound (q/q')^(1/q') / eps and the
+    induced bound on the best inequality constant,
+    c3 <= B0 q^(1/q) q'^(1/q').  eps is the largest exponent making
     V(t) t^(-eps) nondecreasing (WitnessMissing when none exists).
     """
     if space.q <= 1.0:
@@ -424,22 +419,19 @@ def hardy_constants(space: LorentzSpace, delta: float = 0.0) -> dict:
     eps = largest_monotone_exponent(t, 1.0 / space.V.values)
     if eps == 0.0:
         raise WitnessMissing("no exponent witness for the cumulative weight")
-    if not delta < eps / space.q:
-        raise DomainError(f"delta must be below eps/q = {eps / space.q}")
     q, qp = space.q, space.qp
     w = space.w_vals
-    upper = cumulative_tail(t, w * t ** (delta * qp))
-    lower = cumulative_from_zero(t, w ** (-q / qp) * t ** (-(delta + 1.0) * q))
+    upper = cumulative_tail(t, w)
+    lower = cumulative_from_zero(t, w ** (-q / qp) * t ** -q)
     if not np.isfinite(lower[0]):
         raise NonConvergent("lower Hardy integral diverges at 0")
-    b_vals = upper ** (1.0 / qp) * lower ** (1.0 / q)
-    b_delta = float(np.max(b_vals))
-    bound = (q / qp) ** (1.0 / qp) / (eps - delta * q)
+    b0 = float(np.max(upper ** (1.0 / qp) * lower ** (1.0 / q)))
+    bound = (q / qp) ** (1.0 / qp) / eps
     return {
-        "B_delta": b_delta,
+        "B0": b0,
         "bound": bound,
-        "within_bound": bool(b_delta <= bound * (1 + 1e-9)),
-        "c3_bound": b_delta * q ** (1.0 / q) * qp ** (1.0 / qp),
+        "within_bound": bool(b0 <= bound * (1 + 1e-9)),
+        "c3_bound": b0 * q ** (1.0 / q) * qp ** (1.0 / qp),
         "epsilon": eps,
     }
 
@@ -539,57 +531,38 @@ class _FamilyRng:
         return np.array(taken)
 
 
-def sample_family(grid: LogGrid, count: int = 50, seed: int = FAMILY_SEED):
-    """The fixed experiment family of nonnegative g on a grid:
-    10 head indicators, 10 band indicators, 15 powers t^s with
-    s in (-1/2, 2), and decreasing staircases for the remainder.
-    Deterministic for a given seed and grid."""
+def sample_family(grid: LogGrid, seed: int = FAMILY_SEED) -> np.ndarray:
+    """The fixed experiment family of nonnegative g on a grid, one row
+    each: 10 head indicators, 10 band indicators, 15 powers t^s with
+    s in (-1/2, 2) and 15 decreasing staircases.  Deterministic for a
+    given seed and grid."""
     rng = _FamilyRng(seed)
     t = grid.points
     T = grid.t_max
-    family = []
-    n_head = min(10, count)
-    for a in np.geomspace(1e-4 * T, 0.9 * T, n_head):
-        family.append((f"head_{a:.3e}", (t < a).astype(float)))
-    n_band = min(10, max(count - len(family), 0))
-    for _ in range(n_band):
+    rows = [t < a for a in np.geomspace(1e-4 * T, 0.9 * T, 10)]
+    for _ in range(10):
         lo, hi = np.sort(rng.uniform(np.log(1e-5 * T), np.log(T), size=2))
-        family.append(("band_%.2f_%.2f" % (lo, hi),
-                       ((t >= math.exp(lo)) & (t < math.exp(hi))).astype(float)))
-    n_pow = min(15, max(count - len(family), 0))
-    for s in np.linspace(-0.45, 2.0, n_pow):
-        family.append((f"power_{s:+.2f}", (t / T) ** s))
-    while len(family) < count:
+        rows.append((t >= math.exp(lo)) & (t < math.exp(hi)))
+    rows += [(t / T) ** s for s in np.linspace(-0.45, 2.0, 15)]
+    for _ in range(15):
         breaks = np.sort(rng.choice(len(t) - 2, 4)) + 1
         levels = np.sort(rng.uniform(0.1, 2.0, size=5))[::-1]
-        vals = np.empty_like(t)
-        prev = 0
-        for b, lv in zip(list(breaks) + [len(t)], levels):
-            vals[prev:b] = lv
-            prev = b
-        family.append((f"stair_{len(family)}", vals))
-    return family[:count]
+        rows.append(np.repeat(levels, np.diff([0, *breaks, len(t)])))
+    return np.array(rows, dtype=float)
 
 
 def equivalence_report(space: LorentzSpace, phi, k: int, n: int, family) -> dict:
-    """Ratios rho0/rho_tilde over the sample family; the two-sided
-    equivalence constant is the spread C = max ratio / min ratio."""
+    """The least and largest ratio rho0/rho_tilde over the rows of the
+    F x N family, and the two-sided equivalence constant, their spread
+    C = max ratio / min ratio.  A row gives no ratio when rho_tilde is 0
+    or both norms are infinite; min and max are NaN when no row gives
+    one."""
     eng = AssociateNormEngine(space, phi, k, n)
-    rows = [g for _, g in family]
-    rho0s = eng.rho0_family(rows).tolist()
-    rts = eng.rho_tilde_family(rows).tolist()
-    ratios = {}
-    infinite = 0
-    for (name, _), r0, rt in zip(family, rho0s, rts):
-        if math.isinf(r0) and math.isinf(rt):
-            ratios[name] = math.nan
-            infinite += 1
-        else:
-            ratios[name] = r0 / rt if rt > 0 else math.nan
+    r0, rt = eng.rho0_family(family), eng.rho_tilde_family(family)
+    keep = (rt > 0) & (np.isfinite(r0) | np.isfinite(rt))
+    ratios = r0[keep] / rt[keep]
+    lo, hi = (float(ratios.min()), float(ratios.max())) if ratios.size else (math.nan, math.nan)
     # a one-sided infinite norm gives a ratio of 0 or +inf: either makes
     # the spread infinite
-    vals = [v for v in ratios.values() if not math.isnan(v)]
-    lo, hi = (min(vals), max(vals)) if vals else (math.nan, math.nan)
-    return {"ratios": ratios, "min_ratio": lo, "max_ratio": hi,
-            "spread": math.inf if lo == 0.0 or hi == math.inf else hi / lo,
-            "count": len(vals), "both_infinite": infinite}
+    return {"min_ratio": lo, "max_ratio": hi,
+            "spread": math.inf if lo == 0.0 or hi == math.inf else hi / lo}

@@ -60,7 +60,8 @@ class FieldSample:
     """Values of a function on the uniform grid of [-H, H].
 
     The grid is inclusive: x_i = -H + i * spacing for the len(values)
-    points, spacing = 2H / (len(values) - 1).
+    points, spacing = 2H / (len(values) - 1), and the last node is H
+    exactly.
     """
 
     n = 1   # fields are one-dimensional; perfbench/tracer.py _modulus_steps reads u.n
@@ -81,7 +82,7 @@ class FieldSample:
         return 2.0 * self.box_halfwidth / (len(self.values) - 1)
 
     def axis_points(self) -> np.ndarray:
-        return -self.box_halfwidth + self.spacing * np.arange(len(self.values))
+        return np.linspace(-self.box_halfwidth, self.box_halfwidth, len(self.values))
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
@@ -89,7 +90,7 @@ class FieldSample:
 
 def sample_field(fn, box_halfwidth: float, resolution: int) -> FieldSample:
     """fn evaluated on the grid points of [-H, H]."""
-    x = -box_halfwidth + 2.0 * box_halfwidth / (resolution - 1) * np.arange(resolution)
+    x = np.linspace(-box_halfwidth, box_halfwidth, resolution)
     return FieldSample(box_halfwidth=box_halfwidth, values=fn(x))
 
 
@@ -265,8 +266,7 @@ def modulus_of_smoothness(u: FieldSample, k: int, t: float) -> float:
     step h0 = spacing/k it is (t/h0) omega_k(u; h0): there it describes
     s, not u, and grows like t * spacing^(k-1), not t^k.  Raises
     DomainExceeded when the span k*t exceeds the box, or when no grid
-    point keeps the whole stencil inside it (at k*t = 2H, where the last
-    node rounds below H)."""
+    point keeps the whole stencil inside it."""
     if t <= 0:
         raise DomainError("t must be positive")
     return float(_moduli([u], k, np.array([float(t)]))[0, 0])

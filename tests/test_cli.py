@@ -395,8 +395,7 @@ class TestScenarios:
             "kernel.alpha = 0.916\nk = 1\nn = 1\ngrid.points = 256\n"
             "seed = 211290874\n")
         space, phi = cli._space_and_profile(cfg)
-        fam = sample_family(space.grid, count=50, seed=cfg.seed)
-        rep = equivalence_report(space, phi, cfg.k, cfg.n, fam)
+        rep = equivalence_report(space, phi, cfg.k, cfg.n, sample_family(space.grid, cfg.seed))
         assert rep["min_ratio"] == 0.0
         assert rep["spread"] == math.inf
         assert run(cfg).error.startswith("NotEmbedded: ")

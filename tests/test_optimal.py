@@ -61,9 +61,8 @@ class TestTailAggregate:
         g = default_grid()
         sp = LorentzSpace(2.0, FLAT, g)
         phi = power_phi(g, 1.5, n=2)
-        wt, uq = tail_embedding_function(sp, phi, 1, 2)
+        uq = tail_embedding_function(sp, phi, 1, 2)
         ex = (1.5 - 1.0) / 2.0 - 1.0
-        assert np.allclose(wt.values, g.points ** ex, rtol=1e-12)
         expected = np.sqrt(np.maximum((g.points ** (2 * ex + 1) - 1.0)
                                       / -(2 * ex + 1), 0.0))
         assert np.allclose(uq.values[:-1], expected[:-1], rtol=1e-10)
@@ -72,15 +71,18 @@ class TestTailAggregate:
         g = default_grid()
         for q in (1.5, 2.0, 4.0):
             sp = LorentzSpace(q, FLAT, g)
-            _, uq = tail_embedding_function(sp, power_phi(g, 0.75), 1, 1)
+            uq = tail_embedding_function(sp, power_phi(g, 0.75), 1, 1)
             assert uq.values[-1] == 0.0
 
     def test_q1_running_sup(self):
         g = default_grid()
         sp = LorentzSpace(1.0, FLAT, g)
-        wt, u1 = tail_embedding_function(sp, power_phi(g, 0.5), 1, 1)
+        phi = power_phi(g, 0.5)
+        u1 = tail_embedding_function(sp, phi, 1, 1)
+        # Wtilde = V^-1 t^(1-k/n) phi at k = n = 1
+        wt = np.asarray(phi(g.points)) / sp.V.values
         assert np.all(np.diff(u1.values) <= 1e-12)
-        assert np.all(u1.values >= wt.values - 1e-12)
+        assert np.all(u1.values >= wt - 1e-12)
 
 
 class TestConditions:
@@ -90,7 +92,7 @@ class TestConditions:
         g = default_grid()
         sp = LorentzSpace(2.0, FLAT, g)
         phi = power_phi(g, alpha)
-        wt, uq = tail_embedding_function(sp, phi, 1, 1)
+        uq = tail_embedding_function(sp, phi, 1, 1)
         ca = check_condition_a(phi, sp.V, 1, 1, g)
         cb = check_condition_b(phi, uq, 1, 1, g)
         assert ca.holds is a_holds
@@ -113,7 +115,7 @@ class TestConditions:
             g = make_log_grid(1e-8, 1.0, pts)
             sp = LorentzSpace(2.0, FLAT, g)
             phi = power_phi(g, 1.0)
-            wt, uq = tail_embedding_function(sp, phi, 1, 1)
+            uq = tail_embedding_function(sp, phi, 1, 1)
             sups_a.append(check_condition_a(phi, sp.V, 1, 1, g).d_grid)
             sups_b.append(check_condition_b(phi, uq, 1, 1, g).d_grid)
         assert sups_a[0] < sups_a[1] < sups_a[2]
@@ -124,7 +126,7 @@ class TestConditions:
         g = default_grid()
         sp = LorentzSpace(2.0, FLAT, g)
         phi = power_phi(g, 1.5, n=2)
-        _, uq = tail_embedding_function(sp, phi, 1, 2)
+        uq = tail_embedding_function(sp, phi, 1, 2)
         assert largest_monotone_exponent(g.points, uq.values) > 0
 
 
@@ -291,8 +293,7 @@ class TestConeKernel:
         omega = (np.asarray(phi(t))[None, :]
                  / (1.0 + (t[None, :] / t[:, None]) ** (k / n)))
         rng = np.random.default_rng(100 * points + 10 * k + n)
-        gs = [gv for _, gv in sample_family(g)] + [rng.random(points)
-                                                   for _ in range(3)]
+        gs = [*sample_family(g), *rng.random((3, points))]
         finite = 0
         for sp in (LorentzSpace(2.0, FLAT, g), LorentzSpace(1.0, FLAT, g),
                    LorentzSpace(1.0, WeightSpec(power_exponent=-0.5), g)):
@@ -323,7 +324,7 @@ class TestConeKernel:
         phi = power_phi(g, 0.25)
         omega = (np.asarray(phi(t))[None, :]
                  / (1.0 + (t[None, :] / t[:, None]) ** (k / n)))
-        G = np.array([gv for _, gv in sample_family(g)])
+        G = sample_family(g)
         assert len(G) == 50
         eng = AssociateNormEngine(LorentzSpace(2.0, FLAT, g), phi, k, n)
         want = (eng.xi_weights * G) @ omega
@@ -386,7 +387,7 @@ class TestConeKernel:
         cols = np.linspace(0, len(t) - 1, 50).astype(int)
         omega = (np.asarray(phi(t))[None, cols]
                  / (1.0 + (t[None, cols] / t[:, None]) ** (k / n)))
-        G = np.array([gv for _, gv in sample_family(g)])
+        G = sample_family(g)
         eng = AssociateNormEngine(LorentzSpace(2.0, FLAT, g), phi, k, n)
         want = (eng.xi_weights * G) @ omega
         got = eng._psi0(G)[:, cols]
@@ -404,7 +405,7 @@ class TestConeKernel:
         bad, good = np.ones(700), np.linspace(1.0, 2.0, 700)
         bad[where] = math.inf
         assert eng.rho0(bad) == math.inf
-        got = eng.rho0_family([good, bad, good])
+        got = eng.rho0_family(np.array([good, bad, good]))
         assert got[1] == math.inf
         assert math.isfinite(got[0])
         for value in (got[2], eng.rho0(good)):
@@ -415,7 +416,7 @@ class TestConeKernel:
         g = default_grid(points=64)
         eng = AssociateNormEngine(LorentzSpace(2.0, FLAT, g), power_phi(g, 0.75), 1, 2)
         assert eng.rho0_family(np.empty((0, 64))).shape == (0,)
-        assert eng.rho0_family([]).shape == (0,)
+        assert eng.rho_tilde_family(np.empty((0, 64))).shape == (0,)
 
     @pytest.mark.parametrize("length", [63, 65])
     @pytest.mark.parametrize("method", ["rho0", "rho_tilde", "rho1", "rho2",
@@ -446,9 +447,8 @@ class TestConeKernel:
         t = g.points
         sp = LorentzSpace(q, FLAT, g)
         eng = AssociateNormEngine(sp, power_phi(g, alpha, n=n), k, n)
-        rows = [gv for _, gv in sample_family(g, count=50)]
+        rows = sample_family(g)
         got = eng.rho_tilde_family(rows)
-        assert np.array_equal(got, eng.rho_tilde_family(np.array(rows)))
         want = [eng.rho_tilde(gv) for gv in rows]
         assert np.array_equal(got, want)
         assert np.array_equal(got, [_associate_norm_of_cumulative(
@@ -465,18 +465,22 @@ class TestConeKernel:
         # the earlier per-g np.convolve loop.
         code = (
             "import resource, sys\n"
+            "import numpy as np\n"
             "from calderon_lab.gridfn import default_grid, sample\n"
             "from calderon_lab.lorentz import LorentzSpace, WeightSpec\n"
-            "from calderon_lab.optimal import equivalence_report, sample_family\n"
+            "from calderon_lab.optimal import AssociateNormEngine, equivalence_report, sample_family\n"
             "g = default_grid(points=4000)\n"
             "sp = LorentzSpace(2.0, WeightSpec(power_exponent=0.0), g)\n"
             "phi = sample(lambda t: t ** -0.25, g)\n"
-            "family = sample_family(g, count=50)\n"
+            "family = sample_family(g)\n"
             "unit = 1 if sys.platform == 'darwin' else 1024   # ru_maxrss in KiB\n"
             "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
             "rep = equivalence_report(sp, phi, 1, 1, family)\n"
             "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-            "print(rep['count'], (after - before) * unit)\n")
+            "eng = AssociateNormEngine(sp, phi, 1, 1)\n"
+            "r0, rt = eng.rho0_family(family), eng.rho_tilde_family(family)\n"
+            "ratios = np.sum(np.isfinite(r0) & np.isfinite(rt) & (rt > 0))\n"
+            "print(ratios, rep['spread'], (after - before) * unit)\n")
         src = Path(__file__).resolve().parent.parent / "src"
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -484,7 +488,8 @@ class TestConeKernel:
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout.split()
         assert int(out[0]) == 50
-        assert int(out[1]) < 64 * 2 ** 20
+        assert math.isfinite(float(out[1]))
+        assert int(out[2]) < 64 * 2 ** 20
 
 
 class TestEquivalence:
@@ -492,8 +497,12 @@ class TestEquivalence:
         g = default_grid()
         sp = LorentzSpace(4.0, FLAT, g)
         phi = power_phi(g, 0.6, n=2)
-        rep = equivalence_report(sp, phi, 1, 2, sample_family(g, count=50))
-        assert rep["count"] == 50
+        family = sample_family(g)
+        rep = equivalence_report(sp, phi, 1, 2, family)
+        eng = AssociateNormEngine(sp, phi, 1, 2)
+        r0, rt = eng.rho0_family(family), eng.rho_tilde_family(family)
+        # every row gives a ratio
+        assert np.all(np.isfinite(r0) & np.isfinite(rt) & (rt > 0))
         assert rep["spread"] < 50.0
         assert rep["min_ratio"] > 0.9
 
@@ -509,9 +518,8 @@ class TestEquivalence:
             out[0] = math.inf
             return out
         monkeypatch.setattr(AssociateNormEngine, "rho0_family", first_infinite)
-        family = sample_family(g, count=50)
-        rep = equivalence_report(sp, phi, 1, 2, family)
-        assert rep["ratios"][family[0][0]] == math.inf
+        rep = equivalence_report(sp, phi, 1, 2, sample_family(g))
+        assert 0.0 < rep["min_ratio"] < math.inf
         assert rep["max_ratio"] == math.inf
         assert rep["spread"] == math.inf
 
@@ -519,7 +527,7 @@ class TestEquivalence:
         g = default_grid()
         sp = LorentzSpace(2.0, FLAT, g)
         phi = power_phi(g, 1.5, n=2)
-        rep = equivalence_report(sp, phi, 1, 2, sample_family(g, count=50))
+        rep = equivalence_report(sp, phi, 1, 2, sample_family(g))
         assert rep["spread"] < 50.0
         assert rep["min_ratio"] > 0.9
 
@@ -534,7 +542,7 @@ class TestEquivalence:
         model_w = sv(g.points)     # V^-1 t^(alpha/n) lambda with alpha = n = 1
         kernel_w = np.asarray(phi(g.points)) * 0 + model_w
         assert np.isfinite(psi.values[-1])
-        rep = equivalence_report(sp, phi, 1, 1, sample_family(g, count=30))
+        rep = equivalence_report(sp, phi, 1, 1, sample_family(g))
         assert rep["spread"] < 50.0
 
     @pytest.mark.parametrize("q,alpha,k,n", [(2.0, 1.5, 1, 2), (1.0, 0.75, 1, 1),
@@ -546,77 +554,60 @@ class TestEquivalence:
         g = default_grid(points=300)
         sp = LorentzSpace(q, FLAT, g)
         phi = power_phi(g, alpha, n=n)
-        family = sample_family(g, count=50)
+        family = sample_family(g)
         rep = equivalence_report(sp, phi, k, n, family)
         eng = AssociateNormEngine(sp, phi, k, n)
-        count = infinite = 0
-        for name, gv in family:
-            r0, rt = eng.rho0(gv), eng.rho_tilde(gv)
-            got = rep["ratios"][name]
-            if math.isinf(r0) and math.isinf(rt):
-                infinite += 1
-                assert math.isnan(got)
-                continue
-            want = r0 / rt if rt > 0 else math.nan
-            count += math.isfinite(want)
-            assert math.isnan(got) == math.isnan(want)
-            assert got == want or abs(got - want) <= 1e-12 * abs(want)
-        assert rep["count"] == count
-        assert rep["both_infinite"] == infinite
+        r0s, rts = eng.rho0_family(family).tolist(), eng.rho_tilde_family(family).tolist()
+        # the one-row product sums in another order than the family's:
+        # 9.7e-14 relative seen at 300 and 2000 points
+        np.testing.assert_allclose(r0s, [eng.rho0(gv) for gv in family], rtol=1e-12, atol=0)
+        assert rts == [eng.rho_tilde(gv) for gv in family]
+        ratios = [r0 / rt for r0, rt in zip(r0s, rts)
+                  if rt > 0 and not (math.isinf(r0) and math.isinf(rt))]
+        if not ratios:
+            assert all(math.isnan(rep[key]) for key in ("min_ratio", "max_ratio", "spread"))
+            return
+        lo, hi = min(ratios), max(ratios)
+        assert (rep["min_ratio"], rep["max_ratio"]) == (lo, hi)
+        assert rep["spread"] == (math.inf if lo == 0.0 or hi == math.inf else hi / lo)
 
     def test_neither_condition_reported(self):
         g = default_grid()
         sp = LorentzSpace(2.0, FLAT, g)
         phi = power_phi(g, 1.0)
-        wt, uq = tail_embedding_function(sp, phi, 1, 1)
+        uq = tail_embedding_function(sp, phi, 1, 1)
         ca = check_condition_a(phi, sp.V, 1, 1, g)
         cb = check_condition_b(phi, uq, 1, 1, g)
         assert not ca.holds and not cb.holds
-        rep = equivalence_report(sp, phi, 1, 1, sample_family(g, count=20))
+        rep = equivalence_report(sp, phi, 1, 1, sample_family(g))
         assert "spread" in rep    # still evaluated, never asserted
 
 
 class TestHardy:
     def test_flat_weight_value_and_bounds(self):
-        # flat weight, q = 2, delta = 0: the product is ((1/t - 1) t)^(1/2)
+        # flat weight, q = 2: the product is ((1/t - 1) t)^(1/2)
         # = (1 - t)^(1/2), whose supremum over (0, 1) is 1, attained in
         # the limit t -> 0
         sp = LorentzSpace(2.0, FLAT, default_grid())
-        h = hardy_constants(sp, delta=0.0)
-        assert abs(h["B_delta"] - 1.0) < 1e-4
+        h = hardy_constants(sp)
+        assert abs(h["B0"] - 1.0) < 1e-4
         assert h["epsilon"] == 1.0
-        assert h["B_delta"] <= h["bound"] * (1 + 1e-9)
+        assert h["B0"] <= h["bound"] * (1 + 1e-9)
         assert abs(h["bound"] - 1.0) < 1e-12
         assert h["c3_bound"] <= 2.0 * (1 + 1e-9)
         assert h["within_bound"]
-
-    def test_positive_delta(self):
-        sp = LorentzSpace(2.0, FLAT, default_grid())
-        h = hardy_constants(sp, delta=0.2)
-        assert h["within_bound"]
-        assert h["B_delta"] <= (2.0 / 2.0) ** 0.5 / (1.0 - 0.4) + 1e-9
-
-    def test_delta_above_eps_over_q(self):
-        sp = LorentzSpace(2.0, FLAT, default_grid())
-        with pytest.raises(Exception):
-            hardy_constants(sp, delta=0.6)
 
 
 class TestSampleFamily:
     def test_reproducible(self):
         g = default_grid()
-        a = sample_family(g, count=50)
-        b = sample_family(g, count=50)
-        assert [n for n, _ in a] == [n for n, _ in b]
-        for (_, x), (_, y) in zip(a, b):
-            assert np.array_equal(x, y)
+        assert np.array_equal(sample_family(g), sample_family(g))
 
     def test_count_and_nonnegative(self):
         g = default_grid()
-        fam = sample_family(g, count=50)
-        assert len(fam) == 50
-        for _, gv in fam:
-            assert np.all(gv >= 0)
+        fam = sample_family(g)
+        assert fam.shape == (50, len(g.points))
+        assert np.all(fam >= 0)
 
 
 class _NumpyRng:
@@ -645,7 +636,7 @@ class TestFamilyRng:
         # oracle replays exactly the families' own calls; the grid sizes
         # give choice populations of 14, 254 and 3998
         def build(seed, points):
-            return (sample_family(default_grid(points), count=50, seed=seed),
+            return (sample_family(default_grid(points), seed=seed),
                     potentials.bump_and_staircase_family(count=10, resolution=64, seed=seed))
         ours = {seed: build(seed, (16, 256, 4000)[i % 3])
                 for i, seed in enumerate(ORACLE_SEEDS)}
@@ -653,9 +644,7 @@ class TestFamilyRng:
         monkeypatch.setattr(potentials, "_FamilyRng", _NumpyRng)
         for i, seed in enumerate(ORACLE_SEEDS):
             sample, fields = build(seed, (16, 256, 4000)[i % 3])
-            assert [name for name, _ in ours[seed][0]] == [name for name, _ in sample]
-            for (_, a), (_, b) in zip(ours[seed][0], sample):
-                assert np.array_equal(a, b), seed
+            assert np.array_equal(ours[seed][0], sample), seed
             for (_, a), (_, b) in zip(ours[seed][1], fields):
                 assert np.array_equal(a.values, b.values), seed
 

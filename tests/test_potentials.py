@@ -389,6 +389,20 @@ class TestModulus:
         with pytest.raises(DomainExceeded, match="span exceeds"):
             modulus_curve(u, 2, make_log_grid(1e-3, 2.1, 8))
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_full_span_reaches_last_node(self, k):
+        # k*t = 2H spans the whole box: the last node is H exactly, so the
+        # stencil from -H fits (-1 + 2/(N-1) * (N-1) rounds below 1 at
+        # N = 197 and 198); 199 points give 0.46, 0.919 and 0.03
+        want = modulus_of_smoothness(sample_field(np.cos, 1.0, 199), k, 2.0 / k)
+        for points in (197, 198):
+            u = sample_field(np.cos, 1.0, points)
+            assert u.axis_points()[-1] == 1.0
+            assert np.array_equal(sample_field(lambda x: x, 1.0, points).values, u.axis_points())
+            got = modulus_of_smoothness(u, k, 2.0 / k)
+            assert math.isfinite(got)
+            assert got == pytest.approx(want, rel=1e-3)
+
     def test_curve_nondecreasing(self):
         u = sample_field(lambda x: np.sin(4 * x), 4.0, 512)
         tg = make_log_grid(1e-4, 1.0, 32)
