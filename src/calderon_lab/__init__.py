@@ -12,11 +12,7 @@ from .gridfn import (
     make_log_grid,
     sample,
 )
-from .rearrange import (
-    MeasurableSample,
-    decreasing_rearrangement,
-    rearrangement_steps,
-)
+from .rearrange import decreasing_rearrangement
 from .kernels import (
     BesselMcDonald,
     KernelSpec,

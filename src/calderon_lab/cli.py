@@ -115,14 +115,14 @@ class ExperimentConfig:
             bad("space.p", "must be > 1")
         if self.kernel_variant not in ("power", "bessel_mcdonald"):
             bad("kernel.variant", "must be power or bessel_mcdonald")
+        if not (1 <= self.n <= 3):
+            bad("n", "must be 1, 2, or 3")
         if not (0.0 < self.alpha < self.n):
             bad("kernel.alpha", f"must lie in (0, n) = (0, {self.n})")
         if self.z1 <= 0.0:
             bad("kernel.z1", "must be positive")
         if self.k < 1:
             bad("k", "must be a positive integer")
-        if not (1 <= self.n <= 3):
-            bad("n", "must be 1, 2, or 3")
         if self.T <= 0:
             bad("T", "must be positive")
         if self.grid_points < 16:
@@ -271,11 +271,7 @@ def write_report(record: ReportRecord, out_dir) -> None:
     series_dir = out / "series"
     series_dir.mkdir(exist_ok=True)
     for name, (t, vals) in record.series.items():
-        order = np.argsort(t)
-        tt, vv = np.asarray(t)[order], np.asarray(vals)[order]
-        keep = np.diff(tt, prepend=-np.inf) > 0
-        pairs = [(repr(float(a)), repr(float(b)))
-                 for a, b in zip(tt[keep], vv[keep])]
+        pairs = [(repr(float(a)), repr(float(b))) for a, b in zip(t, vals)]
         lines_csv = ["t,value"] + [f"{a},{b}" for a, b in pairs]
         (series_dir / f"{name}.csv").write_text("\n".join(lines_csv) + "\n")
         lines_dat = [f"{a} {b}" for a, b in pairs]
@@ -500,12 +496,13 @@ def _scenario_covering_sample(cfg: ExperimentConfig, rec: ReportRecord):
            float(np.min(masses)), "cone kernel mass positive at every scale")
     fam = bump_and_staircase_family(count=3, resolution=cfg.field_resolution,
                                     seed=cfg.seed)
-    cone = upper_cone_check(space, kernel, phi, cfg.k, fam,
-                            t_grid=make_log_grid(1e-4 * cfg.T, cfg.T, 32))
-    rec.scalars["empirical_c1"] = cone.c1
-    rec.scalars["covering_ratios"] = cone.per_field
-    _check(rec.assertions, "upper_constant_finite", math.isfinite(cone.c1),
-           cone.c1, "empirical upper constant recorded (no direction asserted)")
+    ratios = upper_cone_check(space, kernel, phi, cfg.k, fam,
+                              t_grid=make_log_grid(1e-4 * cfg.T, cfg.T, 32))
+    c1 = max(ratios.values())
+    rec.scalars["empirical_c1"] = c1
+    rec.scalars["covering_ratios"] = ratios
+    _check(rec.assertions, "upper_constant_finite", math.isfinite(c1),
+           c1, "empirical upper constant recorded (no direction asserted)")
 
 
 _SCENARIO_FNS = {

@@ -26,10 +26,6 @@ class NonConvergent(ToolkitError):
     integrable at the singular endpoint."""
 
 
-class EmptySample(ToolkitError):
-    """A measurable sample with no cells."""
-
-
 class TrivialSpace(ToolkitError):
     """The weight makes the function space degenerate (only f = 0, or a
     trivial lattice)."""

@@ -535,7 +535,10 @@ def sample_family(grid: LogGrid, seed: int = FAMILY_SEED) -> np.ndarray:
     """The fixed experiment family of nonnegative g on a grid, one row
     each: 10 head indicators, 10 band indicators, 15 powers t^s with
     s in (-1/2, 2) and 15 decreasing staircases.  Deterministic for a
-    given seed and grid."""
+    given seed and grid, which needs at least 6 points: each staircase
+    has 4 interior breaks."""
+    if len(grid.points) < 6:
+        raise DomainError("the family needs a grid of at least 6 points")
     rng = _FamilyRng(seed)
     t = grid.points
     T = grid.t_max

@@ -52,7 +52,7 @@ from .gridfn import (
 from .kernels import KernelSpec, cone_kernel
 from .lorentz import LorentzSpace, _associate_norms, embedding_function
 from .optimal import FAMILY_SEED, OptimalNormSpec, _FamilyRng, _stieltjes_sum
-from .rearrange import MeasurableSample, decreasing_rearrangement
+from .rearrange import decreasing_rearrangement
 
 
 @dataclass
@@ -69,6 +69,8 @@ class FieldSample:
     values: np.ndarray
 
     def __post_init__(self):
+        if not 0.0 < self.box_halfwidth < math.inf:
+            raise DomainError("box half-width must be positive and finite")
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 1:
             raise DomainError("values must be a one-dimensional array")
@@ -95,10 +97,9 @@ def sample_field(fn, box_halfwidth: float, resolution: int) -> FieldSample:
 
 
 def field_rearrangement(f: FieldSample, grid: LogGrid) -> SampledFunction:
-    """Decreasing rearrangement of |f| over its box (equal-measure cells
-    given by the grid cells)."""
-    ms = MeasurableSample(domain_measure=2.0 * f.box_halfwidth, samples=f.values)
-    return decreasing_rearrangement(ms, grid=grid)
+    """Decreasing rearrangement of |f| over its box, one equal-measure
+    cell per sample."""
+    return decreasing_rearrangement(f.values, 2.0 * f.box_halfwidth, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -309,21 +310,14 @@ def envelope_bounds(space: LorentzSpace, phi, k: int, n: int,
     return SampledFunction(grid=t_grid, values=_associate_norms(space, cones))
 
 
-@dataclass
-class ConeCheckReport:
-    """Empirical constant for the upper smoothness estimate: for each
-    field f, the max over t of omega_k(G*f; t^(1/n)) divided by the
-    cone-kernel integral of f*."""
-    c1: float
-    per_field: dict
-
-
 def upper_cone_check(space: LorentzSpace, kernel: KernelSpec, phi, k: int,
-                     f_family, t_grid: LogGrid) -> ConeCheckReport:
-    """Run the upper estimate over a family of fields, reporting the
-    family maximum of the per-field ratio maxima (all fields on one grid).
-    phi is the kernel's measure profile, as envelope_bounds takes it:
-    sampled on space.grid, it is read there, not evaluated again."""
+                     f_family, t_grid: LogGrid) -> dict:
+    """Run the upper estimate over a family of (name, field) pairs, all
+    on one grid: {name: the max over t of omega_k(G*f; t^(1/n)) divided
+    by the cone-kernel integral of f*}.  The family maximum of these
+    ratios is the empirical upper constant.  phi is the kernel's measure
+    profile, as envelope_bounds takes it: sampled on space.grid, it is
+    read there, not evaluated again."""
     if not f_family:
         raise DomainError("empty field family")
     n = kernel.n
@@ -337,10 +331,8 @@ def upper_cone_check(space: LorentzSpace, kernel: KernelSpec, phi, k: int,
         fstar = field_rearrangement(f, grid=space.grid)
         denom = _map_row_blocks(lambda block: total_mass(tau, block * fstar.values),
                                 cones, len(tau))
-        ratios = omega.values / denom
-        per_field[name] = float(np.max(ratios))
-    c1 = max(per_field.values())
-    return ConeCheckReport(c1=c1, per_field=per_field)
+        per_field[name] = float(np.max(omega.values / denom))
+    return per_field
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,7 @@ class TestValidationBounds:
         ("embedding_check", "kernel.variant", "gauss", "bessel_mcdonald"),
         ("embedding_check", "k", "0", "1"),
         ("embedding_check", "n", "4", "1"),
+        ("embedding_check", "n", "0", "1"),
         ("embedding_check", "T", "0", "1"),
         ("embedding_check", "grid.tmin", "1", "1e-6"),
     ])

@@ -656,6 +656,12 @@ class TestFamilyRng:
                 assert np.array_equal(ours.choice(n, 4), ref.choice(n, 4))
                 assert ours.uniform(0.1, 2.0) == ref.uniform(0.1, 2.0)
 
+    def test_family_needs_six_points(self):
+        # each staircase takes 4 distinct interior breaks
+        with pytest.raises(DomainError, match="at least 6 points"):
+            sample_family(default_grid(points=5))
+        assert sample_family(default_grid(points=6)).shape == (50, 6)
+
     def test_pinned_first_draws(self):
         # fails on its own if the replica changes; a numpy release that
         # changes Generator streams fails only the oracle tests

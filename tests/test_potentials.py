@@ -581,14 +581,15 @@ class TestUpperCone:
         sp = LorentzSpace(2.0, FLAT, g)
         fam = bump_and_staircase_family(count=3, resolution=256)
         phi = measure_profile(BMD, g)
-        rep = upper_cone_check(sp, BMD, phi, 1, fam,
-                               t_grid=make_log_grid(1e-4, 1.0, 24))
-        assert math.isfinite(rep.c1) and rep.c1 > 0
+        ratios = upper_cone_check(sp, BMD, phi, 1, fam,
+                                  t_grid=make_log_grid(1e-4, 1.0, 24))
+        c1 = max(ratios.values())
+        assert math.isfinite(c1) and c1 > 0
         scaled = [(name, FieldSample(f.box_halfwidth, 5.0 * f.values)) for name, f in fam]
-        rep2 = upper_cone_check(sp, BMD, phi, 1, scaled,
-                                t_grid=make_log_grid(1e-4, 1.0, 24))
-        for name in rep.per_field:
-            assert np.isclose(rep.per_field[name], rep2.per_field[name], rtol=1e-9)
+        ratios2 = upper_cone_check(sp, BMD, phi, 1, scaled,
+                                   t_grid=make_log_grid(1e-4, 1.0, 24))
+        for name in ratios:
+            assert np.isclose(ratios[name], ratios2[name], rtol=1e-9)
 
     def test_empty_family(self):
         g = default_grid()
@@ -700,6 +701,15 @@ class TestFieldSampleValidation:
         with pytest.raises(DomainError, match="finite"):
             FieldSample(1.0, np.full(32, np.nan))
 
+    @pytest.mark.parametrize("H", [0.0, -1.0, math.nan, math.inf])
+    def test_box_halfwidth_positive_and_finite(self, H):
+        # an empty, reversed, undefined or unbounded box has no grid
+        with pytest.raises(DomainError, match="half-width"):
+            FieldSample(H, np.ones(64))
+        if math.isfinite(H):   # np.linspace warns on an infinite end first
+            with pytest.raises(DomainError, match="half-width"):
+                sample_field(np.cos, H, 64)
+
     def test_dimension_shape(self):
         with pytest.raises(DomainError, match="one-dimensional"):
             FieldSample(1.0, np.zeros((32, 32)))
@@ -715,14 +725,14 @@ class TestEnvelopeSandwich:
         fam = bump_and_staircase_family(count=4, resolution=256)
         tg = make_log_grid(1e-4, 1.0, 24)
         phi = sample(BMD.measure_profile_fn(), g)
-        rep = upper_cone_check(sp, BMD, phi, 1, fam, t_grid=tg)
+        c1 = max(upper_cone_check(sp, BMD, phi, 1, fam, t_grid=tg).values())
         upper = envelope_bounds(sp, phi, 1, 1, tg)
         for name, f in fam:
             u = convolve(BMD, f)
             om = modulus_curve(u, 1, tg)
             fstar = field_rearrangement(f, grid=g)
             fnorm = lorentz_norm(sp, fstar)
-            assert np.all(om.values <= rep.c1 * upper.values * fnorm * (1 + 1e-9))
+            assert np.all(om.values <= c1 * upper.values * fnorm * (1 + 1e-9))
 
     def test_indicator_denominator_is_plain_kernel_mass(self):
         # a field whose rearrangement is an indicator makes the cone
