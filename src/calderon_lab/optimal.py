@@ -259,13 +259,14 @@ class AssociateNormEngine:
     exponential sum of exp_sum_nodes, so the kernel splits into
     exp(-s_m y(tau)) exp(-s_m y(xi)) over M nodes (68 to 191 on a 1e-8
     span, 338 at 1e-16): no N x N matrix and no particular grid.
-    rho0_family builds the M x N table exp(-s y) once, in column blocks
-    cut short where its entries are exactly 0.0, and makes two passes
-    over it: first for the F x M node coefficients of the family, then
-    for the product, written over the weighted family.  That holds
-    F * N + table + F * M floats, the table at most M * N, and makes
-    2 ceil(N / _COLUMN_BLOCK) GEMMs.  Every term is nonnegative, so each
-    psi0 entry keeps the rule's relative accuracy up to a few ulp of
+    rho0_family makes two passes over the M x N table exp(-s y), in
+    column blocks cut short where its entries are exactly 0.0: first for
+    the F x M node coefficients of the family, then for the product,
+    written over the weighted family.  Each pass builds each block as its
+    GEMM needs it, so the table is never whole: that holds F * N + F * M
+    floats and one block of at most M * _COLUMN_BLOCK, and makes
+    2 ceil(N / _COLUMN_BLOCK) GEMMs and up to 2 M N exponentials.  Every
+    term is nonnegative, so each psi0 entry keeps the rule's relative accuracy up to a few ulp of
     rounding; an FFT product is ruled out, as its error scales with the
     row maximum (4.5e-8 relative on tail entries at k/n = 2).  rho0 is
     the one-row case, as rho_tilde is of rho_tilde_family; both families
@@ -357,30 +358,27 @@ class AssociateNormEngine:
         bad = ~np.all(np.isfinite(a), axis=1)
         totals = np.sum(a[bad], axis=1)
         a[bad] = 0.0
-        blocks = self._exp_blocks()
         coef = np.zeros((len(G), len(self.nodes)))
-        for cols, table in blocks:
+        for cols, table in self._exp_blocks():
             coef[:, :len(table)] += a[:, cols] @ table.T
         coef *= self.node_weights
-        for cols, table in blocks:
+        for cols, table in self._exp_blocks():
             np.matmul(coef[:, :len(table)], table, out=a[:, cols])
         a[bad] = totals[:, None]
         return np.multiply(a, self.phi_vals, out=a)
 
-    def _exp_blocks(self) -> list:
+    def _exp_blocks(self):
         """The M x N table exp(-s_m y_j) as (cols, table) column blocks of
-        _COLUMN_BLOCK columns, without its exact zeros: s and y ascend, so
-        a block keeps only the nodes with s y(first column) <=
-        _EXP_UNDERFLOW, and every entry it drops is exactly 0.0 (numpy's
-        exp is slowest on those)."""
+        _COLUMN_BLOCK columns, without its exact zeros, built one block at
+        a time as the caller asks for it: s and y ascend, so a block keeps
+        only the nodes with s y(first column) <= _EXP_UNDERFLOW, and every
+        entry it drops is exactly 0.0 (numpy's exp is slowest on those)."""
         s, y = self.nodes, self.y
-        blocks = []
         for j in range(0, len(y), _COLUMN_BLOCK):
             cols = slice(j, j + _COLUMN_BLOCK)
             m = np.searchsorted(s * y[j], _EXP_UNDERFLOW, side="right")
             table = np.multiply.outer(-s[:m], y[cols])
-            blocks.append((cols, np.exp(table, out=table)))
-        return blocks
+            yield cols, np.exp(table, out=table)
 
     def rho0_family(self, G) -> np.ndarray:
         """rho0 of each row of G, an F x N array."""

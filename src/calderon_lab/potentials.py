@@ -20,11 +20,13 @@ lines x + j*h = x_i of the arrangement meet.  Up to the least vertex
 step h0 = spacing/k it is (t/h0) omega_k(u; h0); above h0 the steps h = t
 are one np.interp per field and block of 16 t, and each vertex step is a
 slice sum on the q-refined grid, O(t_max/spacing * N) per q.  The vertex
-steps of one residue class mod q go 16 at a time, each slice a strided
+steps of one residue class mod q go 8 at a time, each slice a strided
 view of that grid, padded on the right for the longer steps' stencils;
 one np.maximum.reduceat takes each step's sup over its own nodes.  The cone
 kernel's profile factor phi(tau) depends neither on t nor on the field,
-so the cone checks build all t rows of the kernel once.
+so the cone check builds all t rows of the kernel once for its family;
+envelope_bounds, which reads each row once, builds them a row block at a
+time.
 """
 
 from __future__ import annotations
@@ -91,9 +93,10 @@ class FieldSample:
 
 
 def sample_field(fn, box_halfwidth: float, resolution: int) -> FieldSample:
-    """fn evaluated on the grid points of [-H, H]."""
-    x = np.linspace(-box_halfwidth, box_halfwidth, resolution)
-    return FieldSample(box_halfwidth=box_halfwidth, values=fn(x))
+    """fn evaluated on the grid points of [-H, H]; H and the resolution
+    are checked before the grid is built."""
+    box = FieldSample(box_halfwidth=box_halfwidth, values=np.zeros(resolution))
+    return FieldSample(box_halfwidth=box_halfwidth, values=fn(box.axis_points()))
 
 
 def field_rearrangement(f: FieldSample, grid: LogGrid) -> SampledFunction:
@@ -177,7 +180,7 @@ def _step_sups(us, k: int, mags: np.ndarray) -> np.ndarray:
     return out
 
 
-_VERTEX_BLOCK = 16     # vertex steps evaluated together
+_VERTEX_BLOCK = 8      # vertex steps evaluated together
 
 
 def _vertex_sups(values: np.ndarray, k: int, spacing: float, top: float):
@@ -195,9 +198,12 @@ def _vertex_sups(values: np.ndarray, k: int, spacing: float, top: float):
     _VERTEX_BLOCK at a time: slice l of each is a strided view of the
     refined grid, the node axis as long as p0's, so the refined grid
     carries k*q*(_VERTEX_BLOCK - 1) zero columns on the right.  The
-    terms are summed in the order c1*slice1 + c0*slice0 + c2*slice2 + ...,
-    the bits of c0*slice0 + c1*slice1 + ..., and np.maximum.reduceat
-    takes each step's max over its own nodes only, so a NaN or inf of an
+    block's accumulator and the product temporary that feeds it are
+    F x _VERTEX_BLOCK x width each, F the rows of values: 8 steps bound
+    them to half the memory of 16 at the same speed.  The terms are
+    summed in the order c1*slice1 + c0*slice0 + c2*slice2 + ..., the
+    bits of c0*slice0 + c1*slice1 + ..., and np.maximum.reduceat takes
+    each step's max over its own nodes only, so a NaN or inf of an
     overflowing difference counts as it did one step at a time."""
     coeffs = _difference_coeffs(k)
     cells = values.shape[1] - 1
@@ -301,13 +307,17 @@ def envelope_bounds(space: LorentzSpace, phi, k: int, n: int,
     """The associate-norm curve t -> || Omega_phi(t, .) || in the dual of
     the base space: both the upper and the lower smoothness-envelope
     estimates equal this curve up to fixed constants.  Raises NotEmbedded
-    when the profile is not in the associate space."""
+    when the profile is not in the associate space.  The kernel rows are
+    built a row block at a time, phi read on space.grid once per block,
+    so no t_grid x N array is held."""
     psi = embedding_function(space, phi)
     if not math.isfinite(psi.values[-1]):
         raise NotEmbedded("profile not in the associate space")
-    # row i is the cone kernel at t_grid.points[i]
-    cones = cone_kernel(phi, k, n, t_grid.points[:, None], space.grid.points)
-    return SampledFunction(grid=t_grid, values=_associate_norms(space, cones))
+    tau = space.grid.points
+    # row i of a block is the cone kernel at its i-th t
+    norms = _map_row_blocks(lambda ts: _associate_norms(
+        space, cone_kernel(phi, k, n, ts[:, None], tau)), t_grid.points, len(tau))
+    return SampledFunction(grid=t_grid, values=norms)
 
 
 def upper_cone_check(space: LorentzSpace, kernel: KernelSpec, phi, k: int,

@@ -367,7 +367,7 @@ class TestConeKernel:
         eng = AssociateNormEngine(LorentzSpace(2.0, FLAT, g), power_phi(g, 0.25), 2, 1)
         full = np.exp(np.multiply.outer(-eng.nodes, eng.y))
         kept = 0
-        blocks = eng._exp_blocks()
+        blocks = list(eng._exp_blocks())   # a generator: both loops read it
         covered = np.concatenate([np.arange(4000)[cols] for cols, _ in blocks])
         assert np.array_equal(covered, np.arange(4000))
         for cols, table in blocks:
@@ -458,11 +458,12 @@ class TestConeKernel:
         # A dense 4000 x 4000 cone kernel and its ratio temporary take
         # 256 MB.  RSS, not tracemalloc: numpy's internal copy of a strided
         # matmul operand does not show in tracemalloc.  Measured growth:
-        # 6.0 MiB with the family product (the weighted family, 1.6 MB,
-        # overwritten by the result, the exponential table, at most 3.7 MB
-        # for its 117 nodes, and the family's node coefficients), 5.3 MiB
-        # when each pass rebuilt the table in a 2 MB buffer, 0.8 MiB with
-        # the earlier per-g np.convolve loop.
+        # 3.1 MiB with the family product (the weighted family, 1.6 MB,
+        # overwritten by the result, one block of the exponential table,
+        # at most 0.5 MB for its 117 nodes, and the family's node
+        # coefficients), 4.9 MiB when the whole table, at most 3.7 MB, was
+        # built once for both passes, 0.8 MiB with the earlier per-g
+        # np.convolve loop.
         code = (
             "import resource, sys\n"
             "import numpy as np\n"
@@ -490,6 +491,16 @@ class TestConeKernel:
         assert int(out[0]) == 50
         assert math.isfinite(float(out[1]))
         assert int(out[2]) < 64 * 2 ** 20
+
+    def test_rho0_family_builds_one_table_block_at_a_time(self, traced_peak_mib):
+        # k/n = 2 on 4000 points: the weighted family is 50 x 4000 floats,
+        # 1.53 MiB, one block of the exponential table at most 191 x 512,
+        # 0.75 MiB, and the row blocks of the grid rules a few 0.12 MiB
+        # temporaries; the whole cut table, 4.2 MiB, peaked at 6.01 MiB
+        g = default_grid(points=4000)
+        eng = AssociateNormEngine(LorentzSpace(2.0, FLAT, g), power_phi(g, 0.25), 2, 1)
+        family = sample_family(g)
+        assert traced_peak_mib(lambda: eng.rho0_family(family)) < 4.5
 
 
 class TestEquivalence:

@@ -476,8 +476,8 @@ class TestVertexBlocks:
     @pytest.mark.parametrize("kernel", [BMD, POWER_LOG], ids=["bessel", "power"])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_blocks_match_per_step_rule(self, kernel, k):
-        # tops: the least step alone, 17.5 spacings (at q = 1 a block of
-        # 16 steps and one cut short at 1), a few generic ones, and the
+        # tops: the least step alone, 17.5 spacings (at q = 1 two blocks
+        # of 8 steps and one cut short at 1), a few generic ones, and the
         # whole box, whose last step, p = cells at q = k, keeps a single
         # node of the refined grid
         for resolution in (64, 128, 256, 512):
@@ -516,6 +516,29 @@ class TestVertexBlocks:
             # only the step across the two +-1.7e308 samples is infinite
             assert not np.any(np.isnan(want))
             assert np.count_nonzero(np.isinf(want)) == 1
+
+
+class TestWorkingSet:
+    # each bound is F x N floats, F the family's rows, plus one block of
+    # them; the peaks above it held more than one array of that size
+
+    def test_envelope_rows_built_per_block(self, traced_peak_mib):
+        # 48 x 4000 cone rows are 1.46 MiB, one 4-row block 0.12 MiB;
+        # holding the whole matrix and its temporaries peaked at 3.05 MiB
+        g = default_grid(points=4000)
+        sp = LorentzSpace(2.0, FLAT, g)
+        phi = sample(lambda t: t ** -0.25, g)
+        tg = make_log_grid(1e-6, 1.0, 48)
+        assert traced_peak_mib(lambda: envelope_bounds(sp, phi, 1, 1, tg)) < 2.0
+
+    def test_modulus_vertex_blocks(self, traced_peak_mib):
+        # 10 fields of 512 samples at k = 2: the q = 2 refined grid is
+        # 10 x 1023 floats, and a block of 8 steps takes 0.62 MiB for its
+        # accumulator and as much for its product temporary; blocks of 16
+        # steps peaked at 2.70 MiB
+        us = [f for _, f in bump_and_staircase_family(count=10, resolution=512)]
+        tg = make_log_grid(1e-4, 1.0, 48)
+        assert traced_peak_mib(lambda: modulus_curves(us, 2, tg)) < 2.0
 
 
 class TestEnvelope:
@@ -706,7 +729,9 @@ class TestFieldSampleValidation:
         # an empty, reversed, undefined or unbounded box has no grid
         with pytest.raises(DomainError, match="half-width"):
             FieldSample(H, np.ones(64))
-        if math.isfinite(H):   # np.linspace warns on an infinite end first
+        # checked before np.linspace, which warns on an infinite end
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(DomainError, match="half-width"):
                 sample_field(np.cos, H, 64)
 
