@@ -8,7 +8,6 @@ from . import errors
 from .gridfn import (
     LogGrid,
     SampledFunction,
-    default_grid,
     make_log_grid,
     sample,
 )
@@ -56,12 +55,10 @@ from .potentials import (
     convolver,
     envelope_bounds,
     field_rearrangement,
-    modulus_curve,
     modulus_curves,
     modulus_of_smoothness,
     power_modulus_norm,
     sample_field,
-    stieltjes_modulus_norm,
     upper_cone_check,
 )
 

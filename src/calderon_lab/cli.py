@@ -13,7 +13,9 @@ Configs are plain text, one dotted key per line:
 for the full key list.  Every run writes a JSON report (with one
 assertion verdict per checked quantity), CSV series `t,value`, and
 plain two-column .dat files; reports are byte-identical across runs
-with the same config and seed, apart from the wall-time field.
+with the same config and seed, apart from the wall-time field, on one
+machine with one OpenBLAS thread count (the matrix products' summation
+order follows the thread count).
 """
 
 from __future__ import annotations
@@ -189,8 +191,8 @@ _KEY_MAP = {
 
 def parse_config_text(text: str) -> ExperimentConfig:
     """The config a text spells, unvalidated (run validates it);
-    ConfigInvalid on bad syntax."""
-    values = {}
+    ConfigInvalid on bad syntax or a key set twice."""
+    values, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -200,6 +202,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
         key, val = (s.strip() for s in line.split("=", 1))
         if key not in _KEY_MAP:
             raise ConfigInvalid(f"line {lineno}: unknown key {key!r}")
+        if key in lines:
+            raise ConfigInvalid(f"line {lineno}: {key} is already set on line {lines[key]}")
+        lines[key] = lineno
         attr, conv = _KEY_MAP[key]
         try:
             values[attr] = conv(val)

@@ -6,7 +6,8 @@ class ToolkitError(Exception):
 
 
 class NonPositiveBound(ToolkitError):
-    """A bound that must be strictly positive is zero or negative."""
+    """A bound that must be positive and finite is not: zero, negative,
+    infinite or NaN."""
 
 
 class DegenerateRange(ToolkitError):

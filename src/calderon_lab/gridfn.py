@@ -49,8 +49,8 @@ class LogGrid:
 
 def make_log_grid(t_min: float, t_max: float, count: int) -> LogGrid:
     """Geometric grid with exact endpoints and constant point ratio."""
-    if not (t_min > 0.0) or not (t_max > 0.0):
-        raise NonPositiveBound(f"grid bounds must be positive, got ({t_min}, {t_max})")
+    if not 0.0 < t_min < math.inf or not 0.0 < t_max < math.inf:
+        raise NonPositiveBound(f"grid bounds must be positive and finite, got ({t_min}, {t_max})")
     if not t_min < t_max:
         raise DegenerateRange(f"need t_min < t_max, got ({t_min}, {t_max})")
     if count < 2:
@@ -58,11 +58,6 @@ def make_log_grid(t_min: float, t_max: float, count: int) -> LogGrid:
     pts = np.geomspace(t_min, t_max, count)
     pts[0], pts[-1] = t_min, t_max
     return LogGrid(t_min=t_min, t_max=t_max, count=count, points=pts)
-
-
-def default_grid(points: int = 512) -> LogGrid:
-    """The standard working grid: `points` geometric points on [1e-8, 1]."""
-    return make_log_grid(1e-8, 1.0, points)
 
 
 @dataclass

@@ -190,8 +190,8 @@ class KernelSpec:
             if not (0.0 < self.variant.alpha < self.n):
                 raise DomainError(
                     f"alpha must lie in (0, n) = (0, {self.n}), got {self.variant.alpha}")
-            if self.variant.z1 <= 0:
-                raise DomainError("z1 must be positive")
+            if not 0.0 < self.variant.z1 < math.inf:
+                raise DomainError(f"z1 must be positive and finite, got {self.variant.z1}")
         else:
             raise DomainError(f"unknown kernel variant {type(self.variant)}")
 

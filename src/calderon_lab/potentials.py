@@ -66,7 +66,6 @@ class FieldSample:
     exactly.
     """
 
-    n = 1   # fields are one-dimensional; perfbench/tracer.py _modulus_steps reads u.n
     box_halfwidth: float
     values: np.ndarray
 
@@ -139,7 +138,8 @@ def convolver(kernel: KernelSpec, like: FieldSample):
 
 
 def convolve(kernel: KernelSpec, f: FieldSample) -> FieldSample:
-    """G*f for one field: the table of convolver(kernel, f), used once."""
+    """G*f for one field: the table of convolver(kernel, f), used once.
+    No scenario calls it; perfbench/child.py times its first call."""
     return convolver(kernel, f)(f)
 
 
@@ -274,28 +274,25 @@ def modulus_of_smoothness(u: FieldSample, k: int, t: float) -> float:
     s, not u, and grows like t * spacing^(k-1), not t^k.  Raises
     DomainExceeded when the span k*t exceeds the box, or when no grid
     point keeps the whole stencil inside it."""
-    if t <= 0:
-        raise DomainError("t must be positive")
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"t must be positive and finite, got {t}")
     return float(_moduli([u], k, np.array([float(t)]))[0, 0])
 
 
 def modulus_curves(us, k: int, t_grid: LogGrid, n: int = 1) -> list[SampledFunction]:
-    """modulus_curve of each field of us, bit for bit, sharing the step
-    positions and refined grids.  Raises DomainError for an empty list or
-    fields whose length or box differ."""
+    """omega_k(u; t^(1/n)) over a grid of t values, one curve per field
+    u of us: at each t the running max over the grid's t up to it, which
+    adds nothing in exact arithmetic.  Each value equals
+    modulus_of_smoothness(u, k, t ** (1/n)) bit for bit (tested for k <=
+    3 and n <= 2); the fields share the step positions and refined grids,
+    O(t_max/spacing * N) per q <= k.  Raises DomainError for an empty list
+    or fields whose length or box differ."""
     if len({(len(u.values), u.box_halfwidth) for u in us}) != 1:
         raise DomainError("modulus_curves needs a nonempty family on one grid")
     # scalar powers, as a caller of modulus_of_smoothness forms them: the
     # vectorised power can differ in the last bit
     ts = np.array([t ** (1.0 / n) for t in t_grid.points])
     return [SampledFunction(grid=t_grid, values=vals) for vals in _moduli(us, k, ts)]
-
-
-def modulus_curve(u: FieldSample, k: int, t_grid: LogGrid, n: int = 1) -> SampledFunction:
-    """omega_k(u; t^(1/n)) over a grid of t values: at each t the max of
-    modulus_of_smoothness over the grid's t up to it, which is its own
-    value up to rounding.  Costs O(t_max/spacing * N) per q <= k."""
-    return modulus_curves([u], k, t_grid, n)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -349,12 +346,6 @@ def upper_cone_check(space: LorentzSpace, kernel: KernelSpec, phi, k: int,
 # lattice norms of the modulus
 # ---------------------------------------------------------------------------
 
-def stieltjes_modulus_norm(spec: OptimalNormSpec, omega: SampledFunction) -> float:
-    """( int_0^T (omega(t) / Psi(t))^q dPsi/Psi )^(1/q) against forward
-    differences of the aggregate on the omega grid."""
-    return _stieltjes_sum(omega.values, spec.psi(omega.grid.points), spec.q)
-
-
 def power_modulus_norm(omega: SampledFunction, exponent: float, q: float) -> float:
     """( int_0^T (omega(t)/t^exponent)^q dt/t )^(1/q), the classical
     smoothness-norm shape."""
@@ -376,8 +367,10 @@ def nontriviality_gate(spec: OptimalNormSpec, k: int, n: int) -> bool:
 def calderon_norms(us, omegas, spec: OptimalNormSpec, k: int, n: int) -> list[float]:
     """The Calderon norm of each field of us with its modulus curve in
     omegas: the sup norm of u plus the lattice norm of omega, its modulus
-    of smoothness omega_k(u; t^(1/n)) as modulus_curve computes it (max
-    omega in the sup case, the Stieltjes form in the weighted case).  The
+    of smoothness omega_k(u; t^(1/n)) as modulus_curves computes it (max
+    omega in the sup case, in the weighted case the Stieltjes form
+    ( int_0^T (omega(t) / Psi(t))^q dPsi/Psi )^(1/q) against forward
+    differences of Psi on the omega grid).  The
     gate is decided and Psi sampled once for the family.  Raises
     TrivialSpace when the lattice only contains the zero modulus, and
     DomainError unless the curves are as many as the fields, at least

@@ -15,9 +15,11 @@ import calderon_lab
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 # span names of functions deleted on purpose: their metrics read 0 until
-# the benchmark's own files drop them (the closed-form masses replaced
-# the adaptive quadrature)
-RETIRED = {"gridfn.integrate"}
+# the benchmark's own files drop them.  The closed-form masses replaced
+# the adaptive quadrature; the scenarios reach the modulus and its
+# Stieltjes norm through modulus_curves and calderon_norms only.
+RETIRED = {"gridfn.integrate", "potentials.modulus_curve",
+           "potentials.stieltjes_modulus_norm"}
 
 
 def _load_tracer():
@@ -34,14 +36,14 @@ def _resolve(dotted: str):
 
 def test_tracer_installs_and_uninstalls():
     tracer = _load_tracer()
-    before = calderon_lab.potentials.modulus_curve
+    before = calderon_lab.potentials.modulus_curves
     t = tracer.Tracer()
     try:
         t.install(calderon_lab)
-        assert calderon_lab.potentials.modulus_curve is not before
+        assert calderon_lab.potentials.modulus_curves is not before
     finally:
         t.uninstall()
-    assert calderon_lab.potentials.modulus_curve is before
+    assert calderon_lab.potentials.modulus_curves is before
 
 
 def test_tracer_names_resolve():
@@ -63,23 +65,9 @@ def test_tracer_names_resolve():
             elif name not in method_spans:
                 assert callable(_resolve(name)), f"{metric}: {name}"
     for name in tracer.COUNTERS:
-        if name not in method_spans:
+        if name in RETIRED:
+            with pytest.raises(AttributeError):
+                _resolve(name)
+        elif name not in method_spans:
             assert callable(_resolve(name)), name
 
-
-def test_modulus_counter_binds_the_signature():
-    # the step counter binds modulus_curve's arguments by position to
-    # the names u, k, t_grid, n, directions: a fifth parameter of the
-    # signature would be bound as directions
-    params = list(inspect.signature(calderon_lab.potentials.modulus_curve).parameters)
-    assert params == ["u", "k", "t_grid", "n"]
-
-
-def test_modulus_counter_reads_the_field_dimension():
-    # the step counter reads u.n, which FieldSample keeps as a class
-    # attribute for it: 2 * 16 steps per t of a one-dimensional field
-    tracer = _load_tracer()
-    field = calderon_lab.bump_and_staircase_family(count=1, resolution=64)[0][1]
-    t_grid = calderon_lab.make_log_grid(1e-3, 1.0, 8)
-    steps = tracer._modulus_steps((field, 1, t_grid), {}, None)
-    assert steps == {"steps": t_grid.count * 32}

@@ -46,6 +46,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigInvalid, match="unknown key"):
             parse_config_text(f"scenario = embedding_check\n{key} = 1\n")
 
+    def test_repeated_key(self):
+        with pytest.raises(ConfigInvalid,
+                           match=r"^line 4: space\.q is already set on line 2$"):
+            parse_config_text("scenario = embedding_check\nspace.q = 2\nk = 1\nspace.q = 4\n")
+
     def test_line_without_equals(self):
         with pytest.raises(ConfigInvalid, match="line 2: expected 'key = value'"):
             parse_config_text("scenario = embedding_check\nk 2\n")
@@ -576,7 +581,8 @@ class TestReuse:
 
     def test_besov_case_needs_no_half_level(self, counts):
         # besov_case never reads T1; it used to end in NoSolution
-        rec = run(parse_config_text(self.NO_HALF_LEVEL + "scenario = besov_case\n"))
+        rec = run(parse_config_text(self.NO_HALF_LEVEL.replace("scenario = optimal_norm",
+                                                               "scenario = besov_case")))
         assert rec.error is None
         assert rec.passed
         assert 1.5 < rec.scalars["factor_spread"] < 2.5

@@ -20,7 +20,6 @@ from calderon_lab.gridfn import (
     classify_zero_endpoint,
     cumulative_from_zero,
     cumulative_tail,
-    default_grid,
     make_log_grid,
     power_log_mass,
     sample,
@@ -54,6 +53,12 @@ class TestMakeLogGrid:
             make_log_grid(-1.0, 1.0, 4)
         with pytest.raises(TooFewPoints):
             make_log_grid(0.1, 1.0, 1)
+        # geomspace would fill the grid with inf or nan after a RuntimeWarning
+        for t_min, t_max in ((1e-3, math.inf), (1e-3, math.nan), (math.nan, 1.0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NonPositiveBound, match="finite"):
+                    make_log_grid(t_min, t_max, 4)
 
     def test_scale_equivariance(self):
         a = make_log_grid(1e-4, 2.0, 77)
@@ -250,11 +255,6 @@ class TestSampledFunction:
         assert np.array_equal(f(t), fn(t))
         assert f(2.0) == fn(2.0)
 
-    def test_default_grid(self):
-        g = default_grid()
-        assert (g.t_min, g.t_max, g.count) == (1e-8, 1.0, 512)
-        assert default_grid(points=64).count == 64
-
     def test_analytic_own_grid_reads_samples(self, monkeypatch):
         # the samples are fn(grid.points), so that call returns a copy of
         # them without evaluating fn again
@@ -291,7 +291,7 @@ class TestSampledFunction:
 
 class TestEndpointClassifiers:
     # power x log probes, L = log(e/t) on the grid of [1e-8, 1]
-    G = default_grid()
+    G = make_log_grid(1e-8, 1.0, 512)
     L = np.log(math.e / G.points)
 
     @pytest.mark.parametrize("values, tag", [

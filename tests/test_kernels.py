@@ -5,7 +5,7 @@ import pytest
 from scipy.special import kv as scipy_kv
 
 from calderon_lab.errors import DomainError, ResolutionTooCoarse
-from calderon_lab.gridfn import default_grid, make_log_grid
+from calderon_lab.gridfn import make_log_grid
 from calderon_lab.kernels import (
     BesselMcDonald,
     KernelSpec,
@@ -116,7 +116,7 @@ class TestKernelSpec:
         sv = SlowlyVaryingSpec((("log", -3.0),), scale=1.0)
         kern = KernelSpec(PowerSlowlyVarying(alpha=0.5, sv=sv, z1=1.0), n=1)
         with pytest.raises(DomainError, match="grid index 392"):
-            measure_profile(kern, default_grid())
+            measure_profile(kern, make_log_grid(1e-8, 1.0, 512))
 
     def test_power_profile_measure_coordinates(self):
         # n = 1, Phi(z) = z^(-1/2) on (0, z1]: phi(tau) = (tau/2)^(-1/2)
@@ -128,7 +128,7 @@ class TestKernelSpec:
 
     def test_bessel_phi_power_equivalent(self):
         kern = KernelSpec(BesselMcDonald(nu=0.125), n=1)   # alpha = 0.75
-        g = default_grid()
+        g = make_log_grid(1e-8, 1.0, 512)
         phi = measure_profile(kern, g)
         assert np.all(np.diff(phi.values) <= 0)
         ratio = phi.values / g.points ** (0.75 - 1.0)
@@ -173,6 +173,10 @@ class TestKernelSpec:
             KernelSpec(BesselMcDonald(nu=0.8), n=1)       # nu >= n/2
         with pytest.raises(DomainError):
             KernelSpec(PowerSlowlyVarying(alpha=1.5, sv=SlowlyVaryingSpec()), n=1)
+        # a NaN split point would make the whole profile NaN
+        for z1 in (0.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="z1 must be positive and finite"):
+                KernelSpec(PowerSlowlyVarying(alpha=0.5, sv=SlowlyVaryingSpec(), z1=z1), n=1)
 
 
 class TestCellMass:

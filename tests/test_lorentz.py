@@ -8,7 +8,6 @@ from calderon_lab.errors import DomainError, Inconclusive, TrivialSpace
 from calderon_lab.gridfn import (
     SampledFunction,
     cumulative_from_zero,
-    default_grid,
     head_mass,
     make_log_grid,
     sample,
@@ -37,18 +36,18 @@ def indicator_fstar(grid, a):
 
 class TestCumulativeWeight:
     def test_flat(self):
-        V = cumulative_weight(FLAT, default_grid())
+        V = cumulative_weight(FLAT, make_log_grid(1e-8, 1.0, 512))
         assert np.allclose(V.values, V.grid.points, rtol=1e-12)
 
     def test_exponent_zero(self):
         # v = t^(q/p - 1) with q = p collapses to v == 1
-        V = cumulative_weight(power_weight(2.0, 2.0), default_grid())
+        V = cumulative_weight(power_weight(2.0, 2.0), make_log_grid(1e-8, 1.0, 512))
         assert np.allclose(V.values, V.grid.points, rtol=1e-12)
 
     def test_karamata_two_sided(self):
         sv = SlowlyVaryingSpec(factors=(("log", 0.5),), scale=1.0)
         w = power_weight(2.0, 3.0, sv=sv)
-        g = default_grid()
+        g = make_log_grid(1e-8, 1.0, 512)
         V = cumulative_weight(w, g)
         b_q = sv.powered(2.0)(g.points)
         model = g.points ** (2.0 / 3.0) * b_q
@@ -57,19 +56,19 @@ class TestCumulativeWeight:
 
     def test_trivial_space(self):
         with pytest.raises(TrivialSpace):
-            cumulative_weight(WeightSpec(power_exponent=-1.2), default_grid())
+            cumulative_weight(WeightSpec(power_exponent=-1.2), make_log_grid(1e-8, 1.0, 512))
 
 
 class TestLorentzNorm:
     def test_indicator_flat(self):
-        g = default_grid()
+        g = make_log_grid(1e-8, 1.0, 512)
         sp = LorentzSpace(2.0, FLAT, g)
         a = float(g.points[400])        # land exactly on a grid point
         got = lorentz_norm(sp, indicator_fstar(g, a))
         assert abs(got - a ** 0.5) < (g.ratio - 1.0) * a ** 0.5
 
     def test_ramp_q1(self):
-        g = default_grid()
+        g = make_log_grid(1e-8, 1.0, 512)
         sp = LorentzSpace(1.0, FLAT, g)
         f = SampledFunction(g, np.maximum(1.0 - g.points, 0.0))
         # the ramp is not a power law, so the segment rule is O(h^2) here
@@ -77,7 +76,7 @@ class TestLorentzNorm:
 
     def test_indicator_power_weight(self):
         q, p = 2.0, 4.0
-        g = default_grid()
+        g = make_log_grid(1e-8, 1.0, 512)
         sp = LorentzSpace(q, power_weight(q, p), g)
         a = float(g.points[380])
         got = lorentz_norm(sp, indicator_fstar(g, a))
@@ -85,7 +84,7 @@ class TestLorentzNorm:
         assert abs(got - expected) < (g.ratio - 1.0) * expected
 
     def test_lattice_monotonicity(self):
-        g = default_grid()
+        g = make_log_grid(1e-8, 1.0, 512)
         sp = LorentzSpace(2.0, power_weight(2.0, 3.0), g)
         rng = np.random.default_rng(17)
         for _ in range(20):
@@ -96,7 +95,7 @@ class TestLorentzNorm:
             assert nf <= nh * (1 + 1e-12)
 
     def test_homogeneity(self):
-        g = default_grid()
+        g = make_log_grid(1e-8, 1.0, 512)
         sp = LorentzSpace(2.0, FLAT, g)
         f = SampledFunction(g, np.sort(np.random.default_rng(2).random(g.count))[::-1])
         f3 = SampledFunction(g, 3.0 * f.values)
@@ -105,7 +104,7 @@ class TestLorentzNorm:
     def test_sample_with_fn_reads_as_its_values(self):
         # the indicator of (0, 1] has norm (int_0^1 1)^(1/2) up to the
         # head rule; reading fn or the samples gives the same value
-        g = default_grid()
+        g = make_log_grid(1e-8, 1.0, 512)
         sp = LorentzSpace(2.0, power_weight(2.0, 2.0), g)
         f = sample(lambda t: (t <= 1.0) * 1.0, g)
         got = lorentz_norm(sp, f)
@@ -116,7 +115,7 @@ class TestLorentzNorm:
 class TestEmbeddingFunction:
     def test_q1_power_is_infinite(self):
         # flat weight, q = 1: W ~ t^(alpha-1) blows up for alpha < 1
-        g = default_grid()
+        g = make_log_grid(1e-8, 1.0, 512)
         sp = LorentzSpace(1.0, FLAT, g)
         phi = sample(lambda t: t ** (0.6 - 1.0), g)
         psi = embedding_function(sp, phi)
@@ -125,7 +124,7 @@ class TestEmbeddingFunction:
     def test_closed_form_power(self):
         # flat weight, q = 2, alpha = 0.75, n = 1:
         # Psi(t) = (1/alpha) ((alpha-1) q' + 1)^(-1/q') t^(alpha - 1/q)
-        g = default_grid()
+        g = make_log_grid(1e-8, 1.0, 512)
         sp = LorentzSpace(2.0, FLAT, g)
         alpha = 0.75
         phi = sample(lambda t: t ** (alpha - 1.0), g)
@@ -135,7 +134,7 @@ class TestEmbeddingFunction:
         assert np.max(np.abs(psi.values - expected) / expected) < 1e-5
 
     def test_nondecreasing(self):
-        g = default_grid()
+        g = make_log_grid(1e-8, 1.0, 512)
         for q in (1.0, 2.0, 3.0):
             sp = LorentzSpace(q, power_weight(max(q, 1.5), 1.2) if q > 1 else FLAT, g)
             phi = sample(lambda t: t ** -0.25, g)
@@ -150,7 +149,7 @@ class TestEmbeddingFunction:
         qp = 2.0
         sv = SlowlyVaryingSpec(factors=(("log", beta),), scale=1.0)
         w = power_weight(q, 2.0, sv=sv)
-        g = default_grid()
+        g = make_log_grid(1e-8, 1.0, 512)
         sp = LorentzSpace(q, w, g)
         phi = sample(lambda t: t ** (0.5 - 1.0), g)
         psi = embedding_function(sp, phi)
@@ -180,13 +179,13 @@ class TestEmbeddingCriterion:
     @pytest.mark.parametrize("alpha,expected", [(0.75, True), (0.9, True),
                                                 (0.5, False), (0.3, False)])
     def test_flat_q2(self, alpha, expected):
-        g = default_grid()
+        g = make_log_grid(1e-8, 1.0, 512)
         sp = LorentzSpace(2.0, FLAT, g)
         phi = sample(lambda t, a=alpha: t ** (a - 1.0), g)
         assert embedding_criterion(sp, phi)["embeds"] is expected
 
     def test_q1_never_embeds_for_powers(self):
-        g = default_grid()
+        g = make_log_grid(1e-8, 1.0, 512)
         sp = LorentzSpace(1.0, FLAT, g)
         for alpha in (0.3, 0.6, 0.9):
             phi = sample(lambda t, a=alpha: t ** (a - 1.0), g)
@@ -196,8 +195,8 @@ class TestEmbeddingCriterion:
     def test_karamata_exponent_rule(self, beta, expected):
         # alpha = n/p: embeds iff beta * q' > 1
         sv = SlowlyVaryingSpec(factors=(("log", beta),), scale=1.0)
-        sp = LorentzSpace(2.0, power_weight(2.0, 2.0, sv=sv), default_grid())
-        phi = sample(lambda t: t ** (0.5 - 1.0), default_grid())
+        sp = LorentzSpace(2.0, power_weight(2.0, 2.0, sv=sv), make_log_grid(1e-8, 1.0, 512))
+        phi = sample(lambda t: t ** (0.5 - 1.0), make_log_grid(1e-8, 1.0, 512))
         assert embedding_criterion(sp, phi)["embeds"] is expected
 
     # Psi_q(T) at the grid floors 1e-4 T, 1e-6 T and 1e-8 T of a space on
@@ -248,7 +247,7 @@ class TestEmbeddingCriterion:
 
 class TestAssociateNorm:
     def test_holder_duality_spot_check(self):
-        g = default_grid()
+        g = make_log_grid(1e-8, 1.0, 512)
         rng = np.random.default_rng(1234)
         for q, weight in [(1.0, FLAT), (2.0, FLAT), (2.0, power_weight(2.0, 3.0))]:
             sp = LorentzSpace(q, weight, g)
@@ -318,7 +317,7 @@ class TestAssociateNorm:
         assert np.all(np.isfinite(got[[0, 3, 4, 5]]))
 
     def test_domain_guard(self):
-        g = default_grid()
+        g = make_log_grid(1e-8, 1.0, 512)
         sp = LorentzSpace(2.0, FLAT, g)
         wide = make_log_grid(1e-8, 2.0, 64)
         for norm in (associate_norm, lorentz_norm):

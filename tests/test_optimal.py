@@ -18,7 +18,6 @@ from calderon_lab.gridfn import (
     SampledFunction,
     cumulative_from_zero,
     cumulative_tail,
-    default_grid,
     make_log_grid,
     sample,
 )
@@ -58,7 +57,7 @@ class TestTailAggregate:
     def test_power_forms(self):
         # flat weight, n = 2, k = 1, alpha = 1.5:
         # Wtilde = t^((alpha-k)/n - 1), U_q the explicit power integral
-        g = default_grid()
+        g = make_log_grid(1e-8, 1.0, 512)
         sp = LorentzSpace(2.0, FLAT, g)
         phi = power_phi(g, 1.5, n=2)
         uq = tail_embedding_function(sp, phi, 1, 2)
@@ -68,14 +67,14 @@ class TestTailAggregate:
         assert np.allclose(uq.values[:-1], expected[:-1], rtol=1e-10)
 
     def test_vanishes_at_T(self):
-        g = default_grid()
+        g = make_log_grid(1e-8, 1.0, 512)
         for q in (1.5, 2.0, 4.0):
             sp = LorentzSpace(q, FLAT, g)
             uq = tail_embedding_function(sp, power_phi(g, 0.75), 1, 1)
             assert uq.values[-1] == 0.0
 
     def test_q1_running_sup(self):
-        g = default_grid()
+        g = make_log_grid(1e-8, 1.0, 512)
         sp = LorentzSpace(1.0, FLAT, g)
         phi = power_phi(g, 0.5)
         u1 = tail_embedding_function(sp, phi, 1, 1)
@@ -89,7 +88,7 @@ class TestConditions:
     @pytest.mark.parametrize("alpha,a_holds,b_holds", [
         (0.5, True, False), (1.0, False, False), (1.5, False, True)])
     def test_dichotomy(self, alpha, a_holds, b_holds):
-        g = default_grid()
+        g = make_log_grid(1e-8, 1.0, 512)
         sp = LorentzSpace(2.0, FLAT, g)
         phi = power_phi(g, alpha)
         uq = tail_embedding_function(sp, phi, 1, 1)
@@ -103,7 +102,7 @@ class TestConditions:
             assert not math.isfinite(cb.d)
 
     def test_epsilon_witness_flat_weight(self):
-        g = default_grid()
+        g = make_log_grid(1e-8, 1.0, 512)
         sp = LorentzSpace(2.0, FLAT, g)
         ca = check_condition_a(power_phi(g, 0.5), sp.V, 1, 1, g)
         assert ca.epsilon >= 0.5   # t^eps / t is nonincreasing up to eps = 1
@@ -123,7 +122,7 @@ class TestConditions:
 
     def test_slowly_varying_tail_witness(self):
         # U_q built from a power-log tail admits an exponent witness
-        g = default_grid()
+        g = make_log_grid(1e-8, 1.0, 512)
         sp = LorentzSpace(2.0, FLAT, g)
         phi = power_phi(g, 1.5, n=2)
         uq = tail_embedding_function(sp, phi, 1, 2)
@@ -132,7 +131,7 @@ class TestConditions:
 
 class TestHalfLevel:
     def test_power_inversion(self):
-        g = default_grid()
+        g = make_log_grid(1e-8, 1.0, 512)
         sp = LorentzSpace(2.0, FLAT, g)
         psi = embedding_function(sp, power_phi(g, 0.75))
         T1 = half_level_point(psi)
@@ -141,7 +140,7 @@ class TestHalfLevel:
         assert abs(T1 - 2.0 ** -4) < 1e-4
 
     def test_constant_has_no_solution(self):
-        g = default_grid()
+        g = make_log_grid(1e-8, 1.0, 512)
         psi = SampledFunction(g, np.ones(g.count))
         with pytest.raises(NoSolution):
             half_level_point(psi)
@@ -154,8 +153,8 @@ class TestHalfLevel:
         beta = 0.75
         sv = SlowlyVaryingSpec(factors=(("log", beta),), scale=1.0)
         w = power_weight(2.0, 2.0, sv=sv)
-        coarse = LorentzSpace(2.0, w, default_grid(points=512))
-        fine = LorentzSpace(2.0, w, default_grid(points=5120))
+        coarse = LorentzSpace(2.0, w, make_log_grid(1e-8, 1.0, 512))
+        fine = LorentzSpace(2.0, w, make_log_grid(1e-8, 1.0, 5120))
         t1_c = half_level_point(embedding_function(coarse, power_phi(coarse.grid, 0.5)))
         t1_f = half_level_point(embedding_function(fine, power_phi(fine.grid, 0.5)))
         # oracle at 10x resolution agrees within a coarse cell ratio
@@ -165,7 +164,7 @@ class TestHalfLevel:
 class TestOptimalNorm:
     def test_sup_case_indicator(self):
         # q = 1 with a heavy weight keeps the aggregate away from zero
-        g = default_grid()
+        g = make_log_grid(1e-8, 1.0, 512)
         w = WeightSpec(power_exponent=-0.25)
         sp = LorentzSpace(1.0, w, g)
         phi = power_phi(g, 0.75)
@@ -175,7 +174,7 @@ class TestOptimalNorm:
         assert optimal_norm(spec, f) == 1.0
 
     def test_weighted_case_power_probe(self):
-        g = default_grid()
+        g = make_log_grid(1e-8, 1.0, 512)
         sp = LorentzSpace(2.0, FLAT, g)
         spec = make_optimal_norm_spec(sp, power_phi(g, 0.75))
         assert spec.case == "weighted"
@@ -201,7 +200,7 @@ class TestOptimalNorm:
         assert vals[2] - vals[1] > 0.5 * (vals[1] - vals[0])
 
     def test_monotone_in_the_lattice_sense(self):
-        g = default_grid()
+        g = make_log_grid(1e-8, 1.0, 512)
         sp = LorentzSpace(2.0, FLAT, g)
         spec = make_optimal_norm_spec(sp, power_phi(g, 0.75))
         rng = np.random.default_rng(8)
@@ -212,7 +211,7 @@ class TestOptimalNorm:
                 optimal_norm(spec, SampledFunction(g, h)) * (1 + 1e-12)
 
     def test_not_embedded(self):
-        g = default_grid()
+        g = make_log_grid(1e-8, 1.0, 512)
         sp = LorentzSpace(2.0, FLAT, g)
         with pytest.raises(NotEmbedded):
             make_optimal_norm_spec(sp, power_phi(g, 0.3))
@@ -220,7 +219,7 @@ class TestOptimalNorm:
 
 class TestAssociatedNorms:
     def setup_method(self):
-        self.g = default_grid()
+        self.g = make_log_grid(1e-8, 1.0, 512)
         self.sp = LorentzSpace(2.0, FLAT, self.g)
         self.phi = power_phi(self.g, 1.5, n=2)
         self.eng = AssociateNormEngine(self.sp, self.phi, 1, 2)
@@ -287,7 +286,7 @@ class TestConeKernel:
         # head_mass divides that by log r and by the fitted exponent's
         # distance from -1: measured up to 1.3e-13 relative in rho0 at 700
         # points, 8.9e-13 at 4000.
-        g = default_grid(points=points)
+        g = make_log_grid(1e-8, 1.0, points)
         t = g.points
         phi = power_phi(g, 0.75)
         omega = (np.asarray(phi(t))[None, :]
@@ -319,7 +318,7 @@ class TestConeKernel:
         # 4.5e-8 relative on such entries at k/n = 2 (1e-8 span, 1000 and
         # 4000 points) and 1.0e-7 in the 700-point case here, so it must
         # fail this test.
-        g = default_grid(points=points)
+        g = make_log_grid(1e-8, 1.0, points)
         t = g.points
         phi = power_phi(g, 0.25)
         omega = (np.asarray(phi(t))[None, :]
@@ -400,7 +399,7 @@ class TestConeKernel:
     def test_infinite_entry_gives_infinite_rho0(self, where):
         # exp(-s y) underflows to 0 for large s, so an inf entry must not
         # reach the product, where inf * 0 would be NaN and warn
-        g = default_grid(points=700)
+        g = make_log_grid(1e-8, 1.0, 700)
         eng = AssociateNormEngine(LorentzSpace(2.0, FLAT, g), power_phi(g, 0.75), 1, 2)
         bad, good = np.ones(700), np.linspace(1.0, 2.0, 700)
         bad[where] = math.inf
@@ -413,7 +412,7 @@ class TestConeKernel:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_empty_family(self):
-        g = default_grid(points=64)
+        g = make_log_grid(1e-8, 1.0, 64)
         eng = AssociateNormEngine(LorentzSpace(2.0, FLAT, g), power_phi(g, 0.75), 1, 2)
         assert eng.rho0_family(np.empty((0, 64))).shape == (0,)
         assert eng.rho_tilde_family(np.empty((0, 64))).shape == (0,)
@@ -422,7 +421,7 @@ class TestConeKernel:
     @pytest.mark.parametrize("method", ["rho0", "rho_tilde", "rho1", "rho2",
                                         "rho0_hat", "rho0_family", "rho_tilde_family"])
     def test_wrong_length_rejected(self, method, length):
-        g = default_grid(points=64)
+        g = make_log_grid(1e-8, 1.0, 64)
         eng = AssociateNormEngine(LorentzSpace(1.0, FLAT, g), power_phi(g, 0.75),
                                   1, 1)
         arg = np.ones((3, length)) if method.endswith("_family") else np.ones(length)
@@ -431,7 +430,7 @@ class TestConeKernel:
 
     @pytest.mark.parametrize("shape", [(64,), (2, 3, 64)])
     def test_family_rank_rejected(self, shape):
-        g = default_grid(points=64)
+        g = make_log_grid(1e-8, 1.0, 64)
         eng = AssociateNormEngine(LorentzSpace(1.0, FLAT, g), power_phi(g, 0.75),
                                   1, 1)
         for family in (eng.rho0_family, eng.rho_tilde_family):
@@ -443,7 +442,7 @@ class TestConeKernel:
     def test_rho_tilde_family_matches_per_g(self, q, alpha, k, n):
         # row blocks of the 2000-point family against one call per g, and
         # against the product rule on that single g
-        g = default_grid(points=2000)
+        g = make_log_grid(1e-8, 1.0, 2000)
         t = g.points
         sp = LorentzSpace(q, FLAT, g)
         eng = AssociateNormEngine(sp, power_phi(g, alpha, n=n), k, n)
@@ -467,10 +466,10 @@ class TestConeKernel:
         code = (
             "import resource, sys\n"
             "import numpy as np\n"
-            "from calderon_lab.gridfn import default_grid, sample\n"
+            "from calderon_lab.gridfn import make_log_grid, sample\n"
             "from calderon_lab.lorentz import LorentzSpace, WeightSpec\n"
             "from calderon_lab.optimal import AssociateNormEngine, equivalence_report, sample_family\n"
-            "g = default_grid(points=4000)\n"
+            "g = make_log_grid(1e-8, 1.0, 4000)\n"
             "sp = LorentzSpace(2.0, WeightSpec(power_exponent=0.0), g)\n"
             "phi = sample(lambda t: t ** -0.25, g)\n"
             "family = sample_family(g)\n"
@@ -497,7 +496,7 @@ class TestConeKernel:
         # 1.53 MiB, one block of the exponential table at most 191 x 512,
         # 0.75 MiB, and the row blocks of the grid rules a few 0.12 MiB
         # temporaries; the whole cut table, 4.2 MiB, peaked at 6.01 MiB
-        g = default_grid(points=4000)
+        g = make_log_grid(1e-8, 1.0, 4000)
         eng = AssociateNormEngine(LorentzSpace(2.0, FLAT, g), power_phi(g, 0.25), 2, 1)
         family = sample_family(g)
         assert traced_peak_mib(lambda: eng.rho0_family(family)) < 4.5
@@ -505,7 +504,7 @@ class TestConeKernel:
 
 class TestEquivalence:
     def test_condition_a_family(self):
-        g = default_grid()
+        g = make_log_grid(1e-8, 1.0, 512)
         sp = LorentzSpace(4.0, FLAT, g)
         phi = power_phi(g, 0.6, n=2)
         family = sample_family(g)
@@ -520,7 +519,7 @@ class TestEquivalence:
     def test_one_sided_infinite_ratio(self, monkeypatch):
         # rho0 = inf with rho_tilde finite gives a +inf ratio; like the
         # zero ratio of the mirror case, it makes the spread infinite
-        g = default_grid()
+        g = make_log_grid(1e-8, 1.0, 512)
         sp = LorentzSpace(4.0, FLAT, g)
         phi = power_phi(g, 0.6, n=2)
         real = AssociateNormEngine.rho0_family
@@ -535,7 +534,7 @@ class TestEquivalence:
         assert rep["spread"] == math.inf
 
     def test_condition_b_family(self):
-        g = default_grid()
+        g = make_log_grid(1e-8, 1.0, 512)
         sp = LorentzSpace(2.0, FLAT, g)
         phi = power_phi(g, 1.5, n=2)
         rep = equivalence_report(sp, phi, 1, 2, sample_family(g))
@@ -545,7 +544,7 @@ class TestEquivalence:
     def test_limiting_equal_smoothness(self):
         # alpha = k with a decaying log factor: the aggregate follows
         # W = V^-1 t^(alpha/n) lambda and the equivalence still holds
-        g = default_grid()
+        g = make_log_grid(1e-8, 1.0, 512)
         sv = SlowlyVaryingSpec(factors=(("log", -2.0),), scale=1.0)
         phi = sample(lambda t: sv(np.minimum(t, 1.0)) * np.ones_like(t), g)
         sp = LorentzSpace(2.0, FLAT, g)
@@ -562,7 +561,7 @@ class TestEquivalence:
         # the family product against one rho0/rho_tilde evaluation per g;
         # at (1.0, 0.75) and the non-embedded (2.0, 0.5) most or all of the
         # family is infinite under both functionals
-        g = default_grid(points=300)
+        g = make_log_grid(1e-8, 1.0, 300)
         sp = LorentzSpace(q, FLAT, g)
         phi = power_phi(g, alpha, n=n)
         family = sample_family(g)
@@ -583,7 +582,7 @@ class TestEquivalence:
         assert rep["spread"] == (math.inf if lo == 0.0 or hi == math.inf else hi / lo)
 
     def test_neither_condition_reported(self):
-        g = default_grid()
+        g = make_log_grid(1e-8, 1.0, 512)
         sp = LorentzSpace(2.0, FLAT, g)
         phi = power_phi(g, 1.0)
         uq = tail_embedding_function(sp, phi, 1, 1)
@@ -599,7 +598,7 @@ class TestHardy:
         # flat weight, q = 2: the product is ((1/t - 1) t)^(1/2)
         # = (1 - t)^(1/2), whose supremum over (0, 1) is 1, attained in
         # the limit t -> 0
-        sp = LorentzSpace(2.0, FLAT, default_grid())
+        sp = LorentzSpace(2.0, FLAT, make_log_grid(1e-8, 1.0, 512))
         h = hardy_constants(sp)
         assert abs(h["B0"] - 1.0) < 1e-4
         assert h["epsilon"] == 1.0
@@ -611,11 +610,11 @@ class TestHardy:
 
 class TestSampleFamily:
     def test_reproducible(self):
-        g = default_grid()
+        g = make_log_grid(1e-8, 1.0, 512)
         assert np.array_equal(sample_family(g), sample_family(g))
 
     def test_count_and_nonnegative(self):
-        g = default_grid()
+        g = make_log_grid(1e-8, 1.0, 512)
         fam = sample_family(g)
         assert fam.shape == (50, len(g.points))
         assert np.all(fam >= 0)
@@ -647,7 +646,7 @@ class TestFamilyRng:
         # oracle replays exactly the families' own calls; the grid sizes
         # give choice populations of 14, 254 and 3998
         def build(seed, points):
-            return (sample_family(default_grid(points), seed=seed),
+            return (sample_family(make_log_grid(1e-8, 1.0, points), seed=seed),
                     potentials.bump_and_staircase_family(count=10, resolution=64, seed=seed))
         ours = {seed: build(seed, (16, 256, 4000)[i % 3])
                 for i, seed in enumerate(ORACLE_SEEDS)}
@@ -670,8 +669,8 @@ class TestFamilyRng:
     def test_family_needs_six_points(self):
         # each staircase takes 4 distinct interior breaks
         with pytest.raises(DomainError, match="at least 6 points"):
-            sample_family(default_grid(points=5))
-        assert sample_family(default_grid(points=6)).shape == (50, 6)
+            sample_family(make_log_grid(1e-8, 1.0, 5))
+        assert sample_family(make_log_grid(1e-8, 1.0, 6)).shape == (50, 6)
 
     def test_pinned_first_draws(self):
         # fails on its own if the replica changes; a numpy release that

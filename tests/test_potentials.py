@@ -16,7 +16,6 @@ from calderon_lab.errors import (
 from calderon_lab.gridfn import (
     LogGrid,
     SampledFunction,
-    default_grid,
     make_log_grid,
     sample,
 )
@@ -38,13 +37,11 @@ from calderon_lab.potentials import (
     convolver,
     envelope_bounds,
     field_rearrangement,
-    modulus_curve,
     modulus_curves,
     modulus_of_smoothness,
     nontriviality_gate,
     power_modulus_norm,
     sample_field,
-    stieltjes_modulus_norm,
     upper_cone_check,
 )
 
@@ -120,7 +117,7 @@ class TestFieldRearrangement:
         # the constant 1 on [-3, 3] rearranges to 1 on (0, 6), 0 past it,
         # also beyond a grid that ends at T = 1
         f = sample_field(np.ones_like, 3.0, 64)
-        g = default_grid()
+        g = make_log_grid(1e-8, 1.0, 512)
         fstar = field_rearrangement(f, grid=g)
         assert np.array_equal(fstar.values, np.ones(g.count))
         assert fstar(2.0) == 1.0 and fstar(7.0) == 0.0
@@ -136,7 +133,7 @@ class TestConvolve:
     def test_sup_bound_through_rearrangement(self):
         # ||u||_C <= c0 * ||phi||_assoc * ||f|| with
         # c0 = 1 + tail mass / head mass of the profile
-        g = default_grid()
+        g = make_log_grid(1e-8, 1.0, 512)
         sp = LorentzSpace(2.0, FLAT, g)
         phi_fn = BMD.measure_profile_fn()
         phi_assoc = associate_norm(sp, SampledFunction(g, phi_fn(g.points)))
@@ -246,7 +243,7 @@ class TestConvolve:
             calls.append(h)
             return cell_mass(kernel, h)
         monkeypatch.setattr(KernelSpec, "cell_mass", counting)
-        g = default_grid()
+        g = make_log_grid(1e-8, 1.0, 512)
         sp = LorentzSpace(2.0, FLAT, g)
         upper_cone_check(sp, BMD, measure_profile(BMD, g), 1,
                          bump_and_staircase_family(count=3, resolution=256),
@@ -263,8 +260,9 @@ class TestConvolve:
 class TestModulus:
     def test_nonpositive_t(self):
         u = sample_field(np.sin, 2.0, 65)
-        with pytest.raises(DomainError, match="t must be positive"):
-            modulus_of_smoothness(u, 1, 0.0)
+        for t in (0.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="t must be positive and finite"):
+                modulus_of_smoothness(u, 1, t)
 
     def test_constant_field(self):
         u = sample_field(lambda x: np.ones_like(x), 2.0, 64)
@@ -374,12 +372,17 @@ class TestModulus:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_curve_is_running_max_of_single_t(self, k):
-        u = convolve(BMD, bump_and_staircase_family(count=1, resolution=256)[0][1])
+        # each curve value is the one-t modulus at t^(1/n) bit for bit, so
+        # the running max the curve takes over its grid changes nothing
+        fam = bump_and_staircase_family(count=2, resolution=256)
+        conv = convolver(BMD, fam[0][1])
+        us = [conv(f) for _, f in fam]
         tg = make_log_grid(1e-6, 1.0, 64)
         for n in (1, 2):
-            per_t = [modulus_of_smoothness(u, k, t ** (1.0 / n)) for t in tg.points]
-            assert np.array_equal(modulus_curve(u, k, tg, n=n).values,
-                                  np.maximum.accumulate(per_t)), n
+            for u, om in zip(us, modulus_curves(us, k, tg, n=n)):
+                per_t = [modulus_of_smoothness(u, k, t ** (1.0 / n)) for t in tg.points]
+                assert np.array_equal(om.values, per_t), n
+                assert np.array_equal(om.values, np.maximum.accumulate(per_t)), n
 
     def test_span_exceeds_box(self):
         # k = 2 at t = 2.1 spans 4.2, past the box [-2, 2]
@@ -387,7 +390,7 @@ class TestModulus:
         with pytest.raises(DomainExceeded, match="span exceeds"):
             modulus_of_smoothness(u, 2, 2.1)
         with pytest.raises(DomainExceeded, match="span exceeds"):
-            modulus_curve(u, 2, make_log_grid(1e-3, 2.1, 8))
+            modulus_curves([u], 2, make_log_grid(1e-3, 2.1, 8))
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_full_span_reaches_last_node(self, k):
@@ -406,7 +409,7 @@ class TestModulus:
     def test_curve_nondecreasing(self):
         u = sample_field(lambda x: np.sin(4 * x), 4.0, 512)
         tg = make_log_grid(1e-4, 1.0, 32)
-        om = modulus_curve(u, 1, tg)
+        [om] = modulus_curves([u], 1, tg)
         assert np.all(np.diff(om.values) >= 0)
 
 
@@ -422,7 +425,7 @@ class TestModulusCurves:
         for tg, n in ((make_log_grid(1e-6, 1.0, 48), 1), (make_log_grid(1e-6, 1.0, 48), 2),
                       (on_nodes, 1)):
             for u, om in zip(us, modulus_curves(us, k, tg, n=n)):
-                assert np.array_equal(om.values, modulus_curve(u, k, tg, n=n).values)
+                assert np.array_equal(om.values, modulus_curves([u], k, tg, n=n)[0].values)
 
     @pytest.mark.parametrize("kernel", [BMD, POWER_LOG], ids=["bessel", "power"])
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -469,7 +472,7 @@ class TestModulusCurves:
             with pytest.raises(DomainError, match="one grid"):
                 modulus_curves([u, other], 1, tg)
         assert np.array_equal(modulus_curves([u, u], 1, tg)[1].values,
-                              modulus_curve(u, 1, tg).values)
+                              modulus_curves([u], 1, tg)[0].values)
 
 
 class TestVertexBlocks:
@@ -525,7 +528,7 @@ class TestWorkingSet:
     def test_envelope_rows_built_per_block(self, traced_peak_mib):
         # 48 x 4000 cone rows are 1.46 MiB, one 4-row block 0.12 MiB;
         # holding the whole matrix and its temporaries peaked at 3.05 MiB
-        g = default_grid(points=4000)
+        g = make_log_grid(1e-8, 1.0, 4000)
         sp = LorentzSpace(2.0, FLAT, g)
         phi = sample(lambda t: t ** -0.25, g)
         tg = make_log_grid(1e-6, 1.0, 48)
@@ -543,7 +546,7 @@ class TestWorkingSet:
 
 class TestEnvelope:
     def test_endpoint_within_factor_two(self):
-        g = default_grid()
+        g = make_log_grid(1e-8, 1.0, 512)
         sp = LorentzSpace(2.0, FLAT, g)
         phi = sample(lambda t: t ** -0.25, g)
         tg = make_log_grid(1e-6, 1.0, 32)
@@ -556,7 +559,7 @@ class TestEnvelope:
     def test_small_scale_slope(self):
         # flat weight, q = 2, n = k = 1: the envelope behaves like
         # t^(alpha - 1/q) at small scales
-        g = default_grid()
+        g = make_log_grid(1e-8, 1.0, 512)
         sp = LorentzSpace(2.0, FLAT, g)
         for alpha in (0.6, 0.75, 0.9):
             phi = sample(lambda t, a=alpha: t ** (a - 1.0), g)
@@ -567,7 +570,7 @@ class TestEnvelope:
             assert abs(slope - (alpha - 0.5)) < 0.05
 
     def test_not_embedded(self):
-        g = default_grid()
+        g = make_log_grid(1e-8, 1.0, 512)
         sp = LorentzSpace(2.0, FLAT, g)
         phi = sample(lambda t: t ** -0.7, g)
         with pytest.raises(NotEmbedded):
@@ -577,7 +580,7 @@ class TestEnvelope:
     def test_rows_match_per_row_associate_norm(self, q, points):
         # the cone rows run through the grid rules in blocks; each value
         # equals the associate norm of that row taken alone
-        g = default_grid(points=points)
+        g = make_log_grid(1e-8, 1.0, points)
         # q = 1 needs V to grow slower than t for the profile to embed
         sp = LorentzSpace(q, WeightSpec(power_exponent=-0.5) if q == 1.0 else FLAT, g)
         phi = sample(lambda t: t ** -0.25, g)
@@ -591,7 +594,7 @@ class TestUpperCone:
     @pytest.mark.parametrize("kernel", [BMD, POWER_LOG], ids=["bessel", "power_log"])
     def test_cone_rows_match_per_t_calls(self, kernel):
         # the cone checks build every t row at once
-        g = default_grid()
+        g = make_log_grid(1e-8, 1.0, 512)
         ts = make_log_grid(1e-4, 1.0, 24).points
         for phi in (kernel.measure_profile_fn(), measure_profile(kernel, g)):
             for k, n in ((1, 1), (2, 1), (1, 2), (3, 2)):
@@ -600,7 +603,7 @@ class TestUpperCone:
                     assert np.array_equal(row, cone_kernel(phi, k, n, t, g.points))
 
     def test_finite_and_scale_invariant(self):
-        g = default_grid()
+        g = make_log_grid(1e-8, 1.0, 512)
         sp = LorentzSpace(2.0, FLAT, g)
         fam = bump_and_staircase_family(count=3, resolution=256)
         phi = measure_profile(BMD, g)
@@ -615,7 +618,7 @@ class TestUpperCone:
             assert np.isclose(ratios[name], ratios2[name], rtol=1e-9)
 
     def test_empty_family(self):
-        g = default_grid()
+        g = make_log_grid(1e-8, 1.0, 512)
         sp = LorentzSpace(2.0, FLAT, g)
         with pytest.raises(DomainError, match="empty field family"):
             upper_cone_check(sp, BMD, measure_profile(BMD, g), 1, [],
@@ -624,9 +627,8 @@ class TestUpperCone:
     def test_modulus_vanishes_at_small_scale(self):
         fam = bump_and_staircase_family(count=3, resolution=512)
         tg = make_log_grid(1e-8, 1.0, 48)
-        for name, f in fam:
-            u = convolve(BMD, f)
-            om = modulus_curve(u, 1, tg)
+        conv = convolver(BMD, fam[0][1])
+        for om in modulus_curves([conv(f) for _, f in fam], 1, tg):
             ref = om(1e-2)
             assert om.values[0] < 0.1 * ref
 
@@ -635,35 +637,40 @@ class TestFieldNorms:
     TG = make_log_grid(1e-6, 1.0, 96)
 
     def test_constant_field_gives_sup_norm(self):
-        g = default_grid()
+        g = make_log_grid(1e-8, 1.0, 512)
         sp = LorentzSpace(2.0, FLAT, g)
         spec = make_optimal_norm_spec(sp, sample(lambda t: t ** -0.25, g))
         u = sample_field(lambda x: 0.7 * np.ones_like(x), 2.0, 64)
-        om = modulus_curve(u, 1, self.TG)
+        [om] = modulus_curves([u], 1, self.TG)
         assert abs(calderon_norms([u], [om], spec, 1, 1)[0] - 0.7) < 1e-12
 
     def test_besov_shape_agreement(self):
         # the optimal Stieltjes form and the direct power form agree
-        # within a modest two-sided factor on convolved fields
-        g = default_grid()
+        # within a modest two-sided factor on convolved fields; the
+        # Stieltjes form is (sum (omega/Psi)^q dPsi/Psi)^(1/q) over the
+        # forward differences of Psi on the t grid
+        g = make_log_grid(1e-8, 1.0, 512)
         sp = LorentzSpace(2.0, FLAT, g)
         phi = sample(BMD.measure_profile_fn(), g)
         spec = make_optimal_norm_spec(sp, phi)
         tg = make_log_grid(1e-6, 1.0, 48)
+        psi = spec.psi(tg.points)
         direct_norm = lambda om: power_modulus_norm(om, 0.75 - 0.5, 2.0)
-        for name, f in bump_and_staircase_family(count=3, resolution=256):
-            u = convolve(BMD, f)
-            om = modulus_curve(u, 1, tg)
-            opt = calderon_norms([u], [om], spec, 1, 1)[0]
+        fam = bump_and_staircase_family(count=3, resolution=256)
+        conv = convolver(BMD, fam[0][1])
+        us = [conv(f) for _, f in fam]
+        oms = modulus_curves(us, 1, tg)
+        for u, om, opt in zip(us, oms, calderon_norms(us, oms, spec, 1, 1)):
             direct = u.sup_norm() + direct_norm(om)
-            assert opt == u.sup_norm() + stieltjes_modulus_norm(spec, om)
+            terms = (om.values[:-1] / psi[:-1]) ** 2 * np.diff(psi) / psi[:-1]
+            assert opt == pytest.approx(u.sup_norm() + np.sqrt(np.sum(terms)), rel=1e-14)
             factor = max(opt / direct, direct / opt)
             assert factor <= 8.0
 
     def test_family_matches_one_field_calls(self, monkeypatch):
         # the gate is fitted once for the family; every norm is the
         # one-field value bit for bit
-        g = default_grid()
+        g = make_log_grid(1e-8, 1.0, 512)
         sp = LorentzSpace(2.0, FLAT, g)
         phi = sample(BMD.measure_profile_fn(), g)
         spec = make_optimal_norm_spec(sp, phi)
@@ -679,23 +686,23 @@ class TestFieldNorms:
         assert len(gates) == 1
 
     def test_family_needs_one_curve_per_field_on_one_grid(self):
-        g = default_grid()
+        g = make_log_grid(1e-8, 1.0, 512)
         sp = LorentzSpace(2.0, FLAT, g)
         spec = make_optimal_norm_spec(sp, sample(lambda t: t ** -0.25, g))
         u = sample_field(np.sin, 2.0, 64)
-        om = modulus_curve(u, 1, self.TG)
-        other = modulus_curve(u, 1, make_log_grid(1e-6, 1.0, 95))
+        [om] = modulus_curves([u], 1, self.TG)
+        [other] = modulus_curves([u], 1, make_log_grid(1e-6, 1.0, 95))
         for us, oms in (([], []), ([u, u], [om]), ([u, u], [om, other])):
             with pytest.raises(DomainError):
                 calderon_norms(us, oms, spec, 1, 1)
 
     def test_sup_case_takes_max_modulus(self):
         # the sup case of the lattice norm is max omega, as in optimal_norm
-        g = default_grid()
+        g = make_log_grid(1e-8, 1.0, 512)
         psi = sample(lambda t: 1.0 + 0.0 * t, g)
         spec = OptimalNormSpec(case="sup", psi=psi, q=1.0)
         u = sample_field(np.sin, 2.0, 64)
-        om = modulus_curve(u, 1, self.TG)
+        [om] = modulus_curves([u], 1, self.TG)
         got = calderon_norms([u], [om], spec, 1, 1)[0]
         assert got == u.sup_norm() + float(np.max(om.values))
         assert got == u.sup_norm() + optimal_norm(spec, om)
@@ -703,7 +710,7 @@ class TestFieldNorms:
     def test_trivial_gate(self):
         # the flat q = 2 aggregate of t^(-1/4) grows like t^(1/4): t^(k/n)
         # has finite lattice norm at k/n = 1, and not at k/n = 1/8
-        g = default_grid()
+        g = make_log_grid(1e-8, 1.0, 512)
         sp = LorentzSpace(2.0, FLAT, g)
         phi = sample(lambda t: t ** -0.25, g)
         spec = make_optimal_norm_spec(sp, phi)
@@ -711,7 +718,7 @@ class TestFieldNorms:
         assert nontriviality_gate(spec, 1, 1)
         assert not nontriviality_gate(spec, 1, 8)
         with pytest.raises(TrivialSpace):
-            calderon_norms([u], [modulus_curve(u, 1, self.TG, n=8)], spec, 1, 8)
+            calderon_norms([u], modulus_curves([u], 1, self.TG, n=8), spec, 1, 8)
 
 
 class TestFieldSampleValidation:
@@ -745,16 +752,15 @@ class TestEnvelopeSandwich:
         # literal upper bound: for every family member and every scale,
         # omega_k(G*f; t) <= c1 * ||cone kernel(t, .)||_assoc * ||f||
         # with c1 the empirical constant from the cone check
-        g = default_grid()
+        g = make_log_grid(1e-8, 1.0, 512)
         sp = LorentzSpace(2.0, FLAT, g)
         fam = bump_and_staircase_family(count=4, resolution=256)
         tg = make_log_grid(1e-4, 1.0, 24)
         phi = sample(BMD.measure_profile_fn(), g)
         c1 = max(upper_cone_check(sp, BMD, phi, 1, fam, t_grid=tg).values())
         upper = envelope_bounds(sp, phi, 1, 1, tg)
-        for name, f in fam:
-            u = convolve(BMD, f)
-            om = modulus_curve(u, 1, tg)
+        conv = convolver(BMD, fam[0][1])
+        for (name, f), om in zip(fam, modulus_curves([conv(f) for _, f in fam], 1, tg)):
             fstar = field_rearrangement(f, grid=g)
             fnorm = lorentz_norm(sp, fstar)
             assert np.all(om.values <= c1 * upper.values * fnorm * (1 + 1e-9))
@@ -767,7 +773,7 @@ class TestEnvelopeSandwich:
         quad = pytest.importorskip("scipy.integrate").quad
         L = 0.5
         f = sample_field(lambda x: (np.abs(x) < L / 2).astype(float), 3.0, 512)
-        g = default_grid()
+        g = make_log_grid(1e-8, 1.0, 512)
         fstar = field_rearrangement(f, grid=g)
         phi_fn = BMD.measure_profile_fn()
         for t in (0.01, 0.3):
