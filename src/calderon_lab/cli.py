@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigInvalid, NotEmbedded, ToolkitError
-from .gridfn import LogGrid, SampledFunction, _map_row_blocks, make_log_grid, total_mass
+from .gridfn import SampledFunction, _map_row_blocks, make_log_grid, total_mass
 from .kernels import (
     BesselMcDonald,
     KernelSpec,
@@ -62,6 +62,7 @@ from .optimal import (
     tail_embedding_function,
 )
 from .potentials import (
+    FAMILY_BOX_HALFWIDTH,
     bump_and_staircase_family,
     calderon_norms,
     convolver,
@@ -155,6 +156,9 @@ class ExperimentConfig:
         fields = self.scenario in _FIELD_SCENARIOS
         if fields and self.n != 1:
             bad("n", "fields are one-dimensional: must be 1 for this scenario")
+        if fields and self.k * self.T > 2.0 * FAMILY_BOX_HALFWIDTH:
+            bad("T", f"the modulus reads k*T = {self.k * self.T:g}: must be at most "
+                f"the field box width {2.0 * FAMILY_BOX_HALFWIDTH:g}")
         if self.scenario == "lorentz_karamata_case" and self.b_log == 0.0:
             bad("space.b_log", "this scenario needs a log weight factor")
         if self.kernel_variant == "power" and self.lambda_log < 0.0:
@@ -302,15 +306,14 @@ def _build_kernel(cfg: ExperimentConfig) -> KernelSpec:
     return KernelSpec(PowerSlowlyVarying(alpha=cfg.alpha, sv=sv, z1=cfg.z1), n=cfg.n)
 
 
-def _grid(cfg: ExperimentConfig) -> LogGrid:
-    return make_log_grid(cfg.tmin_span * cfg.T, cfg.T, cfg.grid_points)
+def _space(cfg: ExperimentConfig) -> LorentzSpace:
+    grid = make_log_grid(cfg.tmin_span * cfg.T, cfg.T, cfg.grid_points)
+    return LorentzSpace(cfg.q, _build_weight(cfg), grid)
 
 
 def _space_and_profile(cfg: ExperimentConfig):
-    grid = _grid(cfg)
-    space = LorentzSpace(cfg.q, _build_weight(cfg), grid)
-    phi = measure_profile(_build_kernel(cfg), grid)
-    return space, phi
+    space = _space(cfg)
+    return space, measure_profile(_build_kernel(cfg), space.grid)
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +321,8 @@ def _space_and_profile(cfg: ExperimentConfig):
 # ---------------------------------------------------------------------------
 
 def _scenario_embedding_check(cfg: ExperimentConfig, rec: ReportRecord):
-    space, phi = _space_and_profile(cfg)
-    crit = embedding_criterion(space, phi)
+    space = _space(cfg)
+    crit = embedding_criterion(space, _build_kernel(cfg))
     psi = crit["psi"]
     rec.scalars["embeds"] = crit["embeds"]
     rec.scalars["psi_at_T"] = crit["psi_at_T"]
@@ -411,8 +414,8 @@ def _scenario_envelope(cfg: ExperimentConfig, rec: ReportRecord):
     rec.scalars["small_t_slope"] = slope
 
 
-# besov_case's modulus grid starts at this span of T; the aggregate,
-# a sample without fn on the space's grid, is read there
+# besov_case's modulus grid starts at this span of T; the aggregate, sampled
+# on the space's grid, is read there through its interpolant
 _MODULUS_SPAN = 1e-6
 
 
@@ -446,8 +449,8 @@ def _scenario_besov_case(cfg: ExperimentConfig, rec: ReportRecord):
 
 
 def _scenario_lorentz_karamata_case(cfg: ExperimentConfig, rec: ReportRecord):
-    space, phi = _space_and_profile(cfg)
-    crit = embedding_criterion(space, phi)
+    space = _space(cfg)
+    crit = embedding_criterion(space, _build_kernel(cfg))
     rec.scalars["embeds"] = crit["embeds"]
     rec.scalars["psi_at_T"] = crit["psi_at_T"]
     alpha, p = cfg.alpha, cfg.weight_p

@@ -62,19 +62,16 @@ def make_log_grid(t_min: float, t_max: float, count: int) -> LogGrid:
 
 @dataclass
 class SampledFunction:
-    """Values of a real function on a LogGrid.
-
-    Called with its own `grid.points` (the same array object), it returns
-    a copy of its samples.  A sample with `fn` evaluates every other
-    point through `fn`.  Without `fn`, it is read on [t_min, t_max]
-    only (DomainError outside): positive values between grid points by
-    the power law through the bracketing samples (exact for pure
-    powers), others linearly in log t.
+    """Values of a real function on a LogGrid, read by one rule: its own
+    `grid.points` (the same array object) return a copy of the samples;
+    other points in [t_min, t_max] go through the log-log interpolant,
+    the power law through the bracketing samples where both are positive
+    (exact for pure powers), linear in log t otherwise; points outside
+    raise DomainError.
     """
 
     grid: LogGrid
     values: np.ndarray
-    fn: object = None                   # vectorized callable the samples came from
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -90,21 +87,17 @@ class SampledFunction:
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
         t = np.atleast_1d(t)
-        if self.fn is not None:
-            out = np.asarray(self.fn(t), dtype=float)
-        else:
-            g = self.grid.points
-            if not np.all((t >= g[0]) & (t <= g[-1])):
-                raise DomainError(
-                    f"a sample without fn is read on [{g[0]:g}, {g[-1]:g}] only")
-            out = _interp_loglog(t, g, self.values)
+        g = self.grid.points
+        if not np.all((t >= g[0]) & (t <= g[-1])):
+            raise DomainError(f"a sample is read on [{g[0]:g}, {g[-1]:g}] only")
+        out = _interp_loglog(t, g, self.values)
         return float(out[0]) if scalar else out
 
 
 def sample(fn, grid: LogGrid) -> SampledFunction:
-    """Sample a vectorized callable on a grid, keeping it to evaluate
-    every point off the grid."""
-    return SampledFunction(grid=grid, values=fn(grid.points), fn=fn)
+    """The samples of a vectorized callable on a grid; the callable is
+    not kept."""
+    return SampledFunction(grid=grid, values=fn(grid.points))
 
 
 def _interp_loglog(t, g, v):

@@ -214,8 +214,10 @@ class KernelSpec:
             lam = v.sv(np.minimum(zz, v.z1))
             head = zz ** (v.alpha - self.n) * lam
             cap = v.z1 ** (v.alpha - self.n) * v.sv(v.z1)
+            # the tail is taken at max(z, z1): below z1 it is discarded, and
+            # exp(z1 - z) would overflow there once z1 >= 710
             out = np.where(z <= v.z1, head,
-                           cap * np.exp(-(z - v.z1)))
+                           cap * np.exp(-(np.maximum(z, v.z1) - v.z1)))
         # Phi(0) = +inf is set directly: 0^(alpha-n) * Lambda(0) warns and is
         # inf * 0 = nan for a decaying log factor, as is 0^-nu * 0
         out[z == 0] = np.inf
@@ -251,9 +253,9 @@ class KernelSpec:
 
 
 def measure_profile(kernel: KernelSpec, grid: LogGrid) -> SampledFunction:
-    """Sample phi(tau) = Phi((tau/V_n)^(1/n)) on a grid, evaluated off
-    the grid through its callable.  DomainError where a sample exceeds
-    its left neighbour by more than 1e-9 relative: phi must be
+    """The samples of phi(tau) = Phi((tau/V_n)^(1/n)) on a grid, read
+    off it by the sample's interpolant.  DomainError where a sample
+    exceeds its left neighbour by more than 1e-9 relative: phi must be
     nonincreasing."""
     phi = sample(kernel.measure_profile_fn(), grid)
     v = phi.values

@@ -34,7 +34,7 @@ from .gridfn import (
     power_log_mass,
     total_mass,
 )
-from .kernels import SlowlyVaryingSpec
+from .kernels import KernelSpec, SlowlyVaryingSpec, measure_profile
 
 
 @dataclass(frozen=True)
@@ -119,9 +119,9 @@ def lorentz_norm(space: LorentzSpace, fstar: SampledFunction) -> float:
 
       ( int_0^T (f*)^q v )^(1/q)
 
-    f* is read at the space's grid points, so a sample without fn must
-    cover that grid (DomainError otherwise); +inf is a legal return
-    value (never an error).
+    f* is read at the space's grid points: its samples on that grid,
+    else its interpolant, which must cover the grid (DomainError
+    otherwise); +inf is a legal return value (never an error).
     """
     if fstar.grid.t_max > space.T * (1 + 1e-12):
         raise DomainError("f* must live on (0, T]")
@@ -179,14 +179,15 @@ def embedding_function(space: LorentzSpace, phi: SampledFunction) -> SampledFunc
     return SampledFunction(grid=space.grid, values=vals)
 
 
-def embedding_criterion(space: LorentzSpace, phi: SampledFunction) -> dict:
+def embedding_criterion(space: LorentzSpace, kernel: KernelSpec) -> dict:
     """Finiteness classification of Psi_q(T) under grid refinement.
 
     The aggregate is computed on grids with floors 1e4 and 1e2 times the
     space's (DomainError unless it lies below 1e-4 T), then on the space
-    itself, as "psi"; growth by more than 10x per refinement (or a
-    divergent head) classifies the value as infinite.  An ambiguous trend
-    raises Inconclusive rather than deciding silently.
+    itself, as "psi", each from the kernel's measure profile sampled on
+    that grid; growth by more than 10x per refinement (or a divergent
+    head) classifies the value as infinite.  An ambiguous trend raises
+    Inconclusive rather than deciding silently.
     """
     if space.grid.t_min >= 1e-4 * space.T:
         raise DomainError(f"the criterion refines from 1e4 times the grid floor "
@@ -195,7 +196,7 @@ def embedding_criterion(space: LorentzSpace, phi: SampledFunction) -> dict:
     for scale in (1e4, 1e2, 1.0):
         sp = space if scale == 1.0 else LorentzSpace(space.q, space.weight, make_log_grid(
             scale * space.grid.t_min, space.T, space.grid.count))
-        psi = embedding_function(sp, phi)
+        psi = embedding_function(sp, measure_profile(kernel, sp.grid))
         values.append(float(psi.values[-1]))
     out = {"embeds": False, "psi_at_T": math.inf, "refinements": values, "psi": psi}
     if any(not math.isfinite(v) for v in values):
@@ -260,9 +261,9 @@ def associate_norm(space: LorentzSpace, hstar: SampledFunction) -> float:
       q = 1:  sup_t V(t)^(-1) int_0^t h*
       q > 1:  ( int_0^inf (int_0^t h*)^(q') w dt )^(1/q')
 
-    h* is read at the space's grid points, so a sample without fn must
-    cover that grid (DomainError otherwise); +inf when the sup blows up
-    or the integral diverges at 0.
+    h* is read at the space's grid points: its samples on that grid,
+    else its interpolant, which must cover the grid (DomainError
+    otherwise); +inf when the sup blows up or the integral diverges at 0.
     """
     if hstar.grid.t_max > space.T * (1 + 1e-12):
         raise DomainError("h* must live on (0, T]")

@@ -370,7 +370,9 @@ def calderon_norms(us, omegas, spec: OptimalNormSpec, k: int, n: int) -> list[fl
     of smoothness omega_k(u; t^(1/n)) as modulus_curves computes it (max
     omega in the sup case, in the weighted case the Stieltjes form
     ( int_0^T (omega(t) / Psi(t))^q dPsi/Psi )^(1/q) against forward
-    differences of Psi on the omega grid).  The
+    differences of Psi on the omega grid).  The weighted form is
+    optimal_norm's Stieltjes core alone: optimal_norm adds
+    Psi(T)^-1 sup_(T1,T) |f| to it, this sum adds no such term.  The
     gate is decided and Psi sampled once for the family.  Raises
     TrivialSpace when the lattice only contains the zero modulus, and
     DomainError unless the curves are as many as the fields, at least
@@ -390,6 +392,10 @@ def calderon_norms(us, omegas, spec: OptimalNormSpec, k: int, n: int) -> list[fl
 # ---------------------------------------------------------------------------
 # the reproducible field family
 # ---------------------------------------------------------------------------
+
+# H of the family's box [-H, H]; ExperimentConfig.validate holds k*T to 2H
+FAMILY_BOX_HALFWIDTH = 3.0
+
 
 def bump_and_staircase_family(count: int = 10, resolution: int = 512,
                               seed: int = FAMILY_SEED):
@@ -412,5 +418,5 @@ def bump_and_staircase_family(count: int = 10, resolution: int = 512,
                 for (lo, hi), lv in zip(zip(edges[:-1], edges[1:]), levels):
                     out += lv * ((x >= lo) & (x < hi))
                 return out
-        family.append((f"field_{i}", sample_field(fn, 3.0, resolution)))
+        family.append((f"field_{i}", sample_field(fn, FAMILY_BOX_HALFWIDTH, resolution)))
     return family

@@ -10,17 +10,16 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .gridfn import LogGrid, SampledFunction, sample
+from .gridfn import LogGrid, SampledFunction
 
 
 def decreasing_rearrangement(samples, measure: float, grid: LogGrid) -> SampledFunction:
     """Nonincreasing, right-continuous function on (0, measure)
     equimeasurable with |samples|, the samples read as one value per
-    equal-measure cell, sampled on a geometric grid.
+    equal-measure cell, sampled at the grid points.
 
-    The sample keeps the exact sorted-step rearrangement as its `fn`, so
-    it reads that step function at every point, on the grid or off it:
-    the domain end reads the last cell, and any point past it reads 0.
+    Each grid point reads the exact sorted-step rearrangement: the
+    domain end reads the last cell, and any point past it reads 0.
     """
     if not measure > 0:
         raise DomainError("measure must be positive")
@@ -29,15 +28,7 @@ def decreasing_rearrangement(samples, measure: float, grid: LogGrid) -> SampledF
         raise DomainError("no cells")
     if not np.all(np.isfinite(steps)):
         raise DomainError("samples must be finite")
-    cell = measure / steps.size
-
-    def fstar(t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        idx = np.floor(t / cell).astype(int)
-        vals = np.zeros_like(t)
-        inside = (idx >= 0) & (idx < steps.size) & (t < measure)
-        vals[inside] = steps[idx[inside]]
-        vals[t == measure] = steps[-1]
-        return vals
-
-    return sample(fstar, grid)
+    t = grid.points
+    # the cell index is capped before the cast: t / cell may not fit an int
+    idx = np.floor(np.minimum(t / (measure / steps.size), steps.size - 1)).astype(int)
+    return SampledFunction(grid=grid, values=np.where(t <= measure, steps[idx], 0.0))

@@ -11,12 +11,15 @@ import numpy as np
 
 from calderon_lab.cli import parse_config_text, run
 from calderon_lab.gridfn import (
+    LogGrid,
     make_log_grid,
     sample,
 )
 from calderon_lab.kernels import (
     BesselMcDonald,
     KernelSpec,
+    PowerSlowlyVarying,
+    SlowlyVaryingSpec,
     auto_z1,
     bessel_k,
 )
@@ -63,10 +66,11 @@ def test_criterion_01_rearrangement_oracle():
         size = int(rng.integers(10, 1001))
         vals = rng.normal(scale=rng.uniform(0.5, 5.0), size=size)
         measure = float(rng.uniform(0.2, 9.0))
-        fstar = decreasing_rearrangement(vals, measure, make_log_grid(1e-3, measure, 16))
-        # the step values, read at the cell midpoints
+        # the step values, sampled at the cell midpoints
         cell = measure / size
-        steps = fstar((np.arange(size) + 0.5) * cell)
+        mids = (np.arange(size) + 0.5) * cell
+        steps = decreasing_rearrangement(
+            vals, measure, LogGrid(mids[0], mids[-1], size, mids)).values
         oracle = np.sort(np.abs(vals))[::-1]
         assert np.array_equal(steps, oracle)
         levels = rng.uniform(0.0, float(oracle[0]) * 1.05, size=20)
@@ -105,8 +109,10 @@ def test_criterion_04_embedding_classifier():
     ]:
         sp = LorentzSpace(q, FLAT, g)
         for alpha in alphas:
-            phi = sample(lambda t, a=alpha: t ** (a - 1.0), g)
-            results[(q, alpha)] = embedding_criterion(sp, phi)["embeds"] is expected
+            # phi(tau) = (tau/2)^(alpha-1) on (0, 1]
+            kernel = KernelSpec(PowerSlowlyVarying(alpha=alpha, sv=SlowlyVaryingSpec(),
+                                                   z1=1.0), n=1)
+            results[(q, alpha)] = embedding_criterion(sp, kernel)["embeds"] is expected
     report(4, all(results.values()),
            "q=2 embeds exactly for alpha in {0.6, 0.75, 0.9}; q=1 never embeds "
            "below alpha = 1 (k = 2 configuration)")

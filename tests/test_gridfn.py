@@ -235,25 +235,13 @@ class TestSampledFunction:
             assert np.array_equal(f(g.points.copy()), values)
 
     def test_continuation_without_fn(self):
-        # without fn a sample is read on [t_min, t_max] only
+        # a sample is read on [t_min, t_max] only
         g = make_log_grid(1e-2, 1.0, 16)
         f = SampledFunction(g, g.points ** -0.5)
         assert f(g.t_min) == f.values[0] and f(g.t_max) == f.values[-1]
         for t in (1e-4, 0.0099, 1.01, 2.0, np.array([0.5, 2.0])):
-            with pytest.raises(DomainError, match="without fn"):
+            with pytest.raises(DomainError, match=r"read on \[0\.01, 1\] only"):
                 f(t)
-
-    def test_fn_evaluates_every_point_off_the_grid(self):
-        # below, between and beyond the samples
-        g = make_log_grid(1e-2, 1.0, 16)
-        fn = lambda x: np.exp(-x) / x
-        t = np.array([1e-3, 0.05, 2.0])
-        f = SampledFunction(g, fn(g.points), fn=fn)
-        assert np.array_equal(f(t), fn(t))
-        f = sample(fn, g)
-        assert f.fn is fn
-        assert np.array_equal(f(t), fn(t))
-        assert f(2.0) == fn(2.0)
 
     def test_analytic_own_grid_reads_samples(self, monkeypatch):
         # the samples are fn(grid.points), so that call returns a copy of
@@ -266,18 +254,18 @@ class TestSampledFunction:
             return np.exp(-x) / x
 
         f = sample(fn, g)
-        calls.clear()
+        assert calls == [32]
         out = f(g.points)
-        assert calls == []
         assert np.array_equal(out, f.values)
         out[:] = -1.0
         assert np.all(f.values > 0.0)
-        # an equal but distinct array is evaluated through fn
+        # an equal but distinct array is read through the interpolant,
+        # which returns the samples at the nodes; fn is not called again
         twin = g.points.copy()
         assert np.array_equal(f(twin), f.values)
         assert calls == [32]
 
-        # a sample without fn is read on its own grid too, not interpolated
+        # the own grid is read without the interpolant
         def no_interp(*args):
             raise AssertionError("_interp_loglog called")
 

@@ -157,6 +157,18 @@ class TestKernelSpec:
         assert vals[0] == math.inf
         assert np.array_equal(vals[1:], kern.profile(zs[1:]))
 
+    @pytest.mark.parametrize("z1", [709.0, 710.0, 745.0, 1000.0, 1e6])
+    def test_power_tail_at_large_z1(self, z1):
+        # the tail cap e^-(z - z1) is taken at max(z, z1): below z1 it is
+        # discarded, and e^(z1 - z) would overflow there from z1 ~ 710
+        sv = SlowlyVaryingSpec(scale=z1)
+        kern = KernelSpec(PowerSlowlyVarying(alpha=0.5, sv=sv, z1=z1), n=1)
+        zs = np.array([1e-3, 1.0, z1, z1 + 10.0])
+        with np.errstate(all="raise"):
+            vals = kern.profile(zs)
+        assert np.array_equal(vals[:3], zs[:3] ** -0.5)
+        assert vals[3] == pytest.approx(z1 ** -0.5 * math.exp(-10.0), rel=1e-15)
+
     def test_bessel_profile_infinite_at_origin(self):
         # Phi(z) ~ c z^(-2 nu) as z -> 0, so Phi(0) = +inf as for the power
         # variant above (0^-nu K_nu(0) would be inf * 0 = nan)
@@ -232,9 +244,9 @@ class TestConeKernel:
     def setup_method(self):
         g = make_log_grid(1e-8, 1.0, 256)
         self.g = g
-        self.phi = measure_profile(
-            KernelSpec(PowerSlowlyVarying(alpha=0.75, sv=SlowlyVaryingSpec(),
-                                          z1=2.0), n=1), g)
+        self.kernel = KernelSpec(PowerSlowlyVarying(alpha=0.75, sv=SlowlyVaryingSpec(),
+                                                    z1=2.0), n=1)
+        self.phi = measure_profile(self.kernel, g)
 
     def test_diagonal_is_half(self):
         t = 0.37
@@ -245,9 +257,11 @@ class TestConeKernel:
         assert np.allclose(vals / self.phi(np.array([1e-7, 1e-8])), 1.0, atol=1e-6)
 
     def test_point_value(self):
-        # k = n: at t = 1, tau = 2 the denominator is 3
-        got = cone_kernel(self.phi, 1, 1, 1.0, 2.0)
-        assert np.isclose(got, self.phi(2.0) / 3.0)
+        # k = n: at t = 1, tau = 2 the denominator is 3; tau = 2 lies past
+        # the sampled grid, so phi is the profile's callable
+        phi = self.kernel.measure_profile_fn()
+        got = cone_kernel(phi, 1, 1, 1.0, 2.0)
+        assert np.isclose(got, phi(2.0) / 3.0)
 
     def test_monotone_in_t_and_dominated(self):
         taus = self.g.points

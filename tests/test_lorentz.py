@@ -13,7 +13,7 @@ from calderon_lab.gridfn import (
     sample,
     segment_masses,
 )
-from calderon_lab.kernels import SlowlyVaryingSpec
+from calderon_lab.kernels import KernelSpec, PowerSlowlyVarying, SlowlyVaryingSpec
 from calderon_lab.lorentz import (
     LorentzSpace,
     WeightSpec,
@@ -28,6 +28,13 @@ from calderon_lab.lorentz import (
 from calderon_lab.optimal import AssociateNormEngine
 
 FLAT = WeightSpec(power_exponent=0.0)
+
+
+def power_kernel(alpha):
+    """The power kernel on R^1 with z1 = 1 and no log factor: its measure
+    profile phi(tau) = (tau/2)^(alpha-1) on (0, 1] has the exponents of
+    t^(alpha-1)."""
+    return KernelSpec(PowerSlowlyVarying(alpha=alpha, sv=SlowlyVaryingSpec(), z1=1.0), n=1)
 
 
 def indicator_fstar(grid, a):
@@ -181,23 +188,20 @@ class TestEmbeddingCriterion:
     def test_flat_q2(self, alpha, expected):
         g = make_log_grid(1e-8, 1.0, 512)
         sp = LorentzSpace(2.0, FLAT, g)
-        phi = sample(lambda t, a=alpha: t ** (a - 1.0), g)
-        assert embedding_criterion(sp, phi)["embeds"] is expected
+        assert embedding_criterion(sp, power_kernel(alpha))["embeds"] is expected
 
     def test_q1_never_embeds_for_powers(self):
         g = make_log_grid(1e-8, 1.0, 512)
         sp = LorentzSpace(1.0, FLAT, g)
         for alpha in (0.3, 0.6, 0.9):
-            phi = sample(lambda t, a=alpha: t ** (a - 1.0), g)
-            assert embedding_criterion(sp, phi)["embeds"] is False
+            assert embedding_criterion(sp, power_kernel(alpha))["embeds"] is False
 
     @pytest.mark.parametrize("beta,expected", [(0.75, True), (0.25, False)])
     def test_karamata_exponent_rule(self, beta, expected):
         # alpha = n/p: embeds iff beta * q' > 1
         sv = SlowlyVaryingSpec(factors=(("log", beta),), scale=1.0)
         sp = LorentzSpace(2.0, power_weight(2.0, 2.0, sv=sv), make_log_grid(1e-8, 1.0, 512))
-        phi = sample(lambda t: t ** (0.5 - 1.0), make_log_grid(1e-8, 1.0, 512))
-        assert embedding_criterion(sp, phi)["embeds"] is expected
+        assert embedding_criterion(sp, power_kernel(0.5))["embeds"] is expected
 
     # Psi_q(T) at the grid floors 1e-4 T, 1e-6 T and 1e-8 T of a space on
     # [1e-8 T, T], or at the floors a dict names: the criterion refines
@@ -222,12 +226,11 @@ class TestEmbeddingCriterion:
         monkeypatch.setattr(lorentz, "embedding_function", fake_psi)
         g = make_log_grid(10.0 ** min(by_floor), 1.0, 64)
         sp = LorentzSpace(2.0, FLAT, g)
-        phi = sample(lambda t: t ** -0.5, g)
         if embeds is None:
             with pytest.raises(Inconclusive):
-                embedding_criterion(sp, phi)
+                embedding_criterion(sp, power_kernel(0.5))
             return
-        verdict = embedding_criterion(sp, phi)
+        verdict = embedding_criterion(sp, power_kernel(0.5))
         assert verdict["embeds"] is embeds
         assert verdict["refinements"] == refinements
         assert verdict["psi_at_T"] == (refinements[-1] if embeds else math.inf)
@@ -237,12 +240,11 @@ class TestEmbeddingCriterion:
         # T: the rule is stated before any grid is built
         g = make_log_grid(1e-3, 1.0, 64)
         sp = LorentzSpace(2.0, FLAT, g)
-        phi = sample(lambda t: t ** -0.5, g)
         monkeypatch.setattr(lorentz, "make_log_grid",
                             lambda *args: pytest.fail("the criterion built a grid"))
         with pytest.raises(DomainError, match=r"1e4 times the grid floor 0\.001: "
                                               r"it must be below 1e-4 T = 0\.0001"):
-            embedding_criterion(sp, phi)
+            embedding_criterion(sp, power_kernel(0.5))
 
 
 class TestAssociateNorm:

@@ -120,7 +120,9 @@ class TestFieldRearrangement:
         g = make_log_grid(1e-8, 1.0, 512)
         fstar = field_rearrangement(f, grid=g)
         assert np.array_equal(fstar.values, np.ones(g.count))
-        assert fstar(2.0) == 1.0 and fstar(7.0) == 0.0
+        probe = np.array([2.0, 7.0])
+        fstar = field_rearrangement(f, grid=LogGrid(2.0, 7.0, 2, probe))
+        assert fstar.values.tolist() == [1.0, 0.0]
 
 
 class TestConvolve:

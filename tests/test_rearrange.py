@@ -4,15 +4,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from calderon_lab.errors import DomainError
-from calderon_lab.gridfn import make_log_grid
+from calderon_lab.gridfn import LogGrid, make_log_grid
 from calderon_lab.rearrange import decreasing_rearrangement
 
 
+def on_points(ts):
+    """A grid whose nodes are the probe points ts, where the
+    rearrangement is sampled exactly."""
+    ts = np.asarray(ts, dtype=float)
+    return LogGrid(ts[0], ts[-1], len(ts), ts)
+
+
 def steps_of(samples, measure):
-    """The step values of the rearrangement, read at the cell midpoints."""
+    """The step values of the rearrangement, sampled at the cell midpoints."""
     cells = len(samples)
-    fstar = decreasing_rearrangement(samples, measure, make_log_grid(1e-3, measure, 16))
-    return fstar((np.arange(cells) + 0.5) * (measure / cells))
+    mids = on_points((np.arange(cells) + 0.5) * (measure / cells))
+    return decreasing_rearrangement(samples, measure, mids).values
 
 
 class TestDecreasingRearrangement:
@@ -45,14 +52,15 @@ class TestDecreasingRearrangement:
         assert np.allclose(fstar.values[:-1], oracle[idx[:-1]])
 
     def test_reads_steps_off_the_grid_and_last_cell_at_domain_end(self):
-        # a point between grid nodes reads the exact step, not an
-        # interpolant; the domain end reads the last cell, past it 0
-        g = make_log_grid(1e-3, 0.5, 32)
-        fstar = decreasing_rearrangement(np.array([4.0, 1.0, 3.0, 2.0]), 0.5, g)
+        # each grid point samples the exact step, wherever it lies in its
+        # cell; the domain end reads the last cell, past it 0, also where
+        # t / cell would not fit an integer
+        vals = np.array([4.0, 1.0, 3.0, 2.0])
+        fstar = decreasing_rearrangement(vals, 0.5, make_log_grid(1e-3, 0.5, 32))
         assert fstar.values[-1] == 1.0
-        # 0.13 lies between the nodes 0.1228 (read 4) and 0.1501 (read 3)
-        assert fstar(np.array([0.1, 0.13, 0.3, 0.5, 0.75])).tolist() == \
-            [4.0, 3.0, 2.0, 1.0, 0.0]
+        probe = on_points([0.1, 0.13, 0.3, 0.5, 0.75, 1e20])
+        assert decreasing_rearrangement(vals, 0.5, probe).values.tolist() == \
+            [4.0, 3.0, 2.0, 1.0, 0.0, 0.0]
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=200),
@@ -87,9 +95,8 @@ class TestDecreasingRearrangement:
     def test_right_continuous_at_cell_edges(self):
         # cells of measure 0.5 on (0, 1.5): each edge reads the next cell
         fstar = decreasing_rearrangement(np.array([1.0, 3.0, 2.0]), 1.5,
-                                         make_log_grid(1e-3, 1.5, 16))
-        assert fstar(np.array([0.49, 0.5, 0.99, 1.0, 1.6])).tolist() \
-            == [3.0, 2.0, 2.0, 1.0, 0.0]
+                                         on_points([0.49, 0.5, 0.99, 1.0, 1.6]))
+        assert fstar.values.tolist() == [3.0, 2.0, 2.0, 1.0, 0.0]
 
     def test_empty_sample(self):
         g = make_log_grid(1e-3, 1.0, 16)
