@@ -323,16 +323,8 @@ def power_log_mass(p: float, e: float, scale: float, t0: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# endpoint behaviour classification
+# endpoint verdicts
 # ---------------------------------------------------------------------------
-
-@dataclass
-class EndpointFit:
-    """Least-squares model y ~ C * t^p * log(e*t_max/t)^e near t -> 0."""
-    p: float
-    e: float
-    tag: str    # "convergent" | "divergent" | "ambiguous"
-
 
 _P_TOL = 0.02      # half-width of the power exponent's borderline band
 _E_TOL = 0.05      # half-width of the log exponent's borderline band
@@ -356,45 +348,58 @@ def _endpoint_exponents(grid: LogGrid, values: np.ndarray) -> tuple[float, float
     return float(coef[1]), float(coef[2])
 
 
-def classify_zero_endpoint(grid: LogGrid, values: np.ndarray) -> EndpointFit:
-    """Decide whether the integral of a positive sampled function
-    converges at 0, by fitting a power and a log-power exponent over the
-    lower half of the grid.
+def classify_zero_endpoint(grid: LogGrid, values: np.ndarray) -> bool | None:
+    """Whether the integral of a positive sampled function converges at
+    0: True or False by the exponents (p, e) fitted over the lower half
+    of the grid, None inside the borderline band |p + 1| <= _P_TOL,
+    |e + 1| <= _E_TOL or when the fit fails.
 
     The families in scope are all power x iterated-log, so the two-term
-    fit is essentially exact; genuinely borderline cases come back
-    "ambiguous" rather than being silently decided.
+    fit is essentially exact; genuinely borderline cases come back None
+    rather than being silently decided.
     """
     p, e = _endpoint_exponents(grid, values)
-    if math.isnan(p):
-        tag = "ambiguous"
-    elif p > -1.0 + _P_TOL:
-        tag = "convergent"
-    elif p < -1.0 - _P_TOL:
-        tag = "divergent"
-    elif e < -1.0 - _E_TOL:
-        tag = "convergent"
-    elif e > -1.0 + _E_TOL:
-        tag = "divergent"
-    else:
-        tag = "ambiguous"
-    return EndpointFit(p=p, e=e, tag=tag)
+    if p > -1.0 + _P_TOL:
+        return True
+    if p < -1.0 - _P_TOL:
+        return False
+    if e < -1.0 - _E_TOL:
+        return True
+    if e > -1.0 + _E_TOL:
+        return False
+    return None     # the band, or a failed fit (NaN compares False)
 
 
 def classify_boundedness(grid: LogGrid, values: np.ndarray,
-                         e_tol: float = _E_TOL) -> EndpointFit:
-    """Decide whether a positive sampled function stays bounded as
-    t -> 0 (tag "convergent" = bounded, "divergent" = blows up); a flat
-    power is unbounded when its log exponent exceeds e_tol."""
+                         e_tol: float = _E_TOL) -> bool:
+    """Whether a positive sampled function stays bounded as t -> 0, by
+    the same fit: a flat power is unbounded when its log exponent exceeds
+    e_tol, and a failed fit counts as bounded."""
     p, e = _endpoint_exponents(grid, values)
-    if math.isnan(p):
-        tag = "ambiguous"
-    elif p > _P_TOL:
-        tag = "convergent"
-    elif p < -_P_TOL:
-        tag = "divergent"
-    elif e > e_tol:
-        tag = "divergent"
-    else:
-        tag = "convergent"      # flat or log-decaying: bounded
-    return EndpointFit(p=p, e=e, tag=tag)
+    if p > _P_TOL:
+        return True
+    if p < -_P_TOL:
+        return False
+    return not e > e_tol    # flat or log-decaying, or a failed fit: bounded
+
+
+def _power_log_head(grid: LogGrid, y: np.ndarray, p: float, e: float) -> float:
+    """The mass over (0, t_min) of the model C t^p log(e*t_max/t)^e
+    through the first sample, in closed form."""
+    t0 = grid.points[0]
+    C = y[0] / (t0 ** p * math.log(math.e * grid.t_max / t0) ** e)
+    return C * power_log_mass(p, e, grid.t_max, t0)
+
+
+def fitted_head_mass(grid: LogGrid, y: np.ndarray) -> float:
+    """The mass of a positive sampled function below t_min: +inf when the
+    endpoint fit says its integral diverges, else `head_mass`, except
+    where the fit converges and the two-point rule does not (a
+    log-borderline head); that head is the fitted model's closed form."""
+    converges = classify_zero_endpoint(grid, y)
+    if converges is False:
+        return math.inf
+    head = head_mass(grid.points, y)
+    if converges and not math.isfinite(head):
+        head = _power_log_head(grid, y, *_endpoint_exponents(grid, y))
+    return head

@@ -27,11 +27,9 @@ from .gridfn import (
     SampledFunction,
     _map_row_blocks,
     classify_boundedness,
-    classify_zero_endpoint,
     cumulative_from_zero,
-    head_mass,
+    fitted_head_mass,
     make_log_grid,
-    power_log_mass,
     total_mass,
 )
 from .kernels import KernelSpec, SlowlyVaryingSpec, measure_profile
@@ -142,15 +140,6 @@ def _profile_integral(t, phi_values) -> np.ndarray:
     return iphi
 
 
-def _fitted_head_integral(grid: LogGrid, y: np.ndarray, fit) -> float:
-    """Integral over (0, t_min) of the fitted model C t^p L^e matching
-    the first sample (used when the two-point power rule is too crude,
-    i.e. for log-borderline heads), in closed form."""
-    t0 = grid.points[0]
-    C = y[0] / (t0 ** fit.p * math.log(math.e * grid.t_max / t0) ** fit.e)
-    return C * power_log_mass(fit.p, fit.e, grid.t_max, t0)
-
-
 def embedding_function(space: LorentzSpace, phi: SampledFunction) -> SampledFunction:
     """The nondecreasing aggregate Psi_q(t) whose value at T decides the
     embedding; identically +inf when the defining integral (or sup)
@@ -159,19 +148,13 @@ def embedding_function(space: LorentzSpace, phi: SampledFunction) -> SampledFunc
     # W(t) = V(t)^(-1) int_0^t phi, the density the aggregate is built from
     W = _profile_integral(t, phi(t)) / space.V.values
     if space.q == 1.0:
-        tag = classify_boundedness(space.grid, W).tag
-        if tag == "divergent":
-            vals = np.full_like(t, math.inf)
-        else:
+        if classify_boundedness(space.grid, W):
             vals = np.maximum.accumulate(W)
+        else:
+            vals = np.full_like(t, math.inf)
         return SampledFunction(grid=space.grid, values=vals)
     y = W ** space.qp * space.v_vals
-    fit = classify_zero_endpoint(space.grid, y)
-    head = head_mass(t, y)
-    if fit.tag == "divergent":
-        head = math.inf
-    elif not math.isfinite(head) and fit.tag == "convergent":
-        head = _fitted_head_integral(space.grid, y, fit)
+    head = fitted_head_mass(space.grid, y)
     if not math.isfinite(head):
         vals = np.full_like(t, math.inf)
     else:
@@ -233,7 +216,7 @@ def _associate_norm_of_cumulative(space: LorentzSpace, cum: np.ndarray):
     if space.q == 1.0:
         for i in live:
             vals = rows[i] / space.V.values
-            if classify_boundedness(space.grid, np.maximum(vals, 1e-300)).tag != "divergent":
+            if classify_boundedness(space.grid, np.maximum(vals, 1e-300)):
                 out[i] = np.max(vals)
     else:
         # total_mass is +inf on a divergent head, and the sum stays +inf

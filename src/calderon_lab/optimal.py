@@ -86,6 +86,24 @@ class ConditionWitness:
     holds: bool
 
 
+def _dominance_witness(grid: LogGrid, ratio, d_grid: float,
+                       monotone: np.ndarray) -> ConditionWitness:
+    """The witness of a dominance condition from its defining ratio on
+    the grid (None when the ratio's head integral diverges), the ratio's
+    grid sup d_grid and the values that t^eps must make nonincreasing:
+    d is +inf when the ratio is unbounded at 0, and the condition holds
+    when the ratio is bounded, d_grid is finite and some eps > 0 exists.
+
+    Ratios converging to a positive limit carry power-small corrections
+    that a tight log-exponent fit mistakes for slow growth; the
+    genuinely unbounded cases grow like a full power of the log, hence
+    the wide band e_tol = 0.4."""
+    bounded = ratio is not None and classify_boundedness(grid, ratio, e_tol=0.4)
+    eps = largest_monotone_exponent(grid.points, monotone)
+    return ConditionWitness(d=d_grid if bounded else math.inf, d_grid=d_grid, epsilon=eps,
+                            holds=bounded and math.isfinite(d_grid) and eps > 0.0)
+
+
 def check_condition_a(phi, V: SampledFunction, k: int, n: int,
                       grid: LogGrid) -> ConditionWitness:
     """Tail-dominated-by-head condition: d1 bounds
@@ -97,16 +115,8 @@ def check_condition_a(phi, V: SampledFunction, k: int, n: int,
     tail = cumulative_tail(t, t ** (-k / float(n)) * ph)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(head > 0, tail / (t ** (-k / float(n)) * head), np.inf)
-    d_grid = float(np.max(ratio[:-1]))
-    # ratios converging to a positive limit carry power-small corrections
-    # that a tight log-exponent fit mistakes for slow growth; the
-    # genuinely unbounded cases grow like a full power of the log
-    tag = classify_boundedness(grid, np.maximum(ratio, 1e-300), e_tol=0.4).tag
-    unbounded = tag == "divergent"
-    eps = largest_monotone_exponent(t, 1.0 / V.values)
-    holds = (not unbounded) and eps > 0.0
-    return ConditionWitness(d=(math.inf if unbounded else d_grid),
-                            d_grid=d_grid, epsilon=eps, holds=holds)
+    return _dominance_witness(grid, np.maximum(ratio, 1e-300), float(np.max(ratio[:-1])),
+                              1.0 / V.values)
 
 
 def check_condition_b(phi, u_q: SampledFunction, k: int, n: int,
@@ -117,19 +127,11 @@ def check_condition_b(phi, u_q: SampledFunction, k: int, n: int,
     t = grid.points
     ph = np.asarray(phi(t), dtype=float)
     kn = k / float(n)
-    integrand = t ** -kn * ph
-    head = cumulative_from_zero(t, integrand)
+    head = cumulative_from_zero(t, t ** -kn * ph)
     if not np.isfinite(head[0]):
-        d_grid = math.inf
-        unbounded = True
-    else:
-        ratio = head / (t ** (1.0 - kn) * ph)
-        d_grid = float(np.max(ratio))
-        unbounded = classify_boundedness(grid, ratio, e_tol=0.4).tag == "divergent"
-    eps = largest_monotone_exponent(t, u_q.values)
-    holds = (not unbounded) and math.isfinite(d_grid) and eps > 0.0
-    return ConditionWitness(d=(math.inf if unbounded else d_grid),
-                            d_grid=d_grid, epsilon=eps, holds=holds)
+        return _dominance_witness(grid, None, math.inf, u_q.values)
+    ratio = head / (t ** (1.0 - kn) * ph)
+    return _dominance_witness(grid, ratio, float(np.max(ratio)), u_q.values)
 
 
 # ---------------------------------------------------------------------------

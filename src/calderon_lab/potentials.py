@@ -47,8 +47,8 @@ from .errors import (
 from .gridfn import (
     LogGrid,
     SampledFunction,
+    _endpoint_exponents,
     _map_row_blocks,
-    classify_zero_endpoint,
     total_mass,
 )
 from .kernels import KernelSpec, cone_kernel
@@ -360,8 +360,8 @@ def nontriviality_gate(spec: OptimalNormSpec, k: int, n: int) -> bool:
         return True
     t = spec.psi.grid.points
     ratio = t ** (k / float(n)) / spec.psi.values
-    fit = classify_zero_endpoint(spec.psi.grid, ratio)
-    return fit.p > 0.01
+    p, _ = _endpoint_exponents(spec.psi.grid, ratio)
+    return p > 0.01
 
 
 def calderon_norms(us, omegas, spec: OptimalNormSpec, k: int, n: int) -> list[float]:

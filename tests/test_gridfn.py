@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from calderon_lab import gridfn
@@ -282,27 +282,63 @@ class TestEndpointClassifiers:
     G = make_log_grid(1e-8, 1.0, 512)
     L = np.log(math.e / G.points)
 
-    @pytest.mark.parametrize("values, tag", [
-        (G.points ** -1.1, "divergent"),
-        (G.points ** -0.9, "convergent"),
-        (1.0 / G.points, "divergent"),
-        (1.0 / G.points * L ** -1.5, "convergent"),
+    @pytest.mark.parametrize("values, converges", [
+        (G.points ** -1.1, False),
+        (G.points ** -0.9, True),
+        (1.0 / G.points, False),
+        (1.0 / G.points * L ** -1.5, True),
     ], ids=["t^-1.1", "t^-0.9", "1/t", "L^-1.5/t"])
-    def test_zero_endpoint(self, values, tag):
-        assert classify_zero_endpoint(self.G, values).tag == tag
+    def test_zero_endpoint(self, values, converges):
+        assert classify_zero_endpoint(self.G, values) is converges
 
     def test_boundedness_log_band(self):
         # L^0.2 grows without bound, too slowly to leave the wide band
-        assert classify_boundedness(self.G, self.L ** 0.2, 0.05).tag == "divergent"
-        assert classify_boundedness(self.G, self.L ** 0.2, 0.4).tag == "convergent"
+        assert classify_boundedness(self.G, self.L ** 0.2, 0.05) is False
+        assert classify_boundedness(self.G, self.L ** 0.2, 0.4) is True
 
     def test_few_positive_samples_ambiguous(self):
+        # the fit fails: undecided at 0, and bounded
         values = np.zeros(self.G.count)
         values[:7] = 1.0 / self.G.points[:7]
-        zero = classify_zero_endpoint(self.G, values)
-        bounded = classify_boundedness(self.G, values, 0.05)
-        assert zero.tag == bounded.tag == "ambiguous"
-        assert math.isnan(zero.p) and math.isnan(bounded.e)
+        assert classify_zero_endpoint(self.G, values) is None
+        assert classify_boundedness(self.G, values, 0.05) is True
+        p, e = gridfn._endpoint_exponents(self.G, values)
+        assert math.isnan(p) and math.isnan(e)
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.floats(-1.5, 0.5), e=st.floats(-3.0, 1.0))
+    def test_band_on_power_log_samples(self, p, e):
+        # y = t^p log(e/t)^e is integrable at 0 iff p > -1, or p = -1 and
+        # e < -1, and bounded iff p > 0, or p = 0 and e <= 0; the fit reads
+        # p within _P_TOL of a threshold as on it.  Exponents keep 1e-6
+        # from each band edge: the fit recovers them to about 1e-12.
+        tol_p, tol_e = gridfn._P_TOL, gridfn._E_TOL
+        assume(all(abs(p - edge) >= 1e-6 for edge in (-1 - tol_p, -1 + tol_p, -tol_p, tol_p)))
+        assume(all(abs(e - edge) >= 1e-6 for edge in (-1 - tol_e, -1 + tol_e, tol_e)))
+        y = self.G.points ** p * self.L ** e
+        converges = classify_zero_endpoint(self.G, y)
+        if abs(p + 1) <= tol_p and abs(e + 1) <= tol_e:
+            assert converges is None
+        else:
+            assert converges is (p > -1 if abs(p + 1) > tol_p else e < -1)
+        bounded = classify_boundedness(self.G, y)
+        assert bounded is (p > 0 if abs(p) > tol_p else e <= tol_e)
+
+
+    def test_fitted_head_mass_branches(self):
+        t = self.G.points
+        # the fit says "diverges": +inf, whatever the two-point rule says
+        assert gridfn.fitted_head_mass(self.G, t ** -1.1) == math.inf
+        # a plain power: the two-point rule
+        y = t ** -0.5
+        assert gridfn.fitted_head_mass(self.G, y) == gridfn.head_mass(t, y)
+        # t^-0.97 L: the first segment's power is about -1.02, so the
+        # two-point rule diverges while the fit converges; the fitted
+        # model's closed form is the exact mass below t_min
+        y = t ** -0.97 * self.L
+        assert gridfn.head_mass(t, y) == math.inf
+        assert gridfn.fitted_head_mass(self.G, y) == pytest.approx(
+            power_log_mass(-0.97, 1.0, 1.0, t[0]), rel=1e-9)
 
 
 def _reference_segment_masses(t: np.ndarray, y: np.ndarray) -> np.ndarray:

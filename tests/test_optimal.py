@@ -101,6 +101,19 @@ class TestConditions:
         if not b_holds:
             assert not math.isfinite(cb.d)
 
+    @pytest.mark.parametrize("c", [1e-3, 0.1, 0.5])
+    def test_condition_a_fails_with_infinite_sup(self, c):
+        # phi = t^(-1/2) above c and 0 below: int_0^t phi vanishes below c,
+        # so the ratio's grid sup is +inf, and the condition cannot hold
+        # however bounded the fit reads the floored ratio
+        g = make_log_grid(1e-8, 1.0, 512)
+        sp = LorentzSpace(2.0, power_weight(2.0, 1.5), g)
+        phi = lambda t: np.where(t > c, t ** -0.5, 0.0)
+        ca = check_condition_a(phi, sp.V, 1, 1, g)
+        assert ca.d == ca.d_grid == math.inf
+        assert ca.epsilon == 1.0
+        assert ca.holds is False
+
     def test_epsilon_witness_flat_weight(self):
         g = make_log_grid(1e-8, 1.0, 512)
         sp = LorentzSpace(2.0, FLAT, g)
