@@ -58,7 +58,6 @@ from .optimal import (
     hardy_constants,
     make_optimal_norm_spec,
     optimal_norm,
-    sample_family,
     tail_embedding_function,
 )
 from .potentials import (
@@ -372,7 +371,7 @@ def _scenario_equivalence_sweep(cfg: ExperimentConfig, rec: ReportRecord):
     rec.scalars["d2"] = cb.d
     rec.scalars["epsilon_a"] = ca.epsilon
     rec.scalars["epsilon_b"] = cb.epsilon
-    rep = equivalence_report(space, phi, cfg.k, cfg.n, sample_family(space.grid, cfg.seed))
+    rep = equivalence_report(space, phi, cfg.k, cfg.n, cfg.seed)
     rec.scalars["ratio_min"] = rep["min_ratio"]
     rec.scalars["ratio_max"] = rep["max_ratio"]
     rec.scalars["ratio_spread"] = rep["spread"]

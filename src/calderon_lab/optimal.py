@@ -351,42 +351,52 @@ class AssociateNormEngine:
     def rho0(self, g: np.ndarray) -> float:
         return float(self.rho0_family(self._checked(g)[None])[0])
 
-    def _psi0(self, G) -> np.ndarray:
-        """Rows tau -> int Omega(xi, tau) g(xi) dxi for the rows g of G."""
-        a = np.multiply(self.cone_weights, G)
+    def _psi0(self, a: np.ndarray) -> np.ndarray:
+        """Rows tau -> int Omega(xi, tau) g(xi) dxi for the rows g of G,
+        given the weighted family a = cone_weights * G, and written over a."""
         # a row with an infinite or NaN coefficient has that sum in every
         # entry (the kernel is positive); the product would turn inf * 0
         # into NaN where exp(-s y) underflows, so it runs on zeros instead
         bad = ~np.all(np.isfinite(a), axis=1)
         totals = np.sum(a[bad], axis=1)
         a[bad] = 0.0
-        coef = np.zeros((len(G), len(self.nodes)))
+        coef = np.zeros((len(a), len(self.nodes)))
+        # each loop drops its block before asking for the next: a block
+        # still named here would stay alive while the next is built
         for cols, table in self._exp_blocks():
             coef[:, :len(table)] += a[:, cols] @ table.T
+            del table
         coef *= self.node_weights
         for cols, table in self._exp_blocks():
             np.matmul(coef[:, :len(table)], table, out=a[:, cols])
+            del table
         a[bad] = totals[:, None]
         return np.multiply(a, self.phi_vals, out=a)
 
     def _exp_blocks(self):
         """The M x N table exp(-s_m y_j) as (cols, table) column blocks of
         _COLUMN_BLOCK columns, without its exact zeros, built one block at
-        a time as the caller asks for it: s and y ascend, so a block keeps
-        only the nodes with s y(first column) <= _EXP_UNDERFLOW, and every
-        entry it drops is exactly 0.0 (numpy's exp is slowest on those)."""
+        a time as the caller asks for it and released here before the next
+        is built: s and y ascend, so a block keeps only the nodes with
+        s y(first column) <= _EXP_UNDERFLOW, and every entry it drops is
+        exactly 0.0 (numpy's exp is slowest on those)."""
         s, y = self.nodes, self.y
         for j in range(0, len(y), _COLUMN_BLOCK):
             cols = slice(j, j + _COLUMN_BLOCK)
             m = np.searchsorted(s * y[j], _EXP_UNDERFLOW, side="right")
             table = np.multiply.outer(-s[:m], y[cols])
             yield cols, np.exp(table, out=table)
+            del table
 
     def rho0_family(self, G) -> np.ndarray:
-        """rho0 of each row of G, an F x N array."""
+        """rho0 of each row of G, an F x N array, which is left as it is."""
+        return self._rho0_weighted(np.multiply(self.cone_weights, self._checked(G, ndim=2)))
+
+    def _rho0_weighted(self, a: np.ndarray) -> np.ndarray:
+        """rho0 of each row g of G, given a = cone_weights * G, which
+        psi0 overwrites."""
         return _map_row_blocks(lambda block: _associate_norm_of_cumulative(
-            self.space, cumulative_from_zero(self.t, block)),
-            self._psi0(self._checked(G, ndim=2)), len(self.t))
+            self.space, cumulative_from_zero(self.t, block)), self._psi0(a), len(self.t))
 
     def rho0_hat(self, g: np.ndarray) -> float:
         """q = 1 only: the nested form sup_t V^-1 int_0^t phi(tau)
@@ -542,26 +552,36 @@ def sample_family(grid: LogGrid, seed: int = FAMILY_SEED) -> np.ndarray:
     rng = _FamilyRng(seed)
     t = grid.points
     T = grid.t_max
-    rows = [t < a for a in np.geomspace(1e-4 * T, 0.9 * T, 10)]
-    for _ in range(10):
+    family = np.empty((50, len(t)))
+    for i, a in enumerate(np.geomspace(1e-4 * T, 0.9 * T, 10)):
+        family[i] = t < a
+    for i in range(10, 20):
         lo, hi = np.sort(rng.uniform(np.log(1e-5 * T), np.log(T), size=2))
-        rows.append((t >= math.exp(lo)) & (t < math.exp(hi)))
-    rows += [(t / T) ** s for s in np.linspace(-0.45, 2.0, 15)]
-    for _ in range(15):
+        family[i] = (t >= math.exp(lo)) & (t < math.exp(hi))
+    for i, s in enumerate(np.linspace(-0.45, 2.0, 15), start=20):
+        family[i] = (t / T) ** s
+    for i in range(35, 50):
         breaks = np.sort(rng.choice(len(t) - 2, 4)) + 1
         levels = np.sort(rng.uniform(0.1, 2.0, size=5))[::-1]
-        rows.append(np.repeat(levels, np.diff([0, *breaks, len(t)])))
-    return np.array(rows, dtype=float)
+        family[i] = np.repeat(levels, np.diff([0, *breaks, len(t)]))
+    return family
 
 
-def equivalence_report(space: LorentzSpace, phi, k: int, n: int, family) -> dict:
-    """The least and largest ratio rho0/rho_tilde over the rows of the
-    F x N family, and the two-sided equivalence constant, their spread
-    C = max ratio / min ratio.  A row gives no ratio when rho_tilde is 0
-    or both norms are infinite; min and max are NaN when no row gives
-    one."""
+def equivalence_report(space: LorentzSpace, phi, k: int, n: int,
+                       seed: int = FAMILY_SEED) -> dict:
+    """The least and largest ratio rho0/rho_tilde over the rows of
+    sample_family(space.grid, seed), and the two-sided equivalence
+    constant, their spread C = max ratio / min ratio.  A row gives no
+    ratio when rho_tilde is 0 or both norms are infinite; min and max
+    are NaN when no row gives one.
+
+    The family is built here and is the one 50 x N array of the run:
+    rho_tilde reads it first, then it is weighted in place and psi0 is
+    written over it."""
     eng = AssociateNormEngine(space, phi, k, n)
-    r0, rt = eng.rho0_family(family), eng.rho_tilde_family(family)
+    family = sample_family(space.grid, seed)
+    rt = eng.rho_tilde_family(family)
+    r0 = eng._rho0_weighted(np.multiply(eng.cone_weights, family, out=family))
     keep = (rt > 0) & (np.isfinite(r0) | np.isfinite(rt))
     ratios = r0[keep] / rt[keep]
     lo, hi = (float(ratios.min()), float(ratios.max())) if ratios.size else (math.nan, math.nan)

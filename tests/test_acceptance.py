@@ -201,7 +201,7 @@ def test_criterion_08_equivalence_families():
                 else check_condition_b(phi, uq, k, n, g)
             assert cond.holds
             family = sample_family(g)
-            rep = equivalence_report(sp, phi, k, n, family)
+            rep = equivalence_report(sp, phi, k, n)
             eng = AssociateNormEngine(sp, phi, k, n)
             r0, rt = eng.rho0_family(family), eng.rho_tilde_family(family)
             # every row gives a ratio

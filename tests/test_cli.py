@@ -16,7 +16,7 @@ from calderon_lab.cli import (
     sweep,
 )
 from calderon_lab.errors import ConfigInvalid
-from calderon_lab.optimal import equivalence_report, sample_family
+from calderon_lab.optimal import equivalence_report
 from test_golden import _mismatches
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -435,7 +435,7 @@ class TestScenarios:
             "kernel.alpha = 0.916\nk = 1\nn = 1\ngrid.points = 256\n"
             "seed = 211290874\n")
         space, phi = cli._space_and_profile(cfg)
-        rep = equivalence_report(space, phi, cfg.k, cfg.n, sample_family(space.grid, cfg.seed))
+        rep = equivalence_report(space, phi, cfg.k, cfg.n, cfg.seed)
         assert rep["min_ratio"] == 0.0
         assert rep["spread"] == math.inf
         assert run(cfg).error.startswith("NotEmbedded: ")

@@ -340,7 +340,7 @@ class TestConeKernel:
         assert len(G) == 50
         eng = AssociateNormEngine(LorentzSpace(2.0, FLAT, g), phi, k, n)
         want = (eng.xi_weights * G) @ omega
-        got = eng._psi0(G)
+        got = eng._psi0(eng.cone_weights * G)
         # a narrow band can miss every point of the coarse grid
         empty = ~np.any(G > 0, axis=1)
         assert np.all(got[empty] == 0.0)
@@ -402,7 +402,7 @@ class TestConeKernel:
         G = sample_family(g)
         eng = AssociateNormEngine(LorentzSpace(2.0, FLAT, g), phi, k, n)
         want = (eng.xi_weights * G) @ omega
-        got = eng._psi0(G)[:, cols]
+        got = eng._psi0(eng.cone_weights * G)[:, cols]
         assert np.all(got[want == 0] == 0.0)
         pos = want > 0
         assert np.max(np.abs(got[pos] - want[pos]) / want[pos]) <= 1e-13
@@ -470,12 +470,13 @@ class TestConeKernel:
         # A dense 4000 x 4000 cone kernel and its ratio temporary take
         # 256 MB.  RSS, not tracemalloc: numpy's internal copy of a strided
         # matmul operand does not show in tracemalloc.  Measured growth:
-        # 3.1 MiB with the family product (the weighted family, 1.6 MB,
-        # overwritten by the result, one block of the exponential table,
-        # at most 0.5 MB for its 117 nodes, and the family's node
-        # coefficients), 4.9 MiB when the whole table, at most 3.7 MB, was
-        # built once for both passes, 0.8 MiB with the earlier per-g
-        # np.convolve loop.
+        # 2.9-3.1 MiB with the report's own family (1.6 MB, weighted in
+        # place and overwritten by psi0), one block of the exponential
+        # table (at most 0.5 MB for its 117 nodes) and the family's node
+        # coefficients; 2.9 MiB when the report weighted a copy of a
+        # family built before it, 4.9 MiB when the whole table, at most
+        # 3.7 MB, was built once for both passes, 0.8 MiB with the
+        # earlier per-g np.convolve loop.
         code = (
             "import resource, sys\n"
             "import numpy as np\n"
@@ -488,7 +489,7 @@ class TestConeKernel:
             "family = sample_family(g)\n"
             "unit = 1 if sys.platform == 'darwin' else 1024   # ru_maxrss in KiB\n"
             "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-            "rep = equivalence_report(sp, phi, 1, 1, family)\n"
+            "rep = equivalence_report(sp, phi, 1, 1)\n"
             "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
             "eng = AssociateNormEngine(sp, phi, 1, 1)\n"
             "r0, rt = eng.rho0_family(family), eng.rho_tilde_family(family)\n"
@@ -505,14 +506,39 @@ class TestConeKernel:
         assert int(out[2]) < 64 * 2 ** 20
 
     def test_rho0_family_builds_one_table_block_at_a_time(self, traced_peak_mib):
-        # k/n = 2 on 4000 points: the weighted family is 50 x 4000 floats,
-        # 1.53 MiB, one block of the exponential table at most 191 x 512,
-        # 0.75 MiB, and the row blocks of the grid rules a few 0.12 MiB
-        # temporaries; the whole cut table, 4.2 MiB, peaked at 6.01 MiB
+        # k/n = 2 on 4000 points: the weighted copy of the caller's family
+        # is 50 x 4000 floats, 1.53 MiB, one block of the exponential
+        # table at most 191 x 512, 0.75 MiB, and the row blocks of the
+        # grid rules a few 0.12 MiB temporaries: 2.52 MiB measured.  Two
+        # live blocks, the previous one held while the next was built,
+        # peaked at 3.20 MiB; the whole cut table, 4.2 MiB, at 6.01 MiB
         g = make_log_grid(1e-8, 1.0, 4000)
         eng = AssociateNormEngine(LorentzSpace(2.0, FLAT, g), power_phi(g, 0.25), 2, 1)
         family = sample_family(g)
-        assert traced_peak_mib(lambda: eng.rho0_family(family)) < 4.5
+        assert traced_peak_mib(lambda: eng.rho0_family(family)) < 2.8
+
+    def test_equivalence_report_holds_one_family_array(self, traced_peak_mib):
+        # k/n = 2 on 4000 points: the report's family, 1.53 MiB, is weighted
+        # in place and psi0 is written over it, beside one 191 x 512 table
+        # block, 0.75 MiB, and the engine's O(N) rows of 31 KiB each.  A
+        # weighted copy of the family and two live blocks peaked at 5.13 MiB
+        g = make_log_grid(1e-8, 1.0, 4000)
+        sp = LorentzSpace(2.0, FLAT, g)
+        phi = power_phi(g, 0.7)
+        assert traced_peak_mib(lambda: equivalence_report(sp, phi, 2, 1)) < 3.5
+
+    def test_family_functionals_leave_the_family_unchanged(self):
+        # psi0 is written over the weighted family it is given, never over
+        # the caller's rows; the infinite row takes the non-finite path
+        g = make_log_grid(1e-8, 1.0, 700)
+        eng = AssociateNormEngine(LorentzSpace(2.0, FLAT, g), power_phi(g, 0.75), 2, 1)
+        family = sample_family(g)
+        family[3, 5] = math.inf
+        kept = family.copy()
+        r0, rt = eng.rho0_family(family), eng.rho_tilde_family(family)
+        assert np.array_equal(family, kept)
+        assert r0[3] == math.inf and np.all(np.isfinite(np.delete(r0, 3)))
+        assert len(rt) == 50
 
 
 class TestEquivalence:
@@ -521,7 +547,7 @@ class TestEquivalence:
         sp = LorentzSpace(4.0, FLAT, g)
         phi = power_phi(g, 0.6, n=2)
         family = sample_family(g)
-        rep = equivalence_report(sp, phi, 1, 2, family)
+        rep = equivalence_report(sp, phi, 1, 2)
         eng = AssociateNormEngine(sp, phi, 1, 2)
         r0, rt = eng.rho0_family(family), eng.rho_tilde_family(family)
         # every row gives a ratio
@@ -535,13 +561,13 @@ class TestEquivalence:
         g = make_log_grid(1e-8, 1.0, 512)
         sp = LorentzSpace(4.0, FLAT, g)
         phi = power_phi(g, 0.6, n=2)
-        real = AssociateNormEngine.rho0_family
-        def first_infinite(self, G):
-            out = real(self, G)
+        real = AssociateNormEngine._rho0_weighted
+        def first_infinite(self, a):
+            out = real(self, a)
             out[0] = math.inf
             return out
-        monkeypatch.setattr(AssociateNormEngine, "rho0_family", first_infinite)
-        rep = equivalence_report(sp, phi, 1, 2, sample_family(g))
+        monkeypatch.setattr(AssociateNormEngine, "_rho0_weighted", first_infinite)
+        rep = equivalence_report(sp, phi, 1, 2)
         assert 0.0 < rep["min_ratio"] < math.inf
         assert rep["max_ratio"] == math.inf
         assert rep["spread"] == math.inf
@@ -550,7 +576,7 @@ class TestEquivalence:
         g = make_log_grid(1e-8, 1.0, 512)
         sp = LorentzSpace(2.0, FLAT, g)
         phi = power_phi(g, 1.5, n=2)
-        rep = equivalence_report(sp, phi, 1, 2, sample_family(g))
+        rep = equivalence_report(sp, phi, 1, 2)
         assert rep["spread"] < 50.0
         assert rep["min_ratio"] > 0.9
 
@@ -565,7 +591,7 @@ class TestEquivalence:
         model_w = sv(g.points)     # V^-1 t^(alpha/n) lambda with alpha = n = 1
         kernel_w = np.asarray(phi(g.points)) * 0 + model_w
         assert np.isfinite(psi.values[-1])
-        rep = equivalence_report(sp, phi, 1, 1, sample_family(g))
+        rep = equivalence_report(sp, phi, 1, 1)
         assert rep["spread"] < 50.0
 
     @pytest.mark.parametrize("q,alpha,k,n", [(2.0, 1.5, 1, 2), (1.0, 0.75, 1, 1),
@@ -578,7 +604,7 @@ class TestEquivalence:
         sp = LorentzSpace(q, FLAT, g)
         phi = power_phi(g, alpha, n=n)
         family = sample_family(g)
-        rep = equivalence_report(sp, phi, k, n, family)
+        rep = equivalence_report(sp, phi, k, n)
         eng = AssociateNormEngine(sp, phi, k, n)
         r0s, rts = eng.rho0_family(family).tolist(), eng.rho_tilde_family(family).tolist()
         # the one-row product sums in another order than the family's:
@@ -602,7 +628,7 @@ class TestEquivalence:
         ca = check_condition_a(phi, sp.V, 1, 1, g)
         cb = check_condition_b(phi, uq, 1, 1, g)
         assert not ca.holds and not cb.holds
-        rep = equivalence_report(sp, phi, 1, 1, sample_family(g))
+        rep = equivalence_report(sp, phi, 1, 1)
         assert "spread" in rep    # still evaluated, never asserted
 
 
@@ -631,6 +657,28 @@ class TestSampleFamily:
         fam = sample_family(g)
         assert fam.shape == (50, len(g.points))
         assert np.all(fam >= 0)
+
+    @pytest.mark.parametrize("points", [6, 7, 513, 4000])
+    @pytest.mark.parametrize("seed", [FAMILY_SEED, 1, 2 ** 40])
+    def test_built_in_place_equals_list_of_rows(self, points, seed):
+        # the rows written into one preallocated array against the rows
+        # built as a list and copied by np.array, bit for bit
+        g = make_log_grid(1e-8, 1.0, points)
+        rng = optimal._FamilyRng(seed)
+        t, T = g.points, g.t_max
+        rows = [t < a for a in np.geomspace(1e-4 * T, 0.9 * T, 10)]
+        for _ in range(10):
+            lo, hi = np.sort(rng.uniform(np.log(1e-5 * T), np.log(T), size=2))
+            rows.append((t >= math.exp(lo)) & (t < math.exp(hi)))
+        rows += [(t / T) ** s for s in np.linspace(-0.45, 2.0, 15)]
+        for _ in range(15):
+            breaks = np.sort(rng.choice(len(t) - 2, 4)) + 1
+            levels = np.sort(rng.uniform(0.1, 2.0, size=5))[::-1]
+            rows.append(np.repeat(levels, np.diff([0, *breaks, len(t)])))
+        want = np.array(rows, dtype=float)
+        got = sample_family(g, seed)
+        assert got.dtype == want.dtype and got.flags.c_contiguous
+        assert np.array_equal(got, want)
 
 
 class _NumpyRng:
