@@ -52,6 +52,7 @@ from .lorentz import (
 )
 from .optimal import (
     FAMILY_SEED,
+    AssociateNormEngine,
     check_condition_a,
     check_condition_b,
     equivalence_report,
@@ -218,6 +219,14 @@ def parse_config_text(text: str) -> ExperimentConfig:
     return ExperimentConfig(**values)
 
 
+def _read_config(path: Path) -> ExperimentConfig:
+    """parse_config_text of a UTF-8 file; ConfigInvalid when it cannot be read."""
+    try:
+        return parse_config_text(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigInvalid(f"cannot read {path}: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # report plumbing
 # ---------------------------------------------------------------------------
@@ -363,15 +372,15 @@ def _scenario_equivalence_sweep(cfg: ExperimentConfig, rec: ReportRecord):
     if not math.isfinite(embedding_function(space, phi).values[-1]):
         raise NotEmbedded("aggregate infinite at T; no equivalence to measure")
     uq = tail_embedding_function(space, phi, cfg.k, cfg.n)
-    ca = check_condition_a(phi, space.V, cfg.k, cfg.n, space.grid)
-    cb = check_condition_b(phi, uq, cfg.k, cfg.n, space.grid)
+    eng = AssociateNormEngine(space, phi, cfg.k, cfg.n)
+    ca, cb = check_condition_a(eng), check_condition_b(eng, uq)
     condition = "A" if ca.holds else ("B" if cb.holds else "neither")
     rec.scalars["condition"] = condition
     rec.scalars["d1"] = ca.d
     rec.scalars["d2"] = cb.d
     rec.scalars["epsilon_a"] = ca.epsilon
     rec.scalars["epsilon_b"] = cb.epsilon
-    rep = equivalence_report(space, phi, cfg.k, cfg.n, cfg.seed)
+    rep = equivalence_report(eng, cfg.seed)
     rec.scalars["ratio_min"] = rep["min_ratio"]
     rec.scalars["ratio_max"] = rep["max_ratio"]
     rec.scalars["ratio_spread"] = rep["spread"]
@@ -623,14 +632,14 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "run":
-            cfg = parse_config_text(Path(args.config).read_text())
+            cfg = _read_config(Path(args.config))
             labelled = [(cfg.scenario, run(cfg, out_dir=args.out))]
         elif args.command == "sweep":
             paths = sorted(Path(args.config_dir).glob("*.cfg"))
             if not paths:
                 raise ConfigInvalid(f"no .cfg files in {args.config_dir}")
             # run validates: sweep rejects an invalid item in its own report
-            configs = [parse_config_text(p.read_text()) for p in paths]
+            configs = [_read_config(p) for p in paths]
             labelled = [(p.name, rec)
                         for p, rec in zip(paths, sweep(configs, out_dir=args.out))]
         else:

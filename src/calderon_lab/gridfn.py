@@ -210,11 +210,16 @@ def segment_masses(t: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def head_mass(t: np.ndarray, y: np.ndarray) -> float:
+def head_mass(t: np.ndarray, y: np.ndarray):
     """Estimate of the integral over (0, t[0]) by power extrapolation of
     the first segment.  Returns +inf when the local power is <= -1
     (with a whisker of slack so an exact 1/t integrand, whose fitted
-    power carries ~1e-16 of rounding, is still flagged divergent)."""
+    power carries ~1e-16 of rounding, is still flagged divergent).  For a
+    block y, the head of each row, by scalar logs row by row so that a
+    row's head does not depend on its block, shaped y.shape[:-1]."""
+    if np.ndim(y) > 1:
+        rows = y.reshape(-1, y.shape[-1])
+        return np.array([head_mass(t, row) for row in rows]).reshape(y.shape[:-1])
     if not (y[0] > 0 and y[1] > 0 and np.isfinite(y[0]) and np.isfinite(y[1])):
         return float(y[0] * t[0]) if np.isfinite(y[0]) else math.inf
     p = math.log(y[1] / y[0]) / math.log(t[1] / t[0])
@@ -223,20 +228,13 @@ def head_mass(t: np.ndarray, y: np.ndarray) -> float:
     return float(y[0] * t[0] / (p + 1.0))
 
 
-def _head_masses(t, y: np.ndarray) -> np.ndarray:
-    """head_mass of each row of y, shaped y.shape[:-1] (scalar logs, so
-    a row's head does not depend on the block it came in)."""
-    rows = y.reshape(-1, y.shape[-1])
-    return np.array([head_mass(t, row) for row in rows]).reshape(y.shape[:-1])
-
-
 def total_mass(t, y):
     """Estimated integral of y over (0, t[-1]]: the power-law head
     below t[0] plus the segment rule, or +inf when the head diverges.
     For an F x N block y, the array of its F row masses."""
     y = np.asarray(y, dtype=float)
     rows = y.reshape(-1, y.shape[-1])
-    heads = _head_masses(t, rows)
+    heads = head_mass(t, rows)
     out = np.full(len(rows), math.inf)
     finite = np.isfinite(heads)
     out[finite] = heads[finite] + segment_masses(
@@ -250,7 +248,7 @@ def cumulative_from_zero(t, y, head=None) -> np.ndarray:
     May be +inf.  For an F x N block y, each row's running integral;
     `head` is then one value or one per row."""
     y = np.asarray(y, dtype=float)
-    head = _head_masses(t, y) if head is None else np.asarray(head, dtype=float)
+    head = np.asarray(head_mass(t, y) if head is None else head, dtype=float)
     seg = segment_masses(t, y)
     out = np.empty(y.shape)
     out[..., 0] = head

@@ -104,29 +104,22 @@ def _dominance_witness(grid: LogGrid, ratio, d_grid: float,
                             holds=bounded and math.isfinite(d_grid) and eps > 0.0)
 
 
-def check_condition_a(phi, V: SampledFunction, k: int, n: int,
-                      grid: LogGrid) -> ConditionWitness:
-    """Tail-dominated-by-head condition: d1 bounds
-    int_t^T tau^(-k/n) phi / ( t^(-k/n) int_0^t phi ), together with an
-    exponent eps making t^eps / V(t) nonincreasing."""
-    t = grid.points
-    ph = np.asarray(phi(t), dtype=float)
-    head = _profile_integral(t, ph)
-    tail = cumulative_tail(t, t ** (-k / float(n)) * ph)
+def check_condition_a(eng: AssociateNormEngine) -> ConditionWitness:
+    """Tail-dominated-by-head condition on the engine's phi and k/n: d1
+    bounds int_t^T tau^(-k/n) phi / ( t^(-k/n) int_0^t phi ), its jk over
+    iphi, with an exponent eps making t^eps / V(t) nonincreasing."""
+    t, head = eng.t, eng.iphi
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(head > 0, tail / (t ** (-k / float(n)) * head), np.inf)
-    return _dominance_witness(grid, np.maximum(ratio, 1e-300), float(np.max(ratio[:-1])),
-                              1.0 / V.values)
+        ratio = np.where(head > 0, eng.jk / (t ** -eng.kn * head), np.inf)
+    return _dominance_witness(eng.space.grid, np.maximum(ratio, 1e-300),
+                              float(np.max(ratio[:-1])), 1.0 / eng.space.V.values)
 
 
-def check_condition_b(phi, u_q: SampledFunction, k: int, n: int,
-                      grid: LogGrid) -> ConditionWitness:
-    """Head-dominated-by-local condition: d2 bounds
-    int_0^t tau^(-k/n) phi / ( t^(1-k/n) phi(t) ), together with an
+def check_condition_b(eng: AssociateNormEngine, u_q: SampledFunction) -> ConditionWitness:
+    """Head-dominated-by-local condition on the engine's phi and k/n: d2
+    bounds int_0^t tau^(-k/n) phi / ( t^(1-k/n) phi(t) ), with an
     exponent eps making t^eps U_q(t) nonincreasing."""
-    t = grid.points
-    ph = np.asarray(phi(t), dtype=float)
-    kn = k / float(n)
+    t, ph, kn, grid = eng.t, eng.phi_vals, eng.kn, eng.space.grid
     head = cumulative_from_zero(t, t ** -kn * ph)
     if not np.isfinite(head[0]):
         return _dominance_witness(grid, None, math.inf, u_q.values)
@@ -252,8 +245,8 @@ def exp_sum_nodes(z_min: float, z_max: float) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 class AssociateNormEngine:
-    """Shared tables for evaluating the associate functionals of many
-    nonnegative g on one grid.
+    """Shared tables of phi on one grid, for the associate functionals of
+    many nonnegative g and for the two dominance conditions.
 
     The double-integral functional needs the cone kernel
     phi(tau) / (1 + (tau/xi)^(k/n)).  With y = t^(k/n), its logistic
@@ -567,19 +560,17 @@ def sample_family(grid: LogGrid, seed: int = FAMILY_SEED) -> np.ndarray:
     return family
 
 
-def equivalence_report(space: LorentzSpace, phi, k: int, n: int,
-                       seed: int = FAMILY_SEED) -> dict:
-    """The least and largest ratio rho0/rho_tilde over the rows of
-    sample_family(space.grid, seed), and the two-sided equivalence
-    constant, their spread C = max ratio / min ratio.  A row gives no
-    ratio when rho_tilde is 0 or both norms are infinite; min and max
-    are NaN when no row gives one.
+def equivalence_report(eng: AssociateNormEngine, seed: int = FAMILY_SEED) -> dict:
+    """The least and largest ratio rho0/rho_tilde, under the engine, over
+    the rows of sample_family(eng.space.grid, seed), and the two-sided
+    equivalence constant, their spread C = max ratio / min ratio.  A row
+    gives no ratio when rho_tilde is 0 or both norms are infinite; min
+    and max are NaN when no row gives one.
 
     The family is built here and is the one 50 x N array of the run:
     rho_tilde reads it first, then it is weighted in place and psi0 is
     written over it."""
-    eng = AssociateNormEngine(space, phi, k, n)
-    family = sample_family(space.grid, seed)
+    family = sample_family(eng.space.grid, seed)
     rt = eng.rho_tilde_family(family)
     r0 = eng._rho0_weighted(np.multiply(eng.cone_weights, family, out=family))
     keep = (rt > 0) & (np.isfinite(r0) | np.isfinite(rt))

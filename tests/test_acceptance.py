@@ -147,8 +147,8 @@ def test_criterion_06_condition_dichotomy():
         for alpha in (0.5, 1.0, 1.5):
             phi = sample(lambda t, a=alpha: t ** (a - 1.0), g)
             uq = tail_embedding_function(sp, phi, 1, 1)
-            ca = check_condition_a(phi, sp.V, 1, 1, g)
-            cb = check_condition_b(phi, uq, 1, 1, g)
+            eng = AssociateNormEngine(sp, phi, 1, 1)
+            ca, cb = check_condition_a(eng), check_condition_b(eng, uq)
             if span == 1e-8:
                 outcomes[alpha] = (ca.holds, cb.holds)
             if alpha == 1.0:
@@ -197,12 +197,11 @@ def test_criterion_08_equivalence_families():
             sp = LorentzSpace(q, FLAT, g)
             phi = sample(lambda t, a=alpha, nn=n: t ** (a / nn - 1.0), g)
             uq = tail_embedding_function(sp, phi, k, n)
-            cond = check_condition_a(phi, sp.V, k, n, g) if label == "A" \
-                else check_condition_b(phi, uq, k, n, g)
+            eng = AssociateNormEngine(sp, phi, k, n)
+            cond = check_condition_a(eng) if label == "A" else check_condition_b(eng, uq)
             assert cond.holds
             family = sample_family(g)
-            rep = equivalence_report(sp, phi, k, n)
-            eng = AssociateNormEngine(sp, phi, k, n)
+            rep = equivalence_report(eng)
             r0, rt = eng.rho0_family(family), eng.rho_tilde_family(family)
             # every row gives a ratio
             rep["all_rows"] = bool(np.all(np.isfinite(r0) & np.isfinite(rt) & (rt > 0)))

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from calderon_lab import cli, lorentz, optimal
+from calderon_lab import cli, gridfn, lorentz, optimal, potentials
 from calderon_lab.cli import (
     main,
     parse_config_text,
@@ -16,7 +16,7 @@ from calderon_lab.cli import (
     sweep,
 )
 from calderon_lab.errors import ConfigInvalid
-from calderon_lab.optimal import equivalence_report
+from calderon_lab.optimal import AssociateNormEngine, equivalence_report
 from test_golden import _mismatches
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -435,7 +435,7 @@ class TestScenarios:
             "kernel.alpha = 0.916\nk = 1\nn = 1\ngrid.points = 256\n"
             "seed = 211290874\n")
         space, phi = cli._space_and_profile(cfg)
-        rep = equivalence_report(space, phi, cfg.k, cfg.n, cfg.seed)
+        rep = equivalence_report(AssociateNormEngine(space, phi, cfg.k, cfg.n), cfg.seed)
         assert rep["min_ratio"] == 0.0
         assert rep["spread"] == math.inf
         assert run(cfg).error.startswith("NotEmbedded: ")
@@ -629,6 +629,49 @@ class TestReuse:
         assert rec.scalars == {}
         assert counts["half_level_point"] == 1
 
+    def test_equivalence_sweep_integrates_phi_twice(self, monkeypatch):
+        # once for the aggregate and once for the engine, whose iphi and
+        # jk both dominance conditions read
+        calls = []
+        real = lorentz._profile_integral
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        for module in (lorentz, optimal):
+            monkeypatch.setattr(module, "_profile_integral", counted)
+        rec = run(parse_config_text((DATA / "golden" / "equivalence_sweep.cfg").read_text()))
+        assert rec.error is None
+        assert rec.scalars["condition"] == "B"
+        assert len(calls) == 2
+
+
+class TestBlockSizes:
+    """A row's grid rules and a step's vertex sums do not depend on the
+    block they run in: the reports stay byte-identical, apart from
+    wall_time_s, whatever the block sizes."""
+
+    CONFIGS = (sorted((DATA / "golden").glob("*.cfg"))
+               + [DATA / "equivalence_k2_4000.cfg", DATA / "besov_k2.cfg"])
+
+    @classmethod
+    def reports(cls):
+        return [strip_wall_time(run(parse_config_text(path.read_text())).to_json())
+                for path in cls.CONFIGS]
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return self.reports()
+
+    @pytest.mark.parametrize("module, name, value", [
+        (gridfn, "_ROW_BLOCK_ELEMENTS", 2 ** 8), (gridfn, "_ROW_BLOCK_ELEMENTS", 2 ** 20),
+        (potentials, "_VERTEX_BLOCK", 1), (potentials, "_VERTEX_BLOCK", 32)])
+    def test_reports_do_not_depend_on_block_size(self, reference, monkeypatch,
+                                                  module, name, value):
+        monkeypatch.setattr(module, name, value)
+        assert self.reports() == reference
+
 
 class TestMain:
     def test_exit_codes(self, tmp_path):
@@ -641,6 +684,25 @@ class TestMain:
         broken = tmp_path / "broken.cfg"
         broken.write_text("scenario = what\n")
         assert main(["run", str(broken)]) == 2
+
+    @pytest.mark.parametrize("name, content", [("missing.cfg", None),
+                                               ("latin1.cfg", b"scenario = envelope\n# \xe9\n")])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, name, content):
+        path = tmp_path / name
+        if content is not None:
+            path.write_bytes(content)
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read {path}: ")
+        assert err.count("\n") == 1
+
+    def test_sweep_over_an_undecodable_config_exits_2(self, tmp_path, capsys):
+        (tmp_path / "a.cfg").write_text("scenario = embedding_check\n" + FAST)
+        (tmp_path / "b.cfg").write_bytes(b"scenario = envelope\n# \xe9\n")
+        assert main(["sweep", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read {tmp_path / 'b.cfg'}: ")
+        assert err.count("\n") == 1
 
     # the config file is the one spelling of every run input: the
     # command line takes only --out (and sweep's ignored --workers)

@@ -92,8 +92,8 @@ class TestConditions:
         sp = LorentzSpace(2.0, FLAT, g)
         phi = power_phi(g, alpha)
         uq = tail_embedding_function(sp, phi, 1, 1)
-        ca = check_condition_a(phi, sp.V, 1, 1, g)
-        cb = check_condition_b(phi, uq, 1, 1, g)
+        eng = AssociateNormEngine(sp, phi, 1, 1)
+        ca, cb = check_condition_a(eng), check_condition_b(eng, uq)
         assert ca.holds is a_holds
         assert cb.holds is b_holds
         if not a_holds:
@@ -109,7 +109,7 @@ class TestConditions:
         g = make_log_grid(1e-8, 1.0, 512)
         sp = LorentzSpace(2.0, power_weight(2.0, 1.5), g)
         phi = lambda t: np.where(t > c, t ** -0.5, 0.0)
-        ca = check_condition_a(phi, sp.V, 1, 1, g)
+        ca = check_condition_a(AssociateNormEngine(sp, phi, 1, 1))
         assert ca.d == ca.d_grid == math.inf
         assert ca.epsilon == 1.0
         assert ca.holds is False
@@ -117,7 +117,7 @@ class TestConditions:
     def test_epsilon_witness_flat_weight(self):
         g = make_log_grid(1e-8, 1.0, 512)
         sp = LorentzSpace(2.0, FLAT, g)
-        ca = check_condition_a(power_phi(g, 0.5), sp.V, 1, 1, g)
+        ca = check_condition_a(AssociateNormEngine(sp, power_phi(g, 0.5), 1, 1))
         assert ca.epsilon >= 0.5   # t^eps / t is nonincreasing up to eps = 1
 
     def test_grid_sup_diverges_at_critical_alpha(self):
@@ -128,8 +128,9 @@ class TestConditions:
             sp = LorentzSpace(2.0, FLAT, g)
             phi = power_phi(g, 1.0)
             uq = tail_embedding_function(sp, phi, 1, 1)
-            sups_a.append(check_condition_a(phi, sp.V, 1, 1, g).d_grid)
-            sups_b.append(check_condition_b(phi, uq, 1, 1, g).d_grid)
+            eng = AssociateNormEngine(sp, phi, 1, 1)
+            sups_a.append(check_condition_a(eng).d_grid)
+            sups_b.append(check_condition_b(eng, uq).d_grid)
         assert sups_a[0] < sups_a[1] < sups_a[2]
         assert all(not math.isfinite(s) for s in sups_b)   # head integral diverges
 
@@ -489,9 +490,9 @@ class TestConeKernel:
             "family = sample_family(g)\n"
             "unit = 1 if sys.platform == 'darwin' else 1024   # ru_maxrss in KiB\n"
             "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-            "rep = equivalence_report(sp, phi, 1, 1)\n"
-            "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
             "eng = AssociateNormEngine(sp, phi, 1, 1)\n"
+            "rep = equivalence_report(eng)\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
             "r0, rt = eng.rho0_family(family), eng.rho_tilde_family(family)\n"
             "ratios = np.sum(np.isfinite(r0) & np.isfinite(rt) & (rt > 0))\n"
             "print(ratios, rep['spread'], (after - before) * unit)\n")
@@ -525,7 +526,8 @@ class TestConeKernel:
         g = make_log_grid(1e-8, 1.0, 4000)
         sp = LorentzSpace(2.0, FLAT, g)
         phi = power_phi(g, 0.7)
-        assert traced_peak_mib(lambda: equivalence_report(sp, phi, 2, 1)) < 3.5
+        report = lambda: equivalence_report(AssociateNormEngine(sp, phi, 2, 1))
+        assert traced_peak_mib(report) < 3.5
 
     def test_family_functionals_leave_the_family_unchanged(self):
         # psi0 is written over the weighted family it is given, never over
@@ -547,8 +549,8 @@ class TestEquivalence:
         sp = LorentzSpace(4.0, FLAT, g)
         phi = power_phi(g, 0.6, n=2)
         family = sample_family(g)
-        rep = equivalence_report(sp, phi, 1, 2)
         eng = AssociateNormEngine(sp, phi, 1, 2)
+        rep = equivalence_report(eng)
         r0, rt = eng.rho0_family(family), eng.rho_tilde_family(family)
         # every row gives a ratio
         assert np.all(np.isfinite(r0) & np.isfinite(rt) & (rt > 0))
@@ -567,7 +569,7 @@ class TestEquivalence:
             out[0] = math.inf
             return out
         monkeypatch.setattr(AssociateNormEngine, "_rho0_weighted", first_infinite)
-        rep = equivalence_report(sp, phi, 1, 2)
+        rep = equivalence_report(AssociateNormEngine(sp, phi, 1, 2))
         assert 0.0 < rep["min_ratio"] < math.inf
         assert rep["max_ratio"] == math.inf
         assert rep["spread"] == math.inf
@@ -576,7 +578,7 @@ class TestEquivalence:
         g = make_log_grid(1e-8, 1.0, 512)
         sp = LorentzSpace(2.0, FLAT, g)
         phi = power_phi(g, 1.5, n=2)
-        rep = equivalence_report(sp, phi, 1, 2)
+        rep = equivalence_report(AssociateNormEngine(sp, phi, 1, 2))
         assert rep["spread"] < 50.0
         assert rep["min_ratio"] > 0.9
 
@@ -591,7 +593,7 @@ class TestEquivalence:
         model_w = sv(g.points)     # V^-1 t^(alpha/n) lambda with alpha = n = 1
         kernel_w = np.asarray(phi(g.points)) * 0 + model_w
         assert np.isfinite(psi.values[-1])
-        rep = equivalence_report(sp, phi, 1, 1)
+        rep = equivalence_report(AssociateNormEngine(sp, phi, 1, 1))
         assert rep["spread"] < 50.0
 
     @pytest.mark.parametrize("q,alpha,k,n", [(2.0, 1.5, 1, 2), (1.0, 0.75, 1, 1),
@@ -604,8 +606,8 @@ class TestEquivalence:
         sp = LorentzSpace(q, FLAT, g)
         phi = power_phi(g, alpha, n=n)
         family = sample_family(g)
-        rep = equivalence_report(sp, phi, k, n)
         eng = AssociateNormEngine(sp, phi, k, n)
+        rep = equivalence_report(eng)
         r0s, rts = eng.rho0_family(family).tolist(), eng.rho_tilde_family(family).tolist()
         # the one-row product sums in another order than the family's:
         # 9.7e-14 relative seen at 300 and 2000 points
@@ -625,10 +627,10 @@ class TestEquivalence:
         sp = LorentzSpace(2.0, FLAT, g)
         phi = power_phi(g, 1.0)
         uq = tail_embedding_function(sp, phi, 1, 1)
-        ca = check_condition_a(phi, sp.V, 1, 1, g)
-        cb = check_condition_b(phi, uq, 1, 1, g)
+        eng = AssociateNormEngine(sp, phi, 1, 1)
+        ca, cb = check_condition_a(eng), check_condition_b(eng, uq)
         assert not ca.holds and not cb.holds
-        rep = equivalence_report(sp, phi, 1, 1)
+        rep = equivalence_report(eng)
         assert "spread" in rep    # still evaluated, never asserted
 
 
