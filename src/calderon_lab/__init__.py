@@ -45,7 +45,6 @@ from .optimal import (
     make_optimal_norm_spec,
     optimal_norm,
     sample_family,
-    tail_embedding_function,
 )
 from .potentials import (
     FieldSample,

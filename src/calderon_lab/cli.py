@@ -59,7 +59,6 @@ from .optimal import (
     hardy_constants,
     make_optimal_norm_spec,
     optimal_norm,
-    tail_embedding_function,
 )
 from .potentials import (
     FAMILY_BOX_HALFWIDTH,
@@ -371,9 +370,8 @@ def _scenario_equivalence_sweep(cfg: ExperimentConfig, rec: ReportRecord):
     space, phi = _space_and_profile(cfg)
     if not math.isfinite(embedding_function(space, phi).values[-1]):
         raise NotEmbedded("aggregate infinite at T; no equivalence to measure")
-    uq = tail_embedding_function(space, phi, cfg.k, cfg.n)
     eng = AssociateNormEngine(space, phi, cfg.k, cfg.n)
-    ca, cb = check_condition_a(eng), check_condition_b(eng, uq)
+    ca, cb = check_condition_a(eng), check_condition_b(eng)
     condition = "A" if ca.holds else ("B" if cb.holds else "neither")
     rec.scalars["condition"] = condition
     rec.scalars["d1"] = ca.d
@@ -384,7 +382,7 @@ def _scenario_equivalence_sweep(cfg: ExperimentConfig, rec: ReportRecord):
     rec.scalars["ratio_min"] = rep["min_ratio"]
     rec.scalars["ratio_max"] = rep["max_ratio"]
     rec.scalars["ratio_spread"] = rep["spread"]
-    rec.series["uq"] = (space.grid.points, uq.values)
+    rec.series["uq"] = (space.grid.points, eng.u_q)
     if cfg.q > 1.0:
         h = hardy_constants(space)
         rec.scalars["hardy_B0"] = h["B0"]
@@ -543,6 +541,8 @@ def run(cfg: ExperimentConfig, out_dir=None) -> ReportRecord:
     report and series files when an output directory is known."""
     cfg.validate()
     rec = ReportRecord(scenario=cfg.scenario, inputs=_inputs_echo(cfg))
+    if out_dir:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)    # fail before the scenario runs
     start = time.perf_counter()
     try:
         _SCENARIO_FNS[cfg.scenario](cfg, rec)
@@ -567,6 +567,8 @@ def sweep(configs, out_dir=None) -> list[ReportRecord]:
     if not configs:
         raise ConfigInvalid("sweep: empty config list")
     names = [f"item_{i:03d}" for i in range(len(configs))]
+    if out_dir:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
     records = []
     for name, cfg in zip(names, configs):
         item_dir = Path(out_dir) / name if out_dir else None
@@ -592,7 +594,6 @@ def sweep(configs, out_dir=None) -> list[ReportRecord]:
                 cell(s.get("psi_at_T")), str(s.get("condition", "")),
                 cell(s.get("ratio_spread")), cell(s.get("empirical_c1")),
             ]))
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
         (Path(out_dir) / "summary.csv").write_text("\n".join(lines) + "\n")
     return records
 
@@ -646,6 +647,9 @@ def main(argv=None) -> int:
             labelled = [(rec.scenario, rec) for rec in selftest(out_dir=args.out)]
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"output error: cannot create {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
     for name, rec in labelled:
         print(f"{name}: passed={rec.passed}"

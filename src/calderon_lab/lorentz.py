@@ -169,8 +169,9 @@ def embedding_criterion(space: LorentzSpace, kernel: KernelSpec) -> dict:
     space's (DomainError unless it lies below 1e-4 T), then on the space
     itself, as "psi", each from the kernel's measure profile sampled on
     that grid; growth by more than 10x per refinement (or a divergent
-    head) classifies the value as infinite.  An ambiguous trend raises
-    Inconclusive rather than deciding silently.
+    head) classifies the value as infinite.  An ambiguous trend, or a
+    value of 0 (phi underflowing on the grid), raises Inconclusive rather
+    than deciding silently.
     """
     if space.grid.t_min >= 1e-4 * space.T:
         raise DomainError(f"the criterion refines from 1e4 times the grid floor "
@@ -184,6 +185,8 @@ def embedding_criterion(space: LorentzSpace, kernel: KernelSpec) -> dict:
     out = {"embeds": False, "psi_at_T": math.inf, "refinements": values, "psi": psi}
     if any(not math.isfinite(v) for v in values):
         return out
+    if 0.0 in values:
+        raise Inconclusive(f"refinement value 0: values {values}")
     growth = [values[i + 1] / values[i] for i in range(len(values) - 1)]
     if all(g > 10.0 for g in growth):
         return out

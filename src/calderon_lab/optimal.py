@@ -45,24 +45,8 @@ from .lorentz import (LorentzSpace, _associate_norm_of_cumulative, _profile_inte
 
 
 # ---------------------------------------------------------------------------
-# tail aggregate and the two dominance conditions
+# the two dominance conditions
 # ---------------------------------------------------------------------------
-
-def tail_embedding_function(space: LorentzSpace, phi, k: int, n: int) -> SampledFunction:
-    """U_q, the tail aggregate of Wtilde(t) = V(t)^-1 t^(1-k/n) phi(t):
-
-        U_1(t) = sup_{[t,T]} Wtilde,
-        U_q(t) = ( int_t^T Wtilde^(q') v )^(1/q'),   q > 1,
-
-    with U_q(T) = 0 for q > 1."""
-    t = space.grid.points
-    wt = t ** (1.0 - k / float(n)) * np.asarray(phi(t), dtype=float) / space.V.values
-    if space.q == 1.0:
-        vals = np.maximum.accumulate(wt[::-1])[::-1]
-    else:
-        vals = cumulative_tail(t, wt ** space.qp * space.v_vals) ** (1.0 / space.qp)
-    return SampledFunction(space.grid, vals)
-
 
 def largest_monotone_exponent(t: np.ndarray, vals: np.ndarray) -> float:
     """Largest eps in {2^-j : j = 0..20} such that t^eps * vals is
@@ -115,16 +99,16 @@ def check_condition_a(eng: AssociateNormEngine) -> ConditionWitness:
                               float(np.max(ratio[:-1])), 1.0 / eng.space.V.values)
 
 
-def check_condition_b(eng: AssociateNormEngine, u_q: SampledFunction) -> ConditionWitness:
+def check_condition_b(eng: AssociateNormEngine) -> ConditionWitness:
     """Head-dominated-by-local condition on the engine's phi and k/n: d2
-    bounds int_0^t tau^(-k/n) phi / ( t^(1-k/n) phi(t) ), with an
-    exponent eps making t^eps U_q(t) nonincreasing."""
-    t, ph, kn, grid = eng.t, eng.phi_vals, eng.kn, eng.space.grid
-    head = cumulative_from_zero(t, t ** -kn * ph)
+    bounds int_0^t tau^(-k/n) phi / ( t^(1-k/n) phi(t) ), the head of
+    its phi_k, with an exponent eps making t^eps U_q(t) nonincreasing."""
+    t, grid = eng.t, eng.space.grid
+    head = cumulative_from_zero(t, eng.phi_k)
     if not np.isfinite(head[0]):
-        return _dominance_witness(grid, None, math.inf, u_q.values)
-    ratio = head / (t ** (1.0 - kn) * ph)
-    return _dominance_witness(grid, ratio, float(np.max(ratio)), u_q.values)
+        return _dominance_witness(grid, None, math.inf, eng.u_q)
+    ratio = head / (t ** (1.0 - eng.kn) * eng.phi_vals)
+    return _dominance_witness(grid, ratio, float(np.max(ratio)), eng.u_q)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +230,7 @@ def exp_sum_nodes(z_min: float, z_max: float) -> tuple[np.ndarray, np.ndarray]:
 
 class AssociateNormEngine:
     """Shared tables of phi on one grid, for the associate functionals of
-    many nonnegative g and for the two dominance conditions.
+    many nonnegative g and for the two dominance conditions (U_q among them).
 
     The double-integral functional needs the cone kernel
     phi(tau) / (1 + (tau/xi)^(k/n)).  With y = t^(k/n), its logistic
@@ -265,8 +249,8 @@ class AssociateNormEngine:
     rounding; an FFT product is ruled out, as its error scales with the
     row maximum (4.5e-8 relative on tail entries at k/n = 2).  rho0 is
     the one-row case, as rho_tilde is of rho_tilde_family; both families
-    run their rows through the grid rules in row blocks.  The reduced
-    functionals only need running integrals.
+    run their rows through the grid rules in row blocks.  rho1 and rho2
+    only need running integrals, their smooth factor formed per call.
     """
 
     def __init__(self, space: LorentzSpace, phi, k: int, n: int):
@@ -276,7 +260,8 @@ class AssociateNormEngine:
         self.kn = k / float(n)
         self.phi_vals = np.asarray(phi(t), dtype=float)
         self.iphi = _profile_integral(t, self.phi_vals)
-        self.jk = cumulative_tail(t, t ** -self.kn * self.phi_vals)
+        self.phi_k = t ** -self.kn * self.phi_vals
+        self.jk = cumulative_tail(t, self.phi_k)
         # log-trapezoid weights for integrals against g(xi) d xi
         u = np.log(t)
         du = np.empty_like(t)
@@ -289,13 +274,20 @@ class AssociateNormEngine:
         self.y = (t / t[-1]) ** self.kn
         self.nodes, self.node_weights = exp_sum_nodes(2.0 * self.y[0], 2.0 * self.y[-1])
         self.cone_weights = self.xi_weights * self.y
-        # smooth factors multiplying g in the reduced functionals, with
-        # their below-grid head masses (g itself is treated as locally
-        # constant below the grid: a two-point power fit on staircase or
-        # random data would be meaningless)
-        self.split_factor = self.iphi + t ** self.kn * self.jk
-        self.split_head = head_mass(t, self.split_factor)
-        self.power_head = t[0] ** (self.kn + 1.0) / (self.kn + 1.0)
+
+    @cached_property
+    def u_q(self) -> np.ndarray:
+        """U_q, built on first read: the tail aggregate of Wtilde = V^-1 t^(1-k/n) phi,
+
+            U_1(t) = sup_{[t,T]} Wtilde,
+            U_q(t) = ( int_t^T Wtilde^(q') v )^(1/q'),   q > 1,
+
+        with U_q(T) = 0 for q > 1."""
+        sp, t = self.space, self.t
+        wt = t ** (1.0 - self.kn) * self.phi_vals / sp.V.values
+        if sp.q == 1.0:
+            return np.maximum.accumulate(wt[::-1])[::-1]
+        return cumulative_tail(t, wt ** sp.qp * sp.v_vals) ** (1.0 / sp.qp)
 
     def _checked(self, g, ndim: int = 1) -> np.ndarray:
         g = np.asarray(g, dtype=float)
@@ -316,13 +308,20 @@ class AssociateNormEngine:
             self.space, self.iphi * cumulative_tail(self.t, block)),
             self._checked(G, ndim=2), len(self.t))
 
+    def _split_cumulative(self, g: np.ndarray) -> np.ndarray:
+        """int_0^t g (iphi + t^(k/n) jk), the factor's head mass taken with g
+        locally constant below the grid (a power fit to staircase or random
+        data would be meaningless)."""
+        factor = self.iphi + self.t ** self.kn * self.jk
+        return cumulative_from_zero(self.t, g * factor, g[0] * head_mass(self.t, factor))
+
     def rho1(self, g: np.ndarray) -> float:
         g = self._checked(g)
         sp = self.space
-        inner = (cumulative_from_zero(self.t, g * self.split_factor,
-                                      g[0] * self.split_head)
+        power_head = self.t[0] ** (self.kn + 1.0) / (self.kn + 1.0)
+        inner = (self._split_cumulative(g)
                  - self.jk * cumulative_from_zero(self.t, g * self.t ** self.kn,
-                                                  g[0] * self.power_head))
+                                                  g[0] * power_head))
         if not np.all(np.isfinite(inner)):
             return math.inf
         inner = np.maximum(inner, 0.0)
@@ -335,8 +334,7 @@ class AssociateNormEngine:
         sp = self.space
         if sp.q == 1.0:
             return 0.0
-        mass = cumulative_from_zero(self.t, g * self.split_factor,
-                                    g[0] * self.split_head)[-1]
+        mass = self._split_cumulative(g)[-1]
         if not math.isfinite(mass):
             return math.inf
         return float(mass * sp.tail_w ** (1.0 / sp.qp))

@@ -36,7 +36,6 @@ from calderon_lab.optimal import (
     equivalence_report,
     hardy_constants,
     sample_family,
-    tail_embedding_function,
 )
 from calderon_lab.potentials import (
     bump_and_staircase_family,
@@ -146,9 +145,8 @@ def test_criterion_06_condition_dichotomy():
         sp = LorentzSpace(2.0, FLAT, g)
         for alpha in (0.5, 1.0, 1.5):
             phi = sample(lambda t, a=alpha: t ** (a - 1.0), g)
-            uq = tail_embedding_function(sp, phi, 1, 1)
             eng = AssociateNormEngine(sp, phi, 1, 1)
-            ca, cb = check_condition_a(eng), check_condition_b(eng, uq)
+            ca, cb = check_condition_a(eng), check_condition_b(eng)
             if span == 1e-8:
                 outcomes[alpha] = (ca.holds, cb.holds)
             if alpha == 1.0:
@@ -196,9 +194,8 @@ def test_criterion_08_equivalence_families():
             g = make_log_grid(1e-8, 1.0, pts)
             sp = LorentzSpace(q, FLAT, g)
             phi = sample(lambda t, a=alpha, nn=n: t ** (a / nn - 1.0), g)
-            uq = tail_embedding_function(sp, phi, k, n)
             eng = AssociateNormEngine(sp, phi, k, n)
-            cond = check_condition_a(eng) if label == "A" else check_condition_b(eng, uq)
+            cond = check_condition_a(eng) if label == "A" else check_condition_b(eng)
             assert cond.holds
             family = sample_family(g)
             rep = equivalence_report(eng)

@@ -318,6 +318,15 @@ class TestScenarios:
         if rec.error is None:
             assert rec.scalars["embeds"]
 
+    @pytest.mark.parametrize("scenario", ["embedding_check", "lorentz_karamata_case"])
+    def test_criterion_value_0_is_inconclusive(self, scenario):
+        # at T = 1e12 phi underflows to 0 on all three criterion grids; the
+        # growth ratios used to divide by zero
+        rec = run(parse_config_text(f"scenario = {scenario}\nspace.p = 2\n"
+                                    "space.b_log = 0.75\nkernel.alpha = 0.5\nT = 1e12\n"
+                                    + FAST))
+        assert rec.error == "Inconclusive: refinement value 0: values [0.0, 0.0, 0.0]"
+
     def test_optimal_norm(self):
         rec = run(parse_config_text(
             "scenario = optimal_norm\nkernel.alpha = 0.75\n" + FAST))
@@ -646,6 +655,22 @@ class TestReuse:
         assert rec.scalars["condition"] == "B"
         assert len(calls) == 2
 
+    def test_equivalence_sweep_reads_phi_twice(self, monkeypatch):
+        # once for the aggregate and once for the engine, whose samples
+        # U_q and both dominance conditions read
+        reads = []
+        real = cli._space_and_profile
+
+        def counted(cfg):
+            space, phi = real(cfg)
+            return space, lambda t: reads.append(1) or phi(t)
+
+        monkeypatch.setattr(cli, "_space_and_profile", counted)
+        rec = run(parse_config_text((DATA / "golden" / "equivalence_sweep.cfg").read_text()))
+        assert rec.error is None
+        assert rec.scalars["condition"] == "B"
+        assert len(reads) == 2
+
 
 class TestBlockSizes:
     """A row's grid rules and a step's vertex sums do not depend on the
@@ -703,6 +728,26 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: cannot read {tmp_path / 'b.cfg'}: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_unwritable_output_directory_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                 command):
+        # --out under a plain file: no scenario runs, and one output error
+        # line names the directory
+        ran = []
+        monkeypatch.setattr(cli, "_SCENARIO_FNS", {
+            name: lambda cfg, rec: ran.append(cfg.scenario) for name in cli._SCENARIO_FNS})
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("scenario = embedding_check\nkernel.alpha = 0.75\n" + FAST)
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "sub"
+        target = str(cfg) if command == "run" else str(tmp_path)
+        assert main([command, target, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"output error: cannot create {out}: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+        assert ran == []
 
     # the config file is the one spelling of every run input: the
     # command line takes only --out (and sweep's ignored --workers)

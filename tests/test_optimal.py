@@ -43,7 +43,6 @@ from calderon_lab.optimal import (
     make_optimal_norm_spec,
     optimal_norm,
     sample_family,
-    tail_embedding_function,
 )
 
 FLAT = WeightSpec(power_exponent=0.0)
@@ -60,28 +59,66 @@ class TestTailAggregate:
         g = make_log_grid(1e-8, 1.0, 512)
         sp = LorentzSpace(2.0, FLAT, g)
         phi = power_phi(g, 1.5, n=2)
-        uq = tail_embedding_function(sp, phi, 1, 2)
+        uq = AssociateNormEngine(sp, phi, 1, 2).u_q
         ex = (1.5 - 1.0) / 2.0 - 1.0
         expected = np.sqrt(np.maximum((g.points ** (2 * ex + 1) - 1.0)
                                       / -(2 * ex + 1), 0.0))
-        assert np.allclose(uq.values[:-1], expected[:-1], rtol=1e-10)
+        assert np.allclose(uq[:-1], expected[:-1], rtol=1e-10)
 
     def test_vanishes_at_T(self):
         g = make_log_grid(1e-8, 1.0, 512)
         for q in (1.5, 2.0, 4.0):
             sp = LorentzSpace(q, FLAT, g)
-            uq = tail_embedding_function(sp, power_phi(g, 0.75), 1, 1)
-            assert uq.values[-1] == 0.0
+            uq = AssociateNormEngine(sp, power_phi(g, 0.75), 1, 1).u_q
+            assert uq[-1] == 0.0
 
     def test_q1_running_sup(self):
         g = make_log_grid(1e-8, 1.0, 512)
         sp = LorentzSpace(1.0, FLAT, g)
         phi = power_phi(g, 0.5)
-        u1 = tail_embedding_function(sp, phi, 1, 1)
+        u1 = AssociateNormEngine(sp, phi, 1, 1).u_q
         # Wtilde = V^-1 t^(1-k/n) phi at k = n = 1
         wt = np.asarray(phi(g.points)) / sp.V.values
-        assert np.all(np.diff(u1.values) <= 1e-12)
-        assert np.all(u1.values >= wt - 1e-12)
+        assert np.all(np.diff(u1) <= 1e-12)
+        assert np.all(u1 >= wt - 1e-12)
+
+
+class TestEngineTables:
+    """U_q and condition B's integrand are the engine's tables: each is the
+    expression the sweep used to rebuild from phi, bit for bit."""
+
+    @pytest.mark.parametrize("q", [1.0, 2.0])
+    @pytest.mark.parametrize("k, n", [(1, 2), (1, 1), (2, 1)])
+    def test_u_q_is_the_tail_aggregate(self, q, k, n):
+        g = make_log_grid(1e-8, 1.0, 512)
+        sp = LorentzSpace(q, power_weight(q, 1.5), g)
+        phi = power_phi(g, 0.75)
+        t = g.points
+        wt = t ** (1.0 - k / float(n)) * np.asarray(phi(t), dtype=float) / sp.V.values
+        if q == 1.0:
+            expected = np.maximum.accumulate(wt[::-1])[::-1]
+        else:
+            expected = cumulative_tail(t, wt ** sp.qp * sp.v_vals) ** (1.0 / sp.qp)
+        uq = AssociateNormEngine(sp, phi, k, n).u_q
+        assert uq.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("alpha", [1.5, 1.0])   # a convergent head, a divergent one
+    def test_condition_b_reads_the_engine(self, alpha):
+        g = make_log_grid(1e-8, 1.0, 512)
+        sp = LorentzSpace(2.0, FLAT, g)
+        phi = power_phi(g, alpha)
+        eng = AssociateNormEngine(sp, phi, 1, 1)
+        t, ph = g.points, np.asarray(phi(g.points), dtype=float)
+        head = cumulative_from_zero(t, t ** -1.0 * ph)
+        wt = t ** 0.0 * ph / sp.V.values
+        uq = cumulative_tail(t, wt ** sp.qp * sp.v_vals) ** (1.0 / sp.qp)
+        if np.isfinite(head[0]):
+            ratio = head / (t ** 0.0 * ph)
+            expected = optimal._dominance_witness(g, ratio, float(np.max(ratio)), uq)
+        else:
+            expected = optimal._dominance_witness(g, None, math.inf, uq)
+        assert check_condition_b(eng) == expected
+        assert bool(np.isfinite(head[0])) is (alpha == 1.5)
 
 
 class TestConditions:
@@ -91,9 +128,8 @@ class TestConditions:
         g = make_log_grid(1e-8, 1.0, 512)
         sp = LorentzSpace(2.0, FLAT, g)
         phi = power_phi(g, alpha)
-        uq = tail_embedding_function(sp, phi, 1, 1)
         eng = AssociateNormEngine(sp, phi, 1, 1)
-        ca, cb = check_condition_a(eng), check_condition_b(eng, uq)
+        ca, cb = check_condition_a(eng), check_condition_b(eng)
         assert ca.holds is a_holds
         assert cb.holds is b_holds
         if not a_holds:
@@ -127,10 +163,9 @@ class TestConditions:
             g = make_log_grid(1e-8, 1.0, pts)
             sp = LorentzSpace(2.0, FLAT, g)
             phi = power_phi(g, 1.0)
-            uq = tail_embedding_function(sp, phi, 1, 1)
             eng = AssociateNormEngine(sp, phi, 1, 1)
             sups_a.append(check_condition_a(eng).d_grid)
-            sups_b.append(check_condition_b(eng, uq).d_grid)
+            sups_b.append(check_condition_b(eng).d_grid)
         assert sups_a[0] < sups_a[1] < sups_a[2]
         assert all(not math.isfinite(s) for s in sups_b)   # head integral diverges
 
@@ -139,8 +174,8 @@ class TestConditions:
         g = make_log_grid(1e-8, 1.0, 512)
         sp = LorentzSpace(2.0, FLAT, g)
         phi = power_phi(g, 1.5, n=2)
-        uq = tail_embedding_function(sp, phi, 1, 2)
-        assert largest_monotone_exponent(g.points, uq.values) > 0
+        uq = AssociateNormEngine(sp, phi, 1, 2).u_q
+        assert largest_monotone_exponent(g.points, uq) > 0
 
 
 class TestHalfLevel:
@@ -626,9 +661,8 @@ class TestEquivalence:
         g = make_log_grid(1e-8, 1.0, 512)
         sp = LorentzSpace(2.0, FLAT, g)
         phi = power_phi(g, 1.0)
-        uq = tail_embedding_function(sp, phi, 1, 1)
         eng = AssociateNormEngine(sp, phi, 1, 1)
-        ca, cb = check_condition_a(eng), check_condition_b(eng, uq)
+        ca, cb = check_condition_a(eng), check_condition_b(eng)
         assert not ca.holds and not cb.holds
         rep = equivalence_report(eng)
         assert "spread" in rep    # still evaluated, never asserted
