@@ -171,6 +171,11 @@ class ExperimentConfig:
             if -self.lambda_log > bound:
                 bad("kernel.lambda_log", f"{self.lambda_log:g} makes the kernel profile "
                     f"increase: needs -lambda_log <= (n - alpha) l(z*) = {bound:.6g}")
+        # phi is nonincreasing: 0 at the grid floor is 0 on every grid
+        tmin = self.tmin_span * self.T
+        if _build_kernel(self).measure_profile_fn()(tmin) == 0.0:
+            bad("T", f"{self.T:g} puts the grid floor {tmin:g} where the kernel profile "
+                f"underflows to 0 (kernel.z1 = {self.z1:g})")
 
 
 _KEY_MAP = {

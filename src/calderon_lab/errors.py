@@ -5,19 +5,6 @@ class ToolkitError(Exception):
     """Base class for all errors raised by calderon_lab."""
 
 
-class NonPositiveBound(ToolkitError):
-    """A bound that must be positive and finite is not: zero, negative,
-    infinite or NaN."""
-
-
-class DegenerateRange(ToolkitError):
-    """Lower bound of a range is not strictly below the upper bound."""
-
-
-class TooFewPoints(ToolkitError):
-    """A grid needs at least two points."""
-
-
 class DomainError(ToolkitError):
     """Arguments outside the domain an operation is defined on."""
 
@@ -47,10 +34,6 @@ class WitnessMissing(ToolkitError):
 
 class ResolutionTooCoarse(ToolkitError):
     """The singular-cell correction dominates a convolution cell."""
-
-
-class DomainExceeded(ToolkitError):
-    """A finite-difference stencil leaves the sampled box."""
 
 
 class NotEmbedded(ToolkitError):

@@ -21,13 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateRange,
-    DomainError,
-    NonConvergent,
-    NonPositiveBound,
-    TooFewPoints,
-)
+from .errors import DomainError, NonConvergent
 
 # ---------------------------------------------------------------------------
 # grids and sampled functions
@@ -50,11 +44,11 @@ class LogGrid:
 def make_log_grid(t_min: float, t_max: float, count: int) -> LogGrid:
     """Geometric grid with exact endpoints and constant point ratio."""
     if not 0.0 < t_min < math.inf or not 0.0 < t_max < math.inf:
-        raise NonPositiveBound(f"grid bounds must be positive and finite, got ({t_min}, {t_max})")
+        raise DomainError(f"grid bounds must be positive and finite, got ({t_min}, {t_max})")
     if not t_min < t_max:
-        raise DegenerateRange(f"need t_min < t_max, got ({t_min}, {t_max})")
+        raise DomainError(f"need t_min < t_max, got ({t_min}, {t_max})")
     if count < 2:
-        raise TooFewPoints(f"need at least 2 points, got {count}")
+        raise DomainError(f"need at least 2 points, got {count}")
     pts = np.geomspace(t_min, t_max, count)
     pts[0], pts[-1] = t_min, t_max
     return LogGrid(t_min=t_min, t_max=t_max, count=count, points=pts)

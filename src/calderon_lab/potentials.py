@@ -37,13 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (
-    DomainError,
-    DomainExceeded,
-    NotEmbedded,
-    ResolutionTooCoarse,
-    TrivialSpace,
-)
+from .errors import DomainError, NotEmbedded, ResolutionTooCoarse, TrivialSpace
 from .gridfn import (
     LogGrid,
     SampledFunction,
@@ -53,7 +47,7 @@ from .gridfn import (
 )
 from .kernels import KernelSpec, cone_kernel
 from .lorentz import LorentzSpace, _associate_norms, embedding_function
-from .optimal import FAMILY_SEED, OptimalNormSpec, _FamilyRng, _stieltjes_sum
+from .optimal import FAMILY_SEED, OptimalNormSpec, _FamilyRng, lattice_norms
 from .rearrange import decreasing_rearrangement
 
 
@@ -156,7 +150,7 @@ def _step_sups(us, k: int, mags: np.ndarray) -> np.ndarray:
     |Delta_a^k s(x)|, s the interpolant of u, one per step a of mags, over
     the x whose stencil stays in the grid.  It is taken at the breaks
     x_i - j*a (j = 0..k), whose stencil points are s(x_i + m*a),
-    m = -j..k-j; Delta_{-a}^k has the same sup.  Raises DomainExceeded
+    m = -j..k-j; Delta_{-a}^k has the same sup.  Raises DomainError
     when the +a or the -a step leaves no node with its stencil inside."""
     x = us[0].axis_points()
     coeffs = _difference_coeffs(k)
@@ -166,7 +160,7 @@ def _step_sups(us, k: int, mags: np.ndarray) -> np.ndarray:
         pos = x + np.arange(-k, k + 1)[:, None, None] * mags[lo:lo + 16, None]
         good = (x[0] <= pos) & (pos <= x[-1])
         if not np.all(np.any(good[[0, -1]], axis=2)):
-            raise DomainExceeded("no grid point keeps the whole stencil inside the box")
+            raise DomainError("no grid point keeps the whole stencil inside the box")
         windows = [good[k - j] & good[2 * k - j] for j in range(k + 1)]
         for best, u in zip(out[:, lo:lo + 16], us):
             # clamped outside the box, where no window reaches
@@ -249,7 +243,7 @@ def _moduli(us, k: int, ts: np.ndarray) -> np.ndarray:
     like = us[0]
     t_max = np.max(ts)
     if k * t_max > 2.0 * like.box_halfwidth:
-        raise DomainExceeded("stencil span exceeds the box")
+        raise DomainError("stencil span exceeds the box")
     h0 = like.spacing / k
     steps, sups = _vertex_sups(np.array([u.values for u in us]), k, like.spacing, max(t_max, h0))
     # for |h| <= h0 each stencil point x_i + m*h (|m| <= k) stays in a cell
@@ -272,7 +266,7 @@ def modulus_of_smoothness(u: FieldSample, k: int, t: float) -> float:
     the vertex steps spacing*p/q <= t (q <= k).  Up to the least vertex
     step h0 = spacing/k it is (t/h0) omega_k(u; h0): there it describes
     s, not u, and grows like t * spacing^(k-1), not t^k.  Raises
-    DomainExceeded when the span k*t exceeds the box, or when no grid
+    DomainError when the span k*t exceeds the box, or when no grid
     point keeps the whole stencil inside it."""
     if not 0.0 < t < math.inf:
         raise DomainError(f"t must be positive and finite, got {t}")
@@ -366,27 +360,18 @@ def nontriviality_gate(spec: OptimalNormSpec, k: int, n: int) -> bool:
 
 def calderon_norms(us, omegas, spec: OptimalNormSpec, k: int, n: int) -> list[float]:
     """The Calderon norm of each field of us with its modulus curve in
-    omegas: the sup norm of u plus the lattice norm of omega, its modulus
-    of smoothness omega_k(u; t^(1/n)) as modulus_curves computes it (max
-    omega in the sup case, in the weighted case the Stieltjes form
-    ( int_0^T (omega(t) / Psi(t))^q dPsi/Psi )^(1/q) against forward
-    differences of Psi on the omega grid).  The weighted form is
-    optimal_norm's Stieltjes core alone: optimal_norm adds
-    Psi(T)^-1 sup_(T1,T) |f| to it, this sum adds no such term.  The
-    gate is decided and Psi sampled once for the family.  Raises
-    TrivialSpace when the lattice only contains the zero modulus, and
-    DomainError unless the curves are as many as the fields, at least
-    one, on one t grid."""
+    omegas: the sup norm of u plus `lattice_norms` of omega, its modulus
+    of smoothness omega_k(u; t^(1/n)) as modulus_curves computes it, with
+    no tail term (optimal_norm states why).  The gate is decided and Psi
+    read once for the family.  Raises TrivialSpace when the lattice only
+    contains the zero modulus, and DomainError unless the curves are as
+    many as the fields, at least one, on one t grid."""
     if not omegas or len(us) != len(omegas) or any(
             not np.array_equal(omega.grid.points, omegas[0].grid.points) for omega in omegas):
         raise DomainError("calderon_norms needs one modulus curve per field, on one t grid")
     if not nontriviality_gate(spec, k, n):
         raise TrivialSpace("the modulus lattice is trivial for this aggregate")
-    if spec.case == "sup":
-        return [u.sup_norm() + float(np.max(omega.values)) for u, omega in zip(us, omegas)]
-    psi = spec.psi(omegas[0].grid.points)
-    return [u.sup_norm() + _stieltjes_sum(omega.values, psi, spec.q)
-            for u, omega in zip(us, omegas)]
+    return [u.sup_norm() + c for u, c in zip(us, lattice_norms(spec, omegas))]
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from calderon_lab.cli import (
     selftest,
     sweep,
 )
-from calderon_lab.errors import ConfigInvalid
+from calderon_lab.errors import ConfigInvalid, Inconclusive
 from calderon_lab.optimal import AssociateNormEngine, equivalence_report
 from test_golden import _mismatches
 
@@ -145,6 +145,21 @@ class TestValidationBounds:
         with pytest.raises(ConfigInvalid, match="^T: "):
             parse_config_text(base + f"T = {bad}\n").validate()
         parse_config_text(base + f"T = {good}\n").validate()
+
+    @pytest.mark.parametrize("variant", ["power", "bessel_mcdonald"])
+    def test_kernel_profile_underflow(self, variant):
+        # phi is nonincreasing, so 0 at the grid floor is 0 on every grid:
+        # T = 1e12 puts the floor at 1e4, z = 5e3, where phi underflows
+        base = f"scenario = equivalence_sweep\nkernel.variant = {variant}\n"
+        for T in ("1e12", "1e20"):
+            with pytest.raises(ConfigInvalid, match=r"^T: .* kernel profile underflows to 0 "):
+                parse_config_text(base + f"T = {T}\n").validate()
+        for T in ("1e4", "1e11"):
+            parse_config_text(base + f"T = {T}\n").validate()
+
+    def test_kernel_profile_underflow_moves_with_z1(self):
+        # z = 5e3 at the floor lies inside the power head (0, z1] for z1 = 1e4
+        parse_config_text("scenario = equivalence_sweep\nkernel.z1 = 1e4\nT = 1e12\n").validate()
 
     def test_field_resolution_ignored_without_fields(self):
         cfg = parse_config_text("scenario = embedding_check\nfield.resolution = 8\n")
@@ -294,6 +309,14 @@ class TestSweep:
         row = (tmp_path / "summary.csv").read_text().splitlines()[1]
         assert row.startswith("item_000,lorentz_karamata_case,False,ConfigInvalid: space.b_log: ")
 
+    def test_kernel_profile_underflow_is_an_item(self):
+        # it used to pass with NaN ratios
+        bad = parse_config_text("scenario = equivalence_sweep\nT = 1e12\n")
+        good = parse_config_text("scenario = embedding_check\nkernel.alpha = 0.75\n" + FAST)
+        recs = sweep([bad, good])
+        assert recs[0].error.startswith("ConfigInvalid: T: 1e+12 puts the grid floor 10000 ")
+        assert recs[1].passed
+
     def test_condition_flips_across_k(self):
         # alpha sweep over the dominance threshold: the condition column
         # flips from A to B as alpha crosses k
@@ -321,11 +344,13 @@ class TestScenarios:
     @pytest.mark.parametrize("scenario", ["embedding_check", "lorentz_karamata_case"])
     def test_criterion_value_0_is_inconclusive(self, scenario):
         # at T = 1e12 phi underflows to 0 on all three criterion grids; the
-        # growth ratios used to divide by zero
-        rec = run(parse_config_text(f"scenario = {scenario}\nspace.p = 2\n"
-                                    "space.b_log = 0.75\nkernel.alpha = 0.5\nT = 1e12\n"
-                                    + FAST))
-        assert rec.error == "Inconclusive: refinement value 0: values [0.0, 0.0, 0.0]"
+        # growth ratios used to divide by zero.  validate rejects the config,
+        # so the criterion reads the space and kernel the scenario builds
+        cfg = parse_config_text(f"scenario = {scenario}\nspace.p = 2\n"
+                                "space.b_log = 0.75\nkernel.alpha = 0.5\nT = 1e12\n" + FAST)
+        with pytest.raises(Inconclusive) as exc:
+            lorentz.embedding_criterion(cli._space(cfg), cli._build_kernel(cfg))
+        assert str(exc.value) == "refinement value 0: values [0.0, 0.0, 0.0]"
 
     def test_optimal_norm(self):
         rec = run(parse_config_text(
@@ -709,6 +734,17 @@ class TestMain:
         broken = tmp_path / "broken.cfg"
         broken.write_text("scenario = what\n")
         assert main(["run", str(broken)]) == 2
+
+    @pytest.mark.parametrize("scenario", ["embedding_check", "optimal_norm",
+                                          "equivalence_sweep", "envelope",
+                                          "lorentz_karamata_case"])
+    def test_kernel_profile_underflow_exits_2(self, tmp_path, capsys, scenario):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"scenario = {scenario}\nspace.b_log = 0.75\nT = 1e12\n")
+        assert main(["run", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: T: 1e+12 puts the grid floor 10000 where the kernel profile "
+            "underflows to 0 (kernel.z1 = 1)\n")
 
     @pytest.mark.parametrize("name, content", [("missing.cfg", None),
                                                ("latin1.cfg", b"scenario = envelope\n# \xe9\n")])

@@ -7,13 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from calderon_lab import gridfn
-from calderon_lab.errors import (
-    DegenerateRange,
-    DomainError,
-    NonConvergent,
-    NonPositiveBound,
-    TooFewPoints,
-)
+from calderon_lab.errors import DomainError, NonConvergent
 from calderon_lab.gridfn import (
     SampledFunction,
     classify_boundedness,
@@ -36,7 +30,7 @@ class TestMakeLogGrid:
         assert g.points[0] == 0.01 and g.points[-1] == 1.0
 
     def test_degenerate_range(self):
-        with pytest.raises(DegenerateRange):
+        with pytest.raises(DomainError, match=r"need t_min < t_max, got \(1.0, 1.0\)"):
             make_log_grid(1.0, 1.0, 2)
 
     def test_constant_ratio(self):
@@ -47,17 +41,17 @@ class TestMakeLogGrid:
         assert np.all(np.abs(ratios - expected) < 1e-12 * expected)
 
     def test_errors(self):
-        with pytest.raises(NonPositiveBound):
+        with pytest.raises(DomainError, match="grid bounds must be positive and finite"):
             make_log_grid(0.0, 1.0, 4)
-        with pytest.raises(NonPositiveBound):
+        with pytest.raises(DomainError, match="grid bounds must be positive and finite"):
             make_log_grid(-1.0, 1.0, 4)
-        with pytest.raises(TooFewPoints):
+        with pytest.raises(DomainError, match="need at least 2 points, got 1"):
             make_log_grid(0.1, 1.0, 1)
         # geomspace would fill the grid with inf or nan after a RuntimeWarning
         for t_min, t_max in ((1e-3, math.inf), (1e-3, math.nan), (math.nan, 1.0)):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                with pytest.raises(NonPositiveBound, match="finite"):
+                with pytest.raises(DomainError, match="finite"):
                     make_log_grid(t_min, t_max, 4)
 
     def test_scale_equivariance(self):

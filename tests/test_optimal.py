@@ -39,7 +39,9 @@ from calderon_lab.optimal import (
     exp_sum_nodes,
     half_level_point,
     hardy_constants,
+    OptimalNormSpec,
     largest_monotone_exponent,
+    lattice_norms,
     make_optimal_norm_spec,
     optimal_norm,
     sample_family,
@@ -234,6 +236,37 @@ class TestOptimalNorm:
         expected = psi_T ** theta / (theta * 2.0) ** 0.5 + psi_T ** theta
         assert abs(got - expected) < 5e-3 * expected
 
+    def test_weighted_case_is_the_written_out_rule(self):
+        # the left-endpoint Stieltjes sum of the running sup, plus
+        # Psi(T)^-1 sup_(T1,T) |f|, Psi read on f's grid: bit for bit on
+        # Psi's own grid and on one where Psi is interpolated, its last
+        # point included
+        def written_out(spec, f):
+            av, t = np.abs(f.values), f.grid.points
+            psi = spec.psi(t)
+            v = np.maximum.accumulate(av)
+            terms = (v[:-1] / psi[:-1]) ** spec.q * np.diff(psi) / psi[:-1]
+            tail_sup = float(np.max(av[t >= spec.T1])) if np.any(t >= spec.T1) else av[-1]
+            return float(np.sum(terms)) ** (1.0 / spec.q) + tail_sup / psi[-1]
+        g = make_log_grid(1e-8, 1.0, 512)
+        rng = np.random.default_rng(54)
+        for q in (1.5, 2.0):
+            spec = make_optimal_norm_spec(LorentzSpace(q, FLAT, g), power_phi(g, 0.75))
+            assert spec.case == "weighted"
+            for grid in (g, make_log_grid(3e-7, 0.9, 301)):
+                for _ in range(4):
+                    f = SampledFunction(grid, rng.standard_normal(grid.count))
+                    assert optimal_norm(spec, f) == written_out(spec, f)
+
+    def test_is_the_lattice_norm_plus_the_tail_term(self):
+        g = make_log_grid(1e-8, 1.0, 512)
+        spec = make_optimal_norm_spec(LorentzSpace(2.0, FLAT, g), power_phi(g, 0.75))
+        f = SampledFunction(g, np.sin(40.0 * g.points ** 0.25))
+        tail_sup = float(np.max(np.abs(f.values)[g.points >= spec.T1]))
+        assert optimal_norm(spec, f) == lattice_norms(spec, [f])[0] + tail_sup / spec.psi.values[-1]
+        sup = OptimalNormSpec(case="sup", psi=spec.psi, q=1.0)
+        assert optimal_norm(sup, f) == lattice_norms(sup, [f])[0] == float(np.max(np.abs(f.values)))
+
     def test_aggregate_itself_diverges_under_refinement(self):
         # f = Psi makes the Stieltjes integral a log-divergent sum
         vals = []
@@ -264,6 +297,28 @@ class TestOptimalNorm:
         sp = LorentzSpace(2.0, FLAT, g)
         with pytest.raises(NotEmbedded):
             make_optimal_norm_spec(sp, power_phi(g, 0.3))
+
+
+class TestLatticeNorms:
+    def test_family_rows_are_one_curve_calls(self):
+        g = make_log_grid(1e-8, 1.0, 512)
+        spec = make_optimal_norm_spec(LorentzSpace(2.0, FLAT, g), power_phi(g, 0.75))
+        tg = make_log_grid(1e-6, 1.0, 64)
+        fs = [SampledFunction(tg, np.cos(c * tg.points)) for c in (1.0, 7.0, 30.0)]
+        got = lattice_norms(spec, fs)
+        assert got == [lattice_norms(spec, [f])[0] for f in fs]
+        assert all(type(v) is float for v in got)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 31: the left-endpoint sum is first "
+                                           "order in the grid step")
+    def test_pure_power_closed_form(self):
+        # omega = t, Psi = t^(1/2), q = 2: (omega/Psi)^q dPsi/Psi = dt/2, so
+        # the norm from t_min is ((1 - t_min)/2)^(1/2); the left sum reads
+        # 4.5e-3 low at 512 points
+        g = make_log_grid(1e-8, 1.0, 512)
+        spec = OptimalNormSpec(case="weighted", psi=sample(np.sqrt, g), q=2.0)
+        [got] = lattice_norms(spec, [SampledFunction(g, g.points.copy())])
+        assert got == pytest.approx(math.sqrt(0.5 * (1.0 - 1e-8)), rel=1e-6)
 
 
 class TestAssociatedNorms:

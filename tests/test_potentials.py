@@ -8,7 +8,6 @@ import calderon_lab.potentials as potentials
 from calderon_lab import cli
 from calderon_lab.errors import (
     DomainError,
-    DomainExceeded,
     NotEmbedded,
     ResolutionTooCoarse,
     TrivialSpace,
@@ -28,7 +27,8 @@ from calderon_lab.kernels import (
     measure_profile,
 )
 from calderon_lab.lorentz import LorentzSpace, WeightSpec, associate_norm, lorentz_norm
-from calderon_lab.optimal import OptimalNormSpec, make_optimal_norm_spec, optimal_norm
+from calderon_lab.optimal import (OptimalNormSpec, lattice_norms, make_optimal_norm_spec,
+                                  optimal_norm)
 from calderon_lab.potentials import (
     FieldSample,
     bump_and_staircase_family,
@@ -389,9 +389,9 @@ class TestModulus:
     def test_span_exceeds_box(self):
         # k = 2 at t = 2.1 spans 4.2, past the box [-2, 2]
         u = sample_field(np.sin, 2.0, 65)
-        with pytest.raises(DomainExceeded, match="span exceeds"):
+        with pytest.raises(DomainError, match="stencil span exceeds the box"):
             modulus_of_smoothness(u, 2, 2.1)
-        with pytest.raises(DomainExceeded, match="span exceeds"):
+        with pytest.raises(DomainError, match="stencil span exceeds the box"):
             modulus_curves([u], 2, make_log_grid(1e-3, 2.1, 8))
 
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -708,6 +708,24 @@ class TestFieldNorms:
         got = calderon_norms([u], [om], spec, 1, 1)[0]
         assert got == u.sup_norm() + float(np.max(om.values))
         assert got == u.sup_norm() + optimal_norm(spec, om)
+        assert got == u.sup_norm() + lattice_norms(spec, [om])[0]
+
+    def test_weighted_case_adds_the_lattice_norm(self):
+        # the modulus's lattice norm with no tail term: optimal_norm adds
+        # Psi(T)^-1 sup_(T1,T) omega to the same core
+        g = make_log_grid(1e-8, 1.0, 512)
+        spec = make_optimal_norm_spec(LorentzSpace(2.0, FLAT, g),
+                                      sample(BMD.measure_profile_fn(), g))
+        assert spec.case == "weighted"
+        us = [convolve(BMD, f) for _, f in bump_and_staircase_family(count=3, resolution=128)]
+        oms = modulus_curves(us, 1, self.TG)
+        cores = lattice_norms(spec, oms)
+        got = calderon_norms(us, oms, spec, 1, 1)
+        assert got == [u.sup_norm() + c for u, c in zip(us, cores)]
+        psi_T = spec.psi(self.TG.points)[-1]
+        for om, c in zip(oms, cores):
+            tail_sup = float(np.max(om.values[self.TG.points >= spec.T1]))
+            assert optimal_norm(spec, om) == c + tail_sup / psi_T
 
     def test_trivial_gate(self):
         # the flat q = 2 aggregate of t^(-1/4) grows like t^(1/4): t^(k/n)
